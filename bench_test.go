@@ -232,7 +232,10 @@ func BenchmarkFig2MultiMemoryBIST(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		r := eng.Run()
+		r, err := eng.RunContext(context.Background())
+		if err != nil {
+			b.Fatal(err)
+		}
 		if !r.Pass {
 			b.Fatal("BIST failed on healthy memories")
 		}
@@ -389,7 +392,11 @@ func BenchmarkBISTSchedulingAblation(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				cycles = eng.Run().Cycles
+				r, err := eng.RunContext(context.Background())
+				if err != nil {
+					b.Fatal(err)
+				}
+				cycles = r.Cycles
 			}
 			b.ReportMetric(float64(cycles), "cycles")
 		})
@@ -626,7 +633,10 @@ func BenchmarkPortBVerification(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		r := eng.Run()
+		r, err := eng.RunContext(context.Background())
+		if err != nil {
+			b.Fatal(err)
+		}
 		if !r.Pass {
 			b.Fatal("port-B self test failed")
 		}

@@ -51,7 +51,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	healthy := eng.Run()
+	healthy, err := eng.RunContext(context.Background())
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("healthy self-test: pass=%t in %d cycles\n", healthy.Pass, healthy.Cycles)
 
 	faulty, err := memfault.NewFaulty(mems[0], []memfault.Fault{
@@ -68,7 +71,10 @@ func main() {
 		log.Fatal(err)
 	}
 	eng2.EnableDiagnosis(0)
-	r := eng2.Run()
+	r, err := eng2.RunContext(context.Background())
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, m := range r.Mems {
 		if !m.Pass {
 			fmt.Printf("defective self-test: %s FAILED at address %d (cycle %d) — coupling fault caught\n",
@@ -96,7 +102,9 @@ func main() {
 		log.Fatal(err)
 	}
 	eng3.EnableDiagnosis(0)
-	eng3.Run()
+	if _, err := eng3.RunContext(context.Background()); err != nil {
+		log.Fatal(err)
+	}
 	for _, d := range eng3.Diagnoses() {
 		fmt.Printf("diagnosis bitmap: %s\n", d)
 	}

@@ -29,7 +29,7 @@ func TestDiagnosisSingleCell(t *testing.T) {
 	e := diagEngine(t, cfg, []memfault.Fault{
 		{Kind: memfault.SA1, Victim: memfault.Cell{Addr: 17, Bit: 3}},
 	})
-	if e.Run().Pass {
+	if mustRun(t, e).Pass {
 		t.Fatal("fault undetected")
 	}
 	diags := e.Diagnoses()
@@ -57,7 +57,7 @@ func TestDiagnosisColumn(t *testing.T) {
 			Victim: memfault.Cell{Addr: a, Bit: 5}})
 	}
 	e := diagEngine(t, cfg, faults)
-	if e.Run().Pass {
+	if mustRun(t, e).Pass {
 		t.Fatal("column defect undetected")
 	}
 	d := e.Diagnoses()[0]
@@ -78,7 +78,7 @@ func TestDiagnosisRow(t *testing.T) {
 			Victim: memfault.Cell{Addr: 9, Bit: b}})
 	}
 	e := diagEngine(t, cfg, faults)
-	if e.Run().Pass {
+	if mustRun(t, e).Pass {
 		t.Fatal("row defect undetected")
 	}
 	d := e.Diagnoses()[0]
@@ -95,7 +95,7 @@ func TestDiagnosisScatteredAndTruncation(t *testing.T) {
 	}
 	e := diagEngine(t, cfg, faults)
 	e.EnableDiagnosis(1) // force truncation
-	if e.Run().Pass {
+	if mustRun(t, e).Pass {
 		t.Fatal("faults undetected")
 	}
 	d := e.Diagnoses()[0]
@@ -104,7 +104,7 @@ func TestDiagnosisScatteredAndTruncation(t *testing.T) {
 	}
 	// Without the cap the signature is scattered.
 	e2 := diagEngine(t, cfg, faults)
-	e2.Run()
+	mustRun(t, e2)
 	if sig := e2.Diagnoses()[0].Signature(); sig != "scattered" {
 		t.Fatalf("signature = %s", sig)
 	}
@@ -123,7 +123,7 @@ func TestDiagnosisOffByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Run()
+	mustRun(t, e)
 	if e.Diagnoses() != nil {
 		t.Fatal("diagnosis data collected without opt-in")
 	}

@@ -409,15 +409,6 @@ func portBPass(tpgs []*tpgState, startCycle int) int {
 	return cycles
 }
 
-// Run executes the whole session and returns the result.  It is the
-// convenience form of RunContext for callers that never cancel — sessions
-// here are short, and the Result-only signature keeps table-driven tests
-// and examples readable.
-func (e *Engine) Run() Result {
-	res, _ := e.RunContext(context.Background())
-	return res
-}
-
 // RunContext executes the whole session under a context.  The cycle loop
 // polls ctx every cancelPollCycles simulated cycles and at every element
 // boundary; a canceled run returns ctx.Err() wrapped with the stage name

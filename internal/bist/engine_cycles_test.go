@@ -87,7 +87,7 @@ func TestEngineCyclesMatchAnalyticFormulas(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res := e.Run()
+				res := mustRun(t, e)
 				if !res.Pass {
 					t.Fatalf("%s %s %dx%d: fault-free run failed", alg.Name, kind, words, bits)
 				}
@@ -142,7 +142,7 @@ func TestEngineCyclesMixedGroupAndSchedules(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res := e.Run()
+			res := mustRun(t, e)
 			if res.Cycles != want || e.PredictedCycles() != want {
 				t.Fatalf("trial %d %s: engine=%d predicted=%d analytic=%d",
 					trial, sched, res.Cycles, e.PredictedCycles(), want)

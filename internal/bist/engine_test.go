@@ -1,12 +1,24 @@
 package bist
 
 import (
+	"context"
 	"testing"
 
 	"steac/internal/march"
 	"steac/internal/memfault"
 	"steac/internal/memory"
 )
+
+// mustRun executes e to completion; with no deadline RunContext cannot
+// fail, so an error is a bug.
+func mustRun(t *testing.T, e *Engine) Result {
+	t.Helper()
+	res, err := e.RunContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 func mems(t *testing.T, cfgs ...memory.Config) []MemoryUnderTest {
 	t.Helper()
@@ -30,7 +42,7 @@ func TestEngineFaultFreePasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := e.Run()
+	res := mustRun(t, e)
 	if !res.Pass {
 		t.Fatalf("fault-free run failed: %+v", res.Mems)
 	}
@@ -57,7 +69,7 @@ func TestEngineGroupCyclesFormula(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res := e.Run(); res.Cycles != want {
+	if res := mustRun(t, e); res.Cycles != want {
 		t.Fatalf("engine cycles = %d, want %d", res.Cycles, want)
 	}
 }
@@ -72,7 +84,7 @@ func TestEngineSerialVsParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := serial.Run()
+	rs := mustRun(t, serial)
 	if want := 10*128 + 10*64; rs.Cycles != want {
 		t.Fatalf("serial cycles = %d, want %d", rs.Cycles, want)
 	}
@@ -85,7 +97,7 @@ func TestEngineSerialVsParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp := parallel.Run()
+	rp := mustRun(t, parallel)
 	if want := 10 * 128; rp.Cycles != want {
 		t.Fatalf("parallel cycles = %d, want %d", rp.Cycles, want)
 	}
@@ -113,7 +125,7 @@ func TestEngineDetectsInjectedFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := e.Run()
+	res := mustRun(t, e)
 	if res.Pass {
 		t.Fatal("SA1 not detected")
 	}
@@ -149,7 +161,7 @@ func TestEngineMatchesReferenceSimulator(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res := e.Run()
+			res := mustRun(t, e)
 			if res.Pass == ref.Detected {
 				t.Fatalf("%s on %s: engine pass=%t but reference detected=%t",
 					alg.Name, f, res.Pass, ref.Detected)
@@ -170,7 +182,7 @@ func TestEngineBackground(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res := e.Run(); !res.Pass {
+	if res := mustRun(t, e); !res.Pass {
 		t.Fatalf("checkerboard background run failed: %+v", res.Mems)
 	}
 }
@@ -211,7 +223,7 @@ func TestRetentionModeCatchesDRF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := e1.Run(); !r.Pass {
+	if r := mustRun(t, e1); !r.Pass {
 		t.Fatal("DRF detected without any retention pause")
 	}
 	ret := Group{Name: "g", Alg: march.MarchCMinus(),
@@ -221,7 +233,7 @@ func TestRetentionModeCatchesDRF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := e2.Run()
+	r := mustRun(t, e2)
 	if r.Pass {
 		t.Fatal("retention mode missed the DRF")
 	}
@@ -247,7 +259,7 @@ func TestBackgroundGroupCycles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := e.Run()
+	r := mustRun(t, e)
 	if !r.Pass {
 		t.Fatalf("dual-background run failed: %+v", r.Mems)
 	}
@@ -278,7 +290,7 @@ func TestPortBPassCatchesPortBFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := e1.Run(); !r.Pass {
+	if r := mustRun(t, e1); !r.Pass {
 		t.Fatal("port-B fault visible to port-A March")
 	}
 	// The write-A/read-B pass does.
@@ -288,7 +300,7 @@ func TestPortBPassCatchesPortBFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := e2.Run()
+	r := mustRun(t, e2)
 	if r.Pass {
 		t.Fatal("port-B pass missed the SAB1")
 	}
@@ -321,7 +333,7 @@ func TestPortBPassMixedGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := e.Run()
+	r := mustRun(t, e)
 	if !r.Pass {
 		t.Fatalf("mixed group failed: %+v", r.Mems)
 	}

@@ -122,7 +122,7 @@ func TestGateLevelMatchesEngineCycleCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res := e.Run(); res.Cycles != cycles {
+	if res := mustRun(t, e); res.Cycles != cycles {
 		t.Fatalf("engine %d cycles, gate level %d", res.Cycles, cycles)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"steac/internal/bist"
 	"steac/internal/march"
 	"steac/internal/memfault"
 	"steac/internal/memory"
@@ -125,7 +126,7 @@ func TestNewEngineSelfTest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := eng.Run(); !r.Pass {
+	if r := mustRun(t, eng); !r.Pass {
 		t.Fatalf("fault-free self test failed: %+v", r.Mems)
 	}
 	// Inject a defect into one macro: self-test must fail.
@@ -139,7 +140,7 @@ func TestNewEngineSelfTest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := eng2.Run()
+	r := mustRun(t, eng2)
 	if r.Pass {
 		t.Fatal("self test missed injected SA0")
 	}
@@ -228,7 +229,7 @@ func TestBackgroundsDoubleTestTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := eng.Run(); !r.Pass {
+	if r := mustRun(t, eng); !r.Pass {
 		t.Fatalf("dual-background self test failed: %+v", r.Mems)
 	}
 }
@@ -255,7 +256,7 @@ func TestBackgroundsCatchIntraWordFault(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return eng.Run().Pass
+		return mustRun(t, eng).Pass
 	}
 	if !run(1) {
 		t.Fatal("solid background unexpectedly caught the matched-polarity intra-word CFid")
@@ -306,7 +307,7 @@ func TestPortBTestOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !eng1.Run().Pass {
+	if !mustRun(t, eng1).Pass {
 		t.Fatal("plain plan saw the port-B fault")
 	}
 	faulty2, err := memfault.NewFaulty(mems[1], []memfault.Fault{
@@ -319,7 +320,18 @@ func TestPortBTestOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng2.Run().Pass {
+	if mustRun(t, eng2).Pass {
 		t.Fatal("port-B plan missed the fault")
 	}
+}
+
+// mustRun executes eng to completion; with no deadline RunContext cannot
+// fail, so an error is a bug.
+func mustRun(t *testing.T, eng *bist.Engine) bist.Result {
+	t.Helper()
+	res, err := eng.RunContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }

@@ -261,11 +261,11 @@ func Run(ctx context.Context, spec Spec, opt Options) (*Result, error) {
 	// checkpoint identity.
 	var ck *checkpoint
 	if opt.Dir != "" {
-		ck, err = openCheckpoint(opt.Dir, plan.manifest())
+		ck, err = openCheckpoint(opt.Dir, plan)
 		if err != nil {
 			return nil, err
 		}
-		defer ck.close()
+		defer ck.journal.Close()
 		size = ck.man.ShardSize
 	}
 	shards := shardCount(units, size)
@@ -316,7 +316,7 @@ func Run(ctx context.Context, spec Spec, opt Options) (*Result, error) {
 			func(sr shardResult) error {
 				lo, hi := shardBounds(units, size, sr.index)
 				if ck != nil {
-					if err := ck.append(sr.index, sr.out); err != nil {
+					if err := ck.journal.Append(sr.index, sr.out); err != nil {
 						return err
 					}
 				}

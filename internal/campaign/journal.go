@@ -1,15 +1,14 @@
 package campaign
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
+
+	"steac/internal/wal"
 )
 
 // Typed checkpoint errors.  Repairable damage (a torn or bit-flipped
@@ -37,116 +36,70 @@ const (
 	journalName  = "journal.jsonl"
 )
 
-// castagnoli is the CRC-32C table used for journal entry checksums.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// manifest is the checkpoint root of trust, written once (atomically, via
-// temp file + rename + fsync) when the checkpoint directory is created.
+// manifest is the checkpoint root of trust: the campaign's Plan stamped
+// with the schema version, written once (atomically, via temp file +
+// rename + fsync) when the checkpoint directory is created.
 type manifest struct {
-	Schema      string          `json:"schema"`
-	Kind        string          `json:"kind"`
-	Spec        json.RawMessage `json:"spec"`
-	Fingerprint string          `json:"fingerprint"`
-	Units       int             `json:"units"`
-	ShardSize   int             `json:"shard_size"`
-	Shards      int             `json:"shards"`
+	Schema string `json:"schema"`
+	Plan
 }
 
-// entry is one journal line: a completed shard's outcome vector, keyed by
-// the shard's content address and checksummed with CRC-32C over the
-// outcomes.  Entries are self-validating; any field that fails to check
-// out drops the whole entry and the shard re-runs.
+// entry is one journal record: a completed shard's outcome vector, keyed
+// by the shard's content address.  The wal frame checksums it; any field
+// that fails to check out drops the whole entry and the shard re-runs.
 type entry struct {
 	Schema string  `json:"schema"`
 	Shard  int     `json:"shard"`
 	Key    string  `json:"key"`
 	Out    []int64 `json:"out"`
-	CRC    uint32  `json:"crc"`
 }
 
-// entryCRC checksums an outcome vector for the journal.
-func entryCRC(shard int, key string, out []int64) uint32 {
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "%d:%s", shard, key)
-	for _, v := range out {
-		fmt.Fprintf(&buf, ":%d", v)
-	}
-	return crc32.Checksum(buf.Bytes(), castagnoli)
-}
-
-// marshalEntry renders one journal line (newline-terminated).
-func marshalEntry(man manifest, shard int, out []int64) ([]byte, error) {
+// newEntry builds the journal record of one completed shard.
+func newEntry(man manifest, shard int, out []int64) entry {
 	lo, hi := shardBounds(man.Units, man.ShardSize, shard)
-	key := shardKey(man.Fingerprint, shard, lo, hi)
-	line, err := json.Marshal(entry{
-		Schema: SchemaVersion, Shard: shard, Key: key, Out: out,
-		CRC: entryCRC(shard, key, out),
-	})
-	if err != nil {
-		return nil, err
-	}
-	return append(line, '\n'), nil
+	return entry{Schema: SchemaVersion, Shard: shard, Key: shardKey(man.Fingerprint, shard, lo, hi), Out: out}
 }
 
-// scanJournal reads a journal file and validates every entry against the
-// manifest, returning the surviving shard outcomes and the count of
-// dropped (repairable) entries.  Entries are judged one by one:
+// scanJournal replays a journal file under the wal SkipInterior policy and
+// validates every entry against the manifest, returning the surviving
+// shard outcomes and the count of dropped (repairable) entries.  Entries
+// are judged one by one:
 //
 //   - wrong schema version on an otherwise well-formed entry → loud
 //     ErrSchemaVersion (a format change can silently re-interpret data;
 //     never guess);
-//   - undecodable line, CRC mismatch, wrong key, wrong length, shard
-//     index out of range, duplicate shard → drop and count as repaired
-//     (the shard just re-runs, cheap and always safe);
-//   - a torn final line (no trailing newline, from a crash mid-append) →
-//     same repair path.
+//   - bad frame or CRC (entries written before the wal frame included),
+//     undecodable record, wrong key, wrong length, shard index out of
+//     range, duplicate shard → drop and count as repaired (the shard just
+//     re-runs, cheap and always safe);
+//   - a torn final line (from a crash mid-append) → same repair path.
 //
 // A missing journal is an empty one.
 func scanJournal(path string, man manifest) (loaded map[int][]int64, repaired int, err error) {
 	loaded = map[int][]int64{}
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return loaded, 0, nil
-	}
-	if err != nil {
-		return nil, 0, fmt.Errorf("campaign: open journal: %w", err)
-	}
-	defer f.Close()
-
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<26)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
+	repaired, err = wal.Replay(path, wal.SkipInterior, func(rec []byte) error {
 		var e entry
-		if err := json.Unmarshal(line, &e); err != nil {
-			repaired++
-			continue
+		if err := json.Unmarshal(rec, &e); err != nil {
+			return fmt.Errorf("%w: %v", wal.ErrDamaged, err)
 		}
 		if e.Schema != SchemaVersion {
-			return nil, 0, fmt.Errorf("%w: journal entry for shard %d has %q, this binary speaks %q",
+			return fmt.Errorf("%w: journal entry for shard %d has %q, this binary speaks %q",
 				ErrSchemaVersion, e.Shard, e.Schema, SchemaVersion)
 		}
 		if e.Shard < 0 || e.Shard >= man.Shards {
-			repaired++
-			continue
+			return wal.ErrDamaged
 		}
 		lo, hi := shardBounds(man.Units, man.ShardSize, e.Shard)
-		if len(e.Out) != hi-lo ||
-			e.Key != shardKey(man.Fingerprint, e.Shard, lo, hi) ||
-			e.CRC != entryCRC(e.Shard, e.Key, e.Out) {
-			repaired++
-			continue
+		if len(e.Out) != hi-lo || e.Key != shardKey(man.Fingerprint, e.Shard, lo, hi) {
+			return wal.ErrDamaged
 		}
 		if _, dup := loaded[e.Shard]; dup {
-			repaired++
-			continue
+			return wal.ErrDamaged
 		}
 		loaded[e.Shard] = e.Out
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, 0, fmt.Errorf("campaign: scan journal: %w", err)
 	}
 	return loaded, repaired, nil
@@ -195,150 +148,97 @@ func scanJournals(dir string, man manifest) (loaded map[int][]int64, repaired in
 	return loaded, repaired, nil
 }
 
-// validateManifest checks a decoded manifest's own integrity (not its
+// readManifest reads dir's manifest and checks its own integrity (not its
 // match against any particular campaign).
-func validateManifest(man manifest) error {
+func readManifest(dir string) (manifest, error) {
+	path := filepath.Join(dir, manifestName)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return manifest{}, fmt.Errorf("campaign: read manifest: %w", err)
+	}
+	var man manifest
+	if err := json.Unmarshal(raw, &man); err != nil {
+		return manifest{}, fmt.Errorf("%w: %s: %v", ErrCheckpointCorrupt, path, err)
+	}
 	if man.Schema != SchemaVersion {
-		return fmt.Errorf("%w: checkpoint has %q, this binary speaks %q",
+		return manifest{}, fmt.Errorf("%w: checkpoint has %q, this binary speaks %q",
 			ErrSchemaVersion, man.Schema, SchemaVersion)
 	}
 	if man.Fingerprint == "" || man.Units <= 0 || man.ShardSize <= 0 ||
 		man.Shards != shardCount(man.Units, man.ShardSize) {
-		return fmt.Errorf("%w: inconsistent geometry", ErrCheckpointCorrupt)
+		return manifest{}, fmt.Errorf("%w: inconsistent geometry", ErrCheckpointCorrupt)
 	}
-	return nil
+	return man, nil
 }
 
 // checkpoint is an open checkpoint directory: the validated manifest, the
 // shards already completed by earlier runs, and an append handle on the
-// journal.
+// primary journal.
 type checkpoint struct {
-	dir      string
 	man      manifest
 	loaded   map[int][]int64 // shard index -> outcome vector
 	repaired int             // journal entries dropped as damaged
-	journal  *os.File
+	journal  *Store
 }
 
 // openCheckpoint opens dir as a checkpoint for the campaign described by
-// want, creating it if absent.  An existing checkpoint must carry the
-// current schema version (ErrSchemaVersion), a parseable manifest
-// (ErrCheckpointCorrupt), and the same fingerprint (ErrCheckpointMismatch).
-// The journal is then loaded via scanJournal, and compacted to only the
-// surviving entries if anything was dropped, so damage does not accumulate
-// across resumes.
-func openCheckpoint(dir string, want manifest) (*checkpoint, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("campaign: create checkpoint dir: %w", err)
+// want, creating it if absent; the manifest is checked (and its geometry
+// wins) exactly as by CreateStore.  The journal is then loaded via
+// scanJournal, and compacted to only the surviving entries if anything was
+// dropped, so damage does not accumulate across resumes.
+func openCheckpoint(dir string, want Plan) (*checkpoint, error) {
+	plan, err := CreateStore(dir, want)
+	if err != nil {
+		return nil, err
 	}
-	ck := &checkpoint{dir: dir, man: want}
-
-	manPath := filepath.Join(dir, manifestName)
-	raw, err := os.ReadFile(manPath)
-	switch {
-	case errors.Is(err, os.ErrNotExist):
-		if err := writeFileAtomic(manPath, mustMarshalManifest(want)); err != nil {
-			return nil, err
-		}
-	case err != nil:
-		return nil, fmt.Errorf("campaign: read manifest: %w", err)
-	default:
-		var have manifest
-		if err := json.Unmarshal(raw, &have); err != nil {
-			return nil, fmt.Errorf("%w: %s: %v", ErrCheckpointCorrupt, manPath, err)
-		}
-		if err := validateManifest(have); err != nil {
-			return nil, err
-		}
-		if have.Fingerprint != want.Fingerprint {
-			return nil, fmt.Errorf("%w: checkpoint %s.. vs campaign %s..",
-				ErrCheckpointMismatch, have.Fingerprint[:12], want.Fingerprint[:12])
-		}
-		if have.Units != want.Units {
-			// Same fingerprint implies the same spec, which implies the
-			// same unit count; a divergence means the manifest is damaged.
-			return nil, fmt.Errorf("%w: %s: units %d vs campaign %d",
-				ErrCheckpointCorrupt, manPath, have.Units, want.Units)
-		}
-		// The manifest's shard geometry wins over the requested one.
-		ck.man = have
-	}
-
-	journalPath := filepath.Join(dir, journalName)
+	ck := &checkpoint{man: plan.manifest()}
 	ck.loaded, ck.repaired, err = scanJournals(dir, ck.man)
 	if err != nil {
 		return nil, err
 	}
+	sides, err := sideJournals(dir)
+	if err != nil {
+		return nil, err
+	}
+	log, err := wal.Open(filepath.Join(dir, journalName))
+	if err != nil {
+		return nil, fmt.Errorf("campaign: open journal: %w", err)
+	}
+	ck.journal = &Store{man: ck.man, log: log}
 	// Compact when damage was dropped, and also when side journals from a
 	// multi-writer (fabric) run exist: a single-process resume owns the
 	// directory exclusively, so it may fold everything into the primary
 	// journal and delete the side files.  (Live fabric directories are only
 	// read via LoadOutcomes, which never compacts.)
-	sides, err := sideJournals(dir)
-	if err != nil {
-		return nil, err
-	}
 	if ck.repaired > 0 || len(sides) > 0 {
-		if err := ck.compactJournal(journalPath); err != nil {
+		if err := ck.compact(sides); err != nil {
+			log.Close()
 			return nil, err
 		}
-		// The primary journal now holds every surviving entry; the side
-		// journals are redundant.  A crash part-way through the removals
-		// just leaves benign cross-file duplicates for the next scan.
-		for _, side := range sides {
-			if err := os.Remove(side); err != nil {
-				return nil, fmt.Errorf("campaign: compact journal: %w", err)
-			}
-		}
 	}
-
-	journal, err := os.OpenFile(journalPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: open journal: %w", err)
-	}
-	ck.journal = journal
 	return ck, nil
 }
 
-// compactJournal atomically rewrites the journal with only the surviving
-// entries, in shard order.
-func (ck *checkpoint) compactJournal(path string) error {
-	var buf bytes.Buffer
+// compact atomically rewrites the primary journal with only the surviving
+// entries, in shard order, then removes the side journals it absorbed.  A
+// crash part-way through the removals just leaves benign cross-file
+// duplicates for the next scan.
+func (ck *checkpoint) compact(sides []string) error {
+	var recs []any
 	for shard := 0; shard < ck.man.Shards; shard++ {
-		out, ok := ck.loaded[shard]
-		if !ok {
-			continue
+		if out, ok := ck.loaded[shard]; ok {
+			recs = append(recs, newEntry(ck.man, shard, out))
 		}
-		line, err := marshalEntry(ck.man, shard, out)
-		if err != nil {
+	}
+	if err := ck.journal.log.Rewrite(recs); err != nil {
+		return fmt.Errorf("campaign: compact journal: %w", err)
+	}
+	for _, side := range sides {
+		if err := os.Remove(side); err != nil {
 			return fmt.Errorf("campaign: compact journal: %w", err)
 		}
-		buf.Write(line)
-	}
-	return writeFileAtomic(path, buf.Bytes())
-}
-
-// append journals one completed shard: marshal, write one line, fsync.
-// The shard is only acknowledged to the caller (and the progress observer)
-// after the sync returns, so a completed shard survives any later crash.
-func (ck *checkpoint) append(shard int, out []int64) error {
-	line, err := marshalEntry(ck.man, shard, out)
-	if err != nil {
-		return fmt.Errorf("campaign: journal shard %d: %w", shard, err)
-	}
-	if _, err := ck.journal.Write(line); err != nil {
-		return fmt.Errorf("campaign: journal shard %d: %w", shard, err)
-	}
-	if err := ck.journal.Sync(); err != nil {
-		return fmt.Errorf("campaign: sync journal: %w", err)
 	}
 	return nil
-}
-
-func (ck *checkpoint) close() {
-	if ck.journal != nil {
-		ck.journal.Close()
-	}
 }
 
 func mustMarshalManifest(m manifest) []byte {
@@ -347,38 +247,6 @@ func mustMarshalManifest(m manifest) []byte {
 		panic(err) // manifest fields are all marshalable
 	}
 	return append(b, '\n')
-}
-
-// writeFileAtomic writes data to path via a temp file in the same
-// directory, fsyncs the file, renames it over path, and fsyncs the
-// directory — the standard crash-safe publish.
-func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("campaign: write %s: %w", filepath.Base(path), err)
-	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName)
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("campaign: write %s: %w", filepath.Base(path), err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("campaign: sync %s: %w", filepath.Base(path), err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("campaign: close %s: %w", filepath.Base(path), err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		return fmt.Errorf("campaign: publish %s: %w", filepath.Base(path), err)
-	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
 }
 
 // CheckpointInfo is the durable state of a checkpoint directory, as
@@ -402,15 +270,8 @@ type CheckpointInfo struct {
 // ErrCheckpointMismatch is not applicable — there is no spec to compare)
 // but does not compact or otherwise modify the directory.
 func Inspect(dir string) (*CheckpointInfo, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
+	man, err := readManifest(dir)
 	if err != nil {
-		return nil, fmt.Errorf("campaign: read manifest: %w", err)
-	}
-	var man manifest
-	if err := json.Unmarshal(raw, &man); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCheckpointCorrupt, err)
-	}
-	if err := validateManifest(man); err != nil {
 		return nil, err
 	}
 	loaded, repaired, err := scanJournals(dir, man)

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -161,7 +162,23 @@ func TestJournalStaleEntrySchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stale := bytes.Replace(raw, []byte(SchemaVersion), []byte("steac-campaign/v0"), 1)
+	// The frame CRC covers the schema field, so the edited entry is
+	// re-framed with a matching CRC: valid in every way but its version.
+	first, rest, _ := bytes.Cut(raw, []byte("\n"))
+	var frame struct {
+		CRC uint32          `json:"crc"`
+		Rec json.RawMessage `json:"rec"`
+	}
+	if err := json.Unmarshal(first, &frame); err != nil {
+		t.Fatal(err)
+	}
+	frame.Rec = bytes.Replace(frame.Rec, []byte(SchemaVersion), []byte("steac-campaign/v0"), 1)
+	frame.CRC = crc32.Checksum(frame.Rec, crc32.MakeTable(crc32.Castagnoli))
+	stale, err := json.Marshal(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale = append(append(stale, '\n'), rest...)
 	if err := os.WriteFile(path, stale, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -284,5 +301,53 @@ func TestDecodeUnknownKind(t *testing.T) {
 	}
 	if !haveMem || !haveX {
 		t.Fatalf("registered kinds = %v, want both %q and %q", kinds, KindMemfault, KindXCheck)
+	}
+}
+
+// TestJournalParentFormatRepairs resumes a checkpoint written before the
+// journal moved onto the wal frame (testdata/parent: entries carry an
+// inline crc field).  Every such entry fails the frame, is counted in
+// Result.Repaired and re-run, and the report is byte-identical to an
+// uninterrupted run; the compacted journal then resumes cleanly.  The
+// manifest format did not change: a fresh run writes the same bytes.
+func TestJournalParentFormatRepairs(t *testing.T) {
+	fresh, _ := completedCheckpoint(t)
+	got, err := os.ReadFile(filepath.Join(fresh, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, err := os.ReadFile(filepath.Join("testdata", "parent", manifestName)); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("manifest bytes changed (err %v):\n got %s\nwant %s", err, got, want)
+	}
+
+	dir := t.TempDir()
+	entries := 0
+	for _, name := range []string{manifestName, journalName} {
+		raw, err := os.ReadFile(filepath.Join("testdata", "parent", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == journalName {
+			entries = bytes.Count(raw, []byte("\n"))
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	golden := goldenRun(t, testSpec())
+
+	res, got := resume(t, dir)
+	if res.Repaired != entries || res.Resumed != 0 {
+		t.Fatalf("parent-format journal: repaired %d resumed %d, want %d and 0", res.Repaired, res.Resumed, entries)
+	}
+	if !bytes.Equal(got, golden) {
+		t.Fatal("resume over a parent-format journal changed the report")
+	}
+	res2, got := resume(t, dir)
+	if res2.Repaired != 0 || res2.Resumed != res2.Shards {
+		t.Fatalf("second resume: repaired %d resumed %d/%d", res2.Repaired, res2.Resumed, res2.Shards)
+	}
+	if !bytes.Equal(got, golden) {
+		t.Fatal("second resume changed the report")
 	}
 }

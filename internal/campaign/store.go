@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+
+	"steac/internal/wal"
 )
 
 // The multi-writer checkpoint store: the exported slice of the checkpoint
@@ -59,20 +61,7 @@ func (p Plan) Key(index int) string {
 	return shardKey(p.Fingerprint, index, lo, hi)
 }
 
-func (p Plan) manifest() manifest {
-	return manifest{
-		Schema: SchemaVersion, Kind: p.Kind, Spec: p.Spec,
-		Fingerprint: p.Fingerprint, Units: p.Units,
-		ShardSize: p.ShardSize, Shards: p.Shards,
-	}
-}
-
-func planFromManifest(man manifest) Plan {
-	return Plan{
-		Kind: man.Kind, Spec: man.Spec, Fingerprint: man.Fingerprint,
-		Units: man.Units, ShardSize: man.ShardSize, Shards: man.Shards,
-	}
-}
+func (p Plan) manifest() manifest { return manifest{Schema: SchemaVersion, Plan: p} }
 
 // PlanCampaign prepares a spec and fixes its shard geometry: the requested
 // shard size (0 = DefaultShardSize) is aligned to the executor's batch
@@ -129,22 +118,14 @@ func CreateStore(dir string, plan Plan) (Plan, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return Plan{}, fmt.Errorf("campaign: create checkpoint dir: %w", err)
 	}
-	manPath := filepath.Join(dir, manifestName)
-	raw, err := os.ReadFile(manPath)
-	switch {
-	case errors.Is(err, os.ErrNotExist):
-		if err := writeFileAtomic(manPath, mustMarshalManifest(plan.manifest())); err != nil {
-			return Plan{}, err
+	have, err := readManifest(dir)
+	if errors.Is(err, os.ErrNotExist) {
+		if err := wal.WriteFileAtomic(filepath.Join(dir, manifestName), mustMarshalManifest(plan.manifest())); err != nil {
+			return Plan{}, fmt.Errorf("campaign: %w", err)
 		}
 		return plan, nil
-	case err != nil:
-		return Plan{}, fmt.Errorf("campaign: read manifest: %w", err)
 	}
-	var have manifest
-	if err := json.Unmarshal(raw, &have); err != nil {
-		return Plan{}, fmt.Errorf("%w: %s: %v", ErrCheckpointCorrupt, manPath, err)
-	}
-	if err := validateManifest(have); err != nil {
+	if err != nil {
 		return Plan{}, err
 	}
 	if have.Fingerprint != plan.Fingerprint {
@@ -152,10 +133,12 @@ func CreateStore(dir string, plan Plan) (Plan, error) {
 			ErrCheckpointMismatch, have.Fingerprint[:12], plan.Fingerprint[:12])
 	}
 	if have.Units != plan.Units {
+		// Same fingerprint implies the same spec, which implies the same
+		// unit count; a divergence means the manifest is damaged.
 		return Plan{}, fmt.Errorf("%w: %s: units %d vs campaign %d",
-			ErrCheckpointCorrupt, manPath, have.Units, plan.Units)
+			ErrCheckpointCorrupt, filepath.Join(dir, manifestName), have.Units, plan.Units)
 	}
-	return planFromManifest(have), nil
+	return have.Plan, nil
 }
 
 // Store is one writer's append handle on a shared checkpoint directory.
@@ -165,10 +148,8 @@ func CreateStore(dir string, plan Plan) (Plan, error) {
 // nodes serialize appends through one journaling path per store just like
 // Run does.
 type Store struct {
-	dir    string
-	writer string
-	man    manifest
-	file   *os.File
+	man manifest
+	log *wal.Log
 }
 
 // OpenStore opens an existing checkpoint directory for appending as
@@ -179,35 +160,28 @@ func OpenStore(dir string, plan Plan, writer string) (*Store, error) {
 	if !validWriter(writer) {
 		return nil, fmt.Errorf("campaign: invalid journal writer name %q", writer)
 	}
-	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
+	man, err := readManifest(dir)
 	if err != nil {
-		return nil, fmt.Errorf("campaign: read manifest: %w", err)
-	}
-	var man manifest
-	if err := json.Unmarshal(raw, &man); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCheckpointCorrupt, err)
-	}
-	if err := validateManifest(man); err != nil {
 		return nil, err
 	}
 	if man.Fingerprint != plan.Fingerprint {
 		return nil, fmt.Errorf("%w: checkpoint %s.. vs campaign %s..",
 			ErrCheckpointMismatch, man.Fingerprint[:12], plan.Fingerprint[:12])
 	}
-	path := filepath.Join(dir, "journal-"+writer+".jsonl")
-	file, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	log, err := wal.Open(filepath.Join(dir, "journal-"+writer+".jsonl"))
 	if err != nil {
 		return nil, fmt.Errorf("campaign: open journal: %w", err)
 	}
-	return &Store{dir: dir, writer: writer, man: man, file: file}, nil
+	return &Store{man: man, log: log}, nil
 }
 
 // Plan returns the authoritative (manifest) geometry of the store.
-func (s *Store) Plan() Plan { return planFromManifest(s.man) }
+func (s *Store) Plan() Plan { return s.man.Plan }
 
-// Append journals one completed shard: marshal, write one line to the
-// writer's journal, fsync.  The outcome vector length must match the
-// shard's unit range.
+// Append journals one completed shard: one framed, fsync'd line in the
+// writer's journal.  The outcome vector length must match the shard's
+// unit range.  The shard is acknowledged only once Append returns nil, so
+// a completed shard survives any later crash.
 func (s *Store) Append(shard int, out []int64) error {
 	if shard < 0 || shard >= s.man.Shards {
 		return fmt.Errorf("campaign: journal shard %d: out of range [0,%d)", shard, s.man.Shards)
@@ -216,21 +190,14 @@ func (s *Store) Append(shard int, out []int64) error {
 	if len(out) != hi-lo {
 		return fmt.Errorf("campaign: journal shard %d: %d outcomes, want %d", shard, len(out), hi-lo)
 	}
-	line, err := marshalEntry(s.man, shard, out)
-	if err != nil {
+	if err := s.log.Append(newEntry(s.man, shard, out)); err != nil {
 		return fmt.Errorf("campaign: journal shard %d: %w", shard, err)
-	}
-	if _, err := s.file.Write(line); err != nil {
-		return fmt.Errorf("campaign: journal shard %d: %w", shard, err)
-	}
-	if err := s.file.Sync(); err != nil {
-		return fmt.Errorf("campaign: sync journal: %w", err)
 	}
 	return nil
 }
 
 // Close releases the journal handle.
-func (s *Store) Close() error { return s.file.Close() }
+func (s *Store) Close() error { return s.log.Close() }
 
 // LoadOutcomes scans a checkpoint directory read-only: the validated
 // manifest as a Plan, the merged valid shard outcomes from every journal
@@ -239,22 +206,15 @@ func (s *Store) Close() error { return s.file.Close() }
 // directory, so it is safe to call while writers are live; a half-written
 // trailing line simply does not count yet.
 func LoadOutcomes(dir string) (Plan, map[int][]int64, int, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
+	man, err := readManifest(dir)
 	if err != nil {
-		return Plan{}, nil, 0, fmt.Errorf("campaign: read manifest: %w", err)
-	}
-	var man manifest
-	if err := json.Unmarshal(raw, &man); err != nil {
-		return Plan{}, nil, 0, fmt.Errorf("%w: %v", ErrCheckpointCorrupt, err)
-	}
-	if err := validateManifest(man); err != nil {
 		return Plan{}, nil, 0, err
 	}
 	loaded, repaired, err := scanJournals(dir, man)
 	if err != nil {
 		return Plan{}, nil, 0, err
 	}
-	return planFromManifest(man), loaded, repaired, nil
+	return man.Plan, loaded, repaired, nil
 }
 
 // MissingShards lists the shard indices of plan that loaded does not

@@ -1,29 +1,25 @@
 package catalog
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
+
+	"steac/internal/wal"
 )
 
-// The store follows the same durability discipline as the campaign
-// journal and the job database, with one deliberate difference in repair
-// policy.  Every Put appends one CRC-framed line and fsyncs before
-// returning, so an acknowledged record is on disk.  On open the file is
-// replayed; a damaged *final* line is the torn tail of a crash mid-append
-// — the record was never acknowledged — so it is dropped, counted
-// (Dropped), and compacted away.  A damaged line anywhere *before* the
-// tail cannot be a torn append: it means the medium corrupted history,
-// and unlike a campaign journal the catalog cannot recompute what it
-// lost.  That case is a typed ErrCatalogCorrupt refusing the whole open —
-// never a silent hole in the population the recommender ranks over.
+// The store is a wal log (internal/wal) replayed under the FailInterior
+// policy: every Put appends one CRC-framed line and fsyncs before
+// returning; on open a damaged final line — the torn tail of a crash
+// mid-append, never acknowledged — is dropped, counted (Dropped) and
+// compacted away, while damage anywhere before it is refused with a typed
+// ErrCatalogCorrupt.  Unlike a campaign journal the catalog cannot
+// recompute what it lost, so a silent hole in the population the
+// recommender ranks over is never an option.
 
 // ErrCatalogCorrupt reports interior damage: a record before the final
 // line fails its CRC or does not parse.  The file needs operator
@@ -35,27 +31,13 @@ var ErrCatalogCorrupt = errors.New("catalog: store corrupt")
 // binary does not speak.
 var ErrCatalogSchema = errors.New("catalog: unsupported schema version")
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-func crcOf(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
-
-// envelope frames one stored line: the record bytes plus their CRC-32C,
-// so any single-bit flip inside the record is detected even when the
-// result is still valid JSON.
-type envelope struct {
-	CRC uint32          `json:"crc"`
-	Rec json.RawMessage `json:"rec"`
-}
-
 const storeFile = "catalog.jsonl"
 
-// Store is the durable record set: an append-only fsync'd JSONL file plus
-// an in-memory index keyed by (tenant, fingerprint), last write wins.
+// Store is the durable record set: an append-only fsync'd log plus an
+// in-memory index keyed by (tenant, fingerprint), last write wins.
 type Store struct {
 	mu      sync.Mutex
-	dir     string
-	path    string
-	f       *os.File
+	log     *wal.Log
 	recs    map[string]Record
 	dropped int
 }
@@ -69,83 +51,47 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("catalog: open: %w", err)
 	}
-	s := &Store{dir: dir, path: filepath.Join(dir, storeFile), recs: map[string]Record{}}
-	raw, err := os.ReadFile(s.path)
-	switch {
-	case os.IsNotExist(err):
-	case err != nil:
-		return nil, fmt.Errorf("catalog: open: %w", err)
-	default:
-		if err := s.replay(raw); err != nil {
-			return nil, err
+	path := filepath.Join(dir, storeFile)
+	s := &Store{recs: map[string]Record{}}
+	dropped, err := wal.Replay(path, wal.FailInterior, func(blob []byte) error {
+		rec, err := decodeRecord(blob)
+		if err != nil {
+			return err
 		}
+		s.recs[storeKey(rec.Tenant, rec.Fingerprint)] = rec
+		return nil
+	})
+	if errors.Is(err, wal.ErrCorrupt) {
+		return nil, fmt.Errorf("%w: %w", ErrCatalogCorrupt, err)
 	}
-	if s.dropped > 0 {
-		if err := s.compactLocked(); err != nil {
-			return nil, err
-		}
-	}
-	f, err := os.OpenFile(s.path, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("catalog: open: %w", err)
 	}
-	s.f = f
+	s.dropped = dropped
+	if s.log, err = wal.Open(path); err != nil {
+		return nil, fmt.Errorf("catalog: open: %w", err)
+	}
+	if dropped > 0 {
+		if err := s.compactLocked(); err != nil {
+			s.log.Close()
+			return nil, err
+		}
+	}
 	return s, nil
 }
 
-// replay parses the store file into the index.  lines are 1-based in
-// error messages because operators will look at the file with sed.
-func (s *Store) replay(raw []byte) error {
-	lines := bytes.Split(raw, []byte("\n"))
-	// A file ending in '\n' splits into a trailing empty element; only
-	// that final empty slot is benign.
-	last := len(lines) - 1
-	for last >= 0 && len(lines[last]) == 0 {
-		last--
-	}
-	for i := 0; i <= last; i++ {
-		line := lines[i]
-		rec, err := decodeLine(line)
-		if err != nil {
-			if errors.Is(err, ErrCatalogSchema) {
-				return fmt.Errorf("%w (line %d)", err, i+1)
-			}
-			if i == last {
-				// Torn tail: the crash happened mid-append, before the
-				// writer acknowledged.  Drop and repair.
-				s.dropped++
-				continue
-			}
-			return fmt.Errorf("%w: line %d of %s: %v", ErrCatalogCorrupt, i+1, s.path, err)
-		}
-		s.recs[storeKey(rec.Tenant, rec.Fingerprint)] = rec
-	}
-	return nil
-}
-
-// decodeLine validates one stored line end to end: envelope JSON, CRC,
-// record JSON, schema, key fields.
-func decodeLine(line []byte) (Record, error) {
-	var env envelope
-	if err := json.Unmarshal(line, &env); err != nil {
-		return Record{}, fmt.Errorf("bad envelope: %v", err)
-	}
-	if len(env.Rec) == 0 {
-		return Record{}, errors.New("empty record")
-	}
-	if got := crcOf(env.Rec); got != env.CRC {
-		return Record{}, fmt.Errorf("crc mismatch (stored %08x, computed %08x)", env.CRC, got)
-	}
+// decodeRecord validates one stored record: JSON, schema, key fields.
+func decodeRecord(blob []byte) (Record, error) {
 	var rec Record
-	if err := json.Unmarshal(env.Rec, &rec); err != nil {
-		return Record{}, fmt.Errorf("bad record: %v", err)
+	if err := json.Unmarshal(blob, &rec); err != nil {
+		return Record{}, fmt.Errorf("%w: bad record: %v", wal.ErrDamaged, err)
 	}
 	if rec.Schema != SchemaVersion {
 		return Record{}, fmt.Errorf("%w: record declares %q, this binary speaks %q",
 			ErrCatalogSchema, rec.Schema, SchemaVersion)
 	}
 	if rec.Fingerprint == "" {
-		return Record{}, errors.New("record without fingerprint")
+		return Record{}, fmt.Errorf("%w: record without fingerprint", wal.ErrDamaged)
 	}
 	return rec, nil
 }
@@ -161,23 +107,9 @@ func (s *Store) Put(rec Record) error {
 		return errors.New("catalog: record without fingerprint")
 	}
 	rec.Schema = SchemaVersion
-	recBlob, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("catalog: put: %w", err)
-	}
-	line, err := json.Marshal(envelope{CRC: crcOf(recBlob), Rec: recBlob})
-	if err != nil {
-		return fmt.Errorf("catalog: put: %w", err)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.f == nil {
-		return errors.New("catalog: store closed")
-	}
-	if _, err := s.f.Write(append(line, '\n')); err != nil {
-		return fmt.Errorf("catalog: put: %w", err)
-	}
-	if err := s.f.Sync(); err != nil {
+	if err := s.log.Append(rec); err != nil {
 		return fmt.Errorf("catalog: put: %w", err)
 	}
 	s.recs[storeKey(rec.Tenant, rec.Fingerprint)] = rec
@@ -302,21 +234,7 @@ func (s *Store) Compact() error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.f != nil {
-		if err := s.f.Close(); err != nil {
-			return fmt.Errorf("catalog: compact: %w", err)
-		}
-		s.f = nil
-	}
-	if err := s.compactLocked(); err != nil {
-		return err
-	}
-	f, err := os.OpenFile(s.path, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
-	if err != nil {
-		return fmt.Errorf("catalog: compact: %w", err)
-	}
-	s.f = f
-	return nil
+	return s.compactLocked()
 }
 
 func (s *Store) compactLocked() error {
@@ -325,44 +243,12 @@ func (s *Store) compactLocked() error {
 		recs = append(recs, rec)
 	}
 	SortRecords(recs)
-	tmp := s.path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
+	vals := make([]any, len(recs))
+	for i := range recs {
+		vals[i] = recs[i]
+	}
+	if err := s.log.Rewrite(vals); err != nil {
 		return fmt.Errorf("catalog: compact: %w", err)
-	}
-	w := bufio.NewWriter(f)
-	for _, rec := range recs {
-		recBlob, err := json.Marshal(rec)
-		if err != nil {
-			f.Close()
-			return fmt.Errorf("catalog: compact: %w", err)
-		}
-		line, err := json.Marshal(envelope{CRC: crcOf(recBlob), Rec: recBlob})
-		if err != nil {
-			f.Close()
-			return fmt.Errorf("catalog: compact: %w", err)
-		}
-		w.Write(line)
-		w.WriteByte('\n')
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("catalog: compact: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("catalog: compact: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("catalog: compact: %w", err)
-	}
-	if err := os.Rename(tmp, s.path); err != nil {
-		return fmt.Errorf("catalog: compact: %w", err)
-	}
-	// Make the rename durable before claiming the compaction happened.
-	if d, err := os.Open(s.dir); err == nil {
-		_ = d.Sync()
-		_ = d.Close()
 	}
 	return nil
 }
@@ -373,12 +259,5 @@ func (s *Store) Close() error {
 	if s == nil {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.f == nil {
-		return nil
-	}
-	err := s.f.Close()
-	s.f = nil
-	return err
+	return s.log.Close()
 }

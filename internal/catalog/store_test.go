@@ -1,8 +1,10 @@
 package catalog
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -221,11 +223,14 @@ func recrc(t *testing.T, file string) string {
 	t.Helper()
 	var out []string
 	for _, line := range strings.Split(strings.TrimSuffix(file, "\n"), "\n") {
-		var env envelope
+		var env struct {
+			CRC uint32          `json:"crc"`
+			Rec json.RawMessage `json:"rec"`
+		}
 		if err := json.Unmarshal([]byte(line), &env); err != nil {
 			t.Fatal(err)
 		}
-		env.CRC = crcOf(env.Rec)
+		env.CRC = crc32.Checksum(env.Rec, crc32.MakeTable(crc32.Castagnoli))
 		blob, err := json.Marshal(env)
 		if err != nil {
 			t.Fatal(err)
@@ -233,4 +238,75 @@ func recrc(t *testing.T, file string) string {
 		out = append(out, string(blob))
 	}
 	return strings.Join(out, "\n") + "\n"
+}
+
+// parentRecords are the Puts that wrote testdata/parent/catalog.jsonl with
+// the store as it was before it moved onto internal/wal: an overwrite, an
+// HTML-escaped and U+2028-escaped result blob, and optional config fields.
+func parentRecords() []Record {
+	a := testRecord("aaa1", "anon", "manycore", 24, 500)
+	b := testRecord("bbb2", "acme", "memory-heavy", 32, 900)
+	b.Kind = KindMemfault
+	b.Metrics.Coverage = 97.25
+	b.Result = json.RawMessage("{\"note\":\"<a&b> \u00e9 \u2028\",\"rows\":[1,2,3]}")
+	c := testRecord("ccc3", "anon", "", 16, 1200)
+	c.Config.PowerBudget = 1.5
+	c.Config.LogicBIST = true
+	a2 := a
+	a2.Metrics.TestCycles = 450
+	return []Record{a, b, c, a2}
+}
+
+// TestStoreParentFormat pins the on-disk format across the move onto
+// internal/wal: a catalog file written before it opens with the same
+// records and List output, and the same Puts today write the same bytes.
+func TestStoreParentFormat(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "parent", "catalog.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantList, err := os.ReadFile(filepath.Join("testdata", "parent", "list.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, storeFile), want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if st.Len() != 3 || st.Dropped() != 0 {
+		t.Fatalf("parent catalog: Len %d Dropped %d, want 3 and 0", st.Len(), st.Dropped())
+	}
+	list, err := json.MarshalIndent(st.List(Query{}), "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := append(list, '\n'); !bytes.Equal(got, wantList) {
+		t.Fatalf("parent catalog List:\n got %s\nwant %s", got, wantList)
+	}
+
+	fresh := t.TempDir()
+	st2, err := Open(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range parentRecords() {
+		if err := st2.Put(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(fresh, storeFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("Put bytes differ from the parent store:\n got %s\nwant %s", got, want)
+	}
 }

@@ -158,7 +158,10 @@ func specs() []spec {
 				if err != nil {
 					return opResult{}, err
 				}
-				r := eng.Run()
+				r, err := eng.RunContext(context.Background())
+				if err != nil {
+					return opResult{}, err
+				}
 				return opResult{work: int64(r.Cycles), unit: "cycles",
 					check: fmt.Sprintf("pass=%v cycles=%d mems=%d", r.Pass, r.Cycles, len(r.Mems))}, nil
 			}, nil

@@ -1,34 +1,37 @@
 package serve
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
+
+	"steac/internal/obs"
+	"steac/internal/wal"
 )
 
-// jobDB is the durable job database: one fsync'd JSONL file under the
-// checkpoint root (JobDir/jobs.jsonl) holding the latest state of every
-// job the daemon ever accepted, keyed by the content-addressed job id.
-// It replaces the old "scan the checkpoint directory and hope" recovery
+// obsJobDBWriteFailures counts job-state writes the job database refused.
+var obsJobDBWriteFailures = obs.GetCounter("serve.jobdb_write_failures")
+
+// jobDB is the durable job database: one wal log under the checkpoint
+// root (JobDir/jobs.jsonl) holding the latest state of every job the
+// daemon ever accepted, keyed by the content-addressed job id.  It
+// replaces the old "scan the checkpoint directory and hope" recovery
 // path: a daemon restart knows every job's kind, spec, tenant owner, and
 // terminal result without touching per-job checkpoint internals, so jobs
 // reattach to their tenants and finished results survive the process.
 //
 // Write model: every state transition appends one full record and fsyncs
-// before the transition is acknowledged — the same "trust the store"
-// discipline as the campaign journal.  Load replays the file (last record
-// per id wins, torn tails are dropped) and compacts it back to one line
-// per job via an atomic tmp+rename, so the file stays proportional to
-// the number of jobs rather than the number of transitions.
+// before the transition is acknowledged.  Load replays the log under the
+// wal FailInterior policy (last record per id wins, a torn tail is
+// dropped, interior damage refuses the open) and compacts it back to one
+// line per job, so the file stays proportional to the number of jobs
+// rather than the number of transitions.
 type jobDB struct {
 	mu   sync.Mutex
-	path string
-	f    *os.File
+	log  *wal.Log
 	recs map[string]jobRecord
 }
 
@@ -61,100 +64,62 @@ func openJobDB(dir string) (*jobDB, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: job db: %w", err)
 	}
-	db := &jobDB{path: filepath.Join(dir, jobDBFile), recs: map[string]jobRecord{}}
-	raw, err := os.ReadFile(db.path)
-	switch {
-	case os.IsNotExist(err):
-	case err != nil:
-		return nil, fmt.Errorf("serve: job db: %w", err)
-	default:
-		sc := bufio.NewScanner(bytes.NewReader(raw))
-		sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
-		for sc.Scan() {
-			var rec jobRecord
-			// A torn tail (crash mid-append) fails to parse; every
-			// record before it is intact, so drop the tail and move on.
-			if json.Unmarshal(sc.Bytes(), &rec) != nil || rec.ID == "" {
-				continue
-			}
-			db.recs[rec.ID] = rec
+	path := filepath.Join(dir, jobDBFile)
+	db := &jobDB{recs: map[string]jobRecord{}}
+	// A database written before the wal frame is read once in its bare
+	// line format; the compaction below rewrites it framed.
+	_, err := wal.ReplayLegacy(path, wal.FailInterior, func(blob []byte) error {
+		var rec jobRecord
+		if err := json.Unmarshal(blob, &rec); err != nil {
+			return fmt.Errorf("%w: %v", wal.ErrDamaged, err)
 		}
-	}
-	if err := db.compact(); err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(db.path, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+		if rec.ID == "" {
+			return fmt.Errorf("%w: job record without id", wal.ErrDamaged)
+		}
+		db.recs[rec.ID] = rec
+		return nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("serve: job db: %w", err)
 	}
-	db.f = f
+	if db.log, err = wal.Open(path); err != nil {
+		return nil, fmt.Errorf("serve: job db: %w", err)
+	}
+	recs := db.all()
+	vals := make([]any, len(recs))
+	for i := range recs {
+		vals[i] = recs[i]
+	}
+	if err := db.log.Rewrite(vals); err != nil {
+		db.log.Close()
+		return nil, fmt.Errorf("serve: job db compact: %w", err)
+	}
 	return db, nil
 }
 
-// compact rewrites the file to one line per job, submission order, via
-// tmp + fsync + atomic rename.
-func (db *jobDB) compact() error {
-	recs := make([]jobRecord, 0, len(db.recs))
-	for _, rec := range db.recs {
-		recs = append(recs, rec)
-	}
-	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].Submitted != recs[j].Submitted {
-			return recs[i].Submitted < recs[j].Submitted
-		}
-		return recs[i].ID < recs[j].ID
-	})
-	tmp := db.path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("serve: job db compact: %w", err)
-	}
-	w := bufio.NewWriter(f)
-	for _, rec := range recs {
-		blob, err := json.Marshal(rec)
-		if err != nil {
-			f.Close()
-			return fmt.Errorf("serve: job db compact: %w", err)
-		}
-		w.Write(blob)
-		w.WriteByte('\n')
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("serve: job db compact: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("serve: job db compact: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("serve: job db compact: %w", err)
-	}
-	if err := os.Rename(tmp, db.path); err != nil {
-		return fmt.Errorf("serve: job db compact: %w", err)
-	}
-	return nil
-}
-
-// put records a state transition: append one line, fsync, remember.
+// put records a state transition: append one line, fsync, remember.  A
+// refused write is counted; after one the log refuses every later put
+// until the daemon restarts.
 func (db *jobDB) put(rec jobRecord) error {
 	if db == nil {
 		return nil
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	blob, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("serve: job db: %w", err)
-	}
-	if _, err := db.f.Write(append(blob, '\n')); err != nil {
-		return fmt.Errorf("serve: job db: %w", err)
-	}
-	if err := db.f.Sync(); err != nil {
+	if err := db.log.Append(rec); err != nil {
+		obsJobDBWriteFailures.Add(1)
 		return fmt.Errorf("serve: job db: %w", err)
 	}
 	db.recs[rec.ID] = rec
 	return nil
+}
+
+// close releases the append handle; later puts fail.
+func (db *jobDB) close() error {
+	if db == nil {
+		return nil
+	}
+	return db.log.Close()
 }
 
 // get returns the latest record for id.

@@ -422,17 +422,10 @@ func (jm *jobManager) watchFabric(ctx context.Context, j *campaignJob) {
 				jm.finish(j, nil, err)
 				return
 			}
-			j.mu.Lock()
-			j.finished = time.Now()
-			j.state = jobDone
-			j.result = raw
-			rec := j.recordLocked()
-			j.mu.Unlock()
-			_ = jm.db.put(rec)
-			if jm.ingest != nil {
-				jm.ingest(rec)
-			}
-			obsJobsDone.Add(1)
+			jm.settle(j, func() {
+				j.state = jobDone
+				j.result = raw
+			})
 			return
 		}
 		select {
@@ -458,11 +451,20 @@ func (jm *jobManager) run(ctx context.Context, j *campaignJob, workers, shardSiz
 		return
 	}
 
+	// A job the database cannot record as running fails before any
+	// compute.
 	j.mu.Lock()
-	j.state = jobRunning
 	rec := j.recordLocked()
+	rec.State = jobRunning
+	err := jm.db.put(rec)
+	if err == nil {
+		j.state = jobRunning
+	}
 	j.mu.Unlock()
-	_ = jm.db.put(rec)
+	if err != nil {
+		jm.finish(j, nil, err)
+		return
+	}
 	obsJobsActive.Set(obsJobsActive.Value() + 1)
 	defer func() { obsJobsActive.Set(obsJobsActive.Value() - 1) }()
 
@@ -494,39 +496,60 @@ func (jm *jobManager) run(ctx context.Context, j *campaignJob, workers, shardSiz
 
 // finish records a job's terminal state, in memory and in the database.
 func (jm *jobManager) finish(j *campaignJob, res *campaign.Result, err error) {
+	jm.settle(j, func() {
+		switch {
+		case err == nil:
+			blob, merr := json.Marshal(res.Report)
+			if merr != nil {
+				j.state = jobFailed
+				j.errMsg = merr.Error()
+				return
+			}
+			j.state = jobDone
+			j.result = blob
+			j.resumed = res.Resumed
+			j.repaired = res.Repaired
+			j.shardsDone = res.Shards
+			j.shardsTotal = res.Shards
+			j.unitsDone = j.unitsTotal
+		case errors.Is(err, context.Canceled):
+			j.state = jobCanceled
+			j.errMsg = err.Error()
+		default:
+			j.state = jobFailed
+			j.errMsg = err.Error()
+		}
+	})
+}
+
+// settle applies a terminal state to j (set runs under j.mu) and records
+// it.  The row is written while j.mu is held, so no poller ever sees a
+// terminal state the database has not acknowledged.  If the database
+// refuses the row, the job fails with that error and is not ingested into
+// the catalog; the database keeps its last acknowledged row, so after a
+// restart the job reads as checkpointed and stays resumable.
+func (jm *jobManager) settle(j *campaignJob, set func()) {
 	j.mu.Lock()
 	j.finished = time.Now()
-	switch {
-	case err == nil:
-		blob, merr := json.Marshal(res.Report)
-		if merr != nil {
-			j.state = jobFailed
-			j.errMsg = merr.Error()
-			obsJobsFailed.Add(1)
-			break
-		}
-		j.state = jobDone
-		j.result = blob
-		j.resumed = res.Resumed
-		j.repaired = res.Repaired
-		j.shardsDone = res.Shards
-		j.shardsTotal = res.Shards
-		j.unitsDone = j.unitsTotal
-		obsJobsDone.Add(1)
-	case errors.Is(err, context.Canceled):
-		j.state = jobCanceled
+	set()
+	rec := j.recordLocked()
+	if err := jm.db.put(rec); err != nil {
+		j.state = jobFailed
+		j.result = nil
 		j.errMsg = err.Error()
+		rec.State = jobFailed
+	}
+	j.mu.Unlock()
+	switch rec.State {
+	case jobDone:
+		obsJobsDone.Add(1)
+		if jm.ingest != nil {
+			jm.ingest(rec)
+		}
+	case jobCanceled:
 		obsJobsCanceled.Add(1)
 	default:
-		j.state = jobFailed
-		j.errMsg = err.Error()
 		obsJobsFailed.Add(1)
-	}
-	rec := j.recordLocked()
-	j.mu.Unlock()
-	_ = jm.db.put(rec)
-	if rec.State == jobDone && jm.ingest != nil {
-		jm.ingest(rec)
 	}
 }
 

@@ -235,10 +235,13 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 	s.drained.Do(func() { s.queue.close() })
 	s.workers.Wait()
-	// Every producer is gone; release the catalog's append handle so the
-	// last ingest is on disk before the process exits.
+	// Every producer is gone; release the catalog's and the job
+	// database's append handles.
 	if err := s.catalog.Close(); err != nil {
 		return fmt.Errorf("serve: drain: close catalog: %w", err)
+	}
+	if err := s.jobMgr.db.close(); err != nil {
+		return fmt.Errorf("serve: drain: close job db: %w", err)
 	}
 	return nil
 }
@@ -293,11 +296,9 @@ func (s *Server) submit(ctx context.Context, tn *tenantState, run func(context.C
 type runner interface {
 	canonical() interface{}
 	run(ctx context.Context) (interface{}, error)
+	// timeout is the request's TimeoutMS tuning field (0 = server default).
+	timeout() time.Duration
 }
-
-// timeoutMS is implemented by every request carrying the shared TimeoutMS
-// tuning field.
-type timeoutMS interface{ timeout() time.Duration }
 
 func (r FlowRequest) timeout() time.Duration  { return time.Duration(r.TimeoutMS) * time.Millisecond }
 func (r SchedRequest) timeout() time.Duration { return time.Duration(r.TimeoutMS) * time.Millisecond }
@@ -360,8 +361,8 @@ func handle[R runner](s *Server, endpoint string, fresh func() R) http.HandlerFu
 		obsCacheMiss.Add(1)
 
 		timeout := s.cfg.DefaultTimeout
-		if t, ok := any(req).(timeoutMS); ok && t.timeout() > 0 {
-			timeout = t.timeout()
+		if t := req.timeout(); t > 0 {
+			timeout = t
 		}
 		if timeout > s.cfg.MaxTimeout {
 			timeout = s.cfg.MaxTimeout
