@@ -58,13 +58,26 @@ type Chip struct {
 
 	session     int
 	layout      pattern.SessionLayout
-	chains      map[string][][]bool
+	chains      map[string][][]bool // extest cores' wrapper chains
+	scanLanes   []*chipScanLane
 	funcLanes   []*chipFuncLane
 	cycleInSess int
+
+	tamOut, funcOut []bool // Step's output buffers
+}
+
+// chipScanLane is one scan lane of the active session with everything
+// Step needs resolved once, in StartSession.
+type chipScanLane struct {
+	lane     pattern.ScanLane
+	chains   [][]bool
+	model    *pattern.CoreModel
+	chainOff []int // per core chain: offset into the model's state vector
 }
 
 type chipFuncLane struct {
 	lane    pattern.FuncLane
+	model   *pattern.CoreModel
 	machine uint64
 	inBuf   []bool
 	poLatch []bool
@@ -81,6 +94,8 @@ func NewChip(prog *pattern.Program, cores []*testinfo.Core, opts ...Option) *Chi
 		stuckWire:  -1,
 		openWires:  make(map[int]bool),
 		session:    -1,
+		tamOut:     make([]bool, prog.TamWidth),
+		funcOut:    make([]bool, prog.FuncBus),
 	}
 	for _, core := range cores {
 		c.models[core.Name] = pattern.NewCoreModel(core)
@@ -110,12 +125,17 @@ func (c *Chip) StartSession(i int) error {
 	c.layout = c.prog.Sessions[i]
 	c.cycleInSess = 0
 	c.chains = make(map[string][][]bool)
+	c.scanLanes = nil
 	for _, lane := range c.layout.Scan {
 		chs := make([][]bool, len(lane.Plan.Chains))
 		for ci, ch := range lane.Plan.Chains {
 			chs[ci] = make([]bool, ch.Length())
 		}
-		c.chains[lane.Core.Name] = chs
+		c.scanLanes = append(c.scanLanes, &chipScanLane{
+			lane: lane, chains: chs,
+			model:    c.models[lane.Core.Name],
+			chainOff: coreChainOffsets(lane.Core),
+		})
 	}
 	if ex := c.layout.Extest; ex != nil {
 		for _, cl := range ex.Cores {
@@ -131,6 +151,7 @@ func (c *Chip) StartSession(i int) error {
 		model := c.models[lane.Core.Name]
 		c.funcLanes = append(c.funcLanes, &chipFuncLane{
 			lane:    lane,
+			model:   model,
 			machine: model.FuncReset(),
 			inBuf:   make([]bool, lane.Core.PIs),
 			window:  -1,
@@ -140,17 +161,19 @@ func (c *Chip) StartSession(i int) error {
 }
 
 // Step applies one tester cycle and returns the chip's observed outputs.
+// The returned slices are the chip's own buffers: they are valid until the
+// next Step, so a caller that keeps them must copy.
 func (c *Chip) Step(cyc *pattern.Cycle) (tamOut, funcOut []bool) {
-	tamOut = make([]bool, c.prog.TamWidth)
-	funcOut = make([]bool, c.prog.FuncBus)
+	tamOut, funcOut = c.tamOut, c.funcOut
+	clear(tamOut)
+	clear(funcOut)
 
-	for _, lane := range c.layout.Scan {
-		chs := c.chains[lane.Core.Name]
-		action := cyc.Actions[lane.Core.Name]
-		switch action {
+	for _, sl := range c.scanLanes {
+		chs := sl.chains
+		switch cyc.Actions[sl.lane.Core.Name] {
 		case pattern.ActShift:
 			for ci := range chs {
-				wire := lane.WireLo + ci
+				wire := sl.lane.WireLo + ci
 				chain := chs[ci]
 				if len(chain) == 0 {
 					continue
@@ -161,7 +184,7 @@ func (c *Chip) Step(cyc *pattern.Cycle) (tamOut, funcOut []bool) {
 				chain[0] = in
 			}
 		case pattern.ActCapture:
-			c.capture(lane, chs)
+			sl.capture()
 		}
 	}
 	if ex := c.layout.Extest; ex != nil {
@@ -182,12 +205,11 @@ func (c *Chip) Step(cyc *pattern.Cycle) (tamOut, funcOut []bool) {
 // capture performs the update+capture cycle of one wrapped core: in-cells
 // drive the core PIs, the core logic computes, segments take the next scan
 // state, out-cells take the POs, in-cells capture the quiescent chip pins.
-func (c *Chip) capture(lane pattern.ScanLane, chs [][]bool) {
+func (sl *chipScanLane) capture() {
+	lane, chs, model, chainOff := sl.lane, sl.chains, sl.model, sl.chainOff
 	core := lane.Core
-	model := c.models[core.Name]
 	pi := make([]bool, core.PIs)
 	state := make([]bool, model.StateBits())
-	chainOff := coreChainOffsets(core)
 
 	piIdx := 0
 	for ci, ch := range lane.Plan.Chains {
@@ -250,7 +272,7 @@ func (c *Chip) funcCycle(fl *chipFuncLane, cyc *pattern.Cycle, funcOut []bool) {
 		fl.window = t
 	}
 	nPI := lane.Core.PIs
-	model := c.models[lane.Core.Name]
+	model := fl.model
 	lastPISlot := nPI - 1
 	computes := false
 	for s := 0; s < lane.Slots; s++ {

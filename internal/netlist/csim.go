@@ -8,8 +8,8 @@ import (
 
 // Observability: Tick-level counting is the finest grain instrumented — a
 // tick evaluates the whole gate array (microseconds), so one atomic add is
-// noise.  Settle stays uninstrumented: it runs several times per tick and
-// is the innermost hot loop.
+// noise.  Settle stays uninstrumented: it runs up to four times per tick
+// and is the innermost hot loop.
 var (
 	obsSims     = obs.GetCounter("netlist.sims_compiled")
 	obsTicks    = obs.GetCounter("netlist.ticks")
@@ -25,6 +25,11 @@ var (
 // magnitude faster than Simulator, which is what makes full-March-session
 // differential runs and gate-level fault campaigns tractable.
 //
+// The combinational logic settles through one flat kernel (see kOp), and
+// Settle is skipped entirely while nothing has changed since the last one:
+// SetID/Set unsettle the machine only when they change a value, while a
+// Tick's state commit, Reset, LoadState, Inject and ClearFaults always do.
+//
 // The design must be free of combinational loops (NewCompiledSim reports
 // one as an error).  Semantics — including the treatment of latches as
 // edge-triggered on their enable and the synchronous sampling of the DFFR
@@ -33,10 +38,15 @@ var (
 type CompiledSim struct {
 	p     *csProg
 	gates []cGate // per-sim gate headers; in/out slices are copied on fault injection
-	vals  []bool  // net values, indexed by net id
-	state []bool  // per-gate stored bit (sequential gates only)
-	next  []bool
-	pre   []bool // scratch: pre-edge clock values in the generic Tick path
+	// kern is the settle kernel: p.kern until the first Inject, then a
+	// private copy the faults are patched into (ownKern).
+	kern    []kOp
+	ownKern bool
+	vals    []bool // net values, indexed by net id
+	state   []bool // per-gate stored bit (sequential gates only)
+	next    []bool
+	pre     []bool // scratch: pre-edge clock values in the generic Tick path
+	settled bool   // vals is settled for the current inputs, state and faults
 
 	forces  []cForce        // active stuck-at injections, in injection order
 	scratch map[string]bool // reused input map for custom (non-library) cells
@@ -52,9 +62,24 @@ type csProg struct {
 	seqs      []int32 // sequential gate indices
 	byName    map[string]int32
 	sites     []SAFault
-	const0    int32  // reserved always-0 net backing stuck-at-0 input forces
-	const1    int32  // reserved always-1 net
-	clockPure []bool // net id -> feeds only sequential clock pins
+	const0    int32   // reserved always-0 net backing stuck-at-0 input forces
+	const1    int32   // reserved always-1 net
+	sink      int32   // reserved net unconnected and faulted kernel outputs write to
+	clockPure []bool  // net id -> feeds only sequential clock pins
+	kern      []kOp   // fault-free settle kernel; never written after build
+	kpos      []int32 // gate index -> kernel entry
+}
+
+// kOp is one gate of the flat settle kernel: net z takes op(a, b, c).
+// Unconnected inputs read $const0 and unconnected or faulted outputs write
+// $sink, so evaluation needs no connectivity branch.  For opState, a is a
+// sequential gate whose stored bit goes to z (Q) and its complement to b
+// (QN); for opCustom, a is a combinational gate that evaluates through
+// evalCustom.
+type kOp struct {
+	op      csOp
+	a, b, c int32
+	z       int32
 }
 
 type cGate struct {
@@ -97,6 +122,7 @@ const (
 	opSDFF
 	opDFFR
 	opLatch
+	opState // kernel only: expose a sequential gate's stored bit
 )
 
 // opFor maps a cell to its opcode.  Only cells of the shared default
@@ -210,6 +236,7 @@ func NewCompiledSim(d *Design, top string) (*CompiledSim, error) {
 	}
 	p.const0 = intern("$const0")
 	p.const1 = intern("$const1")
+	p.sink = intern("$sink")
 	nNets := len(p.names)
 
 	// Topological order of the combinational gates.  Sequential inputs are
@@ -273,6 +300,13 @@ func NewCompiledSim(d *Design, top string) (*CompiledSim, error) {
 			p.seqs = append(p.seqs, int32(i))
 		}
 	}
+	// The kernel exposes every stored bit first, then evaluates the
+	// combinational gates in topological order.
+	p.kpos = make([]int32, len(gates))
+	for _, gi := range append(append([]int32(nil), p.seqs...), p.comb...) {
+		p.kpos[gi] = int32(len(p.kern))
+		p.kern = append(p.kern, p.kernelEntry(gi, &gates[gi]))
+	}
 
 	// A net is "clock pure" when its only loads are sequential clock pins
 	// and no gate drives it; pulsing it cannot move any other net, which
@@ -298,6 +332,7 @@ func NewCompiledSim(d *Design, top string) (*CompiledSim, error) {
 	s := &CompiledSim{
 		p:       p,
 		gates:   gates,
+		kern:    p.kern,
 		vals:    make([]bool, nNets),
 		state:   make([]bool, len(gates)),
 		next:    make([]bool, len(gates)),
@@ -309,6 +344,81 @@ func NewCompiledSim(d *Design, top string) (*CompiledSim, error) {
 	s.Settle()
 	obsSims.Add(1)
 	return s, nil
+}
+
+// kernelEntry compiles one gate into its kernel entry.
+func (p *csProg) kernelEntry(gi int32, g *cGate) kOp {
+	switch {
+	case g.seq:
+		k := kOp{op: opState, a: gi, b: p.sink, z: p.sink}
+		if g.qSlot >= 0 && g.out[g.qSlot] >= 0 {
+			k.z = g.out[g.qSlot]
+		}
+		if g.qnSlot >= 0 && g.out[g.qnSlot] >= 0 {
+			k.b = g.out[g.qnSlot]
+		}
+		return k
+	case g.op == opCustom:
+		return kOp{op: opCustom, a: gi}
+	}
+	k := kOp{op: g.op, a: p.const0, b: p.const0, c: p.const0, z: p.sink}
+	for si, n := range g.in {
+		if n >= 0 {
+			k.setIn(si, n)
+		}
+	}
+	if len(g.out) > 0 && g.out[0] >= 0 {
+		k.z = g.out[0]
+	}
+	return k
+}
+
+// setIn rewires input slot si of a library-cell entry to net n.
+func (k *kOp) setIn(si int, n int32) {
+	switch si {
+	case 0:
+		k.a = n
+	case 1:
+		k.b = n
+	case 2:
+		k.c = n
+	}
+}
+
+// patchKernel mirrors a fault rewiring of gate gi into the kernel: input
+// slot si now reads net n, or (out) output slot si now writes n (-1
+// meaning disconnected).  The shared kernel is copied on the first patch,
+// so clones and the compiled program never see this sim's faults.  Custom
+// cells' pins and sequential inputs are read through the gate header.
+func (s *CompiledSim) patchKernel(gi int32, si int, out bool, n int32) {
+	if n < 0 {
+		n = s.p.sink
+	}
+	ki := s.p.kpos[gi]
+	k := s.kern[ki]
+	g := &s.gates[gi]
+	switch {
+	case g.seq: // only the exposed Q/QN nets live in the kernel
+		switch {
+		case out && si == g.qSlot:
+			k.z = n
+		case out && si == g.qnSlot:
+			k.b = n
+		default:
+			return
+		}
+	case k.op == opCustom:
+		return
+	case out:
+		k.z = n
+	default:
+		k.setIn(si, n)
+	}
+	if !s.ownKern {
+		s.kern = append([]kOp(nil), s.kern...)
+		s.ownKern = true
+	}
+	s.kern[ki] = k
 }
 
 // GateCount reports the number of flattened primitive gates.
@@ -333,8 +443,14 @@ func (s *CompiledSim) BusIDs(name string, width int) []int {
 	return ids
 }
 
-// SetID drives a net by id.
-func (s *CompiledSim) SetID(id int, v bool) { s.vals[id] = v }
+// SetID drives a net by id.  Driving a net to the value it already holds
+// leaves a settled machine settled.
+func (s *CompiledSim) SetID(id int, v bool) {
+	if s.vals[id] != v {
+		s.vals[id] = v
+		s.settled = false
+	}
+}
 
 // GetID reads a net by id.
 func (s *CompiledSim) GetID(id int) bool { return s.vals[id] }
@@ -343,7 +459,7 @@ func (s *CompiledSim) GetID(id int) bool { return s.vals[id] }
 // compiled net set is fixed at build time).
 func (s *CompiledSim) Set(net string, v bool) {
 	if id := s.NetID(net); id >= 0 {
-		s.vals[id] = v
+		s.SetID(id, v)
 	}
 }
 
@@ -382,60 +498,51 @@ func (s *CompiledSim) in1(g *cGate, slot int) bool {
 
 // Settle exposes sequential state and evaluates every combinational gate
 // once in topological order.  Acyclicity is checked at build time, so a
-// single pass always reaches the fixpoint.
+// single pass always reaches the fixpoint — and a second pass with nothing
+// changed would be a no-op, so a settled machine returns at once.
 func (s *CompiledSim) Settle() {
-	for _, gi := range s.p.seqs {
-		g := &s.gates[gi]
-		st := s.state[gi]
-		if g.qSlot >= 0 && g.out[g.qSlot] >= 0 {
-			s.vals[g.out[g.qSlot]] = st
-		}
-		if g.qnSlot >= 0 && g.out[g.qnSlot] >= 0 {
-			s.vals[g.out[g.qnSlot]] = !st
-		}
-	}
-	for _, gi := range s.p.comb {
-		s.evalComb(gi)
-	}
-}
-
-func (s *CompiledSim) evalComb(gi int32) {
-	g := &s.gates[gi]
-	var z bool
-	switch g.op {
-	case opInv:
-		z = !s.in1(g, 0)
-	case opBuf:
-		z = s.in1(g, 0)
-	case opNand2:
-		z = !(s.in1(g, 0) && s.in1(g, 1))
-	case opNor2:
-		z = !(s.in1(g, 0) || s.in1(g, 1))
-	case opAnd2:
-		z = s.in1(g, 0) && s.in1(g, 1)
-	case opOr2:
-		z = s.in1(g, 0) || s.in1(g, 1)
-	case opXor2:
-		z = s.in1(g, 0) != s.in1(g, 1)
-	case opXnor2:
-		z = s.in1(g, 0) == s.in1(g, 1)
-	case opMux2:
-		if s.in1(g, 2) {
-			z = s.in1(g, 1)
-		} else {
-			z = s.in1(g, 0)
-		}
-	case opTie0:
-		z = false
-	case opTie1:
-		z = true
-	default:
-		s.evalCustom(gi, false)
+	if s.settled {
 		return
 	}
-	if len(g.out) > 0 && g.out[0] >= 0 {
-		s.vals[g.out[0]] = z
+	v := s.vals
+	for i := range s.kern {
+		k := &s.kern[i]
+		switch k.op {
+		case opState:
+			st := s.state[k.a]
+			v[k.z] = st
+			v[k.b] = !st
+		case opInv:
+			v[k.z] = !v[k.a]
+		case opBuf:
+			v[k.z] = v[k.a]
+		case opNand2:
+			v[k.z] = !(v[k.a] && v[k.b])
+		case opNor2:
+			v[k.z] = !(v[k.a] || v[k.b])
+		case opAnd2:
+			v[k.z] = v[k.a] && v[k.b]
+		case opOr2:
+			v[k.z] = v[k.a] || v[k.b]
+		case opXor2:
+			v[k.z] = v[k.a] != v[k.b]
+		case opXnor2:
+			v[k.z] = v[k.a] == v[k.b]
+		case opMux2:
+			if v[k.c] {
+				v[k.z] = v[k.b]
+			} else {
+				v[k.z] = v[k.a]
+			}
+		case opTie0:
+			v[k.z] = false
+		case opTie1:
+			v[k.z] = true
+		default:
+			s.evalCustom(k.a, false)
+		}
 	}
+	s.settled = true
 }
 
 // evalCustom evaluates a non-library cell through its Eval closure using a
@@ -518,22 +625,27 @@ func (s *CompiledSim) Tick(clock string) {
 // high/low half-settles are provably no-ops and are skipped.
 func (s *CompiledSim) TickID(ck int) {
 	obsTicks.Add(1)
-	s.vals[ck] = false
-	s.Settle()
 	if s.p.clockPure[ck] {
+		// No gate reads a clock-pure net, so its level never moves a
+		// settled value: dropping it leaves the machine settled.
+		s.vals[ck] = false
+		s.Settle()
 		for _, gi := range s.p.seqs {
 			g := &s.gates[gi]
 			if g.in[g.clkSlot] == int32(ck) {
 				s.state[gi] = s.evalSeqNext(gi, true)
 			}
 		}
+		s.settled = false
 		s.Settle()
 		return
 	}
+	s.SetID(ck, false)
+	s.Settle()
 	for _, gi := range s.p.seqs {
 		s.pre[gi] = s.clockVal(gi)
 	}
-	s.vals[ck] = true
+	s.SetID(ck, true)
 	s.Settle()
 	for _, gi := range s.p.seqs {
 		if !s.pre[gi] && s.clockVal(gi) {
@@ -545,8 +657,9 @@ func (s *CompiledSim) TickID(ck int) {
 	for _, gi := range s.p.seqs {
 		s.state[gi] = s.next[gi]
 	}
+	s.settled = false
 	s.Settle()
-	s.vals[ck] = false
+	s.SetID(ck, false)
 	s.Settle()
 }
 
@@ -557,6 +670,7 @@ func (s *CompiledSim) LoadState(flatName string, v bool) error {
 		return fmt.Errorf("netlist: no sequential cell named %s", flatName)
 	}
 	s.state[gi] = v
+	s.settled = false
 	return nil
 }
 
@@ -589,7 +703,9 @@ func (s *CompiledSim) Inject(gate, port string, value bool) error {
 		} else {
 			g.in[si] = s.p.const0
 		}
+		s.patchKernel(gi, si, false, g.in[si])
 		s.forces = append(s.forces, cForce{gate: gi, slot: si, orig: orig, val: value})
+		s.settled = false
 		obsInjected.Add(1)
 		return nil
 	}
@@ -603,8 +719,10 @@ func (s *CompiledSim) Inject(gate, port string, value bool) error {
 		}
 		g.out = append([]int32(nil), g.out...)
 		g.out[oi] = -1
+		s.patchKernel(gi, oi, true, -1)
 		s.vals[orig] = value
 		s.forces = append(s.forces, cForce{gate: gi, slot: oi, out: true, orig: orig, val: value})
+		s.settled = false
 		obsInjected.Add(1)
 		return nil
 	}
@@ -612,18 +730,24 @@ func (s *CompiledSim) Inject(gate, port string, value bool) error {
 }
 
 // ClearFaults removes every injected fault.  Downstream net values are
-// stale until the next Settle (a campaign normally calls Reset).
+// stale until the next Settle (a campaign normally calls Reset).  The
+// restores are copy-on-write too: a clone taken while a fault was active
+// shares the rewired in/out arrays and must keep its fault.
 func (s *CompiledSim) ClearFaults() {
 	for i := len(s.forces) - 1; i >= 0; i-- {
 		f := s.forces[i]
 		g := &s.gates[f.gate]
 		if f.out {
+			g.out = append([]int32(nil), g.out...)
 			g.out[f.slot] = f.orig
 		} else {
+			g.in = append([]int32(nil), g.in...)
 			g.in[f.slot] = f.orig
 		}
+		s.patchKernel(f.gate, f.slot, f.out, f.orig)
 	}
 	s.forces = s.forces[:0]
+	s.settled = false
 }
 
 // Reset returns every net and sequential bit to 0 and settles.  Active
@@ -641,17 +765,20 @@ func (s *CompiledSim) Reset() {
 			s.vals[f.orig] = f.val
 		}
 	}
+	s.settled = false
 	s.Settle()
 }
 
 // Clone returns an independent simulator over the same compiled program
 // with all nets and states at 0.  Cloning is cheap (no re-flattening or
 // re-levelization), which is what fault campaigns use to give each worker
-// a private machine.  Active faults are carried over.
+// a private machine.  Active faults are carried over; a fault-free clone
+// shares the compiled kernel until its own first Inject.
 func (s *CompiledSim) Clone() *CompiledSim {
 	c := &CompiledSim{
 		p:       s.p,
 		gates:   append([]cGate(nil), s.gates...),
+		kern:    s.p.kern,
 		vals:    make([]bool, len(s.vals)),
 		state:   make([]bool, len(s.state)),
 		next:    make([]bool, len(s.next)),
@@ -659,6 +786,10 @@ func (s *CompiledSim) Clone() *CompiledSim {
 		forces:  append([]cForce(nil), s.forces...),
 		scratch: make(map[string]bool, 8),
 		clkIDs:  make(map[string]int, 2),
+	}
+	if len(s.forces) > 0 {
+		c.kern = append([]kOp(nil), s.kern...)
+		c.ownKern = true
 	}
 	c.vals[c.p.const1] = true
 	for _, f := range c.forces {

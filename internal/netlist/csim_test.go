@@ -1,6 +1,7 @@
 package netlist
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -95,6 +96,260 @@ func TestCompiledSimMatchesSimulator(t *testing.T) {
 		}
 		cs.Tick(clk)
 		compareOutputs(t, "tick "+clk, ref, cs)
+	}
+
+	t.Run("property", func(t *testing.T) {
+		for seed := int64(1); seed <= 4; seed++ {
+			simProperty(t, buildSimTestbed(t), "gck", "u_gate/Z", seed)
+			simProperty(t, buildCustomTestbed(t), "y", "u_mux/Z", seed)
+		}
+	})
+}
+
+// buildCustomTestbed returns a design whose library mixes shared default
+// cells (kernel opcodes) with user cells that evaluate through Eval — a
+// 3-input and a 2-output combinational cell and a sequential T flop — plus
+// a gate with an unconnected input and one with an unconnected output.
+func buildCustomTestbed(t *testing.T) *Design {
+	t.Helper()
+	lib := NewLibrary()
+	for _, n := range []string{CellInv, CellNand2, CellMux2, CellDFF} {
+		c, _ := DefaultLibrary().Cell(n)
+		if err := lib.Add(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []*Cell{
+		{Name: "AOI21", Inputs: []string{"A1", "A2", "B"}, Outputs: []string{"Z"},
+			Eval: func(in map[string]bool) map[string]bool {
+				return map[string]bool{"Z": !(in["A1"] && in["A2"] || in["B"])}
+			}},
+		{Name: "HA", Inputs: []string{"A", "B"}, Outputs: []string{"S", "C"},
+			Eval: func(in map[string]bool) map[string]bool {
+				return map[string]bool{"S": in["A"] != in["B"], "C": in["A"] && in["B"]}
+			}},
+		{Name: "TFFC", Inputs: []string{"T", "CK"}, Outputs: []string{"Q"}, Seq: true, Clock: "CK",
+			Eval: func(in map[string]bool) map[string]bool {
+				return map[string]bool{"Q": in["Q"] != in["T"]}
+			}},
+	} {
+		if err := lib.Add(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d := NewDesign("ctb", lib)
+	m := NewModule("dut")
+	for _, p := range []string{"ck", "rst", "en", "a", "b", "s"} {
+		m.MustPort(p, In, 1)
+	}
+	for _, p := range []string{"y", "q1", "q2"} {
+		m.MustPort(p, Out, 1)
+	}
+	m.MustInstance("u_aoi", "AOI21", map[string]string{"A1": "a", "A2": "b", "B": "q1", "Z": "n1"})
+	m.MustInstance("u_ha", "HA", map[string]string{"A": "n1", "B": "s", "S": "s1", "C": "c1"})
+	m.MustInstance("u_t", "TFFC", map[string]string{"T": "s1", "CK": "ck", "Q": "q1"})
+	m.MustInstance("u_open", CellNand2, map[string]string{"A": "c1", "Z": "n2"})
+	m.MustInstance("u_dangle", CellInv, map[string]string{"A": "n2"})
+	m.MustInstance("u_mux", CellMux2, map[string]string{"A": "n2", "B": "s1", "S": "en", "Z": "y"})
+	m.MustInstance("u_d", CellDFF, map[string]string{"D": "y", "CK": "ck", "Q": "q2"})
+	d.MustAddModule(m)
+	d.Top = "dut"
+	return d
+}
+
+// compareNets checks every net the reference simulator knows.
+func compareNets(t *testing.T, step string, ref *Simulator, cs *CompiledSim) {
+	t.Helper()
+	for _, n := range ref.Nets() {
+		if ref.Get(n) != cs.Get(n) {
+			t.Fatalf("%s: net %s: Simulator=%v CompiledSim=%v", step, n, ref.Get(n), cs.Get(n))
+		}
+	}
+}
+
+// simProperty drives a seeded random interleaving of every CompiledSim
+// mutator against the reference Simulator and compares every net after
+// every step.  The operations that unsettle the compiled machine without
+// touching an input (Inject, ClearFaults, LoadState, Tick's commit) are
+// each followed by a Settle with nothing else changed, so a missed
+// unsettle shows up as stale nets.
+func simProperty(t *testing.T, d *Design, driven, driver string, seed int64) {
+	t.Helper()
+	ref, err := NewSimulator(d, "dut")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := NewCompiledSim(d, "dut")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var inputs, seqs []string
+	for _, p := range d.Modules["dut"].Ports {
+		if p.Dir == In {
+			inputs = append(inputs, p.Name)
+		}
+	}
+	// Pulsing a gate-driven net is legal too: Settle overwrites the pulse,
+	// so the Tick's final clock drop may change nothing.  (Not while its
+	// driver's output is forced: the simulators pin a forced net at
+	// different times, so driving it from outside is left undefined.)
+	clocks := []string{"ck", "en", "rst", driven}
+	for _, g := range ref.gates {
+		if g.cell.Seq {
+			seqs = append(seqs, g.name)
+		}
+	}
+	sites := cs.Faults()
+	forced := map[string]bool{} // gate/port pins with an active force
+	rng := rand.New(rand.NewSource(seed))
+	settleBoth := func() {
+		if err := ref.Settle(); err != nil {
+			t.Fatal(err)
+		}
+		cs.Settle()
+	}
+	for i := 0; i < 400; i++ {
+		var step string
+		switch op := rng.Intn(10); op {
+		case 0, 1: // drive an input, half the time to the value it holds
+			in := inputs[rng.Intn(len(inputs))]
+			v := rng.Intn(2) == 1
+			if rng.Intn(2) == 0 {
+				v = ref.Get(in)
+			}
+			step = fmt.Sprintf("set %s=%v", in, v)
+			ref.Set(in, v)
+			if op == 0 {
+				cs.Set(in, v)
+			} else {
+				cs.SetID(cs.NetID(in), v)
+			}
+		case 2: // settle, then settle again with nothing changed
+			step = "settle"
+			settleBoth()
+			compareNets(t, step, ref, cs)
+			cs.Settle()
+			step = "redundant settle"
+		case 3, 4:
+			clk := clocks[rng.Intn(len(clocks))]
+			if clk == driven && forced[driver] {
+				continue
+			}
+			step = "tick " + clk
+			if err := ref.Tick(clk); err != nil {
+				t.Fatal(err)
+			}
+			cs.Tick(clk)
+		case 5: // inject on a settled machine, then settle
+			f := sites[rng.Intn(len(sites))]
+			if forced[f.Gate+"/"+f.Port] {
+				continue
+			}
+			settleBoth()
+			step = "inject " + f.String()
+			forced[f.Gate+"/"+f.Port] = true
+			if err := ref.Inject(f.Gate, f.Port, f.Value); err != nil {
+				t.Fatal(err)
+			}
+			if err := cs.Inject(f.Gate, f.Port, f.Value); err != nil {
+				t.Fatal(err)
+			}
+			settleBoth()
+		case 6: // clear on a settled machine, then settle
+			settleBoth()
+			step = "clear faults"
+			clear(forced)
+			ref.ClearFaults()
+			cs.ClearFaults()
+			settleBoth()
+		case 7:
+			g := seqs[rng.Intn(len(seqs))]
+			v := rng.Intn(2) == 1
+			settleBoth()
+			step = fmt.Sprintf("load %s=%v", g, v)
+			if err := ref.LoadState(g, v); err != nil {
+				t.Fatal(err)
+			}
+			if err := cs.LoadState(g, v); err != nil {
+				t.Fatal(err)
+			}
+			settleBoth()
+		case 8:
+			step = "reset"
+			if err := ref.Reset(); err != nil {
+				t.Fatal(err)
+			}
+			cs.Reset()
+		case 9: // continue on a clone; faulting and clearing the original must not leak
+			step = "clone"
+			old := cs
+			cs = cs.Clone()
+			if err := ref.Reset(); err != nil {
+				t.Fatal(err)
+			}
+			compareNets(t, step, ref, cs)
+			f := sites[rng.Intn(len(sites))]
+			if !forced[f.Gate+"/"+f.Port] {
+				if err := old.Inject(f.Gate, f.Port, f.Value); err != nil {
+					t.Fatal(err)
+				}
+			}
+			old.ClearFaults()
+			if err := old.Inject(f.Gate, f.Port, !f.Value); err != nil {
+				t.Fatal(err)
+			}
+			old.Reset()
+			step = "clone after faulting the original"
+			if err := ref.Reset(); err != nil {
+				t.Fatal(err)
+			}
+			cs.Reset()
+		}
+		compareNets(t, fmt.Sprintf("seed %d step %d: %s", seed, i, step), ref, cs)
+	}
+}
+
+// TestCompiledSimSettleSeesFaultChanges pins the two cases a missed
+// unsettle would silently break: a fault injected into a settled machine
+// must show at the next Settle, and ClearFaults must take it away again,
+// both with no input changed in between.  It also checks that re-driving
+// a net with the value it holds keeps a settled machine settled.
+func TestCompiledSimSettleSeesFaultChanges(t *testing.T) {
+	d := buildSimTestbed(t)
+	cs, err := NewCompiledSim(d, "dut")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs.Set("a", false)
+	cs.Settle()
+	if !cs.Get("y0") {
+		t.Fatal("y0 = !a should be 1")
+	}
+	cs.Set("a", false)
+	if !cs.settled {
+		t.Error("driving a net to its current value unsettled the machine")
+	}
+	cs.Set("a", true)
+	if cs.settled {
+		t.Error("changing an input left the machine settled")
+	}
+	cs.Set("a", false)
+	cs.Settle()
+
+	for _, tc := range []struct{ gate, port string }{{"u_inv", "A"}, {"u_inv", "Z"}} {
+		stuck := tc.port == "A" // SA1 on A or SA0 on Z both force y0 to 0
+		if err := cs.Inject(tc.gate, tc.port, stuck); err != nil {
+			t.Fatal(err)
+		}
+		cs.Settle()
+		if cs.Get("y0") {
+			t.Errorf("%s/%s: fault not visible after Settle", tc.gate, tc.port)
+		}
+		cs.ClearFaults()
+		cs.Settle()
+		if !cs.Get("y0") {
+			t.Errorf("%s/%s: ClearFaults not visible after Settle", tc.gate, tc.port)
+		}
 	}
 }
 

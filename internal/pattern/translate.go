@@ -220,15 +220,21 @@ func (a *allocator) alloc(n, start, dur int) (int, error) {
 	return 0, fmt.Errorf("pattern: no %d contiguous units free of %d", n, a.size)
 }
 
-// laneState is the translator's per-scan-lane streaming state.
+// laneState is the translator's per-scan-lane streaming state.  Each
+// pattern's images are built once, on entering it: its expect images
+// become the next pattern's prev and, for the last pattern, the final
+// unload's.
 type laneState struct {
 	lane ScanLane
+	L    int // lane.Plan.MaxLength()
+	p    int // lane.Source.ScanCount()
 	// chain contents expected on the chip after the previous capture
 	// (what unloads while the next pattern loads); nil before pattern 0.
 	prev [][]Bit
 	// current load images per chain (what we are shifting in).
 	cur [][]Bit
-	pat int
+	// chain contents expected after the current pattern's capture.
+	expect [][]Bit
 }
 
 // chainImages renders a scan pattern as per-wrapper-chain content vectors
@@ -319,7 +325,7 @@ func (prog *Program) Stream(layout SessionLayout, fn func(c int, cyc *Cycle) boo
 	}
 	lanes := make([]*laneState, len(layout.Scan))
 	for i, l := range layout.Scan {
-		lanes[i] = &laneState{lane: l}
+		lanes[i] = &laneState{lane: l, L: l.Plan.MaxLength(), p: l.Source.ScanCount()}
 	}
 	funcs := make([]*funcState, len(layout.Func))
 	for i, l := range layout.Func {
@@ -333,18 +339,17 @@ func (prog *Program) Stream(layout SessionLayout, fn func(c int, cyc *Cycle) boo
 		FuncExpect: make([]Bit, prog.FuncBus),
 		Actions:    make(map[string]CoreAction),
 	}
+	// Every cycle starts all-X; copying from a blank vector is a memmove.
+	blank := make([]Bit, max(prog.TamWidth, prog.FuncBus))
+	for i := range blank {
+		blank[i] = BX
+	}
 	for c := 0; c < layout.Cycles; c++ {
-		for i := range cyc.TamIn {
-			cyc.TamIn[i] = BX
-			cyc.TamExpect[i] = BX
-		}
-		for i := range cyc.Func {
-			cyc.Func[i] = BX
-			cyc.FuncExpect[i] = BX
-		}
-		for k := range cyc.Actions {
-			delete(cyc.Actions, k)
-		}
+		copy(cyc.TamIn, blank)
+		copy(cyc.TamExpect, blank)
+		copy(cyc.Func, blank)
+		copy(cyc.FuncExpect, blank)
+		clear(cyc.Actions)
 
 		for _, ls := range lanes {
 			if err := ls.emit(c, cyc); err != nil {
@@ -364,8 +369,7 @@ func (prog *Program) Stream(layout SessionLayout, fn func(c int, cyc *Cycle) boo
 
 func (ls *laneState) emit(cycleIdx int, cyc *Cycle) error {
 	lane := ls.lane
-	L := lane.Plan.MaxLength()
-	p := lane.Source.ScanCount()
+	L, p := ls.L, ls.p
 	c := cycleIdx - lane.Start
 	if c < 0 || c >= lane.Cycles || p == 0 {
 		return nil
@@ -380,16 +384,8 @@ func (ls *laneState) emit(cycleIdx int, cyc *Cycle) error {
 			if err != nil {
 				return err
 			}
-			ls.cur, _ = chainImages(lane, sp)
-			if t > 0 {
-				spPrev, err := lane.Source.ScanPattern(t - 1)
-				if err != nil {
-					return err
-				}
-				_, ls.prev = chainImages(lane, spPrev)
-			} else {
-				ls.prev = nil
-			}
+			ls.prev = ls.expect
+			ls.cur, ls.expect = chainImages(lane, sp)
 		}
 		if k < L {
 			cyc.Actions[name] = ActShift
@@ -421,12 +417,7 @@ func (ls *laneState) emit(cycleIdx int, cyc *Cycle) error {
 	k := c - period*p
 	if k < L {
 		cyc.Actions[name] = ActShift
-		sp, err := lane.Source.ScanPattern(p - 1)
-		if err != nil {
-			return err
-		}
-		_, expect := chainImages(lane, sp)
-		for ci, pimg := range expect {
+		for ci, pimg := range ls.expect {
 			wire := lane.WireLo + ci
 			cyc.TamIn[wire] = B0
 			if idx := len(pimg) - 1 - k; idx >= 0 {

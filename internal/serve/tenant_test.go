@@ -507,4 +507,3 @@ func TestDrainingEnvelope(t *testing.T) {
 		t.Fatalf("post-drain job submit = %v, want ErrDraining", err)
 	}
 }
-

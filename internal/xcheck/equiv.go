@@ -43,11 +43,24 @@ func busToInt(v []bool) int {
 	return n
 }
 
-// benchPins caches the compiled net ids of one verify bench.
+// benchPins caches the compiled net ids of one verify bench, and the
+// per-memory pin labels mismatch reports use, so the per-cycle compare
+// loop formats nothing.
 type benchPins struct {
 	cmdr, cmdd, dir, adv, elemdone, done, fail int
 	addr, d, q, qb                             [][]int
 	we, failI                                  []int
+	addrLbl, dLbl                              [][]string
+	weLbl, failLbl                             []string
+}
+
+// bitLabels returns name[0] .. name[n-1].
+func bitLabels(name string, n int) []string {
+	lbl := make([]string, n)
+	for b := range lbl {
+		lbl[b] = fmt.Sprintf("%s[%d]", name, b)
+	}
+	return lbl
 }
 
 func newBenchPins(sim *netlist.CompiledSim, mems []memory.Config) benchPins {
@@ -57,16 +70,22 @@ func newBenchPins(sim *netlist.CompiledSim, mems []memory.Config) benchPins {
 		done: sim.NetID("done"), fail: sim.NetID("fail"),
 	}
 	for i, cfg := range mems {
-		p.addr = append(p.addr, sim.BusIDs(fmt.Sprintf("addr%d", i), cfg.AddrBits()))
-		p.d = append(p.d, sim.BusIDs(fmt.Sprintf("d%d", i), cfg.Bits))
+		addr, d := fmt.Sprintf("addr%d", i), fmt.Sprintf("d%d", i)
+		we, fail := fmt.Sprintf("we%d", i), fmt.Sprintf("fail%d", i)
+		p.addr = append(p.addr, sim.BusIDs(addr, cfg.AddrBits()))
+		p.d = append(p.d, sim.BusIDs(d, cfg.Bits))
 		p.q = append(p.q, sim.BusIDs(fmt.Sprintf("q%d", i), cfg.Bits))
 		if cfg.Kind == memory.TwoPort {
 			p.qb = append(p.qb, sim.BusIDs(fmt.Sprintf("qb%d", i), cfg.Bits))
 		} else {
 			p.qb = append(p.qb, nil)
 		}
-		p.we = append(p.we, sim.NetID(fmt.Sprintf("we%d", i)))
-		p.failI = append(p.failI, sim.NetID(fmt.Sprintf("fail%d", i)))
+		p.we = append(p.we, sim.NetID(we))
+		p.failI = append(p.failI, sim.NetID(fail))
+		p.addrLbl = append(p.addrLbl, bitLabels(addr, cfg.AddrBits()))
+		p.dLbl = append(p.dLbl, bitLabels(d, cfg.Bits))
+		p.weLbl = append(p.weLbl, we)
+		p.failLbl = append(p.failLbl, fail)
 	}
 	return p
 }
@@ -245,15 +264,15 @@ func runBISTSession(ctx context.Context, sim *netlist.CompiledSim, pins benchPin
 		res.check(cycle, "fail", sim.GetID(pins.fail), p.fail, mmCap)
 		for i := range mems {
 			for b, id := range pins.addr[i] {
-				res.check(cycle, fmt.Sprintf("addr%d[%d]", i, b),
+				res.check(cycle, pins.addrLbl[i][b],
 					sim.GetID(id), p.addr[i]>>uint(b)&1 == 1, mmCap)
 			}
 			for b, id := range pins.d[i] {
-				res.check(cycle, fmt.Sprintf("d%d[%d]", i, b),
+				res.check(cycle, pins.dLbl[i][b],
 					sim.GetID(id), p.d[i]>>uint(b)&1 == 1, mmCap)
 			}
-			res.check(cycle, fmt.Sprintf("we%d", i), sim.GetID(pins.we[i]), p.we[i], mmCap)
-			res.check(cycle, fmt.Sprintf("fail%d", i), sim.GetID(pins.failI[i]), p.failI[i], mmCap)
+			res.check(cycle, pins.weLbl[i], sim.GetID(pins.we[i]), p.we[i], mmCap)
+			res.check(cycle, pins.failLbl[i], sim.GetID(pins.failI[i]), p.failI[i], mmCap)
 		}
 		if len(res.Mismatches) >= mmCap {
 			return cycle, false
@@ -295,18 +314,23 @@ func runBISTSession(ctx context.Context, sim *netlist.CompiledSim, pins benchPin
 func VerifyControllerContext(ctx context.Context, name string, nGroups int, opts Options) (EquivResult, error) {
 	tm := obsSpanVerify.Start()
 	defer tm.Stop()
-	res := EquivResult{Name: name}
 	d := netlist.NewDesign("xctl", nil)
 	if _, err := bist.GenerateController(d, "ctl", nGroups); err != nil {
-		return res, err
+		return EquivResult{Name: name}, err
 	}
 	sim, err := netlist.NewCompiledSim(d, "ctl")
 	if err != nil {
-		return res, err
+		return EquivResult{Name: name}, err
 	}
-	res.Gates = sim.GateCount()
+	return verifyController(ctx, name, sim, nGroups, opts)
+}
+
+// verifyController runs both controller phases on a compiled controller.
+func verifyController(ctx context.Context, name string, sim *netlist.CompiledSim, nGroups int, opts Options) (EquivResult, error) {
+	res := EquivResult{Name: name, Gates: sim.GateCount()}
 	mmCap := opts.maxMismatches()
 	goIDs := sim.BusIDs("GO", nGroups)
+	goLbl := bitLabels("GO", nGroups)
 	gdoneIDs := sim.BusIDs("GDONE", nGroups)
 	gfailIDs := sim.BusIDs("GFAIL", nGroups)
 	mbo, mrd, mso := sim.NetID(bist.PinMBO), sim.NetID(bist.PinMRD), sim.NetID(bist.PinMSO)
@@ -317,7 +341,7 @@ func VerifyControllerContext(ctx context.Context, name string, nGroups int, opts
 		res.check(cycle, bist.PinMRD, sim.GetID(mrd), p.mrd, mmCap)
 		res.check(cycle, bist.PinMSO, sim.GetID(mso), p.mso, mmCap)
 		for i, id := range goIDs {
-			res.check(cycle, fmt.Sprintf("GO[%d]", i), sim.GetID(id), p.gos[i], mmCap)
+			res.check(cycle, goLbl[i], sim.GetID(id), p.gos[i], mmCap)
 		}
 	}
 

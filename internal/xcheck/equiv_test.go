@@ -147,3 +147,40 @@ func TestEquivResultString(t *testing.T) {
 		t.Errorf("String() = %q", r.String())
 	}
 }
+
+// The per-cycle compare loop must not allocate: a 256-word group runs 16x
+// the cycles of a 16-word one, so any per-cycle allocation would open a
+// gap of thousands.  Building the bench (netlist generation, compilation,
+// pin and label lookup) grows with the address width and is subtracted.
+func TestVerifyBISTAllocsIndependentOfSessionLength(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not reproducible under -race")
+	}
+	alg := mustAlg(t, "March C-")
+	run := func(words int) float64 {
+		mems := []memory.Config{{Name: "m0", Words: words, Bits: 8, Kind: memory.SinglePort}}
+		padded := PadConfigs(mems)
+		total := testing.AllocsPerRun(3, func() {
+			res, err := VerifyBISTContext(context.Background(), "g", alg, mems, Options{})
+			if err != nil || !res.Pass {
+				t.Fatalf("VerifyBIST: %v %s", err, res.String())
+			}
+		})
+		build := testing.AllocsPerRun(3, func() {
+			d, err := bist.BuildVerifyBench(alg, padded)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim, err := netlist.NewCompiledSim(d, "bench")
+			if err != nil {
+				t.Fatal(err)
+			}
+			newBenchPins(sim, padded)
+		})
+		return total - build
+	}
+	small, large := run(16), run(256)
+	if large-small > 8 || small-large > 8 {
+		t.Errorf("allocations outside the bench build: 16 words %.0f, 256 words %.0f; want within 8", small, large)
+	}
+}

@@ -50,6 +50,7 @@ type refBench struct {
 	ocnt   int
 	ecnt   int
 	tpgs   []*refTPG
+	pins   refPins // only the per-memory slices are set: comb's buffers
 }
 
 func newRefBench(alg march.Algorithm, mems []memory.Config) *refBench {
@@ -62,6 +63,12 @@ func newRefBench(alg march.Algorithm, mems []memory.Config) *refBench {
 	r := &refBench{alg: alg, ob: bitsFor(maxOps), eb: bitsFor(len(alg.Elements) + 1)}
 	for _, cfg := range mems {
 		r.tpgs = append(r.tpgs, &refTPG{cfg: cfg, mem: make([]uint64, cfg.Words)})
+	}
+	r.pins = refPins{
+		addr:  make([]int, len(mems)),
+		d:     make([]uint64, len(mems)),
+		we:    make([]bool, len(mems)),
+		failI: make([]bool, len(mems)),
 	}
 	return r
 }
@@ -82,8 +89,10 @@ func expand(cmdd, bgsel bool, bits int) uint64 {
 	return w
 }
 
+// comb computes this cycle's reference pins.  The returned per-memory
+// slices are the bench's own buffers: valid until the next comb or tick.
 func (r *refBench) comb(en, bgsel bool) refPins {
-	var p refPins
+	p := r.pins
 	nElem := len(r.alg.Elements)
 	p.done = r.ecnt == nElem
 	run := !p.done
@@ -102,15 +111,15 @@ func (r *refBench) comb(en, bgsel bool) refPins {
 	tpen := en && run
 	p.elemdone = true
 	p.fail = false
-	for _, t := range r.tpgs {
+	for i, t := range r.tpgs {
 		addr := t.cnt
 		if p.dir {
 			addr = t.cfg.Words - 1 - t.cnt
 		}
-		p.addr = append(p.addr, addr)
-		p.d = append(p.d, expand(p.cmdd, bgsel, t.cfg.Bits))
-		p.we = append(p.we, !p.cmdr && tpen)
-		p.failI = append(p.failI, t.fail)
+		p.addr[i] = addr
+		p.d[i] = expand(p.cmdd, bgsel, t.cfg.Bits)
+		p.we[i] = !p.cmdr && tpen
+		p.failI[i] = t.fail
 		if t.cnt != t.cfg.Words-1 {
 			p.elemdone = false
 		}
@@ -163,10 +172,12 @@ type refController struct {
 	run   bool
 	gcnt  int
 	fails []bool
+	gos   []bool // comb's GO buffer, reused every cycle
 }
 
 func newRefController(nGroups int) *refController {
-	return &refController{n: nGroups, gb: bitsFor(nGroups + 1), fails: make([]bool, nGroups)}
+	return &refController{n: nGroups, gb: bitsFor(nGroups + 1),
+		fails: make([]bool, nGroups), gos: make([]bool, nGroups)}
 }
 
 // refCtlPins is one cycle of reference controller outputs.
@@ -175,9 +186,10 @@ type refCtlPins struct {
 	mbo, mrd, mso bool
 }
 
+// comb computes this cycle's controller outputs; p.gos is the
+// controller's own buffer, valid until the next comb or tick.
 func (r *refController) comb(msi bool) refCtlPins {
-	var p refCtlPins
-	p.gos = make([]bool, r.n)
+	p := refCtlPins{gos: r.gos}
 	for i := range p.gos {
 		p.gos[i] = r.gcnt == i && r.run
 	}

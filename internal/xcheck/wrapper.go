@@ -67,17 +67,20 @@ func BuildWrapperDesign(core *testinfo.Core, width int, part wrapper.Partitioner
 	return d, plan, nil
 }
 
-// wrapPins caches compiled net ids for the xtop harness.
+// wrapPins caches compiled net ids for the xtop harness, and the wso
+// labels mismatch reports use.
 type wrapPins struct {
 	wsi, wso []int
+	wsoLbl   []string
 	wirso    int
 }
 
 func newWrapPins(sim *netlist.CompiledSim, width int) wrapPins {
 	return wrapPins{
-		wsi:   sim.BusIDs("wsi", width),
-		wso:   sim.BusIDs("wso", width),
-		wirso: sim.NetID("wirso"),
+		wsi:    sim.BusIDs("wsi", width),
+		wso:    sim.BusIDs("wso", width),
+		wsoLbl: bitLabels("wso", width),
+		wirso:  sim.NetID("wirso"),
 	}
 }
 
@@ -139,7 +142,7 @@ func streamScan(ctx context.Context, sim *netlist.CompiledSim, prog *pattern.Pro
 				if want == pattern.BX {
 					continue
 				}
-				if !obs(c, fmt.Sprintf("wso[%d]", i), sim.GetID(id), want == pattern.B1) {
+				if !obs(c, pins.wsoLbl[i], sim.GetID(id), want == pattern.B1) {
 					return false
 				}
 			}
@@ -203,16 +206,21 @@ func wirBypassScript(sim *netlist.CompiledSim, pins wrapPins, obs scanObserver) 
 func VerifyWrapperContext(ctx context.Context, name string, core *testinfo.Core, width int, opts Options) (EquivResult, *pattern.ATPG, error) {
 	tm := obsSpanVerify.Start()
 	defer tm.Stop()
-	res := EquivResult{Name: name}
 	d, plan, err := BuildWrapperDesign(core, width, wrapper.LPT)
 	if err != nil {
-		return res, nil, err
+		return EquivResult{Name: name}, nil, err
 	}
 	sim, err := netlist.NewCompiledSim(d, "xtop")
 	if err != nil {
-		return res, nil, err
+		return EquivResult{Name: name}, nil, err
 	}
-	res.Gates = sim.GateCount()
+	return verifyWrapper(ctx, name, sim, core, plan, opts)
+}
+
+// verifyWrapper runs both wrapper sessions on a compiled xtop stack.
+func verifyWrapper(ctx context.Context, name string, sim *netlist.CompiledSim, core *testinfo.Core,
+	plan wrapper.Plan, opts Options) (EquivResult, *pattern.ATPG, error) {
+	res := EquivResult{Name: name, Gates: sim.GateCount()}
 	atpg, err := pattern.NewATPG(core)
 	if err != nil {
 		return res, nil, err
