@@ -74,8 +74,9 @@ type csProg struct {
 // Unconnected inputs read $const0 and unconnected or faulted outputs write
 // $sink, so evaluation needs no connectivity branch.  For opState, a is a
 // sequential gate whose stored bit goes to z (Q) and its complement to b
-// (QN); for opCustom, a is a combinational gate that evaluates through
-// evalCustom.
+// (QN); for opCustom, a is a gate that evaluates through its header —
+// a custom combinational cell via evalCustom, or, in a PackedSim, any gate
+// carrying a lane force.
 type kOp struct {
 	op      csOp
 	a, b, c int32

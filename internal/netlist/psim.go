@@ -20,14 +20,17 @@ var (
 const Lanes = 64
 
 // PackedSim is the word-packed parallel-fault variant of CompiledSim: the
-// same compiled program (net interning, opcode switch, topological comb
-// order), but every net holds a uint64 where bit i carries lane i's value,
-// so one pass through the gate array simulates 64 circuit copies.  The
-// boolean opcode switch becomes branch-free bitwise ops (NAND2 is
-// ^(a & b)), sequential state is word-wide, and stuck-at injection is a
-// per-pin AND/OR lane mask applied where the pin reads (input faults) or
-// where the driver writes (output faults) — the packed equivalent of
-// CompiledSim's rewiring to the reserved constant nets.
+// same compiled program and flat settle kernel (see kOp), but every net
+// holds a uint64 where bit i carries lane i's value, so one pass through
+// the kernel simulates 64 circuit copies.  The boolean opcodes become
+// branch-free bitwise ops (NAND2 is ^(a & b)), sequential state is
+// word-wide, and stuck-at injection is a per-pin AND/OR lane mask applied
+// where the pin reads (input faults) or where the driver writes (output
+// faults) — the packed equivalent of CompiledSim's rewiring to the
+// reserved constant nets.  A gate carrying a lane force has its kernel
+// entry swapped for a slow entry that evaluates through the gate header
+// and the masks; every other gate stays on the flat kernel.  Settle
+// follows CompiledSim's unsettle rules.
 //
 // Lane semantics are exactly CompiledSim's per lane: an unfaulted lane
 // computes the same trajectory as a fault-free CompiledSim, and a lane with
@@ -37,18 +40,22 @@ const Lanes = 64
 // for the fault-free machine so detection is (word ^ golden) != 0.
 type PackedSim struct {
 	p     *csProg
-	gates []cGate  // headers copied from the base; in/out arrays shared read-only
-	vals  []uint64 // net lane-words, indexed by net id
-	state []uint64 // per-gate stored lanes (sequential gates only)
-	next  []uint64
-	pre   []uint64 // scratch: pre-edge clock lanes in the generic Tick path
+	gates []cGate // headers copied from the base; in/out arrays shared read-only
+	// kern is p.kern until the first lane force on a library or sequential
+	// gate, then a private copy holding that gate's slow entry (ownKern).
+	kern    []kOp
+	ownKern bool
+	vals    []uint64 // net lane-words, indexed by net id
+	state   []uint64 // per-gate stored lanes (sequential gates only)
+	next    []uint64
+	pre     []uint64 // scratch: pre-edge clock lanes in the generic Tick path
+	settled bool     // vals is settled for the current inputs, state and forces
 
 	// Force lookup is per gate: a 63-lane batch injects dozens of sites, and
 	// every masked pin access during eval must find its (at most few) forces
 	// without scanning the whole batch's list.
 	gforces [][]laneForce // per gate: merged entries for its faulted pins
 	fgates  []int32       // gates with at least one force, for clear/reset
-	masked  []bool        // per gate: gforces[gi] non-empty
 
 	scratch map[string]bool // per-lane input map for custom (non-library) cells
 	clkIDs  map[string]int
@@ -71,7 +78,8 @@ type laneForce struct {
 // NewPackedSim builds a packed simulator over base's compiled program with
 // every lane at the all-zero reset state.  The base must be fault-free
 // (campaigns inject per lane via InjectLane); its gate headers are copied
-// so later Inject calls on the base cannot alias the packed machine.
+// so later Inject calls on the base cannot alias the packed machine, and
+// the kernel is the compiled program's until the first lane force.
 func NewPackedSim(base *CompiledSim) (*PackedSim, error) {
 	if len(base.forces) > 0 {
 		return nil, fmt.Errorf("netlist: packed sim requires a fault-free base (has %d forces)", len(base.forces))
@@ -79,12 +87,12 @@ func NewPackedSim(base *CompiledSim) (*PackedSim, error) {
 	s := &PackedSim{
 		p:       base.p,
 		gates:   append([]cGate(nil), base.gates...),
+		kern:    base.p.kern,
 		vals:    make([]uint64, len(base.vals)),
 		state:   make([]uint64, len(base.state)),
 		next:    make([]uint64, len(base.next)),
 		pre:     make([]uint64, len(base.pre)),
 		gforces: make([][]laneForce, len(base.gates)),
-		masked:  make([]bool, len(base.gates)),
 		scratch: make(map[string]bool, 8),
 		clkIDs:  make(map[string]int, 2),
 	}
@@ -116,15 +124,21 @@ func (s *PackedSim) BusIDs(name string, width int) []int {
 
 // SetID broadcasts one value to every lane of a net.
 func (s *PackedSim) SetID(id int, v bool) {
+	var w uint64
 	if v {
-		s.vals[id] = ^uint64(0)
-	} else {
-		s.vals[id] = 0
+		w = ^uint64(0)
 	}
+	s.SetWordID(id, w)
 }
 
-// SetWordID drives a net with per-lane values.
-func (s *PackedSim) SetWordID(id int, w uint64) { s.vals[id] = w }
+// SetWordID drives a net with per-lane values.  Driving a net to the word
+// it already holds leaves a settled machine settled.
+func (s *PackedSim) SetWordID(id int, w uint64) {
+	if s.vals[id] != w {
+		s.vals[id] = w
+		s.settled = false
+	}
+}
 
 // GetWordID reads a net's lane-word.
 func (s *PackedSim) GetWordID(id int) uint64 { return s.vals[id] }
@@ -141,19 +155,13 @@ func (s *PackedSim) Set(net string, v bool) {
 
 // inWord reads one input pin's lane-word, applying any input-force mask.
 func (s *PackedSim) inWord(gi int32, slot int) uint64 {
-	g := &s.gates[gi]
-	n := g.in[slot]
 	var w uint64
-	if n >= 0 {
+	if n := s.gates[gi].in[slot]; n >= 0 {
 		w = s.vals[n]
 	}
-	if s.masked[gi] {
-		for i := range s.gforces[gi] {
-			f := &s.gforces[gi][i]
-			if !f.out && int(f.slot) == slot {
-				w = (w &^ f.mask) | f.set
-				break
-			}
+	for i := range s.gforces[gi] {
+		if f := &s.gforces[gi][i]; !f.out && int(f.slot) == slot {
+			return (w &^ f.mask) | f.set
 		}
 	}
 	return w
@@ -166,99 +174,87 @@ func (s *PackedSim) inWord(gi int32, slot int) uint64 {
 // nothing else writes those lanes (and, exactly like the scalar
 // disconnection, an external Set on the net sticks until Reset).
 func (s *PackedSim) writeOut(gi int32, oi int, z uint64) {
-	g := &s.gates[gi]
-	n := g.out[oi]
+	n := s.gates[gi].out[oi]
 	if n < 0 {
 		return
 	}
-	if s.masked[gi] {
-		for i := range s.gforces[gi] {
-			f := &s.gforces[gi][i]
-			if f.out && int(f.slot) == oi {
-				z = (z &^ f.mask) | (s.vals[n] & f.mask)
-				break
-			}
+	for i := range s.gforces[gi] {
+		if f := &s.gforces[gi][i]; f.out && int(f.slot) == oi {
+			z = (z &^ f.mask) | (s.vals[n] & f.mask)
+			break
 		}
 	}
 	s.vals[n] = z
 }
 
-// Settle exposes sequential state and evaluates every combinational gate
-// once in topological order, all 64 lanes per pass.
+// Settle runs the kernel once: every sequential gate exposes its stored
+// lanes, then every combinational gate evaluates in topological order, all
+// 64 lanes per pass.  Like CompiledSim.Settle, a settled machine returns
+// at once.
 func (s *PackedSim) Settle() {
-	for _, gi := range s.p.seqs {
-		g := &s.gates[gi]
+	if s.settled {
+		return
+	}
+	v := s.vals
+	for i := range s.kern {
+		k := &s.kern[i]
+		switch k.op {
+		case opState:
+			st := s.state[k.a]
+			v[k.z] = st
+			v[k.b] = ^st
+		case opInv:
+			v[k.z] = ^v[k.a]
+		case opBuf:
+			v[k.z] = v[k.a]
+		case opNand2:
+			v[k.z] = ^(v[k.a] & v[k.b])
+		case opNor2:
+			v[k.z] = ^(v[k.a] | v[k.b])
+		case opAnd2:
+			v[k.z] = v[k.a] & v[k.b]
+		case opOr2:
+			v[k.z] = v[k.a] | v[k.b]
+		case opXor2:
+			v[k.z] = v[k.a] ^ v[k.b]
+		case opXnor2:
+			v[k.z] = ^(v[k.a] ^ v[k.b])
+		case opMux2:
+			sel := v[k.c]
+			v[k.z] = (v[k.b] & sel) | (v[k.a] &^ sel)
+		case opTie0:
+			v[k.z] = 0
+		case opTie1:
+			v[k.z] = ^uint64(0)
+		default:
+			s.evalSlow(k.a)
+		}
+	}
+	s.settled = true
+}
+
+// evalSlow is the slow kernel entry (an opCustom entry naming gate gi):
+// custom cells, and any gate carrying a lane force, evaluate through the
+// gate header, reading pins through inWord and driving them through
+// writeOut so forced lanes see their masks.  A sequential gate exposes its
+// stored lanes on Q/QN; custom comb cells evaluate per lane.
+func (s *PackedSim) evalSlow(gi int32) {
+	g := &s.gates[gi]
+	if g.seq {
 		st := s.state[gi]
-		if g.qSlot >= 0 && g.out[g.qSlot] >= 0 {
+		if g.qSlot >= 0 {
 			s.writeOut(gi, g.qSlot, st)
 		}
-		if g.qnSlot >= 0 && g.out[g.qnSlot] >= 0 {
+		if g.qnSlot >= 0 {
 			s.writeOut(gi, g.qnSlot, ^st)
 		}
-	}
-	for _, gi := range s.p.comb {
-		s.evalComb(gi)
-	}
-}
-
-func (s *PackedSim) evalComb(gi int32) {
-	g := &s.gates[gi]
-	if g.op == opCustom || s.masked[gi] {
-		s.evalCombSlow(gi)
 		return
-	}
-	var a, b uint64
-	if len(g.in) > 0 && g.in[0] >= 0 {
-		a = s.vals[g.in[0]]
-	}
-	if len(g.in) > 1 && g.in[1] >= 0 {
-		b = s.vals[g.in[1]]
 	}
 	var z uint64
 	switch g.op {
-	case opInv:
-		z = ^a
-	case opBuf:
-		z = a
-	case opNand2:
-		z = ^(a & b)
-	case opNor2:
-		z = ^(a | b)
-	case opAnd2:
-		z = a & b
-	case opOr2:
-		z = a | b
-	case opXor2:
-		z = a ^ b
-	case opXnor2:
-		z = ^(a ^ b)
-	case opMux2:
-		var sel uint64
-		if g.in[2] >= 0 {
-			sel = s.vals[g.in[2]]
-		}
-		z = (b & sel) | (a &^ sel)
-	case opTie0:
-		z = 0
-	case opTie1:
-		z = ^uint64(0)
-	}
-	if len(g.out) > 0 && g.out[0] >= 0 {
-		s.vals[g.out[0]] = z
-	}
-}
-
-// evalCombSlow is the masked/custom path: library cells re-read inputs
-// through the force masks; custom cells evaluate per lane through the
-// scratch map (they are off the DSC hot path).
-func (s *PackedSim) evalCombSlow(gi int32) {
-	g := &s.gates[gi]
-	if g.op == opCustom {
+	case opCustom:
 		s.evalCustomComb(gi)
 		return
-	}
-	var z uint64
-	switch g.op {
 	case opInv:
 		z = ^s.inWord(gi, 0)
 	case opBuf:
@@ -283,9 +279,7 @@ func (s *PackedSim) evalCombSlow(gi int32) {
 	case opTie1:
 		z = ^uint64(0)
 	}
-	if len(g.out) > 0 {
-		s.writeOut(gi, 0, z)
-	}
+	s.writeOut(gi, 0, z)
 }
 
 // evalCustomComb evaluates a non-library combinational cell lane by lane.
@@ -382,19 +376,13 @@ func (s *PackedSim) clockWord(gi int32) uint64 {
 // equivalent of CompiledSim's clock-pure skip of flops whose clock pin was
 // rewired to a constant: a lane with a stuck clock pin never sees an edge.
 func (s *PackedSim) clkKeep(gi int32) uint64 {
-	if !s.masked[gi] {
-		return ^uint64(0)
-	}
-	g := &s.gates[gi]
-	keep := ^uint64(0)
+	clk := s.gates[gi].clkSlot
 	for i := range s.gforces[gi] {
-		f := &s.gforces[gi][i]
-		if !f.out && int(f.slot) == g.clkSlot {
-			keep &^= f.mask
-			break
+		if f := &s.gforces[gi][i]; !f.out && int(f.slot) == clk {
+			return ^f.mask
 		}
 	}
-	return keep
+	return ^uint64(0)
 }
 
 // Tick pulses the named top-level clock net across all lanes.
@@ -417,9 +405,10 @@ func (s *PackedSim) Tick(clock string) {
 // engine skipping a flop whose clock pin was rewired to a constant.
 func (s *PackedSim) TickID(ck int) {
 	obsPackedTicks.Add(1)
-	s.vals[ck] = 0
-	s.Settle()
 	if s.p.clockPure[ck] {
+		// No gate reads a clock-pure net, so dropping it never unsettles.
+		s.vals[ck] = 0
+		s.Settle()
 		for _, gi := range s.p.seqs {
 			g := &s.gates[gi]
 			if g.in[g.clkSlot] == int32(ck) {
@@ -427,13 +416,16 @@ func (s *PackedSim) TickID(ck int) {
 				s.state[gi] = (s.evalSeqNext(gi, true) & capt) | (s.state[gi] &^ capt)
 			}
 		}
+		s.settled = false
 		s.Settle()
 		return
 	}
+	s.SetWordID(ck, 0)
+	s.Settle()
 	for _, gi := range s.p.seqs {
 		s.pre[gi] = s.clockWord(gi)
 	}
-	s.vals[ck] = ^uint64(0)
+	s.SetWordID(ck, ^uint64(0))
 	s.Settle()
 	for _, gi := range s.p.seqs {
 		edge := ^s.pre[gi] & s.clockWord(gi)
@@ -446,8 +438,9 @@ func (s *PackedSim) TickID(ck int) {
 	for _, gi := range s.p.seqs {
 		s.state[gi] = s.next[gi]
 	}
+	s.settled = false
 	s.Settle()
-	s.vals[ck] = 0
+	s.SetWordID(ck, 0)
 	s.Settle()
 }
 
@@ -499,60 +492,65 @@ func (s *PackedSim) InjectLane(lane int, gate, port string, value bool) error {
 	return fmt.Errorf("netlist: gate %s (%s) has no port %s", gate, g.cell.Name, port)
 }
 
+// addForce merges one lane force into gate gi's list.  A gate's first
+// force swaps its kernel entry for a slow entry (custom cells already have
+// one); the shared kernel is copied on the first swap, so other sims and
+// the compiled program never see this sim's forces.
 func (s *PackedSim) addForce(gi int32, slot int, out bool, bit uint64, value bool) {
-	for i := range s.gforces[gi] {
-		f := &s.gforces[gi][i]
-		if f.out == out && int(f.slot) == slot {
-			f.mask |= bit
-			if value {
-				f.set |= bit
-			} else {
-				f.set &^= bit
-			}
-			return
-		}
-	}
-	if !s.masked[gi] {
-		s.fgates = append(s.fgates, gi)
-		s.masked[gi] = true
-	}
+	s.settled = false
 	var set uint64
 	if value {
 		set = bit
 	}
+	for i := range s.gforces[gi] {
+		if f := &s.gforces[gi][i]; f.out == out && int(f.slot) == slot {
+			f.mask |= bit
+			f.set = (f.set &^ bit) | set
+			return
+		}
+	}
+	if len(s.gforces[gi]) == 0 {
+		s.fgates = append(s.fgates, gi)
+		if ki := s.p.kpos[gi]; s.kern[ki].op != opCustom {
+			if !s.ownKern {
+				s.kern = append([]kOp(nil), s.kern...)
+				s.ownKern = true
+			}
+			s.kern[ki] = kOp{op: opCustom, a: gi}
+		}
+	}
 	s.gforces[gi] = append(s.gforces[gi], laneForce{slot: int32(slot), out: out, mask: bit, set: set})
 }
 
-// ClearFaults removes every lane force.  Net values are stale until the
-// next Settle (campaigns call Reset).
+// ClearFaults removes every lane force and restores the forced gates'
+// kernel entries.  Net values are stale until the next Settle (campaigns
+// call Reset).
 func (s *PackedSim) ClearFaults() {
 	for _, gi := range s.fgates {
 		s.gforces[gi] = s.gforces[gi][:0]
-		s.masked[gi] = false
+		if s.ownKern {
+			ki := s.p.kpos[gi]
+			s.kern[ki] = s.p.kern[ki]
+		}
 	}
 	s.fgates = s.fgates[:0]
+	s.settled = false
 }
 
 // Reset returns every lane of every net and sequential bit to 0 and
 // settles.  Lane forces stay active; forced output nets are re-asserted on
 // their lanes, like the scalar Reset.
 func (s *PackedSim) Reset() {
-	for i := range s.vals {
-		s.vals[i] = 0
-	}
+	clear(s.vals)
 	s.vals[s.p.const1] = ^uint64(0)
-	for i := range s.state {
-		s.state[i] = 0
-	}
+	clear(s.state)
 	for _, gi := range s.fgates {
-		for i := range s.gforces[gi] {
-			f := &s.gforces[gi][i]
+		for _, f := range s.gforces[gi] {
 			if f.out {
-				if n := s.gates[gi].out[f.slot]; n >= 0 {
-					s.vals[n] = f.set
-				}
+				s.vals[s.gates[gi].out[f.slot]] = f.set
 			}
 		}
 	}
+	s.settled = false
 	s.Settle()
 }

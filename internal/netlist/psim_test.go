@@ -3,6 +3,8 @@ package netlist
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -330,6 +332,286 @@ func TestPackedSimClearFaultsAndReset(t *testing.T) {
 	for i := range clean {
 		if restored[i] != clean[i] {
 			t.Fatalf("ClearFaults did not restore lane behaviour at %s", tbOutputs[i])
+		}
+	}
+}
+
+// TestPackedSimMatchesScalarProperty drives a seeded random interleaving of
+// every PackedSim mutator against one scalar CompiledSim twin per lane, on
+// the library testbed and on the user-library testbed (custom comb and
+// sequential cells, unconnected pins).
+func TestPackedSimMatchesScalarProperty(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		packedMutatorProperty(t, buildSimTestbed(t), "gck", seed)
+		packedMutatorProperty(t, buildCustomTestbed(t), "y", seed)
+	}
+}
+
+// packedMutatorProperty compares every named net of every lane with the
+// lane's scalar twin after every step.  Words are driven per lane (each
+// twin gets its own bit), Ticks come with no explicit Settle before them,
+// forces go to random lanes, and the steps that unsettle the packed machine
+// without touching an input (InjectLane, ClearFaults) are followed by a
+// Settle with nothing else changed, so a missed unsettle shows up as stale
+// nets.  Re-driving a net with the word it holds must keep the machine
+// settled.
+func packedMutatorProperty(t *testing.T, d *Design, driven string, seed int64) {
+	t.Helper()
+	base, err := NewCompiledSim(d, "dut")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps, err := NewPackedSim(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twins := make([]*CompiledSim, Lanes)
+	forced := make([]map[string]bool, Lanes) // per lane: gate/port pins with a force
+	for l := range twins {
+		twins[l] = base.Clone()
+		forced[l] = map[string]bool{}
+	}
+	var inputs, nets []string
+	var ids []int
+	for _, p := range d.Modules["dut"].Ports {
+		if p.Dir == In {
+			inputs = append(inputs, p.Name)
+		}
+	}
+	for id, n := range base.p.names {
+		if !strings.HasPrefix(n, "$") { // reserved nets are engine-private
+			nets, ids = append(nets, n), append(ids, id)
+		}
+	}
+	// A gate-driven clock takes the generic Tick path; pulsing it is well
+	// defined per lane even while its driver's output is forced.
+	clocks := []string{"ck", "en", "rst", driven}
+	sites := base.Faults()
+	var outNets []int // nets with an output force on some lane
+	rng := rand.New(rand.NewSource(seed))
+	compare := func(step string) {
+		t.Helper()
+		for l, tw := range twins {
+			for i, id := range ids {
+				if got, want := ps.GetLaneID(id, l), tw.GetID(id); got != want {
+					t.Fatalf("seed %d %s: lane %d net %s: packed=%v scalar=%v", seed, step, l, nets[i], got, want)
+				}
+			}
+		}
+	}
+	settleAll := func() {
+		ps.Settle()
+		for _, tw := range twins {
+			tw.Settle()
+		}
+	}
+	setWord := func(id int, w uint64) {
+		ps.SetWordID(id, w)
+		for l, tw := range twins {
+			tw.SetID(id, w>>uint(l)&1 == 1)
+		}
+	}
+	for i := 0; i < 300; i++ {
+		var step string
+		switch rng.Intn(9) {
+		case 0: // a different bit per lane
+			in := inputs[rng.Intn(len(inputs))]
+			w := rng.Uint64()
+			step = fmt.Sprintf("set word %s=%#x", in, w)
+			setWord(ps.NetID(in), w)
+		case 1:
+			in := inputs[rng.Intn(len(inputs))]
+			v := rng.Intn(2) == 1
+			step = fmt.Sprintf("set %s=%v", in, v)
+			ps.Set(in, v)
+			for _, tw := range twins {
+				tw.Set(in, v)
+			}
+		case 2: // settle, then re-drive an input with the word it holds
+			settleAll()
+			compare("settle")
+			in := inputs[rng.Intn(len(inputs))]
+			id := ps.NetID(in)
+			w := ps.GetWordID(id)
+			step = "same-value set " + in
+			ps.SetWordID(id, w)
+			if w == 0 || w == ^uint64(0) {
+				ps.Set(in, w != 0)
+			}
+			if !ps.settled {
+				t.Fatalf("seed %d step %d: re-driving %s with its own word unsettled the machine", seed, i, in)
+			}
+		case 3, 4: // no explicit Settle before the Tick
+			clk := clocks[rng.Intn(len(clocks))]
+			step = "tick " + clk
+			ps.Tick(clk)
+			for _, tw := range twins {
+				tw.Tick(clk)
+			}
+		case 5: // inject one lane of a settled machine, then settle
+			f := sites[rng.Intn(len(sites))]
+			l := rng.Intn(Lanes)
+			if forced[l][f.Gate+"/"+f.Port] {
+				continue
+			}
+			settleAll()
+			step = fmt.Sprintf("inject lane %d %s", l, f)
+			forced[l][f.Gate+"/"+f.Port] = true
+			if err := ps.InjectLane(l, f.Gate, f.Port, f.Value); err != nil {
+				t.Fatal(err)
+			}
+			if err := twins[l].Inject(f.Gate, f.Port, f.Value); err != nil {
+				t.Fatal(err)
+			}
+			g := &base.gates[base.p.byName[f.Gate]]
+			for oi, port := range g.cell.Outputs {
+				if port == f.Port {
+					outNets = append(outNets, int(g.out[oi]))
+				}
+			}
+			compare(step + " (before settle)")
+			settleAll()
+		case 6: // an external word on an output-forced net sticks on the forced lanes
+			if len(outNets) == 0 {
+				continue
+			}
+			id := outNets[rng.Intn(len(outNets))]
+			w := rng.Uint64()
+			step = fmt.Sprintf("set forced net %s=%#x", base.p.names[id], w)
+			setWord(id, w)
+		case 7: // clear a settled machine, then settle
+			settleAll()
+			step = "clear faults"
+			ps.ClearFaults()
+			for l, tw := range twins {
+				tw.ClearFaults()
+				clear(forced[l])
+			}
+			outNets = outNets[:0]
+			settleAll()
+		case 8:
+			step = "reset"
+			ps.Reset()
+			for _, tw := range twins {
+				tw.Reset()
+			}
+		}
+		compare(fmt.Sprintf("step %d: %s", i, step))
+	}
+}
+
+// TestPackedSimKernelIsolation pins kernel copy-on-write: two PackedSims
+// built from one base, and the base CompiledSim itself, see none of each
+// other's kernel patches through InjectLane, ClearFaults or Inject.
+func TestPackedSimKernelIsolation(t *testing.T) {
+	d := buildSimTestbed(t)
+	base, err := NewCompiledSim(d, "dut")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pristine := append([]kOp(nil), base.p.kern...)
+	a, err := NewPackedSim(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewPackedSim(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nandZ := SAFault{Gate: "u_nand", Port: "Z", Value: true}
+	xorA := SAFault{Gate: "u_xor", Port: "A", Value: false}
+	invA := SAFault{Gate: "u_inv", Port: "A", Value: true}
+	// check replays a fixed stimulus on ps and on one scalar machine per
+	// faulted lane (plus a fault-free one for the rest), lane for lane.  The
+	// compiled program's kernel must be untouched, and a fault-free ps must
+	// run the pristine entries again.
+	check := func(step string, ps *PackedSim, lanes map[int]SAFault) {
+		t.Helper()
+		if !slices.Equal(base.p.kern, pristine) {
+			t.Fatalf("%s: compiled kernel was patched", step)
+		}
+		if len(lanes) == 0 && !slices.Equal(ps.kern, pristine) {
+			t.Fatalf("%s: fault-free packed sim still runs patched kernel entries", step)
+		}
+		golden, err := NewCompiledSim(d, "dut")
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs := map[int]*CompiledSim{}
+		for l, f := range lanes {
+			refs[l] = golden.Clone()
+			if err := refs[l].Inject(f.Gate, f.Port, f.Value); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ps.Reset()
+		rng := rand.New(rand.NewSource(3))
+		for cyc := 0; cyc < 20; cyc++ {
+			for _, in := range []string{"rst", "en", "a", "b", "s"} {
+				v := rng.Intn(2) == 1
+				ps.Set(in, v)
+				golden.Set(in, v)
+				for _, r := range refs {
+					r.Set(in, v)
+				}
+			}
+			clk := []string{"ck", "ck2", "en"}[rng.Intn(3)]
+			ps.Tick(clk)
+			golden.Tick(clk)
+			for _, r := range refs {
+				r.Tick(clk)
+			}
+			for l := 0; l < Lanes; l++ {
+				ref, ok := refs[l]
+				if !ok {
+					ref = golden
+				}
+				for _, o := range tbOutputs {
+					if got, want := ps.GetLaneID(ps.NetID(o), l), ref.Get(o); got != want {
+						t.Fatalf("%s: cycle %d lane %d %s: packed=%v scalar=%v", step, cyc, l, o, got, want)
+					}
+				}
+			}
+		}
+	}
+	if err := a.InjectLane(3, nandZ.Gate, nandZ.Port, nandZ.Value); err != nil {
+		t.Fatal(err)
+	}
+	check("a after its inject", a, map[int]SAFault{3: nandZ})
+	check("b after a's inject", b, nil)
+	if err := b.InjectLane(5, xorA.Gate, xorA.Port, xorA.Value); err != nil {
+		t.Fatal(err)
+	}
+	a.ClearFaults()
+	check("a after its clear", a, nil)
+	check("b after a's clear", b, map[int]SAFault{5: xorA})
+	if err := base.Inject(invA.Gate, invA.Port, invA.Value); err != nil {
+		t.Fatal(err)
+	}
+	check("a after the base's inject", a, nil)
+	check("b after the base's inject", b, map[int]SAFault{5: xorA})
+	if err := a.InjectLane(7, invA.Gate, invA.Port, !invA.Value); err != nil {
+		t.Fatal(err)
+	}
+	base.ClearFaults()
+	b.ClearFaults()
+	check("a after the base's and b's clear", a, map[int]SAFault{7: {Gate: invA.Gate, Port: invA.Port, Value: !invA.Value}})
+	check("b after its clear", b, nil)
+	// The base itself is back to fault-free and still matches a fresh build.
+	ref, err := NewCompiledSim(d, "dut")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base.Reset()
+	for _, in := range []string{"a", "b", "s"} {
+		base.Set(in, true)
+		ref.Set(in, true)
+	}
+	base.Tick("ck")
+	ref.Tick("ck")
+	for _, o := range tbOutputs {
+		if base.Get(o) != ref.Get(o) {
+			t.Fatalf("base after the packed sims' patches: %s differs from a fresh build", o)
 		}
 	}
 }

@@ -202,8 +202,9 @@ func runBISTPacked(ctx context.Context, ps *netlist.PackedSim, pins benchPins,
 
 // runControllerPacked is runControllerTraced in compare mode across 64
 // lanes: the scripted two-scenario session with per-lane behavioural groups
-// answering each lane's own GO outputs.
-func runControllerPacked(_ context.Context, ps *netlist.PackedSim, nGroups int,
+// answering each lane's own GO outputs.  ctx is polled every
+// equivPollCycles cycles, like runBISTPacked.
+func runControllerPacked(ctx context.Context, ps *netlist.PackedSim, nGroups int,
 	goIDs, gdoneIDs, gfailIDs, outIDs []int, golden []ctlTrace, pending uint64) []int {
 	det := make([]int, netlist.Lanes)
 	for i := range det {
@@ -214,6 +215,7 @@ func runControllerPacked(_ context.Context, ps *netlist.PackedSim, nGroups int,
 		age[i] = make([]int, netlist.Lanes)
 	}
 	cycle := 0
+	pollIn := equivPollCycles
 	ps.Reset()
 	for scenario := 0; scenario < 2; scenario++ {
 		failing := -1
@@ -237,6 +239,12 @@ func runControllerPacked(_ context.Context, ps *netlist.PackedSim, nGroups int,
 			}
 		}
 		for local := 0; local < 12*nGroups+12; local++ {
+			if pollIn--; pollIn <= 0 {
+				pollIn = equivPollCycles
+				if ctx.Err() != nil {
+					return det // caller discards results once ctx has fired
+				}
+			}
 			ps.Settle()
 			gb := golden[cycle]
 			diff := (ps.GetWordID(outIDs[0]) ^ bcast(gb.mbo)) |
