@@ -76,9 +76,8 @@ func main() {
 		compareFmt  = flag.String("compare", "", "render the -catalog tradeoff table to stdout in this format (json, csv, html or table)")
 		maxTam      = flag.Int("max-tam", 0, "cap on recommended TAM width (-recommend; 0 = no cap)")
 
-		obsOn      = flag.Bool("obs", false, "enable observability and append the span/counter report")
-		benchJSON  = flag.String("bench-json", "", "run the benchmark suite (instead of the flow) and write BENCH JSON to this path")
-		benchShort = flag.Bool("bench-short", false, "single-iteration benchmark runs (CI smoke; workloads unchanged)")
+		obsOn     = flag.Bool("obs", false, "enable observability and append the span/counter report")
+		benchJSON = flag.String("bench-json", "", "run the benchmark suite (instead of the flow) and write BENCH JSON to this path")
 	)
 	flag.Parse()
 	all := !(*table1 || *schedOn || *ioOn || *areaOn || *bistOn || *marchOn || *verilog || *xcheckOn)
@@ -88,7 +87,7 @@ func main() {
 		return
 	}
 	if *benchJSON != "" {
-		runBench(*benchJSON, *benchShort)
+		runBench(*benchJSON)
 		return
 	}
 	if *recommendOn || *compareFmt != "" {
@@ -200,11 +199,8 @@ func main() {
 
 // runBench is the -bench-json mode: it executes the paper-table benchmark
 // suite and writes the schema-versioned BENCH file `benchdiff` consumes.
-// Short mode runs one measured iteration per op instead of three; the
-// workloads are identical, so a CI short run is comparable against the
-// committed full baseline.
-func runBench(path string, short bool) {
-	f, err := bench.RunSuite(short, func(format string, a ...any) {
+func runBench(path string) {
+	f, err := bench.RunSuite(false, func(format string, a ...any) {
 		fmt.Fprintf(os.Stderr, format+"\n", a...)
 	})
 	fail(err)

@@ -58,16 +58,8 @@ func main() {
 		stils = append(stils, string(src))
 	}
 
-	p := wrapper.LPT
-	switch *part {
-	case "lpt":
-	case "firstfit":
-		p = wrapper.FirstFit
-	case "optimal":
-		p = wrapper.Optimal
-	default:
-		fail(fmt.Errorf("unknown partitioner %q", *part))
-	}
+	p, err := wrapper.ParsePartitioner(*part)
+	fail(err)
 
 	in := core.FlowInput{
 		STIL: stils,

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"steac/internal/campaign"
+	"steac/internal/envelope"
 )
 
 // Config configures a Coordinator.
@@ -431,87 +432,70 @@ func sortedNodeNames(nodes map[string]NodeProgress) []string {
 	return names
 }
 
+// route is one row of the fabric route table: the mux pattern and the
+// handler's result, answered as 200 JSON (a []byte verbatim) or, on
+// error, as the typed envelope.
+type route struct {
+	pattern string
+	serve   func(w http.ResponseWriter, r *http.Request) (any, error)
+}
+
+// routes is the /v1/fabric/* protocol.  The POST routes decode their body
+// leniently under the shared 16 MiB cap.
+func (c *Coordinator) routes() []route {
+	fp := func(r *http.Request) string { return r.PathValue("fp") }
+	return []route{
+		{"POST /v1/fabric/campaigns", post("submit", c.Submit)},
+		{"GET /v1/fabric/campaigns", func(http.ResponseWriter, *http.Request) (any, error) {
+			return c.Campaigns(), nil
+		}},
+		{"GET /v1/fabric/campaigns/{fp}", func(_ http.ResponseWriter, r *http.Request) (any, error) {
+			return c.CampaignInfo(fp(r))
+		}},
+		{"GET /v1/fabric/campaigns/{fp}/progress", func(_ http.ResponseWriter, r *http.Request) (any, error) {
+			return c.Progress(fp(r))
+		}},
+		{"GET /v1/fabric/campaigns/{fp}/report", func(_ http.ResponseWriter, r *http.Request) (any, error) {
+			return c.Report(fp(r))
+		}},
+		{"POST /v1/fabric/lease", post("lease", func(_ context.Context, req LeaseRequest) (LeaseResponse, error) {
+			return c.Lease(req)
+		})},
+		{"POST /v1/fabric/heartbeat", post("heartbeat", func(_ context.Context, req HeartbeatRequest) (HeartbeatResponse, error) {
+			return c.Heartbeat(req)
+		})},
+		{"POST /v1/fabric/complete", post("complete", c.Complete)},
+	}
+}
+
+// post adapts a call taking a decoded request body.
+func post[Req, Resp any](what string, call func(context.Context, Req) (Resp, error)) func(http.ResponseWriter, *http.Request) (any, error) {
+	return func(w http.ResponseWriter, r *http.Request) (any, error) {
+		var req Req
+		if err := protocol.Decode(w, r, &req); err != nil {
+			return nil, fmt.Errorf("%w: decode %s: %v", ErrBadRequest, what, err)
+		}
+		return call(r.Context(), req)
+	}
+}
+
 // Register mounts the /v1/fabric/* protocol on mux.
 func (c *Coordinator) Register(mux *http.ServeMux) {
-	mux.HandleFunc("POST /v1/fabric/campaigns", func(w http.ResponseWriter, r *http.Request) {
-		var req SubmitRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, fmt.Errorf("%w: decode submit: %v", ErrBadRequest, err))
-			return
-		}
-		info, err := c.Submit(r.Context(), req)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, info)
-	})
-	mux.HandleFunc("GET /v1/fabric/campaigns", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, c.Campaigns())
-	})
-	mux.HandleFunc("GET /v1/fabric/campaigns/{fp}", func(w http.ResponseWriter, r *http.Request) {
-		info, err := c.CampaignInfo(r.PathValue("fp"))
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, info)
-	})
-	mux.HandleFunc("GET /v1/fabric/campaigns/{fp}/progress", func(w http.ResponseWriter, r *http.Request) {
-		p, err := c.Progress(r.PathValue("fp"))
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, p)
-	})
-	mux.HandleFunc("GET /v1/fabric/campaigns/{fp}/report", func(w http.ResponseWriter, r *http.Request) {
-		raw, err := c.Report(r.PathValue("fp"))
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(raw)
-	})
-	mux.HandleFunc("POST /v1/fabric/lease", func(w http.ResponseWriter, r *http.Request) {
-		var req LeaseRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, fmt.Errorf("%w: decode lease: %v", ErrBadRequest, err))
-			return
-		}
-		resp, err := c.Lease(req)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, resp)
-	})
-	mux.HandleFunc("POST /v1/fabric/heartbeat", func(w http.ResponseWriter, r *http.Request) {
-		var req HeartbeatRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, fmt.Errorf("%w: decode heartbeat: %v", ErrBadRequest, err))
-			return
-		}
-		resp, err := c.Heartbeat(req)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, resp)
-	})
-	mux.HandleFunc("POST /v1/fabric/complete", func(w http.ResponseWriter, r *http.Request) {
-		var req CompleteRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, fmt.Errorf("%w: decode complete: %v", ErrBadRequest, err))
-			return
-		}
-		resp, err := c.Complete(r.Context(), req)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, resp)
-	})
+	for _, rt := range c.routes() {
+		serve := rt.serve
+		mux.HandleFunc(rt.pattern, func(w http.ResponseWriter, r *http.Request) {
+			v, err := serve(w, r)
+			if err != nil {
+				protocol.WriteError(w, err)
+				return
+			}
+			if raw, ok := v.([]byte); ok {
+				w.Header().Set("Content-Type", "application/json")
+				w.WriteHeader(http.StatusOK)
+				_, _ = w.Write(raw)
+				return
+			}
+			envelope.WriteJSON(w, http.StatusOK, v)
+		})
+	}
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"steac/internal/campaign"
+	"steac/internal/envelope"
 	"steac/internal/memory"
 )
 
@@ -304,7 +305,7 @@ func TestFabricSpecMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	lying := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, CampaignInfo{
+		envelope.WriteJSON(w, http.StatusOK, CampaignInfo{
 			Fingerprint: "deadbeefdeadbeefdeadbeefdeadbeefdeadbeefdeadbeefdeadbeefdeadbeef",
 			Kind:        spec.Kind(), Spec: payload,
 			Units: plan.Units, ShardSize: plan.ShardSize, Shards: plan.Shards,

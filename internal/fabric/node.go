@@ -1,12 +1,9 @@
 package fabric
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"path/filepath"
@@ -15,6 +12,7 @@ import (
 	"time"
 
 	"steac/internal/campaign"
+	"steac/internal/envelope"
 )
 
 // Client is a typed HTTP client for the /v1/fabric/* protocol.  Non-2xx
@@ -27,51 +25,8 @@ type Client struct {
 	HTTP *http.Client
 }
 
-func (c *Client) httpClient() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return http.DefaultClient
-}
-
 func (c *Client) do(ctx context.Context, method, path string, in, out interface{}) error {
-	var body io.Reader
-	if in != nil {
-		raw, err := json.Marshal(in)
-		if err != nil {
-			return fmt.Errorf("fabric: marshal %s: %w", path, err)
-		}
-		body = bytes.NewReader(raw)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.Base+path, body)
-	if err != nil {
-		return fmt.Errorf("fabric: %s %s: %w", method, path, err)
-	}
-	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return fmt.Errorf("fabric: %s %s: %w", method, path, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return decodeWireError(resp)
-	}
-	if out == nil {
-		return nil
-	}
-	if raw, ok := out.(*[]byte); ok {
-		*raw, err = io.ReadAll(resp.Body)
-		if err != nil {
-			return fmt.Errorf("fabric: read %s: %w", path, err)
-		}
-		return nil
-	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return fmt.Errorf("fabric: decode %s: %w", path, err)
-	}
-	return nil
+	return protocol.Do(ctx, envelope.Call{HTTP: c.HTTP, Method: method, URL: c.Base + path, In: in, Out: out})
 }
 
 // Submit registers a campaign with the coordinator.
@@ -197,14 +152,10 @@ func (n *Node) retry(ctx context.Context, call func() error) error {
 	}
 }
 
-func isProtocolError(err error) bool {
-	for _, w := range wireCodes {
-		if errors.Is(err, w.err) {
-			return true
-		}
-	}
-	return false
-}
+// isProtocolError reports whether err is one of the protocol sentinels, a
+// definitive answer; anything else (transport failures, 500 internal) is
+// worth retrying.
+func isProtocolError(err error) bool { return protocol.For(err).Err != nil }
 
 // heldLeases tracks the shards a node currently owes heartbeats for.
 type heldLeases struct {

@@ -317,6 +317,6 @@ func TestLeaseTableErrUnknownShard(t *testing.T) {
 }
 
 func errorsIsUnknownShard(err error) bool {
-	s, code := statusFor(err)
-	return code == "unknown_shard" && s == 400
+	c := protocol.For(err)
+	return c.Name == "unknown_shard" && c.Status == 400
 }

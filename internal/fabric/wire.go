@@ -2,16 +2,15 @@ package fabric
 
 import (
 	"encoding/json"
-	"errors"
-	"fmt"
-	"io"
 	"net/http"
+
+	"steac/internal/envelope"
 )
 
 // Wire types for the /v1/fabric/* protocol.  Everything is plain JSON over
 // HTTP; errors travel as {"error": "...", "code": "..."} where code is the
-// machine-readable name of one of the package sentinels, so a client can
-// reconstruct the typed error across the wire.
+// machine-readable name of one of the package sentinels (or "internal"),
+// so a client can reconstruct the typed error across the wire.
 
 // SubmitRequest submits a campaign to the coordinator — the same
 // kind+spec envelope the local job API uses.
@@ -122,65 +121,17 @@ type NodeProgress struct {
 	IdleMS    int64  `json:"idle_ms"`
 }
 
-// wireError is the JSON error envelope.
-type wireError struct {
-	Error string `json:"error"`
-	Code  string `json:"code,omitempty"`
-}
-
-// errorCode maps a sentinel to its wire code; codeError maps it back.
-var wireCodes = []struct {
-	err    error
-	code   string
-	status int
-}{
-	{ErrUnknownCampaign, "unknown_campaign", http.StatusNotFound},
-	{ErrUnknownShard, "unknown_shard", http.StatusBadRequest},
-	{ErrNotDone, "not_done", http.StatusConflict},
-	{ErrSpecMismatch, "spec_mismatch", http.StatusConflict},
-	{ErrBadRequest, "bad_request", http.StatusBadRequest},
-}
-
-func statusFor(err error) (status int, code string) {
-	for _, w := range wireCodes {
-		if errors.Is(err, w.err) {
-			return w.status, w.code
-		}
-	}
-	return http.StatusInternalServerError, ""
-}
-
-func codeError(code string) error {
-	for _, w := range wireCodes {
-		if w.code == code {
-			return w.err
-		}
-	}
-	return nil
-}
-
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, err error) {
-	status, code := statusFor(err)
-	writeJSON(w, status, wireError{Error: err.Error(), Code: code})
-}
-
-// decodeWireError reconstructs a typed error from a non-2xx response body.
-func decodeWireError(resp *http.Response) error {
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
-	var we wireError
-	if json.Unmarshal(body, &we) == nil && we.Error != "" {
-		if base := codeError(we.Code); base != nil {
-			return fmt.Errorf("%w: %s", base, we.Error)
-		}
-		return fmt.Errorf("fabric: %s: %s", resp.Status, we.Error)
-	}
-	return fmt.Errorf("fabric: %s: %s", resp.Status, string(body))
+// protocol is the fabric surface's error table — sentinel → wire code →
+// status — and with it the writer, the lenient bounded body decoder and
+// the client call (package envelope).  Unmatched errors answer 500
+// "internal", which carries no sentinel, so nodes retry them.
+var protocol = &envelope.Surface{
+	Name: "fabric",
+	Codes: []envelope.Code{
+		{Name: "unknown_campaign", Status: http.StatusNotFound, Err: ErrUnknownCampaign},
+		{Name: "unknown_shard", Status: http.StatusBadRequest, Err: ErrUnknownShard},
+		{Name: "not_done", Status: http.StatusConflict, Err: ErrNotDone},
+		{Name: "spec_mismatch", Status: http.StatusConflict, Err: ErrSpecMismatch},
+		{Name: "bad_request", Status: http.StatusBadRequest, Err: ErrBadRequest},
+	},
 }

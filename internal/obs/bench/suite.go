@@ -260,10 +260,9 @@ func specs() []spec {
 }
 
 // RunSuite executes every suite op and returns the run.  Full mode runs
-// three measured iterations per op and keeps the fastest; short mode (CI
-// smoke) runs one.  Workloads are identical in both modes, so a short run
-// is comparable against a committed full baseline.  logf, when non-nil,
-// receives one progress line per op.
+// three measured iterations per op and keeps the fastest; short mode (the
+// package's own tests) runs one.  Workloads are identical in both modes.
+// logf, when non-nil, receives one progress line per op.
 func RunSuite(short bool, logf func(format string, a ...any)) (*File, error) {
 	iters := 3
 	if short {

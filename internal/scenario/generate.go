@@ -296,15 +296,11 @@ func nameHash(name string) int64 {
 }
 
 func partitionerByName(name string) (wrapper.Partitioner, error) {
-	switch name {
-	case "", "lpt":
-		return wrapper.LPT, nil
-	case "firstfit":
-		return wrapper.FirstFit, nil
-	case "optimal":
-		return wrapper.Optimal, nil
+	p, err := wrapper.ParsePartitioner(name)
+	if err != nil {
+		return p, fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
-	return wrapper.LPT, fmt.Errorf("%w: unknown partitioner %q (lpt, firstfit or optimal)", ErrBadSpec, name)
+	return p, nil
 }
 
 func groupingByName(name string) (brains.Grouping, error) {

@@ -13,7 +13,7 @@ import (
 )
 
 // Property tests for the content-addressed cache key.  The canonicalization
-// contract (see requestKey and the request types' canonical methods):
+// contract (see requestKey and canonical):
 //
 //  1. The key is a function of the decoded request, so JSON field order,
 //     whitespace, and encoding details of the wire body never split it.
@@ -58,7 +58,7 @@ func keyForBody(t *testing.T, endpoint string, fresh func() runner, body []byte)
 	if err := dec.Decode(req); err != nil {
 		t.Fatalf("%s: decode %s: %v", endpoint, body, err)
 	}
-	key, err := requestKey(endpoint, req.canonical())
+	key, err := requestKey(endpoint, canonical(req))
 	if err != nil {
 		t.Fatalf("%s: requestKey: %v", endpoint, err)
 	}
@@ -256,8 +256,8 @@ func TestCanonicalKeyCollisionFreedom(t *testing.T) {
 		}
 	}
 	for i := 0; i < 400; i++ {
-		check("memfault", randomMemfault(rng).canonical())
-		check("xcheck", randomXCheck(rng).canonical())
+		check("memfault", canonical(randomMemfault(rng)))
+		check("xcheck", canonical(randomXCheck(rng)))
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"steac/internal/campaign"
 	"steac/internal/catalog"
 	"steac/internal/dsc"
+	"steac/internal/envelope"
 	"steac/internal/memfault"
 	"steac/internal/memory"
 	"steac/internal/obs"
@@ -44,9 +45,10 @@ var (
 
 // catalogSource is implemented by synchronous request types whose results
 // belong in the catalog.  fingerprint is the request's memo-cache key;
-// result is the computed response value.
+// result is the computed response value and blob its marshaled bytes, as
+// cached and answered.
 type catalogSource interface {
-	catalogRecords(fingerprint, tenant string, result interface{}) []catalog.Record
+	catalogRecords(fingerprint, tenant string, result interface{}, blob []byte) []catalog.Record
 }
 
 // chipProfile regenerates the chip a request named and profiles it for the
@@ -242,24 +244,14 @@ type CatalogResponse struct {
 }
 
 // handleCatalogList is GET /v1/catalog.
-func (s *Server) handleCatalogList(w http.ResponseWriter, r *http.Request) {
-	obsRequests.Add(1)
-	tn, err := s.cfg.Tenants.authenticate(r)
-	if err != nil {
-		obsAuthFails.Add(1)
-		writeError(w, err)
-		return
-	}
-	tn.reqs.Add(1)
+func (s *Server) handleCatalogList(w http.ResponseWriter, r *http.Request, tn *tenantState) error {
 	st, err := s.catalogStore()
 	if err != nil {
-		writeError(w, err)
-		return
+		return err
 	}
 	q, err := catalogQuery(r, tn.ID)
 	if err != nil {
-		writeError(w, err)
-		return
+		return err
 	}
 	limit := q.Limit
 	q.Limit = 0
@@ -268,63 +260,44 @@ func (s *Server) handleCatalogList(w http.ResponseWriter, r *http.Request) {
 	if limit > 0 && len(recs) > limit {
 		recs = recs[:limit]
 	}
-	writeJSON(w, http.StatusOK, CatalogResponse{Records: recs, Total: total})
+	envelope.WriteJSON(w, http.StatusOK, CatalogResponse{Records: recs, Total: total})
+	return nil
 }
 
 // handleCatalogGet is GET /v1/catalog/{fingerprint}.  Ownership-scoped
 // like jobs: another tenant's fingerprint — even a correctly guessed one —
 // answers the same 404 as one that never existed.
-func (s *Server) handleCatalogGet(w http.ResponseWriter, r *http.Request) {
-	obsRequests.Add(1)
-	tn, err := s.cfg.Tenants.authenticate(r)
-	if err != nil {
-		obsAuthFails.Add(1)
-		writeError(w, err)
-		return
-	}
-	tn.reqs.Add(1)
+func (s *Server) handleCatalogGet(w http.ResponseWriter, r *http.Request, tn *tenantState) error {
 	st, err := s.catalogStore()
 	if err != nil {
-		writeError(w, err)
-		return
+		return err
 	}
 	fp := r.PathValue("fingerprint")
 	rec, ok := st.Get(tn.ID, fp)
 	if !ok {
-		writeError(w, fmt.Errorf("%w: no catalog record %q", ErrNotFound, fp))
-		return
+		return fmt.Errorf("%w: no catalog record %q", ErrNotFound, fp)
 	}
-	writeJSON(w, http.StatusOK, rec)
+	envelope.WriteJSON(w, http.StatusOK, rec)
+	return nil
 }
 
 // handleCatalogCompare is GET /v1/catalog/compare: the filtered record set
 // rendered as a tradeoff table — ?format=json (default), csv, or html.
-func (s *Server) handleCatalogCompare(w http.ResponseWriter, r *http.Request) {
-	obsRequests.Add(1)
-	tn, err := s.cfg.Tenants.authenticate(r)
-	if err != nil {
-		obsAuthFails.Add(1)
-		writeError(w, err)
-		return
-	}
-	tn.reqs.Add(1)
+func (s *Server) handleCatalogCompare(w http.ResponseWriter, r *http.Request, tn *tenantState) error {
 	st, err := s.catalogStore()
 	if err != nil {
-		writeError(w, err)
-		return
+		return err
 	}
 	q, err := catalogQuery(r, tn.ID)
 	if err != nil {
-		writeError(w, err)
-		return
+		return err
 	}
 	cmp := catalog.CompareRecords(st.List(q))
 	switch format := r.URL.Query().Get("format"); format {
 	case "", "json":
 		blob, err := cmp.JSON()
 		if err != nil {
-			writeError(w, err)
-			return
+			return err
 		}
 		w.Header().Set("Content-Type", "application/json")
 		_, _ = w.Write(blob)
@@ -335,8 +308,9 @@ func (s *Server) handleCatalogCompare(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
 		_, _ = io.WriteString(w, cmp.HTML())
 	default:
-		writeError(w, badRequestf("serve: unknown compare format %q (json, csv or html)", format))
+		return badRequestf("serve: unknown compare format %q (json, csv or html)", format)
 	}
+	return nil
 }
 
 // RecommendRequest is the POST /v1/recommend body.  Scenario/Seed
@@ -356,44 +330,23 @@ type RecommendRequest struct {
 // the described chip and answer with a recommend.Suggestion.  An empty or
 // unusable catalog is a typed 404 (there is nothing to recommend from),
 // not an empty suggestion.
-func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
-	obsRequests.Add(1)
-	tn, err := s.cfg.Tenants.authenticate(r)
-	if err != nil {
-		obsAuthFails.Add(1)
-		writeError(w, err)
-		return
-	}
-	tn.reqs.Add(1)
-	if !tn.allow() {
-		obsQuotaRejs.Add(1)
-		tn.rejects.Add(1)
-		writeError(w, fmt.Errorf("%w: tenant %q rate limit (%g/s, burst %d)",
-			ErrQuotaExceeded, tn.ID, tn.RatePerSec, tn.Burst))
-		return
-	}
+func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request, tn *tenantState) error {
 	st, err := s.catalogStore()
 	if err != nil {
-		writeError(w, err)
-		return
+		return err
 	}
 	var req RecommendRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, badRequestf("serve: bad recommend request: %v", err))
-		return
+	if err := decode(w, r, "recommend request", &req); err != nil {
+		return err
 	}
 	cores, mems := req.Cores, req.Memories
 	if req.Scenario != "" {
 		if len(cores) > 0 {
-			writeError(w, badRequestf("serve: recommend request names both a scenario and explicit cores"))
-			return
+			return badRequestf("serve: recommend request names both a scenario and explicit cores")
 		}
 		chip, err := chipByName(req.Scenario, req.Seed)
 		if err != nil {
-			writeError(w, err)
-			return
+			return err
 		}
 		cores, mems = chip.Cores, chip.Memories
 	}
@@ -402,11 +355,10 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	})
 	switch {
 	case errors.Is(err, recommend.ErrNoData):
-		writeError(w, fmt.Errorf("%w: %v", ErrNotFound, err))
-		return
+		return fmt.Errorf("%w: %v", ErrNotFound, err)
 	case err != nil:
-		writeError(w, errBadRequest{err})
-		return
+		return errBadRequest{err}
 	}
-	writeJSON(w, http.StatusOK, sug)
+	envelope.WriteJSON(w, http.StatusOK, sug)
+	return nil
 }

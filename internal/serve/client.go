@@ -1,17 +1,16 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strconv"
 	"time"
 
 	"steac/internal/catalog"
+	"steac/internal/envelope"
 	"steac/internal/recommend"
 )
 
@@ -35,73 +34,18 @@ type Client struct {
 	HTTP *http.Client
 }
 
-func (c *Client) httpClient() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return http.DefaultClient
-}
-
-// do runs one request and decodes the response into out (ignored when
-// nil), reconstructing typed errors from the wire envelope.
-func (c *Client) do(ctx context.Context, method, path string, body, out interface{}) (*http.Response, error) {
-	var rd io.Reader
-	if body != nil {
-		blob, err := json.Marshal(body)
-		if err != nil {
-			return nil, err
-		}
-		rd = bytes.NewReader(blob)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.Base+path, rd)
-	if err != nil {
-		return nil, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	if c.APIKey != "" {
-		req.Header.Set("Authorization", "Bearer "+c.APIKey)
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	blob, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return resp, err
-	}
-	if resp.StatusCode/100 != 2 {
-		return resp, decodeClientError(resp.StatusCode, blob)
-	}
-	if out != nil {
-		if err := json.Unmarshal(blob, out); err != nil {
-			return resp, fmt.Errorf("serve: client: bad response body: %w", err)
-		}
-	}
-	return resp, nil
-}
-
-// decodeClientError rebuilds the typed error for one non-2xx response.
-// Responses without a parsable envelope (a proxy error page, an old
-// daemon) degrade to a plain error carrying the status.
-func decodeClientError(status int, blob []byte) error {
-	var we wireError
-	if err := json.Unmarshal(blob, &we); err == nil && we.Code != "" {
-		if sentinel := codeSentinel(we.Code); sentinel != nil {
-			return fmt.Errorf("%w: %s", sentinel, we.Error)
-		}
-		return fmt.Errorf("serve: %s (%s)", we.Error, we.Code)
-	}
-	return fmt.Errorf("serve: http %d: %s", status, bytes.TrimSpace(blob))
+// do runs one request on the v1 surface and decodes the response into out
+// (ignored when nil), reconstructing typed errors from the wire envelope.
+func (c *Client) do(ctx context.Context, method, path string, in, out interface{}) error {
+	return v1.Do(ctx, envelope.Call{HTTP: c.HTTP, Method: method, URL: c.Base + path,
+		APIKey: c.APIKey, In: in, Out: out})
 }
 
 // endpoint runs one synchronous compute request, returning the decoded
 // result and whether it was served from the daemon's memo cache.
 func endpoint[Req any, Resp any](ctx context.Context, c *Client, path string, req Req) (*Resp, bool, error) {
 	var env response
-	if _, err := c.do(ctx, http.MethodPost, path, req, &env); err != nil {
+	if err := c.do(ctx, http.MethodPost, path, req, &env); err != nil {
 		return nil, false, err
 	}
 	out := new(Resp)
@@ -134,21 +78,21 @@ func (c *Client) XCheck(ctx context.Context, req XCheckRequest) (*XCheckResponse
 // SubmitJob runs POST /v1/jobs: submit (or rejoin) an async campaign job.
 func (c *Client) SubmitJob(ctx context.Context, req JobRequest) (JobStatus, error) {
 	var st JobStatus
-	_, err := c.do(ctx, http.MethodPost, "/v1/jobs", req, &st)
+	err := c.do(ctx, http.MethodPost, "/v1/jobs", req, &st)
 	return st, err
 }
 
 // Job runs GET /v1/jobs/{id}.
 func (c *Client) Job(ctx context.Context, id string) (JobStatus, error) {
 	var st JobStatus
-	_, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil, &st)
+	err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil, &st)
 	return st, err
 }
 
 // CancelJob runs DELETE /v1/jobs/{id}.
 func (c *Client) CancelJob(ctx context.Context, id string) (JobStatus, error) {
 	var st JobStatus
-	_, err := c.do(ctx, http.MethodDelete, "/v1/jobs/"+id, nil, &st)
+	err := c.do(ctx, http.MethodDelete, "/v1/jobs/"+id, nil, &st)
 	return st, err
 }
 
@@ -181,14 +125,14 @@ func catalogQueryString(q catalog.Query) string {
 // Catalog runs GET /v1/catalog: list the caller's catalog records.
 func (c *Client) Catalog(ctx context.Context, q catalog.Query) (*CatalogResponse, error) {
 	var out CatalogResponse
-	_, err := c.do(ctx, http.MethodGet, "/v1/catalog"+catalogQueryString(q), nil, &out)
+	err := c.do(ctx, http.MethodGet, "/v1/catalog"+catalogQueryString(q), nil, &out)
 	return &out, err
 }
 
 // CatalogRecord runs GET /v1/catalog/{fingerprint}.
 func (c *Client) CatalogRecord(ctx context.Context, fingerprint string) (*catalog.Record, error) {
 	var rec catalog.Record
-	_, err := c.do(ctx, http.MethodGet, "/v1/catalog/"+url.PathEscape(fingerprint), nil, &rec)
+	err := c.do(ctx, http.MethodGet, "/v1/catalog/"+url.PathEscape(fingerprint), nil, &rec)
 	return &rec, err
 }
 
@@ -203,32 +147,15 @@ func (c *Client) CatalogCompare(ctx context.Context, format string, q catalog.Qu
 		}
 		path += sep + "format=" + url.QueryEscape(format)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+path, nil)
-	if err != nil {
-		return nil, err
-	}
-	if c.APIKey != "" {
-		req.Header.Set("Authorization", "Bearer "+c.APIKey)
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	blob, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode/100 != 2 {
-		return nil, decodeClientError(resp.StatusCode, blob)
-	}
-	return blob, nil
+	var blob []byte
+	err := c.do(ctx, http.MethodGet, path, nil, &blob)
+	return blob, err
 }
 
 // Recommend runs POST /v1/recommend.
 func (c *Client) Recommend(ctx context.Context, req RecommendRequest) (*recommend.Suggestion, error) {
 	var sug recommend.Suggestion
-	_, err := c.do(ctx, http.MethodPost, "/v1/recommend", req, &sug)
+	err := c.do(ctx, http.MethodPost, "/v1/recommend", req, &sug)
 	return &sug, err
 }
 

@@ -7,6 +7,7 @@ import (
 	"net/http"
 
 	"steac/internal/core"
+	"steac/internal/envelope"
 	"steac/internal/sched"
 	"steac/internal/stil"
 )
@@ -65,75 +66,25 @@ func badRequestf(format string, args ...interface{}) error {
 	return errBadRequest{fmt.Errorf(format, args...)}
 }
 
-// wireError is the v1 JSON error envelope.
-type wireError struct {
-	Error string `json:"error"`
-	Code  string `json:"code"`
-}
-
-// Wire codes.  Stable API surface: clients dispatch on these strings.
-const (
-	codeUnauthorized = "unauthorized"
-	codeQuota        = "quota_exceeded"
-	codeQueueFull    = "queue_full"
-	codeDraining     = "draining"
-	codeNotFound     = "not_found"
-	codeBadRequest   = "bad_request"
-	codeTimeout      = "timeout"
-	codeCanceled     = "canceled"
-	codeInternal     = "internal"
-)
-
-// wireFor maps an error onto its HTTP status and wire code: client-side
-// failures (bad requests, infeasible budgets, STIL syntax) are 4xx,
-// deadlines 504, everything unrecognized 500/internal.
-func wireFor(err error) (status int, code string) {
-	switch {
-	case errors.Is(err, ErrUnauthorized):
-		return http.StatusUnauthorized, codeUnauthorized
-	case errors.Is(err, ErrQuotaExceeded):
-		return http.StatusTooManyRequests, codeQuota
-	case errors.Is(err, ErrQueueFull):
-		return http.StatusTooManyRequests, codeQueueFull
-	case errors.Is(err, ErrDraining):
-		return http.StatusServiceUnavailable, codeDraining
-	case errors.Is(err, ErrNotFound):
-		return http.StatusNotFound, codeNotFound
-	case errors.Is(err, ErrBadRequest),
-		errors.Is(err, stil.ErrSyntax),
-		errors.Is(err, core.ErrBudgetExceeded),
-		errors.Is(err, sched.ErrInfeasible):
-		return http.StatusBadRequest, codeBadRequest
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout, codeTimeout
-	case errors.Is(err, context.Canceled):
+// v1 is the daemon's error table — sentinel → wire code → status — and
+// with it the v1 surface's writer, bounded strict body decoder and client
+// call (package envelope).  Unmatched errors answer 500 "internal".
+var v1 = &envelope.Surface{
+	Name:   "serve",
+	Strict: true,
+	Codes: []envelope.Code{
+		{Name: "unauthorized", Status: http.StatusUnauthorized, Err: ErrUnauthorized},
+		{Name: "quota_exceeded", Status: http.StatusTooManyRequests, Err: ErrQuotaExceeded},
+		{Name: "queue_full", Status: http.StatusTooManyRequests, Err: ErrQueueFull},
+		{Name: "draining", Status: http.StatusServiceUnavailable, Err: ErrDraining},
+		{Name: "not_found", Status: http.StatusNotFound, Err: ErrNotFound},
+		// Client-side failures: bad requests, STIL syntax, infeasible
+		// budgets.
+		{Name: "bad_request", Status: http.StatusBadRequest, Err: ErrBadRequest,
+			Also: []error{stil.ErrSyntax, core.ErrBudgetExceeded, sched.ErrInfeasible}},
+		{Name: "timeout", Status: http.StatusGatewayTimeout, Err: context.DeadlineExceeded},
 		// The client went away; the status is academic but 499-style
 		// codes are non-standard, so report the nearest real one.
-		return http.StatusServiceUnavailable, codeCanceled
-	}
-	return http.StatusInternalServerError, codeInternal
-}
-
-// codeSentinel reconstructs the typed sentinel for a wire code (nil for
-// codes without one).  The client wraps it around the transported message.
-func codeSentinel(code string) error {
-	switch code {
-	case codeUnauthorized:
-		return ErrUnauthorized
-	case codeQuota:
-		return ErrQuotaExceeded
-	case codeQueueFull:
-		return ErrQueueFull
-	case codeDraining:
-		return ErrDraining
-	case codeNotFound:
-		return ErrNotFound
-	case codeBadRequest:
-		return ErrBadRequest
-	case codeTimeout:
-		return context.DeadlineExceeded
-	case codeCanceled:
-		return context.Canceled
-	}
-	return nil
+		{Name: "canceled", Status: http.StatusServiceUnavailable, Err: context.Canceled},
+	},
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"steac/internal/campaign"
+	"steac/internal/envelope"
 	"steac/internal/fabric"
 	"steac/internal/obs"
 )
@@ -582,50 +583,25 @@ func (jm *jobManager) drain(ctx context.Context) error {
 	}
 }
 
-// handleJobSubmit is POST /v1/jobs.  Job submissions run the same
-// admission pipeline as synchronous requests: authenticate, spend a
-// rate-limit token, then check the tenant's concurrent-job quota.
-func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	obsRequests.Add(1)
-	tn, err := s.cfg.Tenants.authenticate(r)
-	if err != nil {
-		obsAuthFails.Add(1)
-		writeError(w, err)
-		return
-	}
-	tn.reqs.Add(1)
-	if s.draining.Load() {
-		writeError(w, ErrDraining)
-		return
-	}
-	if !tn.allow() {
-		obsQuotaRejs.Add(1)
-		tn.rejects.Add(1)
-		writeError(w, fmt.Errorf("%w: tenant %q rate limit (%g/s, burst %d)",
-			ErrQuotaExceeded, tn.ID, tn.RatePerSec, tn.Burst))
-		return
-	}
+// handleJobSubmit is POST /v1/jobs.  Admission has already refused it
+// while draining and spent its rate-limit token; the body is decoded, then
+// checked against the tenant's concurrent-job quota.
+func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request, tn *tenantState) error {
 	var req JobRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, badRequestf("serve: bad job request: %v", err))
-		return
+	if err := decode(w, r, "job request", &req); err != nil {
+		return err
 	}
 	if req.Kind == "" || len(req.Spec) == 0 {
-		writeError(w, badRequestf("serve: job needs kind and spec"))
-		return
+		return badRequestf("serve: job needs kind and spec")
 	}
 	spec, err := campaign.Decode(req.Kind, req.Spec)
 	if err != nil {
-		writeError(w, errBadRequest{err})
-		return
+		return errBadRequest{err}
 	}
 	var j *campaignJob
 	if req.Fabric {
 		if s.jobMgr.fabric == nil {
-			writeError(w, badRequestf("serve: fabric job submitted but this daemon is not a coordinator"))
-			return
+			return badRequestf("serve: fabric job submitted but this daemon is not a coordinator")
 		}
 		j, err = s.jobMgr.submitFabric(r.Context(), tn, spec, req)
 	} else {
@@ -635,13 +611,12 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, ErrQuotaExceeded) {
 			obsQuotaRejs.Add(1)
 			tn.rejects.Add(1)
-			writeError(w, err)
-			return
+			return err
 		}
-		writeError(w, errBadRequest{err})
-		return
+		return errBadRequest{err}
 	}
-	writeJSON(w, http.StatusAccepted, j.status())
+	envelope.WriteJSON(w, http.StatusAccepted, j.status())
+	return nil
 }
 
 // statusFromRecord renders a durable database row for a job with no live
@@ -687,76 +662,51 @@ func (s *Server) statusFromRecord(rec jobRecord) JobStatus {
 // from the durable database (pre-restart submissions keep their terminal
 // results; interrupted ones report "checkpointed"), falling back to a bare
 // checkpoint-directory inspection for databases predating the job DB.
-func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
-	obsRequests.Add(1)
-	tn, err := s.cfg.Tenants.authenticate(r)
-	if err != nil {
-		obsAuthFails.Add(1)
-		writeError(w, err)
-		return
-	}
-	tn.reqs.Add(1)
+func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request, tn *tenantState) error {
 	id := r.PathValue("id")
-	notFound := func() { writeError(w, fmt.Errorf("%w: no job %q", ErrNotFound, id)) }
+	notFound := func() error { return fmt.Errorf("%w: no job %q", ErrNotFound, id) }
 	if j := s.jobMgr.get(id); j != nil {
 		if j.tenant != tn.ID {
-			notFound()
-			return
+			return notFound()
 		}
-		writeJSON(w, http.StatusOK, j.status())
-		return
+		envelope.WriteJSON(w, http.StatusOK, j.status())
+		return nil
 	}
 	if rec, ok := s.jobMgr.db.get(id); ok {
 		if rec.Tenant != tn.ID {
-			notFound()
-			return
+			return notFound()
 		}
-		writeJSON(w, http.StatusOK, s.statusFromRecord(rec))
-		return
+		envelope.WriteJSON(w, http.StatusOK, s.statusFromRecord(rec))
+		return nil
 	}
 	if s.jobMgr.dir != "" && validJobID(id) {
 		dir := filepath.Join(s.jobMgr.dir, id)
 		if info, err := campaign.Inspect(dir); err == nil {
-			writeJSON(w, http.StatusOK, JobStatus{
+			envelope.WriteJSON(w, http.StatusOK, JobStatus{
 				ID: id, Tenant: tn.ID, Kind: info.Kind, Fingerprint: info.Fingerprint,
 				State:      jobCheckpointed,
 				ShardsDone: info.ShardsDone, ShardsTotal: info.Shards,
 				UnitsTotal: info.Units, Repaired: info.Repaired,
 			})
-			return
+			return nil
 		} else if !errors.Is(err, os.ErrNotExist) {
-			writeError(w, err)
-			return
+			return err
 		}
 	}
-	notFound()
+	return notFound()
 }
 
 // handleJobCancel is DELETE /v1/jobs/{id}: cancel the job's context and
 // return its (soon to be canceled) status.  The campaign layer finishes
 // and journals in-flight shards, so a canceled job's checkpoint is exactly
 // resumable.  Ownership-scoped like GET.
-func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
-	obsRequests.Add(1)
-	tn, err := s.cfg.Tenants.authenticate(r)
-	if err != nil {
-		obsAuthFails.Add(1)
-		writeError(w, err)
-		return
-	}
-	tn.reqs.Add(1)
+func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request, tn *tenantState) error {
 	id := r.PathValue("id")
 	j := s.jobMgr.get(id)
 	if j == nil || j.tenant != tn.ID {
-		writeError(w, fmt.Errorf("%w: no job %q", ErrNotFound, id))
-		return
+		return fmt.Errorf("%w: no job %q", ErrNotFound, id)
 	}
 	j.cancel(errors.New("canceled by client"))
-	writeJSON(w, http.StatusAccepted, j.status())
-}
-
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	envelope.WriteJSON(w, http.StatusAccepted, j.status())
+	return nil
 }

@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
+	"time"
 
 	"steac/internal/brains"
 	"steac/internal/catalog"
@@ -26,16 +28,21 @@ import (
 // deadline either completes or fails the request), so the canonical cache
 // key is computed with both zeroed; see requestKey.
 
-func partitionerByName(name string) (wrapper.Partitioner, error) {
-	switch name {
-	case "", "lpt":
-		return wrapper.LPT, nil
-	case "firstfit":
-		return wrapper.FirstFit, nil
-	case "optimal":
-		return wrapper.Optimal, nil
-	}
-	return wrapper.LPT, badRequestf("unknown partitioner %q (lpt, firstfit or optimal)", name)
+// canonical copies a request (value or pointer) with its tuning fields
+// zeroed: the form requestKey hashes.
+func canonical(req any) any {
+	v := reflect.Indirect(reflect.ValueOf(req))
+	c := reflect.New(v.Type()).Elem()
+	c.Set(v)
+	c.FieldByName("Workers").SetInt(0)
+	c.FieldByName("TimeoutMS").SetInt(0)
+	return c.Interface()
+}
+
+// timeoutOf is a request's TimeoutMS tuning field (0 = server default).
+func timeoutOf(req any) time.Duration {
+	ms := reflect.Indirect(reflect.ValueOf(req)).FieldByName("TimeoutMS").Int()
+	return time.Duration(ms) * time.Millisecond
 }
 
 func algorithmByName(name string) (march.Algorithm, error) {
@@ -99,11 +106,6 @@ type FlowRequest struct {
 
 	Workers   int `json:"workers,omitempty"`    // non-semantic
 	TimeoutMS int `json:"timeout_ms,omitempty"` // non-semantic
-}
-
-func (r FlowRequest) canonical() interface{} {
-	r.Workers, r.TimeoutMS = 0, 0
-	return r
 }
 
 // FlowResponse summarizes a flow run.  Wall-clock time is deliberately
@@ -182,9 +184,9 @@ func (r FlowRequest) run(ctx context.Context) (interface{}, error) {
 		in.Resources.PowerBudget = r.PowerBudget
 	}
 	if r.Partition != "" {
-		part, err := partitionerByName(r.Partition)
+		part, err := wrapper.ParsePartitioner(r.Partition)
 		if err != nil {
-			return nil, err
+			return nil, errBadRequest{err}
 		}
 		in.Resources.Partitioner = part
 	}
@@ -252,11 +254,6 @@ type SchedRequest struct {
 	TimeoutMS int `json:"timeout_ms,omitempty"` // non-semantic
 }
 
-func (r SchedRequest) canonical() interface{} {
-	r.Workers, r.TimeoutMS = 0, 0
-	return r
-}
-
 // SchedPoint is one sweep sample.
 type SchedPoint struct {
 	TestPins   int     `json:"test_pins"`
@@ -298,9 +295,9 @@ func (r SchedRequest) run(ctx context.Context) (interface{}, error) {
 		base.PowerBudget = r.PowerBudget
 	}
 	if r.Partition != "" {
-		part, err := partitionerByName(r.Partition)
+		part, err := wrapper.ParsePartitioner(r.Partition)
 		if err != nil {
-			return nil, err
+			return nil, errBadRequest{err}
 		}
 		base.Partitioner = part
 	}
@@ -346,11 +343,6 @@ type MemfaultRequest struct {
 
 	Workers   int `json:"workers,omitempty"`    // non-semantic
 	TimeoutMS int `json:"timeout_ms,omitempty"` // non-semantic
-}
-
-func (r MemfaultRequest) canonical() interface{} {
-	r.Workers, r.TimeoutMS = 0, 0
-	return r
 }
 
 // MemfaultRow is one algorithm's grade.
@@ -426,11 +418,6 @@ type XCheckRequest struct {
 
 	Workers   int `json:"workers,omitempty"`    // non-semantic
 	TimeoutMS int `json:"timeout_ms,omitempty"` // non-semantic
-}
-
-func (r XCheckRequest) canonical() interface{} {
-	r.Workers, r.TimeoutMS = 0, 0
-	return r
 }
 
 // XCheckResponse summarizes one campaign.
@@ -537,7 +524,7 @@ func (r XCheckRequest) run(ctx context.Context) (interface{}, error) {
 // are skipped — without scenario provenance the chip cannot be regenerated
 // for the feature profile, and an unprofiled record cannot anchor a
 // recommendation.
-func (r FlowRequest) catalogRecords(fingerprint, tenant string, result interface{}) []catalog.Record {
+func (r FlowRequest) catalogRecords(fingerprint, tenant string, result interface{}, blob []byte) []catalog.Record {
 	res, ok := result.(*FlowResponse)
 	if !ok {
 		return nil
@@ -560,10 +547,6 @@ func (r FlowRequest) catalogRecords(fingerprint, tenant string, result interface
 	if r.PowerBudget > 0 {
 		cfg.PowerBudget = r.PowerBudget
 	}
-	blob, err := json.Marshal(res)
-	if err != nil {
-		return nil
-	}
 	return []catalog.Record{{
 		Fingerprint: fingerprint, Tenant: tenant, Kind: catalog.KindFlow,
 		Scenario: r.Chip, Seed: r.Seed,
@@ -579,7 +562,7 @@ func (r FlowRequest) catalogRecords(fingerprint, tenant string, result interface
 // record per sweep point (including infeasible ones — negative results are
 // results), each addressed by a deterministic sub-fingerprint of the sweep
 // key so re-running the sweep converges on the same records.
-func (r SchedRequest) catalogRecords(fingerprint, tenant string, result interface{}) []catalog.Record {
+func (r SchedRequest) catalogRecords(fingerprint, tenant string, result interface{}, _ []byte) []catalog.Record {
 	res, ok := result.(*SchedResponse)
 	if !ok {
 		return nil

@@ -42,7 +42,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -55,6 +54,7 @@ import (
 	"time"
 
 	"steac/internal/catalog"
+	"steac/internal/envelope"
 	"steac/internal/fabric"
 	"steac/internal/obs"
 	"steac/internal/sched"
@@ -192,17 +192,9 @@ func New(cfg Config) *Server {
 		s.workers.Add(1)
 		go s.worker()
 	}
-	s.mux.HandleFunc("POST /v1/flow", handle(s, "flow", func() *FlowRequest { return &FlowRequest{} }))
-	s.mux.HandleFunc("POST /v1/sched", handle(s, "sched", func() *SchedRequest { return &SchedRequest{} }))
-	s.mux.HandleFunc("POST /v1/memfault", handle(s, "memfault", func() *MemfaultRequest { return &MemfaultRequest{} }))
-	s.mux.HandleFunc("POST /v1/xcheck", handle(s, "xcheck", func() *XCheckRequest { return &XCheckRequest{} }))
-	s.mux.HandleFunc("GET /v1/catalog", s.handleCatalogList)
-	s.mux.HandleFunc("GET /v1/catalog/compare", s.handleCatalogCompare)
-	s.mux.HandleFunc("GET /v1/catalog/{fingerprint}", s.handleCatalogGet)
-	s.mux.HandleFunc("POST /v1/recommend", s.handleRecommend)
-	s.mux.HandleFunc("POST /v1/jobs", s.handleJobSubmit)
-	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobGet)
-	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleJobCancel)
+	for _, rt := range s.routes() {
+		s.mux.HandleFunc(rt.pattern, s.admit(rt))
+	}
 	s.mux.HandleFunc("GET /healthz", s.healthz)
 	s.mux.HandleFunc("GET /metrics", s.metrics)
 	return s
@@ -292,20 +284,82 @@ func (s *Server) submit(ctx context.Context, tn *tenantState, run func(context.C
 	return j, nil
 }
 
-// runner is the common shape of every request type in requests.go.
-type runner interface {
-	canonical() interface{}
-	run(ctx context.Context) (interface{}, error)
-	// timeout is the request's TimeoutMS tuning field (0 = server default).
-	timeout() time.Duration
+// route is one row of the v1 route table: the mux pattern, whether the
+// route spends a rate-limit token, whether it is refused while draining
+// before that token is spent, and the handler admission hands the
+// authenticated tenant to.  A handler's error answers the v1 envelope.
+type route struct {
+	pattern   string
+	throttled bool
+	drainGate bool
+	serve     func(w http.ResponseWriter, r *http.Request, tn *tenantState) error
 }
 
-func (r FlowRequest) timeout() time.Duration  { return time.Duration(r.TimeoutMS) * time.Millisecond }
-func (r SchedRequest) timeout() time.Duration { return time.Duration(r.TimeoutMS) * time.Millisecond }
-func (r MemfaultRequest) timeout() time.Duration {
-	return time.Duration(r.TimeoutMS) * time.Millisecond
+// routes is the v1 API.  Compute, recommend and job submission spend a
+// rate-limit token; catalog reads and job polls do not.  Job submission
+// alone is refused while draining ahead of its token.
+func (s *Server) routes() []route {
+	return []route{
+		{"POST /v1/flow", true, false, compute[FlowRequest](s, "flow")},
+		{"POST /v1/sched", true, false, compute[SchedRequest](s, "sched")},
+		{"POST /v1/memfault", true, false, compute[MemfaultRequest](s, "memfault")},
+		{"POST /v1/xcheck", true, false, compute[XCheckRequest](s, "xcheck")},
+		{"GET /v1/catalog", false, false, s.handleCatalogList},
+		{"GET /v1/catalog/compare", false, false, s.handleCatalogCompare},
+		{"GET /v1/catalog/{fingerprint}", false, false, s.handleCatalogGet},
+		{"POST /v1/recommend", true, false, s.handleRecommend},
+		{"POST /v1/jobs", true, true, s.handleJobSubmit},
+		{"GET /v1/jobs/{id}", false, false, s.handleJobGet},
+		{"DELETE /v1/jobs/{id}", false, false, s.handleJobCancel},
+	}
 }
-func (r XCheckRequest) timeout() time.Duration { return time.Duration(r.TimeoutMS) * time.Millisecond }
+
+// admit is the admission prelude of every v1 route, in order:
+// authenticate, count the tenant's request, refuse a drain-gated route
+// while draining, spend a rate-limit token on throttled routes, then run
+// the route.  Body-reading routes decode next (decode, compute), so
+// admission never spends work on a body from an unauthenticated or
+// throttled caller.
+func (s *Server) admit(rt route) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		obsRequests.Add(1)
+		tn, err := s.cfg.Tenants.authenticate(r)
+		if err != nil {
+			obsAuthFails.Add(1)
+			v1.WriteError(w, err)
+			return
+		}
+		tn.reqs.Add(1)
+		if rt.drainGate && s.draining.Load() {
+			v1.WriteError(w, ErrDraining)
+			return
+		}
+		if rt.throttled && !tn.allow() {
+			obsQuotaRejs.Add(1)
+			tn.rejects.Add(1)
+			v1.WriteError(w, fmt.Errorf("%w: tenant %q rate limit (%g/s, burst %d)",
+				ErrQuotaExceeded, tn.ID, tn.RatePerSec, tn.Burst))
+			return
+		}
+		if err := rt.serve(w, r, tn); err != nil {
+			v1.WriteError(w, err)
+		}
+	}
+}
+
+// decode is the bounded strict JSON decode (envelope.MaxBody) of the
+// recommend and job-submit bodies; what names the body in the 400 message.
+func decode(w http.ResponseWriter, r *http.Request, what string, v any) error {
+	if err := v1.Decode(w, r, v); err != nil {
+		return badRequestf("serve: bad %s: %v", what, err)
+	}
+	return nil
+}
+
+// runner is the common shape of every request type in requests.go.
+type runner interface {
+	run(ctx context.Context) (interface{}, error)
+}
 
 // response is the wire envelope: the memoized result plus whether it came
 // from the cache.
@@ -314,54 +368,28 @@ type response struct {
 	Result json.RawMessage `json:"result"`
 }
 
-// handle builds the POST handler for one endpoint — the admission
-// pipeline, in order: authenticate, rate-limit, decode, cache lookup,
-// fair-queue admission, deadline, compute, memoize.
-func handle[R runner](s *Server, endpoint string, fresh func() R) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		obsRequests.Add(1)
-		tn, err := s.cfg.Tenants.authenticate(r)
+// compute builds the handler of one synchronous endpoint — after
+// admission, in order: decode (an empty body is the zero request), cache
+// lookup, fair-queue admission, deadline, compute, memoize, catalog.
+func compute[R runner](s *Server, endpoint string) func(http.ResponseWriter, *http.Request, *tenantState) error {
+	return func(w http.ResponseWriter, r *http.Request, tn *tenantState) error {
+		var req R
+		if err := v1.Decode(w, r, &req); err != nil && err != io.EOF {
+			return badRequestf("serve: bad request body: %v", err)
+		}
+		key, err := requestKey(endpoint, canonical(req))
 		if err != nil {
-			obsAuthFails.Add(1)
-			writeError(w, err)
-			return
-		}
-		tn.reqs.Add(1)
-		if !tn.allow() {
-			obsQuotaRejs.Add(1)
-			tn.rejects.Add(1)
-			writeError(w, fmt.Errorf("%w: tenant %q rate limit (%g/s, burst %d)",
-				ErrQuotaExceeded, tn.ID, tn.RatePerSec, tn.Burst))
-			return
-		}
-		req := fresh()
-		body, err := io.ReadAll(io.LimitReader(r.Body, 16<<20))
-		if err != nil {
-			writeError(w, badRequestf("serve: read request body: %v", err))
-			return
-		}
-		if len(body) > 0 {
-			dec := json.NewDecoder(bytes.NewReader(body))
-			dec.DisallowUnknownFields()
-			if err := dec.Decode(req); err != nil {
-				writeError(w, badRequestf("serve: bad request body: %v", err))
-				return
-			}
-		}
-		key, err := requestKey(endpoint, req.canonical())
-		if err != nil {
-			writeError(w, badRequestf("serve: canonicalize request: %v", err))
-			return
+			return badRequestf("serve: canonicalize request: %v", err)
 		}
 		if blob, ok := s.cache.get(key); ok {
 			obsCacheHits.Add(1)
 			writeResult(w, blob, true)
-			return
+			return nil
 		}
 		obsCacheMiss.Add(1)
 
 		timeout := s.cfg.DefaultTimeout
-		if t := req.timeout(); t > 0 {
+		if t := timeoutOf(req); t > 0 {
 			timeout = t
 		}
 		if timeout > s.cfg.MaxTimeout {
@@ -372,50 +400,36 @@ func handle[R runner](s *Server, endpoint string, fresh func() R) http.HandlerFu
 
 		j, err := s.submit(ctx, tn, req.run)
 		if err != nil {
-			writeError(w, err)
-			return
+			return err
 		}
 		res := <-j.done
 		if res.err != nil {
-			writeError(w, res.err)
-			return
+			return res.err
 		}
 		blob, err := json.Marshal(res.val)
 		if err != nil {
-			writeError(w, err)
-			return
+			return err
 		}
 		s.cache.put(key, blob)
 		// First computation of this content address: catalog it.  Cache
 		// hits above never re-ingest — the record already exists.
 		if src, ok := any(req).(catalogSource); ok {
-			s.catalogIngest(src.catalogRecords(key, tn.ID, res.val))
+			s.catalogIngest(src.catalogRecords(key, tn.ID, res.val, blob))
 		}
 		writeResult(w, blob, false)
+		return nil
 	}
 }
 
 func isInfeasible(err error) bool { return errors.Is(err, sched.ErrInfeasible) }
 
 func writeResult(w http.ResponseWriter, blob []byte, cached bool) {
-	w.Header().Set("Content-Type", "application/json")
 	if cached {
 		w.Header().Set("X-Cache", "HIT")
 	} else {
 		w.Header().Set("X-Cache", "MISS")
 	}
-	_ = json.NewEncoder(w).Encode(response{Cached: cached, Result: blob})
-}
-
-// writeError answers one request with the v1 typed error envelope.
-func writeError(w http.ResponseWriter, err error) {
-	status, code := wireFor(err)
-	w.Header().Set("Content-Type", "application/json")
-	if status == http.StatusTooManyRequests {
-		w.Header().Set("Retry-After", "1")
-	}
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(wireError{Error: err.Error(), Code: code})
+	envelope.WriteJSON(w, http.StatusOK, response{Cached: cached, Result: blob})
 }
 
 // healthz answers 200 while serving and 503 once draining, so load

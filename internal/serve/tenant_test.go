@@ -13,6 +13,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"steac/internal/envelope"
 )
 
 // The multi-tenant contract tests: identity gates every endpoint with the
@@ -65,7 +67,7 @@ func TestTenantAuthEnvelope(t *testing.T) {
 	if resp.StatusCode != http.StatusUnauthorized {
 		t.Fatalf("unauthenticated POST = %d, want 401: %s", resp.StatusCode, blob)
 	}
-	var we wireError
+	var we envelope.Error
 	if err := json.Unmarshal(blob, &we); err != nil || we.Code != "unauthorized" || we.Error == "" {
 		t.Fatalf("401 envelope = %s (err %v), want code \"unauthorized\"", blob, err)
 	}
@@ -105,7 +107,7 @@ func TestTenantRateLimitEnvelope(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("429 without Retry-After hint")
 	}
-	var we wireError
+	var we envelope.Error
 	if err := json.Unmarshal(buf.Bytes(), &we); err != nil || we.Code != "quota_exceeded" {
 		t.Fatalf("429 envelope = %s, want code \"quota_exceeded\"", buf.Bytes())
 	}

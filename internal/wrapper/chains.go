@@ -43,6 +43,20 @@ func (p Partitioner) String() string {
 	return fmt.Sprintf("Partitioner(%d)", int(p))
 }
 
+// ParsePartitioner resolves a request or flag name: "lpt" (or empty),
+// "firstfit" or "optimal".  These differ from String's report names.
+func ParsePartitioner(name string) (Partitioner, error) {
+	switch name {
+	case "", "lpt":
+		return LPT, nil
+	case "firstfit":
+		return FirstFit, nil
+	case "optimal":
+		return Optimal, nil
+	}
+	return LPT, fmt.Errorf("unknown partitioner %q (lpt, firstfit or optimal)", name)
+}
+
 // Chain is one designed wrapper chain: input boundary cells, then core
 // scan-chain segments, then output boundary cells.
 type Chain struct {
