@@ -36,7 +36,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"runtime"
 
 	"steac/internal/obs"
 )
@@ -130,13 +129,6 @@ type Options struct {
 	// journaling goroutine.  Canceling the run's context from inside the
 	// callback is the supported way to stop at a shard boundary.
 	OnShard func(ShardEvent)
-}
-
-func (o Options) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // DefaultShardSize is the unit count per shard when Options.ShardSize is 0.
@@ -312,7 +304,7 @@ func Run(ctx context.Context, spec Spec, opt Options) (*Result, error) {
 
 	if len(pending) > 0 {
 		completed := res.Resumed
-		err = runPool(ctx, exec, opt.workers(), pending, size, units,
+		err = runPool(ctx, exec, opt.Workers, pending, size, units,
 			func(sr shardResult) error {
 				lo, hi := shardBounds(units, size, sr.index)
 				if ck != nil {

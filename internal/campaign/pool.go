@@ -3,6 +3,8 @@ package campaign
 import (
 	"context"
 	"sync"
+
+	"steac/internal/par"
 )
 
 // shardResult is one simulated shard's outcome vector.
@@ -60,6 +62,9 @@ func (d *deque) popHead() (int, bool) {
 // owners pop LIFO, and a worker whose deque runs dry steals FIFO from
 // victims starting at its right-hand neighbour.  The shard set is fixed up
 // front — no backfill — so a worker that finds every deque empty is done.
+// Campaign shards keep this order instead of par.Do's one shared counter,
+// which was slower on the campaign-jobs benchmark (DESIGN.md "Work
+// stealing").
 //
 // Cancellation is cooperative at shard granularity: workers stop claiming
 // once ctx fires, an in-flight Run that returns the ctx error has its
@@ -69,13 +74,7 @@ func (d *deque) popHead() (int, bool) {
 // stops the pool and is returned.
 func runPool(ctx context.Context, exec Executor, workers int, pending []int,
 	size, units int, complete func(shardResult) error) error {
-	n := workers
-	if n > len(pending) {
-		n = len(pending)
-	}
-	if n < 1 {
-		n = 1
-	}
+	n := par.Workers(workers, len(pending))
 	deques := make([]*deque, n)
 	for i := range deques {
 		deques[i] = &deque{}

@@ -11,11 +11,12 @@ import (
 // CoverageSim is the prepared, immutable state of a March coverage
 // campaign: the validated algorithm expanded into one golden trace per data
 // background.  It is computed once and shared read-only across any number
-// of workers; per-goroutine scratch state lives in CoverageWorker.  The
-// campaign job runner (internal/campaign) uses it to simulate arbitrary
-// fault subsets in shards, and CoverageContext fans its own workers over
-// the same code path — both aggregate through Assemble, so a sharded,
-// checkpointed campaign is bit-identical to an in-process one.
+// of workers; per-goroutine scratch state lives in a PackedWorker, whose
+// scalar fallback is a CoverageWorker.  The campaign job runner
+// (internal/campaign) runs PackedWorker.DetectBatch over arbitrary fault
+// subsets in shards, and CoverageContext runs it over 64-fault batches —
+// both aggregate through Assemble, so a sharded, checkpointed campaign is
+// bit-identical to an in-process one.
 type CoverageSim struct {
 	algName string
 	cfg     memory.Config

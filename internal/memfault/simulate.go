@@ -3,13 +3,11 @@ package memfault
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"steac/internal/march"
 	"steac/internal/memory"
 	"steac/internal/obs"
+	"steac/internal/par"
 )
 
 // Observability: totals are accumulated in the deterministic aggregation
@@ -65,22 +63,6 @@ type Options struct {
 	// accepted for convention compatibility and ignored; 0 everywhere means
 	// the canonical deterministic defaults.
 	Seed int64
-}
-
-// workerCount resolves Options.Workers against the machine and the number
-// of independent jobs.
-func (o Options) workerCount(jobs int) int {
-	w := o.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > jobs {
-		w = jobs
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 // undetectedCap resolves Options.MaxUndetected (0 = 32, negative = no cap).
@@ -153,18 +135,18 @@ func (c Campaign) Percent() float64 {
 	return 100 * float64(c.Detected) / float64(c.Total)
 }
 
-// faultChunk is how many fault indices a worker claims per atomic fetch.
-// It equals PackedLanes, so every claim is exactly one word-parallel batch
-// of the bit-plane engine, and chunk boundaries are fixed multiples of the
-// lane width regardless of worker count — the serial and parallel paths
-// simulate identical batches.
+// faultChunk is how many faults one fan-out item covers.  It equals
+// PackedLanes, so every item is exactly one word-parallel batch of the
+// bit-plane engine, and item boundaries are fixed multiples of the lane
+// width regardless of worker count — every worker count simulates
+// identical batches.
 const faultChunk = PackedLanes
 
 // CoverageContext simulates each fault in isolation (single-fault assumption) and
 // aggregates coverage per fault class.  The campaign fans the fault list
-// across Options.Workers goroutines: the golden trace is computed once and
-// shared read-only, each worker reuses one fault-machine scratch buffer
-// (FaultyRAM.Reset) across its faults, and results are aggregated in
+// across Options.Workers goroutines (par.Do): the golden trace is computed
+// once and shared read-only, each worker reuses one packed fault-machine
+// scratch buffer across its faults, and results are aggregated in
 // fault-list order — the Campaign is bit-identical to a serial run.
 //
 // Workers poll ctx at chunk boundaries (every faultChunk faults, microseconds to low milliseconds of
@@ -183,52 +165,16 @@ func CoverageContext(ctx context.Context, alg march.Algorithm, cfg memory.Config
 
 	detected := make([]bool, len(faults))
 	simErrs := make([]error, len(faults))
-	// Both paths fan word-parallel batches of faultChunk faults through the
-	// bit-plane packed worker (scalar fallback per fault happens inside
-	// DetectBatch); batch boundaries are the same fixed multiples of the
-	// lane width either way, so the outcome is worker-count invariant.
-	if workers := opt.workerCount(len(faults)); workers <= 1 {
-		w, err := sim.NewPackedWorker()
-		if err != nil {
-			return Campaign{}, err
-		}
-		for start := 0; start < len(faults); start += faultChunk {
-			if ctx.Err() != nil {
-				break
-			}
-			end := start + faultChunk
-			if end > len(faults) {
-				end = len(faults)
-			}
-			w.DetectBatch(faults[start:end], detected[start:end], simErrs[start:end])
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				wk, err := sim.NewPackedWorker()
-				if err != nil {
-					return // cfg was validated by NewCoverageSim; unreachable
-				}
-				for {
-					end := int(next.Add(faultChunk))
-					start := end - faultChunk
-					if start >= len(faults) || ctx.Err() != nil {
-						return
-					}
-					if end > len(faults) {
-						end = len(faults)
-					}
-					wk.DetectBatch(faults[start:end], detected[start:end], simErrs[start:end])
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	if err := ctx.Err(); err != nil {
+	// Item c is the batch of faults [c*faultChunk, (c+1)*faultChunk); the
+	// scalar fallback per fault happens inside DetectBatch.
+	chunks := (len(faults) + faultChunk - 1) / faultChunk
+	err = par.Do(ctx, opt.Workers, chunks, sim.NewPackedWorker, func(w *PackedWorker, c int) error {
+		lo := c * faultChunk
+		hi := min(lo+faultChunk, len(faults))
+		w.DetectBatch(faults[lo:hi], detected[lo:hi], simErrs[lo:hi])
+		return nil
+	})
+	if err != nil {
 		return Campaign{}, fmt.Errorf("memfault: coverage: %w", err)
 	}
 	for _, err := range simErrs {

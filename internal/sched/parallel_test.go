@@ -31,7 +31,8 @@ func referenceBest(t *testing.T, tests []Test, res Resources) searchResult {
 
 // TestSessionBasedParallelDeterminism is the scheduler-side determinism
 // guarantee: the parallel branch-and-bound finds the same schedule as a
-// serial run and as the unpruned reference enumeration.
+// serial run and as the unpruned reference enumeration, and the greedy
+// fallback finds the same schedule for every worker count.
 func TestSessionBasedParallelDeterminism(t *testing.T) {
 	fixtures := []struct {
 		name  string
@@ -65,11 +66,31 @@ func TestSessionBasedParallelDeterminism(t *testing.T) {
 				return r
 			}(),
 		},
+		{
+			// More than exhaustiveJobLimit jobs: the greedy path, whose
+			// optimum has no unpruned reference to compare against.
+			name: "synthetic12-greedy",
+			tests: func(t *testing.T) []Test {
+				tests, err := BuildTests(SyntheticSOC(7, 12), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return tests
+			},
+			res: func() Resources {
+				r := SyntheticResources(SyntheticSOC(7, 12))
+				r.Partitioner = wrapper.LPT
+				return r
+			}(),
+		},
 	}
 	for _, fx := range fixtures {
 		t.Run(fx.name, func(t *testing.T) {
 			tests := fx.tests(t)
-			ref := referenceBest(t, tests, fx.res)
+			var ref searchResult
+			if jobs, _ := buildJobs(tests); len(jobs) <= exhaustiveJobLimit {
+				ref = referenceBest(t, tests, fx.res)
+			}
 
 			serialRes, parallelRes := fx.res, fx.res
 			serialRes.Workers = 1
@@ -82,7 +103,7 @@ func TestSessionBasedParallelDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if serial.TotalCycles != ref.total {
+			if ref.ok && serial.TotalCycles != ref.total {
 				t.Errorf("serial search total %d != reference optimum %d",
 					serial.TotalCycles, ref.total)
 			}

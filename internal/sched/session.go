@@ -4,12 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"steac/internal/obs"
+	"steac/internal/par"
 	"steac/internal/testinfo"
 )
 
@@ -301,10 +300,6 @@ func SessionBasedContext(ctx context.Context, tests []Test, res Resources) (*Sch
 	if len(jobs) == 0 && len(bist) == 0 {
 		return nil, fmt.Errorf("sched: nothing to schedule")
 	}
-	workers := res.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	tc := newTimeCache(res.Partitioner)
 
 	var best searchResult
@@ -312,10 +307,10 @@ func SessionBasedContext(ctx context.Context, tests []Test, res Resources) (*Sch
 	case len(jobs) == 0:
 		best = evalPartition(nil, bist, res, tc)
 	case len(jobs) <= exhaustiveJobLimit:
-		best = searchPartitions(ctx, jobs, bist, res, tc, workers)
+		best = searchPartitions(ctx, jobs, bist, res, tc)
 	default:
 		var err error
-		best, err = greedySearch(ctx, jobs, bist, res, tc, workers)
+		best, err = greedySearch(ctx, jobs, bist, res, tc)
 		if err != nil {
 			return nil, err
 		}
@@ -616,10 +611,11 @@ func (ps *partitionSearcher) runTask(prefix [][]coreJob, depth int) searchResult
 var bellNumbers = []int{1, 1, 2, 5, 15, 52, 203}
 
 // searchPartitions runs the exact session search over all set partitions
-// of jobs, fanned across a bounded worker pool.  Tasks are the partitions
-// of a short job prefix, in enumeration order; merging by task order
-// restores the exact serial tie-break.
-func searchPartitions(ctx context.Context, jobs []coreJob, bist []Test, res Resources, tc *timeCache, workers int) searchResult {
+// of jobs, fanned across res.Workers goroutines (par.Do).  Tasks are the
+// partitions of a short job prefix, in enumeration order; merging by task
+// order restores the exact serial tie-break.  A canceled search returns
+// early and the caller reports ctx.Err().
+func searchPartitions(ctx context.Context, jobs []coreJob, bist []Test, res Resources, tc *timeCache) searchResult {
 	var shared atomic.Int64
 	shared.Store(int64(math.MaxInt64))
 	newSearcher := func() *partitionSearcher {
@@ -627,6 +623,8 @@ func searchPartitions(ctx context.Context, jobs []coreJob, bist []Test, res Reso
 			shared: &shared, pollIn: cancelPollInterval}
 	}
 	n := len(jobs)
+	// No split below has more tasks than the deepest one, Bell(min(n-1, 6)).
+	workers := par.Workers(res.Workers, bellNumbers[min(n-1, len(bellNumbers)-1)])
 	if workers <= 1 || n < 3 {
 		return newSearcher().runTask(nil, 0)
 	}
@@ -639,28 +637,14 @@ func searchPartitions(ctx context.Context, jobs []coreJob, bist []Test, res Reso
 	}
 	var tasks [][][]coreJob
 	forEachPartition(jobs[:depth], func(p [][]coreJob) { tasks = append(tasks, p) })
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
 
 	results := make([]searchResult, len(tasks))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				t := int(next.Add(1)) - 1
-				if t >= len(tasks) || ctx.Err() != nil {
-					return
-				}
-				results[t] = newSearcher().runTask(tasks[t], depth)
-			}
-		}()
-	}
-	wg.Wait()
-
+	// The tasks never fail, and the caller checks ctx, so Do's error is
+	// not needed here.
+	_ = par.Do(ctx, workers, len(tasks), nil, func(_ struct{}, t int) error {
+		results[t] = newSearcher().runTask(tasks[t], depth)
+		return nil
+	})
 	var best searchResult
 	for _, r := range results {
 		if r.ok && (!best.ok || r.total < best.total) {
@@ -671,33 +655,19 @@ func searchPartitions(ctx context.Context, jobs []coreJob, bist []Test, res Reso
 }
 
 // greedySearch is the fallback for many cores: LPT packings into k = 1..n
-// sessions, evaluated concurrently, merged in k order.
-func greedySearch(ctx context.Context, jobs []coreJob, bist []Test, res Resources, tc *timeCache, workers int) (searchResult, error) {
+// sessions, evaluated concurrently on res.Workers goroutines (par.Do),
+// merged in k order.
+func greedySearch(ctx context.Context, jobs []coreJob, bist []Test, res Resources, tc *timeCache) (searchResult, error) {
 	durs, err := greedyDurations(jobs, res, tc)
 	if err != nil {
 		return searchResult{}, err
 	}
-	n := len(jobs)
-	if workers > n {
-		workers = n
-	}
-	results := make([]searchResult, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				k := int(next.Add(1))
-				if k > n || ctx.Err() != nil {
-					return
-				}
-				results[k-1] = evalPartition(greedyPartition(jobs, durs, k), bist, res, tc)
-			}
-		}()
-	}
-	wg.Wait()
+	results := make([]searchResult, len(jobs))
+	// As in searchPartitions: no item fails, and the caller checks ctx.
+	_ = par.Do(ctx, res.Workers, len(jobs), nil, func(_ struct{}, i int) error {
+		results[i] = evalPartition(greedyPartition(jobs, durs, i+1), bist, res, tc)
+		return nil
+	})
 	var best searchResult
 	for _, r := range results {
 		if r.ok && (!best.ok || r.total < best.total) {

@@ -3,13 +3,12 @@ package xcheck
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"steac/internal/bist"
 	"steac/internal/march"
 	"steac/internal/memory"
 	"steac/internal/netlist"
+	"steac/internal/par"
 	"steac/internal/pattern"
 	"steac/internal/testinfo"
 )
@@ -35,40 +34,26 @@ func sampleFaults(faults []netlist.SAFault, max int, seed int64) []netlist.SAFau
 }
 
 // runCampaign simulates every fault of sim via word-packed batches, fanned
-// out over opts.Workers goroutines.  Faults are claimed in packed-word
-// chunks off an atomic counter and results merged in fault-list order, so
-// the outcome is identical for any worker count — batch boundaries are
-// fixed multiples of PackedBatch regardless of which worker claims them.
-// Workers poll ctx between batches (and the packed BIST runner polls
-// mid-session); a canceled campaign returns ctx.Err() wrapped with the
-// stage name and no partial result.
+// out over opts.Workers goroutines (par.Do).  Each fan-out item is one
+// PackedBatch-wide chunk of the fault list and results are merged in
+// fault-list order, so the outcome is identical for any worker count —
+// batch boundaries are fixed multiples of PackedBatch regardless of which
+// worker claims them.  Workers poll ctx between batches (and the packed
+// BIST runner polls mid-session); a canceled campaign returns ctx.Err()
+// wrapped with the stage name and no partial result.
 func runCampaign(ctx context.Context, sim *CampaignSim, opts Options) (CampaignResult, error) {
 	tm := obsSpanCampaign.Start()
 	defer tm.Stop()
 	n := sim.Faults()
 	detectedAt := make([]int, n)
-	var next int64
-	const chunk = PackedBatch
-	var wg sync.WaitGroup
-	for w := 0; w < opts.workers(); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				lo := int(atomic.AddInt64(&next, chunk)) - chunk
-				if lo >= n || ctx.Err() != nil {
-					return
-				}
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				copy(detectedAt[lo:hi], sim.DetectBatch(ctx, lo, hi-lo))
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	chunks := (n + PackedBatch - 1) / PackedBatch
+	err := par.Do(ctx, opts.Workers, chunks, nil, func(_ struct{}, c int) error {
+		lo := c * PackedBatch
+		hi := min(lo+PackedBatch, n)
+		copy(detectedAt[lo:hi], sim.DetectBatch(ctx, lo, hi-lo))
+		return nil
+	})
+	if err != nil {
 		return CampaignResult{}, fmt.Errorf("xcheck: campaign %s: %w", sim.Name(), err)
 	}
 	return sim.Assemble(detectedAt, opts), nil
@@ -154,7 +139,7 @@ func countTrailingDone(trace []bistTrace) int {
 // TPG bench and asks whether the BIST's own tester-visible outcome pins
 // (DONE and the sticky FAIL) ever diverge from the fault-free session.
 //
-// Workers poll ctx between per-fault simulations.
+// Workers poll ctx between packed batches of PackedBatch faults.
 func TPGCampaignContext(ctx context.Context, name string, alg march.Algorithm, mems []memory.Config, opts Options) (CampaignResult, error) {
 	sim, err := NewTPGCampaignSim(name, alg, mems, opts)
 	if err != nil {
@@ -227,7 +212,7 @@ func runControllerTraced(sim *netlist.CompiledSim, nGroups int,
 // controller and checks whether the MBO/MRD/MSO tester pins ever diverge
 // from the fault-free scripted session.
 //
-// Workers poll ctx between per-fault simulations.
+// Workers poll ctx between packed batches of PackedBatch faults.
 func ControllerCampaignContext(ctx context.Context, name string, nGroups int, opts Options) (CampaignResult, error) {
 	sim, err := NewControllerCampaignSim(name, nGroups, opts)
 	if err != nil {
@@ -242,7 +227,7 @@ func ControllerCampaignContext(ctx context.Context, name string, nGroups int, op
 // wso expectations catch them.  The detection criterion is exactly the
 // tester's: a miscompare against a non-X expected bit.
 //
-// Workers poll ctx between per-fault simulations.
+// Workers poll ctx between packed batches of PackedBatch faults.
 func WrapperCampaignContext(ctx context.Context, name string, core *testinfo.Core, width int, opts Options) (CampaignResult, error) {
 	sim, err := NewWrapperCampaignSim(name, core, width, opts)
 	if err != nil {

@@ -4,11 +4,10 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sync"
-	"sync/atomic"
 
 	"steac/internal/march"
 	"steac/internal/memory"
+	"steac/internal/par"
 )
 
 // GroupCase names one sequencer group to cross-check: the March algorithm
@@ -20,37 +19,21 @@ type GroupCase struct {
 }
 
 // VerifyGroupsContext runs VerifyBISTContext over every case, fanned out over
-// opts.Workers goroutines, and returns the results in case order (the
-// outcome is identical for any worker count — each case is independent).
+// opts.Workers goroutines (par.Do), and returns the results in case order
+// (the outcome is identical for any worker count — each case is
+// independent).  A failing case stops further claims and its error, the
+// first in case order, is returned wrapped with the stage name.
 //
 // Workers poll ctx at case claims, each case polls mid-session inside the gate-level simulation
 // loop, and a canceled run returns ctx.Err() wrapped with the stage name.
 func VerifyGroupsContext(ctx context.Context, cases []GroupCase, opts Options) ([]EquivResult, error) {
 	results := make([]EquivResult, len(cases))
-	errs := make([]error, len(cases))
-	var next int64
-	var wg sync.WaitGroup
-	for w := 0; w < opts.workers(); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= len(cases) || ctx.Err() != nil {
-					return
-				}
-				results[i], errs[i] = VerifyBISTContext(ctx, cases[i].Name, cases[i].Alg, cases[i].Mems, opts)
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	err := par.Do(ctx, opts.Workers, len(cases), nil, func(_ struct{}, i int) (err error) {
+		results[i], err = VerifyBISTContext(ctx, cases[i].Name, cases[i].Alg, cases[i].Mems, opts)
+		return err
+	})
+	if err != nil {
 		return nil, fmt.Errorf("xcheck: verify: %w", err)
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
 	}
 	return results, nil
 }

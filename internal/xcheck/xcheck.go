@@ -20,7 +20,6 @@ package xcheck
 
 import (
 	"fmt"
-	"runtime"
 
 	"steac/internal/netlist"
 	"steac/internal/obs"
@@ -68,13 +67,6 @@ type Options struct {
 	// simulation affordable on real cores; equivalence checks always run
 	// the full program.
 	MaxPatterns int
-}
-
-func (o Options) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // undetectedCap resolves Options.MaxUndetected (0 = 32, negative = no cap),
