@@ -15,6 +15,7 @@ import (
 	"steac/internal/dsc"
 	"steac/internal/pattern"
 	"steac/internal/scenario"
+	"steac/internal/testinfo"
 )
 
 // streamDigest hashes every cycle Program.Stream emits, session by
@@ -55,38 +56,115 @@ func streamDigest(t *testing.T, prog *pattern.Program) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// progFileDigest hashes the tester file WriteProgramFile emits.
+func progFileDigest(t *testing.T, prog *pattern.Program) string {
+	t.Helper()
+	h := sha256.New()
+	if err := pattern.WriteProgramFile(h, prog); err != nil {
+		t.Fatal(err)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// scenarioInput builds the flow input of a registry scenario, optionally
+// with a ring of glue wires between its cores for an EXTEST session.
+func scenarioInput(name string, seed int64, extest bool) func(t *testing.T) core.FlowInput {
+	return func(t *testing.T) core.FlowInput {
+		chip, err := scenario.GenerateByName(name, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, err := chip.FlowInput(false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if extest {
+			in.Interconnects = ringInterconnects(chip.Cores)
+		}
+		return in
+	}
+}
+
+// ringInterconnects wires each core's outputs to the next core's inputs
+// (two glue wires per neighbouring pair that has both).
+func ringInterconnects(cores []*testinfo.Core) []pattern.Interconnect {
+	var wires []pattern.Interconnect
+	for i, from := range cores {
+		to := cores[(i+1)%len(cores)]
+		if from == to || from.POs == 0 || to.PIs == 0 {
+			continue
+		}
+		for k := 0; k < 2; k++ {
+			wires = append(wires, pattern.Interconnect{
+				FromCore: from.Name, FromPO: (i + 3*k) % from.POs,
+				ToCore: to.Name, ToPI: (2*i + 5*k + 1) % to.PIs,
+			})
+		}
+	}
+	return wires
+}
+
+// faultyRun is one defect-injected rerun of a case and its pinned mismatch
+// summary.
+type faultyRun struct {
+	name string
+	opts []ate.Option
+	want string
+}
+
 // The translator streams each pattern's chain images once, and the chip
 // model reuses its output buffers; neither may change a single emitted bit
 // or a single compare.  The digests and results were recorded before
-// either optimisation.
+// either optimisation, and the tester file and defect summaries before the
+// buses were packed into bit-planes.
 func TestStreamAndRunIdentity(t *testing.T) {
 	cases := []struct {
-		name   string
-		input  func(t *testing.T) core.FlowInput
-		digest string
-		cycles int
-		sess   []int
-		defect string // core to rerun with WithCoreDefect, if any
-		bad    string // that run's mismatch summary
+		name     string
+		input    func(t *testing.T) core.FlowInput
+		digest   string
+		progFile string // sha256 of WriteProgramFile's bytes, if pinned
+		cycles   int
+		sess     []int
+		faulty   []faultyRun
 	}{
 		{
-			name: "p1500-lbist seed 4",
-			input: func(t *testing.T) core.FlowInput {
-				chip, err := scenario.GenerateByName("p1500-lbist", 4)
-				if err != nil {
-					t.Fatal(err)
-				}
-				in, err := chip.FlowInput(false)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return in
+			name:     "p1500-lbist seed 4",
+			input:    scenarioInput("p1500-lbist", 4, false),
+			digest:   "125af82fde49119f190db1e261b5e9e3dec415af6a47a147d3d689af61701283",
+			progFile: "4b45e35f1d58e00a0f11246890c1daddba762dbbabc83464f4512e3fc52c916a",
+			cycles:   259739,
+			sess:     []int{235414, 24325},
+			faulty: []faultyRun{
+				{
+					name: "core defect dsp2",
+					opts: []ate.Option{ate.WithCoreDefect("dsp2")},
+					want: "13499 mismatches, first {Session:0 Cycle:163 Pin:tam_out[5]}, failing [dsp2.func dsp2.scan]",
+				},
+				{
+					name: "stuck tam wire 1",
+					opts: []ate.Option{ate.WithStuckTamWire(1)},
+					want: "977 mismatches, first {Session:0 Cycle:225 Pin:tam_out[1]}, failing [dsp0.scan]",
+				},
 			},
-			digest: "125af82fde49119f190db1e261b5e9e3dec415af6a47a147d3d689af61701283",
-			cycles: 259739,
-			sess:   []int{235414, 24325},
-			defect: "dsp2",
-			bad:    "13499 mismatches, first {Session:0 Cycle:163 Pin:tam_out[5]}, failing [dsp2.func dsp2.scan]",
+		},
+		{
+			name:   "p1500-lbist seed 4 extest",
+			input:  scenarioInput("p1500-lbist", 4, true),
+			digest: "ff3b1ccf26af9d085d5d3568226a858791ca472f1df717307acad4be82640719",
+			cycles: 261763,
+			sess:   []int{235414, 24325, 2024},
+			faulty: []faultyRun{
+				{
+					name: "open interconnect 2",
+					opts: []ate.Option{ate.WithOpenInterconnect(2)},
+					want: "4 mismatches, first {Session:2 Cycle:352 Pin:tam_out[6]}, failing [chip.extest]",
+				},
+				{
+					name: "bridged interconnects 0 3",
+					opts: []ate.Option{ate.WithBridgedInterconnects(0, 3)},
+					want: "4 mismatches, first {Session:2 Cycle:290 Pin:tam_out[4]}, failing [chip.extest]",
+				},
+			},
 		},
 		{
 			name: "dsc",
@@ -119,6 +197,11 @@ func TestStreamAndRunIdentity(t *testing.T) {
 			if got := streamDigest(t, fr.Program); got != tc.digest {
 				t.Errorf("stream digest %s, want %s", got, tc.digest)
 			}
+			if tc.progFile != "" {
+				if got := progFileDigest(t, fr.Program); got != tc.progFile {
+					t.Errorf("program file digest %s, want %s", got, tc.progFile)
+				}
+			}
 			res, err := ate.Run(fr.Program, ate.NewChip(fr.Program, fr.Cores))
 			if err != nil {
 				t.Fatal(err)
@@ -127,17 +210,20 @@ func TestStreamAndRunIdentity(t *testing.T) {
 				t.Errorf("ate.Run = %d cycles %v sessions %d mismatches pass=%v, want %d %v 0 true",
 					res.Cycles, res.SessionCycles, res.Mismatches, res.Pass, tc.cycles, tc.sess)
 			}
-			if tc.defect == "" {
-				return
-			}
-			// A defective core: every compare the chip fails must still fail.
-			bad, err := ate.Run(fr.Program, ate.NewChip(fr.Program, fr.Cores, ate.WithCoreDefect(tc.defect)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := fmt.Sprintf("%d mismatches, first %+v, failing %v", bad.Mismatches, *bad.First, bad.FailingTests)
-			if got != tc.bad {
-				t.Errorf("defective %s: %s, want %s", tc.defect, got, tc.bad)
+			// A defective chip: every compare it fails must still fail.
+			for _, f := range tc.faulty {
+				bad, err := ate.Run(fr.Program, ate.NewChip(fr.Program, fr.Cores, f.opts...))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if bad.First == nil {
+					t.Errorf("%s: no mismatch", f.name)
+					continue
+				}
+				got := fmt.Sprintf("%d mismatches, first %+v, failing %v", bad.Mismatches, *bad.First, bad.FailingTests)
+				if got != f.want {
+					t.Errorf("%s: %s, want %s", f.name, got, f.want)
+				}
 			}
 		})
 	}
