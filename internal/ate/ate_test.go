@@ -3,6 +3,7 @@ package ate
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -259,6 +260,65 @@ func TestProgramFileRoundTrip(t *testing.T) {
 	}
 	if rb.Pass {
 		t.Fatal("replay missed the defect")
+	}
+}
+
+// Replaying the tester file on a defective chip reports exactly what Run
+// reports: the same mismatch count, first failing compare and failing
+// tests — the file alone names the failing core.
+func TestRecordedReplayMatchesRun(t *testing.T) {
+	scanProg, _, _ := buildProgram(t, miniRes(), sessionBased)
+	extProg, _, _ := extestProgram(t)
+	for _, tc := range []struct {
+		name string
+		prog *pattern.Program
+		opt  Option
+	}{
+		{"core defect", scanProg, WithCoreDefect("TV")},
+		{"stuck wire", scanProg, WithStuckTamWire(1)},
+		{"open interconnect", extProg, WithOpenInterconnect(3)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := pattern.WriteProgramFile(&buf, tc.prog); err != nil {
+				t.Fatal(err)
+			}
+			rec, err := pattern.ReadProgramFile(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := Run(tc.prog, NewChip(tc.prog, miniCores(), tc.opt))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := RunRecorded(tc.prog, rec, NewChip(tc.prog, miniCores(), tc.opt))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.Pass || len(want.FailingTests) == 0 {
+				t.Fatalf("Run missed the defect: %+v", want)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("replay %+v (first %+v), Run %+v (first %+v)", got, got.First, want, want.First)
+			}
+		})
+	}
+}
+
+// A tester file whose scan controls name a core the session has no lane
+// for is refused, not silently idled.
+func TestRecordedUnknownCore(t *testing.T) {
+	prog, _, _ := buildProgram(t, miniRes(), sessionBased)
+	var buf bytes.Buffer
+	if err := pattern.WriteProgramFile(&buf, prog); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := pattern.ReadProgramFile(strings.NewReader(strings.ReplaceAll(buf.String(), "TV:", "GHOST:")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunRecorded(prog, rec, NewChip(prog, miniCores())); err == nil || !strings.Contains(err.Error(), "GHOST") {
+		t.Fatalf("unknown core replayed: %v", err)
 	}
 }
 

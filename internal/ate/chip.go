@@ -15,9 +15,11 @@ package ate
 
 import (
 	"fmt"
+	"slices"
 
 	"steac/internal/pattern"
 	"steac/internal/testinfo"
+	"steac/internal/wrapper"
 )
 
 // Option configures defect injection on the chip model.
@@ -58,30 +60,64 @@ type Chip struct {
 
 	session     int
 	layout      pattern.SessionLayout
-	chains      map[string][][]bool // extest cores' wrapper chains
+	extest      [][]*chain // EXTEST cores' wrapper chains, indexed like Extest.Cores
 	scanLanes   []*chipScanLane
 	funcLanes   []*chipFuncLane
 	cycleInSess int
 
-	tamOut, funcOut []bool // Step's output buffers
+	tamOut, funcOut []uint64 // Step's output words
+}
+
+// chain is one wrapper chain's cells as a ring: cell j (0 = nearest TAM
+// in) is cells[(head+j) % len(cells)], so a shift moves one index instead
+// of every cell.
+type chain struct {
+	cells []bool
+	head  int
+}
+
+func newChain(n int) *chain { return &chain{cells: make([]bool, n)} }
+
+// shift clocks in one bit and returns the bit leaving the far end.
+func (ch *chain) shift(in bool) (out bool) {
+	last := ch.head + len(ch.cells) - 1
+	if last >= len(ch.cells) {
+		last -= len(ch.cells)
+	}
+	out = ch.cells[last]
+	ch.cells[last] = in
+	ch.head = last
+	return out
+}
+
+// linear rotates the ring so cell j is cells[j] and returns the cells.
+func (ch *chain) linear() []bool {
+	if ch.head != 0 {
+		slices.Reverse(ch.cells[:ch.head])
+		slices.Reverse(ch.cells[ch.head:])
+		slices.Reverse(ch.cells)
+		ch.head = 0
+	}
+	return ch.cells
 }
 
 // chipScanLane is one scan lane of the active session with everything
 // Step needs resolved once, in StartSession.
 type chipScanLane struct {
-	lane     pattern.ScanLane
-	chains   [][]bool
-	model    *pattern.CoreModel
-	chainOff []int // per core chain: offset into the model's state vector
+	lane      pattern.ScanLane
+	chains    []*chain
+	model     *pattern.CoreModel
+	chainOff  []int  // per core chain: offset into the model's state vector
+	pi, state []bool // capture scratch
 }
 
 type chipFuncLane struct {
-	lane    pattern.FuncLane
-	model   *pattern.CoreModel
-	machine uint64
-	inBuf   []bool
-	poLatch []bool
-	window  int
+	lane     pattern.FuncLane
+	model    *pattern.CoreModel
+	machine  uint64
+	nPI, nPO int
+	inBuf    []uint64 // the current window's PIs, packed
+	poLatch  []uint64 // the last step's POs, packed (0 before the first)
 }
 
 // NewChip builds the chip for a translated program.  Core models are
@@ -94,8 +130,8 @@ func NewChip(prog *pattern.Program, cores []*testinfo.Core, opts ...Option) *Chi
 		stuckWire:  -1,
 		openWires:  make(map[int]bool),
 		session:    -1,
-		tamOut:     make([]bool, prog.TamWidth),
-		funcOut:    make([]bool, prog.FuncBus),
+		tamOut:     make([]uint64, pattern.Words(prog.TamWidth)),
+		funcOut:    make([]uint64, pattern.Words(prog.FuncBus)),
 	}
 	for _, core := range cores {
 		c.models[core.Name] = pattern.NewCoreModel(core)
@@ -103,13 +139,11 @@ func NewChip(prog *pattern.Program, cores []*testinfo.Core, opts ...Option) *Chi
 	for _, o := range opts {
 		o(c)
 	}
-	// A defective core's logic differs: rebuild its model with a
-	// perturbed seed.
+	// A defective core's logic differs: its model runs on a perturbed
+	// seed.
 	for name := range c.defectCore {
 		if m, ok := c.models[name]; ok {
-			bad := *m
-			bad.Seed ^= 0xDEADBEEF
-			c.models[name] = &bad
+			c.models[name] = m.Reseeded(m.Seed() ^ 0xDEADBEEF)
 		}
 	}
 	return c
@@ -124,26 +158,21 @@ func (c *Chip) StartSession(i int) error {
 	c.session = i
 	c.layout = c.prog.Sessions[i]
 	c.cycleInSess = 0
-	c.chains = make(map[string][][]bool)
 	c.scanLanes = nil
 	for _, lane := range c.layout.Scan {
-		chs := make([][]bool, len(lane.Plan.Chains))
-		for ci, ch := range lane.Plan.Chains {
-			chs[ci] = make([]bool, ch.Length())
-		}
+		model := c.models[lane.Core.Name]
 		c.scanLanes = append(c.scanLanes, &chipScanLane{
-			lane: lane, chains: chs,
-			model:    c.models[lane.Core.Name],
+			lane: lane, chains: planChains(lane.Plan),
+			model:    model,
 			chainOff: coreChainOffsets(lane.Core),
+			pi:       make([]bool, lane.Core.PIs),
+			state:    make([]bool, model.StateBits()),
 		})
 	}
+	c.extest = nil
 	if ex := c.layout.Extest; ex != nil {
 		for _, cl := range ex.Cores {
-			chs := make([][]bool, len(cl.Plan.Chains))
-			for ci, ch := range cl.Plan.Chains {
-				chs[ci] = make([]bool, ch.Length())
-			}
-			c.chains[cl.Core.Name] = chs
+			c.extest = append(c.extest, planChains(cl.Plan))
 		}
 	}
 	c.funcLanes = nil
@@ -153,36 +182,37 @@ func (c *Chip) StartSession(i int) error {
 			lane:    lane,
 			model:   model,
 			machine: model.FuncReset(),
-			inBuf:   make([]bool, lane.Core.PIs),
-			window:  -1,
+			nPI:     lane.Core.PIs,
+			nPO:     lane.Core.POs,
+			inBuf:   make([]uint64, pattern.Words(lane.Core.PIs)),
+			poLatch: make([]uint64, pattern.Words(lane.Core.POs)),
 		})
 	}
 	return nil
 }
 
-// Step applies one tester cycle and returns the chip's observed outputs.
-// The returned slices are the chip's own buffers: they are valid until the
-// next Step, so a caller that keeps them must copy.
-func (c *Chip) Step(cyc *pattern.Cycle) (tamOut, funcOut []bool) {
+// planChains builds a wrapper plan's chains, all cells 0.
+func planChains(plan wrapper.Plan) []*chain {
+	chs := make([]*chain, len(plan.Chains))
+	for ci, ch := range plan.Chains {
+		chs[ci] = newChain(ch.Length())
+	}
+	return chs
+}
+
+// Step applies one tester cycle and returns the chip's observed outputs,
+// packed like the cycle's buses.  The returned words are the chip's own
+// buffers, valid until the next Step: the tester compares them in place,
+// and a caller that keeps them must copy.
+func (c *Chip) Step(cyc *pattern.Cycle) (tamOut, funcOut []uint64) {
 	tamOut, funcOut = c.tamOut, c.funcOut
 	clear(tamOut)
 	clear(funcOut)
 
-	for _, sl := range c.scanLanes {
-		chs := sl.chains
-		switch cyc.Actions[sl.lane.Core.Name] {
+	for i, sl := range c.scanLanes {
+		switch cyc.Actions[i] {
 		case pattern.ActShift:
-			for ci := range chs {
-				wire := sl.lane.WireLo + ci
-				chain := chs[ci]
-				if len(chain) == 0 {
-					continue
-				}
-				tamOut[wire] = chain[len(chain)-1]
-				in := cyc.TamIn[wire].Bool()
-				copy(chain[1:], chain[:len(chain)-1])
-				chain[0] = in
-			}
+			shiftLane(sl.chains, sl.lane.WireLo, cyc, tamOut)
 		case pattern.ActCapture:
 			sl.capture()
 		}
@@ -195,21 +225,38 @@ func (c *Chip) Step(cyc *pattern.Cycle) (tamOut, funcOut []bool) {
 		c.funcCycle(fl, cyc, funcOut)
 	}
 
-	if c.stuckWire >= 0 && c.stuckWire < len(tamOut) {
-		tamOut[c.stuckWire] = false
+	if c.stuckWire >= 0 && c.stuckWire < c.prog.TamWidth {
+		tamOut[c.stuckWire/64] &^= 1 << (c.stuckWire % 64)
 	}
 	c.cycleInSess++
 	return tamOut, funcOut
+}
+
+// shiftLane shifts every chain of a lane one cell: chain ci takes its
+// input from TAM wire wireLo+ci and drives its last cell onto that wire.
+func shiftLane(chains []*chain, wireLo int, cyc *pattern.Cycle, tamOut []uint64) {
+	for ci, ch := range chains {
+		if len(ch.cells) == 0 {
+			continue
+		}
+		wire := wireLo + ci
+		if ch.shift(cyc.TamIn.Level(wire)) {
+			tamOut[wire/64] |= 1 << (wire % 64)
+		}
+	}
 }
 
 // capture performs the update+capture cycle of one wrapped core: in-cells
 // drive the core PIs, the core logic computes, segments take the next scan
 // state, out-cells take the POs, in-cells capture the quiescent chip pins.
 func (sl *chipScanLane) capture() {
-	lane, chs, model, chainOff := sl.lane, sl.chains, sl.model, sl.chainOff
+	lane, model, chainOff := sl.lane, sl.model, sl.chainOff
 	core := lane.Core
-	pi := make([]bool, core.PIs)
-	state := make([]bool, model.StateBits())
+	pi, state := sl.pi, sl.state
+	chs := make([][]bool, len(sl.chains))
+	for ci, ch := range sl.chains {
+		chs[ci] = ch.linear()
+	}
 
 	piIdx := 0
 	for ci, ch := range lane.Plan.Chains {
@@ -260,41 +307,27 @@ func coreChainOffsets(core *testinfo.Core) []int {
 
 // funcCycle implements the functional-test pin multiplexing: ingest this
 // cycle's input slots, step the core machine when the last PI slot of the
-// window arrives, and present output slots from the PO latch.
-func (c *Chip) funcCycle(fl *chipFuncLane, cyc *pattern.Cycle, funcOut []bool) {
+// window arrives, and present output slots from the PO latch.  The slot
+// window [lo, hi) indexes the pattern's PIs then POs, as the translator
+// lays them out.
+func (c *Chip) funcCycle(fl *chipFuncLane, cyc *pattern.Cycle, funcOut []uint64) {
 	lane := fl.lane
 	local := c.cycleInSess - lane.Start
 	if local < 0 || local >= lane.Cycles {
 		return
 	}
-	t, j := local/lane.CPP, local%lane.CPP
-	if t != fl.window {
-		fl.window = t
+	j := local % lane.CPP
+	lo, hi := j*lane.Slots, (j+1)*lane.Slots
+	if n := min(hi, fl.nPI) - lo; n > 0 {
+		pattern.CopyBits(fl.inBuf, lo, cyc.Func.Val, lane.SlotLo, n)
 	}
-	nPI := lane.Core.PIs
-	model := fl.model
-	lastPISlot := nPI - 1
-	computes := false
-	for s := 0; s < lane.Slots; s++ {
-		slotIdx := j*lane.Slots + s
-		if slotIdx < nPI {
-			fl.inBuf[slotIdx] = cyc.Func[lane.SlotLo+s].Bool()
-			if slotIdx == lastPISlot {
-				computes = true
-			}
-		}
+	// The machine steps when the window holds the last PI slot (or, for a
+	// core without PIs, on the pattern's first cycle).
+	if (fl.nPI > 0 && lo < fl.nPI && fl.nPI <= hi) || (fl.nPI == 0 && j == 0) {
+		fl.machine = fl.model.FuncStep(fl.machine, fl.inBuf, fl.poLatch)
 	}
-	if nPI == 0 && j == 0 {
-		computes = true
-	}
-	if computes {
-		fl.machine, fl.poLatch = model.FuncStep(fl.machine, fl.inBuf)
-	}
-	for s := 0; s < lane.Slots; s++ {
-		slotIdx := j*lane.Slots + s
-		if slotIdx >= nPI && slotIdx < nPI+lane.Core.POs && fl.poLatch != nil {
-			funcOut[lane.SlotLo+s] = fl.poLatch[slotIdx-nPI]
-		}
+	if from, to := max(lo, fl.nPI), min(hi, fl.nPI+fl.nPO); from < to {
+		pattern.CopyBits(funcOut, lane.SlotLo+from-lo, fl.poLatch, from-fl.nPI, to-from)
 	}
 }
 
@@ -303,21 +336,12 @@ func (c *Chip) funcCycle(fl *chipFuncLane, cyc *pattern.Cycle, funcOut []bool) {
 // boundary cell takes the value its glue wire carries (through any
 // injected open or bridge defect), core-internal segments hold, and output
 // cells capture the quiescent core side.
-func (c *Chip) extestStep(ex *pattern.ExtestLane, cyc *pattern.Cycle, tamOut []bool) {
+func (c *Chip) extestStep(ex *pattern.ExtestLane, cyc *pattern.Cycle, tamOut []uint64) {
 	capture := false
-	for _, cl := range ex.Cores {
-		switch cyc.Actions[cl.Core.Name] {
+	for i, cl := range ex.Cores {
+		switch cyc.Actions[i] {
 		case pattern.ActShift:
-			for ci, chain := range c.chains[cl.Core.Name] {
-				if len(chain) == 0 {
-					continue
-				}
-				wire := cl.WireLo + ci
-				tamOut[wire] = chain[len(chain)-1]
-				in := cyc.TamIn[wire].Bool()
-				copy(chain[1:], chain[:len(chain)-1])
-				chain[0] = in
-			}
+			shiftLane(c.extest[i], cl.WireLo, cyc, tamOut)
 		case pattern.ActCapture:
 			capture = true
 		}
@@ -350,10 +374,10 @@ func (c *Chip) extestStep(ex *pattern.ExtestLane, cyc *pattern.Cycle, tamOut []b
 		}
 		sink[w.ToCore][w.ToPI] = driven[wi]
 	}
-	for _, cl := range ex.Cores {
+	for i, cl := range ex.Cores {
 		piIdx, poIdx := 0, 0
 		for ci, ch := range cl.Plan.Chains {
-			chain := c.chains[cl.Core.Name][ci]
+			chain := c.extest[i][ci].linear()
 			pos := 0
 			for k := 0; k < ch.InCells; k++ {
 				chain[pos] = sink[cl.Core.Name][piIdx]
@@ -376,13 +400,13 @@ func (c *Chip) extestStep(ex *pattern.ExtestLane, cyc *pattern.Cycle, tamOut []b
 // index k), walking the sequential cell allocation across the core's
 // wrapper chains.
 func (c *Chip) extestCellValue(ex *pattern.ExtestLane, core string, inCell bool, k int) bool {
-	for _, cl := range ex.Cores {
+	for i, cl := range ex.Cores {
 		if cl.Core.Name != core {
 			continue
 		}
 		idx := 0
 		for ci, ch := range cl.Plan.Chains {
-			chain := c.chains[core][ci]
+			chain := c.extest[i][ci].linear()
 			n := ch.OutCells
 			base := ch.InCells + ch.ScanBits()
 			if inCell {

@@ -6,8 +6,8 @@ import (
 	"encoding/hex"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
-	"unsafe"
 
 	"steac/internal/ate"
 	"steac/internal/brains"
@@ -19,31 +19,33 @@ import (
 )
 
 // streamDigest hashes every cycle Program.Stream emits, session by
-// session: TamIn, TamExpect, Func, FuncExpect and the actions sorted by
-// core name.
+// session: TamIn, TamExpect, Func, FuncExpect unpacked to one Bit byte
+// per pin, and the non-idle actions sorted by core name — the byte
+// sequence the digests were first recorded over.
 func streamDigest(t *testing.T, prog *pattern.Program) string {
 	t.Helper()
 	h := sha256.New()
 	var buf []byte
-	var names []string
-	sep := []byte{'|'}
 	for _, layout := range prog.Sessions {
+		names := layout.ActionNames()
+		byName := make([]int, len(names))
+		for i := range byName {
+			byName[i] = i
+		}
+		slices.SortStableFunc(byName, func(a, b int) int { return strings.Compare(names[a], names[b]) })
 		err := prog.Stream(layout, func(c int, cyc *pattern.Cycle) bool {
-			for _, v := range [][]pattern.Bit{cyc.TamIn, cyc.TamExpect, cyc.Func, cyc.FuncExpect} {
-				// Bit is a byte: hash the vector's bytes in place (the
-				// DSC program streams billions of them).
-				h.Write(unsafe.Slice((*byte)(unsafe.SliceData(v)), len(v)))
-				h.Write(sep)
-			}
 			buf = buf[:0]
-			names = names[:0]
-			for name := range cyc.Actions {
-				names = append(names, name)
+			for _, bus := range []*pattern.Bus{&cyc.TamIn, &cyc.TamExpect, &cyc.Func, &cyc.FuncExpect} {
+				for i := 0; i < bus.Len(); i++ {
+					buf = append(buf, byte(bus.Get(i)))
+				}
+				buf = append(buf, '|')
 			}
-			slices.Sort(names)
-			for _, name := range names {
-				buf = append(buf, name...)
-				buf = append(buf, '=', byte(cyc.Actions[name]), ';')
+			for _, i := range byName {
+				if cyc.Actions[i] != pattern.ActIdle {
+					buf = append(buf, names[i]...)
+					buf = append(buf, '=', byte(cyc.Actions[i]), ';')
+				}
 			}
 			buf = append(buf, '\n')
 			h.Write(buf)

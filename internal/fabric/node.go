@@ -7,12 +7,12 @@ import (
 	"net/http"
 	"net/url"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"time"
 
 	"steac/internal/campaign"
 	"steac/internal/envelope"
+	"steac/internal/par"
 )
 
 // Client is a typed HTTP client for the /v1/fabric/* protocol.  Non-2xx
@@ -98,7 +98,8 @@ type Node struct {
 	// Dir is the checkpoint root shared with the coordinator (campaigns
 	// live in Dir/<fingerprint[:16]>).
 	Dir string
-	// Workers is the local simulation pool size (0 = GOMAXPROCS).
+	// Workers is the local simulation pool size, resolved per campaign by
+	// par.Workers (0 = GOMAXPROCS, never more than the campaign's shards).
 	Workers int
 	// LeaseMax caps shards requested per claim (0 = coordinator default).
 	LeaseMax int
@@ -115,13 +116,6 @@ type Node struct {
 	StallHeartbeat func()
 	// OnShard observes every shard the node journals and acknowledges.
 	OnShard func(fingerprint string, shard int)
-}
-
-func (n *Node) workers() int {
-	if n.Workers > 0 {
-		return n.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 func (n *Node) poll() time.Duration {
@@ -214,10 +208,11 @@ func (n *Node) RunCampaign(ctx context.Context, fp string) error {
 	defer cancel()
 	held := &heldLeases{shards: map[int]struct{}{}}
 	leases := make(chan WireLease)
-	errs := make(chan error, n.workers()+1)
+	workers := par.Workers(n.Workers, plan.Shards)
+	errs := make(chan error, workers+1)
 
 	var wg sync.WaitGroup
-	for i := 0; i < n.workers(); i++ {
+	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

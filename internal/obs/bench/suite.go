@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"time"
 
+	"steac/internal/ate"
 	"steac/internal/bist"
 	"steac/internal/brains"
 	"steac/internal/core"
@@ -15,6 +16,7 @@ import (
 	"steac/internal/memfault"
 	"steac/internal/memory"
 	"steac/internal/pattern"
+	"steac/internal/scenario"
 	"steac/internal/sched"
 	"steac/internal/testinfo"
 	"steac/internal/wrapper"
@@ -197,6 +199,31 @@ func specs() []spec {
 				}
 				return opResult{work: int64(n), unit: "cycles",
 					check: fmt.Sprintf("cycles=%d tam=%d", n, prog.TamWidth)}, nil
+			}, nil
+		}},
+		{name: "ate.verify", workers: 1, setup: func() (func() (opResult, error), error) {
+			// The sign-off tester stage alone: a generated P1500 chip's
+			// translated program applied to its behavioural model.
+			chip, err := scenario.GenerateByName("p1500-lbist", 4)
+			if err != nil {
+				return nil, err
+			}
+			in, err := chip.FlowInput(false)
+			if err != nil {
+				return nil, err
+			}
+			in.Resources.Workers = 1
+			fr, err := core.RunFlowContext(context.Background(), in)
+			if err != nil {
+				return nil, err
+			}
+			return func() (opResult, error) {
+				r, err := ate.Run(fr.Program, ate.NewChip(fr.Program, fr.Cores))
+				if err != nil {
+					return opResult{}, err
+				}
+				return opResult{work: int64(r.Cycles), unit: "cycles",
+					check: fmt.Sprintf("pass=%v cycles=%d mismatches=%d", r.Pass, r.Cycles, r.Mismatches)}, nil
 			}, nil
 		}},
 		{name: "xcheck.equiv", workers: 1, setup: func() (func() (opResult, error), error) {

@@ -20,10 +20,12 @@ type ScanPattern struct {
 	ExpectPO []bool
 }
 
-// FuncPattern is one cycle-based functional pattern.
+// FuncPattern is one cycle-based functional pattern, packed 64 pins per
+// word (pin i is bit i%64 of word i/64; the core's PIs and POs give the
+// widths, and bits past them are 0).
 type FuncPattern struct {
-	PI       []bool
-	ExpectPO []bool
+	PI       []uint64
+	ExpectPO []uint64
 }
 
 // ATPG is the synthetic pattern source for one core.  Patterns are
@@ -66,6 +68,20 @@ func (a *ATPG) ScanCount() int { return a.scanCount }
 
 // FuncCount returns the number of functional patterns.
 func (a *ATPG) FuncCount() int { return a.funcCount }
+
+// prandWords draws n pseudo-random bits packed LSB first: word k is
+// splitmix64(seed+k), masked to n bits in the last word — prandBits's
+// draws in packed form.
+func prandWords(seed uint64, n int) []uint64 {
+	words := make([]uint64, Words(n))
+	for k := range words {
+		words[k] = splitmix64(seed + uint64(k))
+	}
+	if r := n % 64; r != 0 {
+		words[len(words)-1] &= 1<<r - 1
+	}
+	return words
+}
 
 func prandBits(seed uint64, n int) []bool {
 	bits := make([]bool, n)
@@ -125,12 +141,10 @@ func (a *ATPG) FuncPattern(i int) (FuncPattern, error) {
 // FuncWalk streams the functional pattern sequence from reset; fn returning
 // false stops early.
 func (a *ATPG) FuncWalk(fn func(i int, p FuncPattern) bool) {
-	state := a.Model.FuncReset()
-	for i := 0; i < a.funcCount; i++ {
-		pi := prandBits(splitmix64(a.funcSeed^0x60000^uint64(i)), a.Core().PIs)
-		var po []bool
-		state, po = a.Model.FuncStep(state, pi)
-		if !fn(i, FuncPattern{PI: pi, ExpectPO: po}) {
+	next := a.FuncStream()
+	for i := 0; ; i++ {
+		p, ok := next()
+		if !ok || !fn(i, p) {
 			return
 		}
 	}

@@ -213,13 +213,7 @@ func (l *ExtestLane) extestImages(v int) (load, expect map[string][][]Bit) {
 // for MaxLen cycles per vector (update+capture on the MaxLen+1-th), then a
 // final unload.
 func (prog *Program) streamExtest(lane *ExtestLane, fn func(c int, cyc *Cycle) bool) error {
-	cyc := &Cycle{
-		TamIn:      make([]Bit, prog.TamWidth),
-		TamExpect:  make([]Bit, prog.TamWidth),
-		Func:       make([]Bit, prog.FuncBus),
-		FuncExpect: make([]Bit, prog.FuncBus),
-		Actions:    make(map[string]CoreAction),
-	}
+	cyc := newCycle(prog.TamWidth, prog.FuncBus, len(lane.Cores))
 	L := lane.MaxLen
 	period := L + 1
 	var curLoad, prevExpect map[string][][]Bit
@@ -230,45 +224,32 @@ func (prog *Program) streamExtest(lane *ExtestLane, fn func(c int, cyc *Cycle) b
 		c++
 		return ok
 	}
-	clear := func() {
-		for i := range cyc.TamIn {
-			cyc.TamIn[i] = BX
-			cyc.TamExpect[i] = BX
-		}
-		for i := range cyc.Func {
-			cyc.Func[i] = BX
-			cyc.FuncExpect[i] = BX
-		}
-		for k := range cyc.Actions {
-			delete(cyc.Actions, k)
-		}
-	}
 	for v := 0; v < lane.Vectors; v++ {
 		load, expect := lane.extestImages(v)
 		curLoad = load
 		for k := 0; k < period; k++ {
-			clear()
+			cyc.reset()
 			if k < L {
-				for _, cl := range lane.Cores {
-					cyc.Actions[cl.Core.Name] = ActShift
+				for i, cl := range lane.Cores {
+					cyc.Actions[i] = ActShift
 					for ci, img := range curLoad[cl.Core.Name] {
 						wire := cl.WireLo + ci
 						if idx := L - 1 - k; idx < len(img) {
-							cyc.TamIn[wire] = img[idx]
+							cyc.TamIn.Set(wire, img[idx])
 						} else {
-							cyc.TamIn[wire] = B0
+							cyc.TamIn.Set(wire, B0)
 						}
 						if prevExpect != nil {
 							pimg := prevExpect[cl.Core.Name][ci]
 							if idx := len(pimg) - 1 - k; idx >= 0 {
-								cyc.TamExpect[wire] = pimg[idx]
+								cyc.TamExpect.Set(wire, pimg[idx])
 							}
 						}
 					}
 				}
 			} else {
-				for _, cl := range lane.Cores {
-					cyc.Actions[cl.Core.Name] = ActCapture
+				for i := range lane.Cores {
+					cyc.Actions[i] = ActCapture
 				}
 			}
 			if !emit() {
@@ -279,14 +260,14 @@ func (prog *Program) streamExtest(lane *ExtestLane, fn func(c int, cyc *Cycle) b
 	}
 	// Final unload.
 	for k := 0; k < L; k++ {
-		clear()
-		for _, cl := range lane.Cores {
-			cyc.Actions[cl.Core.Name] = ActShift
+		cyc.reset()
+		for i, cl := range lane.Cores {
+			cyc.Actions[i] = ActShift
 			for ci, pimg := range prevExpect[cl.Core.Name] {
 				wire := cl.WireLo + ci
-				cyc.TamIn[wire] = B0
+				cyc.TamIn.Set(wire, B0)
 				if idx := len(pimg) - 1 - k; idx >= 0 {
-					cyc.TamExpect[wire] = pimg[idx]
+					cyc.TamExpect.Set(wire, pimg[idx])
 				}
 			}
 		}

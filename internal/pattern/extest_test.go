@@ -2,6 +2,7 @@ package pattern
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"steac/internal/testinfo"
@@ -115,10 +116,11 @@ func TestStreamExtestCycleCount(t *testing.T) {
 	if err := prog.AttachExtest(0, lane); err != nil {
 		t.Fatal(err)
 	}
+	a := slices.Index(prog.Sessions[0].ActionNames(), "A")
 	n, captures := 0, 0
 	err = prog.Stream(prog.Sessions[0], func(c int, cyc *Cycle) bool {
 		n++
-		if cyc.Actions["A"] == ActCapture {
+		if cyc.Actions[a] == ActCapture {
 			captures++
 		}
 		return true

@@ -15,6 +15,8 @@
 package pattern
 
 import (
+	"math/bits"
+
 	"steac/internal/testinfo"
 )
 
@@ -39,15 +41,6 @@ func FromBool(v bool) Bit {
 // Bool returns the logic level of a non-X bit (X reads as 0).
 func (b Bit) Bool() bool { return b == B1 }
 
-// Matches reports whether an observed level satisfies the expectation
-// (X matches anything).
-func (b Bit) Matches(observed bool) bool {
-	if b == BX {
-		return true
-	}
-	return b.Bool() == observed
-}
-
 // splitmix64 is the keyed mixing primitive behind every synthetic model:
 // deterministic, seedable, well distributed.
 func splitmix64(x uint64) uint64 {
@@ -61,11 +54,24 @@ func splitmix64(x uint64) uint64 {
 // defines the capture behaviour (next scan state and PO values from the
 // current scan state and PI values); for functional cores it defines a
 // seeded Mealy machine stepped once per functional pattern.
+//
+// Everything the seed determines — the capture tap tables and the
+// functional machine's per-PI mixing keys — is derived once, when the
+// model is built, so a model is only ever made by NewCoreModel or
+// Reseeded and never copied and edited.
 type CoreModel struct {
 	Core *testinfo.Core
-	Seed uint64
 
+	seed      uint64
 	stateBits int
+	next, po  []tap    // capture taps per next-state bit and per PO bit
+	piKeys    []uint64 // FuncStep's mixing key per PI
+}
+
+// tap is TapSpec in table form.
+type tap struct {
+	state, pi   int32
+	invert, xor bool
 }
 
 // NewCoreModel builds the model; the seed comes from the core's pattern-set
@@ -75,8 +81,33 @@ func NewCoreModel(core *testinfo.Core) *CoreModel {
 	for _, p := range core.Patterns {
 		seed = splitmix64(seed ^ uint64(p.Seed))
 	}
-	return &CoreModel{Core: core, Seed: seed, stateBits: core.TotalScanBits()}
+	return newCoreModel(core, seed)
 }
+
+// Reseeded returns the model of the same core under another seed: a core
+// whose logic differs (how a manufacturing defect is injected).  Its
+// tables are derived afresh from the new seed.
+func (m *CoreModel) Reseeded(seed uint64) *CoreModel { return newCoreModel(m.Core, seed) }
+
+func newCoreModel(core *testinfo.Core, seed uint64) *CoreModel {
+	m := &CoreModel{Core: core, seed: seed, stateBits: core.TotalScanBits()}
+	m.next = make([]tap, m.stateBits)
+	for i := range m.next {
+		m.next[i] = m.nextSpec(i).tap()
+	}
+	m.po = make([]tap, core.POs)
+	for j := range m.po {
+		m.po[j] = m.poSpec(j).tap()
+	}
+	m.piKeys = make([]uint64, core.PIs)
+	for i := range m.piKeys {
+		m.piKeys[i] = splitmix64(seed ^ 0xB0000 ^ uint64(i))
+	}
+	return m
+}
+
+// Seed returns the seed the model's logic derives from.
+func (m *CoreModel) Seed() uint64 { return m.seed }
 
 // StateBits returns the scan state width (concatenation of the core's scan
 // chains in declaration order).
@@ -103,28 +134,38 @@ type TapSpec struct {
 	PIXor    bool
 }
 
-func (m *CoreModel) nextSpec(i, nState, nPI int) TapSpec {
+func (sp TapSpec) tap() tap {
+	return tap{state: int32(sp.StateTap), pi: int32(sp.PITap), invert: sp.Invert, xor: sp.PIXor}
+}
+
+func (t tap) spec() TapSpec {
+	return TapSpec{StateTap: int(t.state), PITap: int(t.pi), Invert: t.invert, PIXor: t.xor}
+}
+
+func (m *CoreModel) nextSpec(i int) TapSpec {
+	nState, nPI := m.stateBits, m.Core.PIs
 	sp := TapSpec{StateTap: -1, PITap: -1, PIXor: true}
 	if nState > 0 {
-		sp.StateTap = int(splitmix64((m.Seed^0xA0000)+uint64(i)) % uint64(nState))
+		sp.StateTap = int(splitmix64((m.seed^0xA0000)+uint64(i)) % uint64(nState))
 	}
 	if nPI > 0 {
-		sp.PITap = int(splitmix64((m.Seed^0xA1000)+uint64(i)) % uint64(nPI))
+		sp.PITap = int(splitmix64((m.seed^0xA1000)+uint64(i)) % uint64(nPI))
 	}
-	h := splitmix64(m.Seed ^ 1<<48 ^ uint64(i))
+	h := splitmix64(m.seed ^ 1<<48 ^ uint64(i))
 	sp.Invert = (h&1 == 1) != (h&2 == 2)
 	return sp
 }
 
-func (m *CoreModel) poSpec(j, nState, nPI int) TapSpec {
+func (m *CoreModel) poSpec(j int) TapSpec {
+	nState, nPI := m.stateBits, m.Core.PIs
 	sp := TapSpec{StateTap: -1, PITap: -1}
 	if nState > 0 {
-		sp.StateTap = int(splitmix64((m.Seed^0xA2000)+uint64(j)) % uint64(nState))
+		sp.StateTap = int(splitmix64((m.seed^0xA2000)+uint64(j)) % uint64(nState))
 	}
 	if nPI > 0 {
-		sp.PITap = int(splitmix64((m.Seed^0xA3000)+uint64(j)) % uint64(nPI))
+		sp.PITap = int(splitmix64((m.seed^0xA3000)+uint64(j)) % uint64(nPI))
 	}
-	h := splitmix64(m.Seed ^ 2<<48 ^ uint64(j))
+	h := splitmix64(m.seed ^ 2<<48 ^ uint64(j))
 	sp.Invert = h&1 == 1
 	sp.PIXor = h&2 == 2
 	return sp
@@ -132,42 +173,40 @@ func (m *CoreModel) poSpec(j, nState, nPI int) TapSpec {
 
 // NextSpec returns the tap structure of next-state bit i at the core's full
 // state and PI widths.
-func (m *CoreModel) NextSpec(i int) TapSpec { return m.nextSpec(i, m.stateBits, m.Core.PIs) }
+func (m *CoreModel) NextSpec(i int) TapSpec { return m.next[i].spec() }
 
 // POSpec returns the tap structure of primary-output bit j at the core's
 // full state and PI widths.
-func (m *CoreModel) POSpec(j int) TapSpec { return m.poSpec(j, m.stateBits, m.Core.PIs) }
+func (m *CoreModel) POSpec(j int) TapSpec { return m.po[j].spec() }
 
 // Capture computes one scan capture: given the scan state (concatenated
-// chains) and the PI values, it returns the next state and the PO values.
-// Each next-state bit mixes one state tap, one PI tap and a keyed constant;
-// each PO bit likewise, so every load bit influences observable outputs.
+// chains, StateBits long) and the PI values (one per core PI), it returns
+// the next state and the PO values.  Each next-state bit mixes one state
+// tap, one PI tap and a keyed constant; each PO bit likewise, so every load
+// bit influences observable outputs.
 func (m *CoreModel) Capture(state, pi []bool) (next, po []bool) {
-	n := len(state)
-	next = make([]bool, n)
-	for i := 0; i < n; i++ {
-		sp := m.nextSpec(i, n, len(pi))
-		v := sp.Invert
-		if sp.StateTap >= 0 && state[sp.StateTap] {
+	next = make([]bool, len(m.next))
+	for i, t := range m.next {
+		v := t.invert
+		if t.state >= 0 && state[t.state] {
 			v = !v
 		}
-		if sp.PITap >= 0 && pi[sp.PITap] {
+		if t.pi >= 0 && pi[t.pi] {
 			v = !v
 		}
 		next[i] = v
 	}
-	po = make([]bool, m.Core.POs)
-	for j := range po {
-		sp := m.poSpec(j, n, len(pi))
+	po = make([]bool, len(m.po))
+	for j, t := range m.po {
 		var sTap, pTap bool
-		if sp.StateTap >= 0 {
-			sTap = state[sp.StateTap]
+		if t.state >= 0 {
+			sTap = state[t.state]
 		}
-		if sp.PITap >= 0 {
-			pTap = pi[sp.PITap]
+		if t.pi >= 0 {
+			pTap = pi[t.pi]
 		}
-		v := sp.Invert != sTap
-		if sp.PIXor && pTap {
+		v := t.invert != sTap
+		if t.xor && pTap {
 			v = !v
 		}
 		po[j] = v != (sTap && pTap)
@@ -176,24 +215,30 @@ func (m *CoreModel) Capture(state, pi []bool) (next, po []bool) {
 }
 
 // FuncReset returns the functional machine's initial internal state.
-func (m *CoreModel) FuncReset() uint64 { return splitmix64(m.Seed ^ 0xF0F0) }
+func (m *CoreModel) FuncReset() uint64 { return splitmix64(m.seed ^ 0xF0F0) }
 
 // FuncStep advances the functional Mealy machine one pattern: it mixes the
-// PI vector into the internal state and produces the PO vector.
-func (m *CoreModel) FuncStep(state uint64, pi []bool) (uint64, []bool) {
+// packed PI vector into the internal state and writes the packed PO vector
+// to po (Words(Core.POs) words).
+func (m *CoreModel) FuncStep(state uint64, pi, po []uint64) uint64 {
 	h := state
-	for i, v := range pi {
-		if v {
-			h ^= splitmix64(m.Seed ^ 0xB0000 ^ uint64(i))
+	for w, word := range pi {
+		for ; word != 0; word &= word - 1 {
+			h ^= m.piKeys[w*64+bits.TrailingZeros64(word)]
 		}
 	}
 	h = splitmix64(h)
-	po := make([]bool, m.Core.POs)
-	for j := range po {
-		po[j] = (h>>(uint(j)%64))&1 == 1
-		if j >= 64 {
-			po[j] = po[j] != (splitmix64(h^uint64(j))&1 == 1)
+	nPO := len(m.po)
+	for w := range po {
+		word := h
+		// Beyond the first 64 outputs each bit also mixes its own draw.
+		for j := max(w*64, 64); j < min(w*64+64, nPO); j++ {
+			word ^= (splitmix64(h^uint64(j)) & 1) << (j % 64)
 		}
+		if rest := nPO - w*64; rest < 64 {
+			word &= 1<<rest - 1
+		}
+		po[w] = word
 	}
-	return h, po
+	return h
 }

@@ -1,6 +1,7 @@
 package pattern
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -32,11 +33,17 @@ func miniFuncCore() *testinfo.Core {
 }
 
 func TestBitSemantics(t *testing.T) {
-	if !BX.Matches(true) || !BX.Matches(false) {
-		t.Fatal("X must match anything")
-	}
-	if !B1.Matches(true) || B1.Matches(false) || !B0.Matches(false) {
-		t.Fatal("bit matching broken")
+	// Expect [X, 1, 0]: X matches any observed level, 0 and 1 only
+	// themselves.
+	cyc := newCycle(3, 0, 0)
+	cyc.TamExpect.Set(1, B1)
+	cyc.TamExpect.Set(2, B0)
+	for got, want := range map[uint64][]int{0b000: {1}, 0b111: {2}, 0b010: nil, 0b101: {1, 2}} {
+		var bad []int
+		cyc.TamExpect.Mismatches([]uint64{got}, func(pin int) { bad = append(bad, pin) })
+		if !slices.Equal(bad, want) {
+			t.Fatalf("observed %03b: mismatches %v, want %v", got, bad, want)
+		}
 	}
 	if FromBool(true) != B1 || FromBool(false) != B0 {
 		t.Fatal("FromBool")
@@ -73,8 +80,7 @@ func TestCoreModelSensitivity(t *testing.T) {
 	// injected); and different PI vectors must change outputs somewhere.
 	core := miniScanCore()
 	m := NewCoreModel(core)
-	bad := *m
-	bad.Seed ^= 0xDEADBEEF
+	bad := m.Reseeded(m.Seed() ^ 0xDEADBEEF)
 	state := prandBits(3, m.StateBits())
 	pi := prandBits(4, core.PIs)
 	n1, _ := m.Capture(state, pi)

@@ -36,17 +36,23 @@ func WriteProgramFile(w io.Writer, prog *Program) error {
 		progMagic, prog.TamWidth, prog.FuncBus, len(prog.Sessions))
 	for _, layout := range prog.Sessions {
 		fmt.Fprintf(bw, "SESSION %d cycles=%d\n", layout.Index, layout.Cycles)
+		names := layout.ActionNames()
+		byName := make([]int, len(names))
+		for i := range byName {
+			byName[i] = i
+		}
+		sort.SliceStable(byName, func(a, b int) bool { return names[byName[a]] < names[byName[b]] })
 		err := prog.Stream(layout, func(c int, cyc *Cycle) bool {
 			bw.WriteString("V ")
-			writeBits(bw, cyc.TamIn, "01X")
+			writeBits(bw, &cyc.TamIn, "01X")
 			bw.WriteByte(' ')
-			writeBits(bw, cyc.TamExpect, "LHX")
+			writeBits(bw, &cyc.TamExpect, "LHX")
 			bw.WriteByte(' ')
-			writeBits(bw, cyc.Func, "01X")
+			writeBits(bw, &cyc.Func, "01X")
 			bw.WriteByte(' ')
-			writeBits(bw, cyc.FuncExpect, "LHX")
+			writeBits(bw, &cyc.FuncExpect, "LHX")
 			bw.WriteByte(' ')
-			writeActions(bw, cyc.Actions)
+			writeActions(bw, cyc.Actions, names, byName)
 			bw.WriteByte('\n')
 			return true
 		})
@@ -57,47 +63,52 @@ func WriteProgramFile(w io.Writer, prog *Program) error {
 	return bw.Flush()
 }
 
-func writeBits(bw *bufio.Writer, bits []Bit, alphabet string) {
-	if len(bits) == 0 {
+func writeBits(bw *bufio.Writer, bus *Bus, alphabet string) {
+	if bus.Len() == 0 {
 		bw.WriteByte('-')
 		return
 	}
-	for _, b := range bits {
-		bw.WriteByte(alphabet[b])
+	for i := 0; i < bus.Len(); i++ {
+		bw.WriteByte(alphabet[bus.Get(i)])
 	}
 }
 
-func writeActions(bw *bufio.Writer, actions map[string]CoreAction) {
-	if len(actions) == 0 {
-		bw.WriteByte('-')
-		return
-	}
-	names := make([]string, 0, len(actions))
-	for n := range actions {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for i, n := range names {
-		if i > 0 {
+// writeActions lists the non-idle lanes' controls in core-name order
+// (byName orders the lane indices by names).
+func writeActions(bw *bufio.Writer, actions []CoreAction, names []string, byName []int) {
+	n := 0
+	for _, i := range byName {
+		if actions[i] == ActIdle {
+			continue
+		}
+		if n > 0 {
 			bw.WriteByte(',')
 		}
-		bw.WriteString(n)
-		if actions[n] == ActCapture {
+		n++
+		bw.WriteString(names[i])
+		if actions[i] == ActCapture {
 			bw.WriteString(":C")
 		} else {
 			bw.WriteString(":S")
 		}
 	}
+	if n == 0 {
+		bw.WriteByte('-')
+	}
 }
 
-// RecordedCycle is one parsed vector line.
+// RecordedCycle is one parsed vector line.  Its Actions are indexed like
+// the session's Cores.
 type RecordedCycle struct {
 	Cycle
 }
 
-// RecordedSession is one parsed session.
+// RecordedSession is one parsed session.  Cores names the cores its vector
+// lines carry scan controls for, in order of first appearance; a cycle's
+// Actions may be shorter than Cores (the cores past its end are idle).
 type RecordedSession struct {
 	Index  int
+	Cores  []string
 	Cycles []RecordedCycle
 }
 
@@ -141,6 +152,7 @@ func ReadProgramFile(r io.Reader) (*RecordedProgram, error) {
 		return nil, err
 	}
 	var cur *RecordedSession
+	var coreIdx map[string]int // cur's Cores by name
 	line := 1
 	for sc.Scan() {
 		line++
@@ -157,11 +169,12 @@ func ReadProgramFile(r io.Reader) (*RecordedProgram, error) {
 			}
 			prog.Sessions = append(prog.Sessions, RecordedSession{Index: idx})
 			cur = &prog.Sessions[len(prog.Sessions)-1]
+			coreIdx = make(map[string]int)
 		case strings.HasPrefix(text, "V "):
 			if cur == nil {
 				return nil, fmt.Errorf("pattern: line %d: vector before any session", line)
 			}
-			rc, err := parseVectorLine(text, prog.TamWidth, prog.FuncBus)
+			rc, err := parseVectorLine(text, prog.TamWidth, prog.FuncBus, cur, coreIdx)
 			if err != nil {
 				return nil, fmt.Errorf("pattern: line %d: %w", line, err)
 			}
@@ -193,62 +206,72 @@ func intField(s, key string) (int, error) {
 	return n, nil
 }
 
-func parseVectorLine(text string, tamW, funcW int) (RecordedCycle, error) {
+func parseVectorLine(text string, tamW, funcW int, sess *RecordedSession, coreIdx map[string]int) (RecordedCycle, error) {
 	fields := strings.Fields(text)
 	if len(fields) != 6 {
 		return RecordedCycle{}, fmt.Errorf("want 6 fields, got %d", len(fields))
 	}
-	var rc RecordedCycle
-	var err error
-	if rc.TamIn, err = parseBits(fields[1], tamW, "01X"); err != nil {
-		return rc, err
+	type laneAction struct {
+		lane int
+		act  CoreAction
 	}
-	if rc.TamExpect, err = parseBits(fields[2], tamW, "LHX"); err != nil {
-		return rc, err
-	}
-	if rc.Func, err = parseBits(fields[3], funcW, "01X"); err != nil {
-		return rc, err
-	}
-	if rc.FuncExpect, err = parseBits(fields[4], funcW, "LHX"); err != nil {
-		return rc, err
-	}
-	rc.Actions = make(map[string]CoreAction)
+	var acts []laneAction
 	if fields[5] != "-" {
 		for _, part := range strings.Split(fields[5], ",") {
-			name, act, ok := strings.Cut(part, ":")
+			name, code, ok := strings.Cut(part, ":")
 			if !ok {
-				return rc, fmt.Errorf("bad action %q", part)
+				return RecordedCycle{}, fmt.Errorf("bad action %q", part)
 			}
-			switch act {
+			var act CoreAction
+			switch code {
 			case "S":
-				rc.Actions[name] = ActShift
+				act = ActShift
 			case "C":
-				rc.Actions[name] = ActCapture
+				act = ActCapture
 			default:
-				return rc, fmt.Errorf("unknown action %q", act)
+				return RecordedCycle{}, fmt.Errorf("unknown action %q", code)
 			}
+			k, seen := coreIdx[name]
+			if !seen {
+				k = len(sess.Cores)
+				coreIdx[name] = k
+				sess.Cores = append(sess.Cores, name)
+			}
+			acts = append(acts, laneAction{k, act})
+		}
+	}
+	rc := RecordedCycle{Cycle: *newCycle(tamW, funcW, len(sess.Cores))}
+	for _, a := range acts {
+		rc.Actions[a.lane] = a.act
+	}
+	for i, bus := range []struct {
+		b        *Bus
+		alphabet string
+	}{{&rc.TamIn, "01X"}, {&rc.TamExpect, "LHX"}, {&rc.Func, "01X"}, {&rc.FuncExpect, "LHX"}} {
+		if err := parseBus(bus.b, fields[1+i], bus.alphabet); err != nil {
+			return rc, err
 		}
 	}
 	return rc, nil
 }
 
-func parseBits(s string, width int, alphabet string) ([]Bit, error) {
+func parseBus(bus *Bus, s string, alphabet string) error {
+	width := bus.Len()
 	if s == "-" {
 		if width != 0 {
-			return nil, fmt.Errorf("empty bus but width %d", width)
+			return fmt.Errorf("empty bus but width %d", width)
 		}
-		return nil, nil
+		return nil
 	}
 	if len(s) != width {
-		return nil, fmt.Errorf("bus has %d chars, want %d", len(s), width)
+		return fmt.Errorf("bus has %d chars, want %d", len(s), width)
 	}
-	bits := make([]Bit, width)
 	for i := 0; i < width; i++ {
 		idx := strings.IndexByte(alphabet, s[i])
 		if idx < 0 {
-			return nil, fmt.Errorf("invalid char %q (alphabet %s)", string(s[i]), alphabet)
+			return fmt.Errorf("invalid char %q (alphabet %s)", string(s[i]), alphabet)
 		}
-		bits[i] = Bit(idx)
+		bus.Set(i, Bit(idx))
 	}
-	return bits, nil
+	return nil
 }

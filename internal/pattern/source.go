@@ -31,9 +31,9 @@ func (a *ATPG) FuncStream() func() (FuncPattern, bool) {
 		if i >= a.funcCount {
 			return FuncPattern{}, false
 		}
-		pi := prandBits(splitmix64(a.funcSeed^0x60000^uint64(i)), a.Core().PIs)
-		var po []bool
-		state, po = a.Model.FuncStep(state, pi)
+		pi := prandWords(splitmix64(a.funcSeed^0x60000^uint64(i)), a.Core().PIs)
+		po := make([]uint64, Words(a.Core().POs))
+		state = a.Model.FuncStep(state, pi, po)
 		i++
 		return FuncPattern{PI: pi, ExpectPO: po}, true
 	}
@@ -70,12 +70,24 @@ func NewExplicitSource(core *testinfo.Core, scan []ScanPattern, fn []FuncPattern
 		}
 	}
 	for i, p := range fn {
-		if len(p.PI) != core.PIs || len(p.ExpectPO) != core.POs {
-			return nil, fmt.Errorf("pattern: functional vector %d PI/PO = %d/%d, want %d/%d",
-				i, len(p.PI), len(p.ExpectPO), core.PIs, core.POs)
+		if !packedWidth(p.PI, core.PIs) || !packedWidth(p.ExpectPO, core.POs) {
+			return nil, fmt.Errorf("pattern: functional vector %d PI/PO do not pack %d/%d pins",
+				i, core.PIs, core.POs)
 		}
 	}
 	return &ExplicitSource{core: core, scan: scan, fn: fn}, nil
+}
+
+// packedWidth reports whether words packs exactly n pins: Words(n) words
+// with every bit past pin n-1 clear.
+func packedWidth(words []uint64, n int) bool {
+	if len(words) != Words(n) {
+		return false
+	}
+	if r := n % 64; r != 0 && words[len(words)-1]>>r != 0 {
+		return false
+	}
+	return true
 }
 
 // Core returns the core under test.

@@ -32,8 +32,12 @@ func FromSTIL(core *testinfo.Core, v *stil.Vectors) (*ExplicitSource, error) {
 		scan = append(scan, p)
 	}
 	var fn []FuncPattern
-	for _, fv := range v.Func {
-		fn = append(fn, FuncPattern{PI: bitsOf(fv.PI, "1"), ExpectPO: bitsOf(fv.PO, "H")})
+	for i, fv := range v.Func {
+		if len(fv.PI) != core.PIs || len(fv.PO) != core.POs {
+			return nil, fmt.Errorf("pattern: functional vector %d PI/PO = %d/%d, want %d/%d",
+				i, len(fv.PI), len(fv.PO), core.PIs, core.POs)
+		}
+		fn = append(fn, FuncPattern{PI: packBools(bitsOf(fv.PI, "1")), ExpectPO: packBools(bitsOf(fv.PO, "H"))})
 	}
 	return NewExplicitSource(core, scan, fn)
 }
@@ -54,8 +58,8 @@ func ToSTIL(core *testinfo.Core, scan []ScanPattern, fn []FuncPattern) *stil.Vec
 	}
 	for _, p := range fn {
 		v.Func = append(v.Func, stil.FuncVector{
-			PI: stringOf(p.PI, "0", "1"),
-			PO: stringOf(p.ExpectPO, "L", "H"),
+			PI: stringOf(unpackBits(p.PI, core.PIs), "0", "1"),
+			PO: stringOf(unpackBits(p.ExpectPO, core.POs), "L", "H"),
 		})
 	}
 	return v

@@ -107,8 +107,11 @@ func TestExplicitSourceValidation(t *testing.T) {
 	if _, err := NewExplicitSource(core, []ScanPattern{bad}, nil); err == nil {
 		t.Fatal("short chain accepted")
 	}
-	if _, err := NewExplicitSource(core, nil, []FuncPattern{{PI: make([]bool, 2)}}); err == nil {
+	if _, err := NewExplicitSource(core, nil, []FuncPattern{{ExpectPO: []uint64{0}}}); err == nil {
 		t.Fatal("short functional PI accepted")
+	}
+	if _, err := NewExplicitSource(core, nil, []FuncPattern{{PI: []uint64{1 << 5}, ExpectPO: []uint64{0}}}); err == nil {
+		t.Fatal("functional PI past the core's 5 pins accepted")
 	}
 	es, err := NewExplicitSource(core, nil, nil)
 	if err != nil {

@@ -31,13 +31,38 @@ const (
 	ActCapture
 )
 
-// Cycle is one chip-level tester cycle: drive values and expectations.
+// Cycle is one chip-level tester cycle: drive values, expectations and
+// the scan controls.  The four buses are carved from one backing array,
+// so every cycle starts all-X with a single clear.
 type Cycle struct {
-	TamIn      []Bit
-	TamExpect  []Bit
-	Actions    map[string]CoreAction
-	Func       []Bit
-	FuncExpect []Bit
+	TamIn, TamExpect, Func, FuncExpect Bus
+	// Actions holds each lane's scan control, indexed like the session's
+	// ActionNames (its scan lanes, or its EXTEST cores); idle lanes read
+	// ActIdle.
+	Actions []CoreAction
+	planes  []uint64
+}
+
+// newCycle allocates an all-X cycle of the given bus widths carrying
+// lanes scan controls.
+func newCycle(tamWidth, funcBus, lanes int) *Cycle {
+	tw, fw := Words(tamWidth), Words(funcBus)
+	c := &Cycle{planes: make([]uint64, 4*(tw+fw)), Actions: make([]CoreAction, lanes)}
+	rest := c.planes
+	cut := func(n, w int) Bus {
+		b := Bus{Val: rest[:w:w], Care: rest[w : 2*w : 2*w], n: n}
+		rest = rest[2*w:]
+		return b
+	}
+	c.TamIn, c.TamExpect = cut(tamWidth, tw), cut(tamWidth, tw)
+	c.Func, c.FuncExpect = cut(funcBus, fw), cut(funcBus, fw)
+	return c
+}
+
+// reset returns the cycle to all-X with every lane idle.
+func (c *Cycle) reset() {
+	clear(c.planes)
+	clear(c.Actions)
 }
 
 // ScanLane is one wrapped scan core's share of a session: its wrapper-chain
@@ -80,6 +105,23 @@ type SessionLayout struct {
 	// Extest, when set, makes this an interconnect-test session (no scan
 	// or functional lanes).
 	Extest *ExtestLane
+}
+
+// ActionNames names the cores whose scan controls this session's cycles
+// carry, in Cycle.Actions order: the scan lanes' cores, or for an EXTEST
+// session the EXTEST lane's cores.
+func (l *SessionLayout) ActionNames() []string {
+	var names []string
+	if l.Extest != nil {
+		for _, cl := range l.Extest.Cores {
+			names = append(names, cl.Core.Name)
+		}
+		return names
+	}
+	for _, lane := range l.Scan {
+		names = append(names, lane.Core.Name)
+	}
+	return names
 }
 
 // Program is the chip-level test program for a whole schedule.
@@ -226,6 +268,7 @@ func (a *allocator) alloc(n, start, dur int) (int, error) {
 // unload's.
 type laneState struct {
 	lane ScanLane
+	idx  int // the lane's index in the session (its Cycle.Actions slot)
 	L    int // lane.Plan.MaxLength()
 	p    int // lane.Source.ScanCount()
 	// chain contents expected on the chip after the previous capture
@@ -283,9 +326,13 @@ func ChainImages(lane ScanLane, p ScanPattern) (load, expect [][]Bit) {
 // funcState streams a functional lane pattern by pattern (pull-based, no
 // materialization: the source's own iterator supplies the sequence).
 type funcState struct {
-	lane    FuncLane
-	next    func() (FuncPattern, bool)
-	cur     FuncPattern
+	lane     FuncLane
+	next     func() (FuncPattern, bool)
+	nPI, nPO int
+	// slots is the current pattern as the lane's slot sequence: PI bits
+	// 0..nPI-1, then expected PO bits.  Cycle j of the pattern carries
+	// slots [j·Slots, (j+1)·Slots).
+	slots   []uint64
 	curIdx  int
 	haveCur bool
 }
@@ -294,6 +341,9 @@ func newFuncState(lane FuncLane) *funcState {
 	return &funcState{
 		lane:   lane,
 		next:   lane.Source.FuncStream(),
+		nPI:    lane.Core.PIs,
+		nPO:    lane.Core.POs,
+		slots:  make([]uint64, Words(lane.Core.PIs+lane.Core.POs)),
 		curIdx: -1,
 	}
 }
@@ -305,7 +355,8 @@ func (fs *funcState) advance() bool {
 		fs.haveCur = false
 		return false
 	}
-	fs.cur = p
+	CopyBits(fs.slots, 0, p.PI, 0, fs.nPI)
+	CopyBits(fs.slots, fs.nPI, p.ExpectPO, 0, fs.nPO)
 	fs.haveCur = true
 	return true
 }
@@ -325,31 +376,16 @@ func (prog *Program) Stream(layout SessionLayout, fn func(c int, cyc *Cycle) boo
 	}
 	lanes := make([]*laneState, len(layout.Scan))
 	for i, l := range layout.Scan {
-		lanes[i] = &laneState{lane: l, L: l.Plan.MaxLength(), p: l.Source.ScanCount()}
+		lanes[i] = &laneState{lane: l, idx: i, L: l.Plan.MaxLength(), p: l.Source.ScanCount()}
 	}
 	funcs := make([]*funcState, len(layout.Func))
 	for i, l := range layout.Func {
 		funcs[i] = newFuncState(l)
 	}
 
-	cyc := &Cycle{
-		TamIn:      make([]Bit, prog.TamWidth),
-		TamExpect:  make([]Bit, prog.TamWidth),
-		Func:       make([]Bit, prog.FuncBus),
-		FuncExpect: make([]Bit, prog.FuncBus),
-		Actions:    make(map[string]CoreAction),
-	}
-	// Every cycle starts all-X; copying from a blank vector is a memmove.
-	blank := make([]Bit, max(prog.TamWidth, prog.FuncBus))
-	for i := range blank {
-		blank[i] = BX
-	}
+	cyc := newCycle(prog.TamWidth, prog.FuncBus, len(layout.Scan))
 	for c := 0; c < layout.Cycles; c++ {
-		copy(cyc.TamIn, blank)
-		copy(cyc.TamExpect, blank)
-		copy(cyc.Func, blank)
-		copy(cyc.FuncExpect, blank)
-		clear(cyc.Actions)
+		cyc.reset()
 
 		for _, ls := range lanes {
 			if err := ls.emit(c, cyc); err != nil {
@@ -374,7 +410,6 @@ func (ls *laneState) emit(cycleIdx int, cyc *Cycle) error {
 	if c < 0 || c >= lane.Cycles || p == 0 {
 		return nil
 	}
-	name := lane.Core.Name
 	period := L + 1
 	if c < period*p {
 		t, k := c/period, c%period
@@ -388,40 +423,40 @@ func (ls *laneState) emit(cycleIdx int, cyc *Cycle) error {
 			ls.cur, ls.expect = chainImages(lane, sp)
 		}
 		if k < L {
-			cyc.Actions[name] = ActShift
+			cyc.Actions[ls.idx] = ActShift
 			for ci, img := range ls.cur {
 				wire := lane.WireLo + ci
 				// Shift-in order: after L shifts, cell j holds the input
 				// from cycle L-1-j, so drive img[L-1-k]; cycles addressing
 				// beyond a shorter chain's length are padding.
 				if idx := L - 1 - k; idx < len(img) {
-					cyc.TamIn[wire] = img[idx]
+					cyc.TamIn.Set(wire, img[idx])
 				} else {
-					cyc.TamIn[wire] = B0
+					cyc.TamIn.Set(wire, B0)
 				}
 				// Unload of the previous pattern drains head-first... the
 				// cell nearest TAM-out leaves first.
 				if ls.prev != nil {
 					pimg := ls.prev[ci]
 					if idx := len(pimg) - 1 - k; idx >= 0 {
-						cyc.TamExpect[wire] = pimg[idx]
+						cyc.TamExpect.Set(wire, pimg[idx])
 					}
 				}
 			}
 		} else {
-			cyc.Actions[name] = ActCapture
+			cyc.Actions[ls.idx] = ActCapture
 		}
 		return nil
 	}
 	// Final unload.
 	k := c - period*p
 	if k < L {
-		cyc.Actions[name] = ActShift
+		cyc.Actions[ls.idx] = ActShift
 		for ci, pimg := range ls.expect {
 			wire := lane.WireLo + ci
-			cyc.TamIn[wire] = B0
+			cyc.TamIn.Set(wire, B0)
 			if idx := len(pimg) - 1 - k; idx >= 0 {
-				cyc.TamExpect[wire] = pimg[idx]
+				cyc.TamExpect.Set(wire, pimg[idx])
 			}
 		}
 	}
@@ -444,13 +479,13 @@ func (fs *funcState) emit(c int, cyc *Cycle) {
 	if !fs.haveCur {
 		return
 	}
-	nPI := len(fs.cur.PI)
-	for s := 0; s < lane.Slots; s++ {
-		slotIdx := j*lane.Slots + s
-		if slotIdx < nPI {
-			cyc.Func[lane.SlotLo+s] = FromBool(fs.cur.PI[slotIdx])
-		} else if slotIdx < nPI+len(fs.cur.ExpectPO) {
-			cyc.FuncExpect[lane.SlotLo+s] = FromBool(fs.cur.ExpectPO[slotIdx-nPI])
-		}
+	// This cycle's slot window [lo, hi): its PI part drives the bus, its
+	// PO part is expected on it.
+	lo, hi := j*lane.Slots, (j+1)*lane.Slots
+	if n := min(hi, fs.nPI) - lo; n > 0 {
+		cyc.Func.SetField(lane.SlotLo, fs.slots, lo, n)
+	}
+	if from, to := max(lo, fs.nPI), min(hi, fs.nPI+fs.nPO); from < to {
+		cyc.FuncExpect.SetField(lane.SlotLo+from-lo, fs.slots, from, to-from)
 	}
 }

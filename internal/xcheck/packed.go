@@ -3,6 +3,7 @@ package xcheck
 import (
 	"context"
 	"math/bits"
+	"slices"
 
 	"steac/internal/bist"
 	"steac/internal/memory"
@@ -340,6 +341,7 @@ func streamScanPacked(ctx context.Context, ps *netlist.PackedSim, prog *pattern.
 			ps.Set(se, v)
 		}
 	}
+	lane := slices.Index(layout.ActionNames(), core.Name) // -1: the core never scans
 	pollIn := equivPollCycles
 	return prog.Stream(layout, func(c int, cyc *pattern.Cycle) bool {
 		if pollIn--; pollIn <= 0 {
@@ -348,15 +350,19 @@ func streamScanPacked(ctx context.Context, ps *netlist.PackedSim, prog *pattern.
 				return false
 			}
 		}
-		switch cyc.Actions[core.Name] {
+		act := pattern.ActIdle
+		if lane >= 0 {
+			act = cyc.Actions[lane]
+		}
+		switch act {
 		case pattern.ActShift:
 			setSE(true)
 			for i, id := range pins.wsi {
-				ps.SetID(id, cyc.TamIn[i] == pattern.B1)
+				ps.SetID(id, cyc.TamIn.Level(i))
 			}
 			ps.Settle()
 			for i, id := range pins.wso {
-				want := cyc.TamExpect[i]
+				want := cyc.TamExpect.Get(i)
 				if want == pattern.BX {
 					continue
 				}

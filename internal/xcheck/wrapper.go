@@ -3,6 +3,7 @@ package xcheck
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"steac/internal/netlist"
 	"steac/internal/pattern"
@@ -122,6 +123,7 @@ func streamScan(ctx context.Context, sim *netlist.CompiledSim, prog *pattern.Pro
 			sim.Set(se, v)
 		}
 	}
+	lane := slices.Index(layout.ActionNames(), core.Name) // -1: the core never scans
 	pollIn := equivPollCycles
 	return prog.Stream(layout, func(c int, cyc *pattern.Cycle) bool {
 		if pollIn--; pollIn <= 0 {
@@ -130,15 +132,19 @@ func streamScan(ctx context.Context, sim *netlist.CompiledSim, prog *pattern.Pro
 				return false
 			}
 		}
-		switch cyc.Actions[core.Name] {
+		act := pattern.ActIdle
+		if lane >= 0 {
+			act = cyc.Actions[lane]
+		}
+		switch act {
 		case pattern.ActShift:
 			setSE(true)
 			for i, id := range pins.wsi {
-				sim.SetID(id, cyc.TamIn[i] == pattern.B1)
+				sim.SetID(id, cyc.TamIn.Level(i))
 			}
 			sim.Settle()
 			for i, id := range pins.wso {
-				want := cyc.TamExpect[i]
+				want := cyc.TamExpect.Get(i)
 				if want == pattern.BX {
 					continue
 				}
