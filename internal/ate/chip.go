@@ -15,7 +15,6 @@ package ate
 
 import (
 	"fmt"
-	"slices"
 
 	"steac/internal/pattern"
 	"steac/internal/testinfo"
@@ -60,7 +59,7 @@ type Chip struct {
 
 	session     int
 	layout      pattern.SessionLayout
-	extest      [][]*chain // EXTEST cores' wrapper chains, indexed like Extest.Cores
+	extest      [][][]bool // EXTEST cores' wrapper chains, indexed like Extest.Cores
 	scanLanes   []*chipScanLane
 	funcLanes   []*chipFuncLane
 	cycleInSess int
@@ -68,44 +67,11 @@ type Chip struct {
 	tamOut, funcOut []uint64 // Step's output words
 }
 
-// chain is one wrapper chain's cells as a ring: cell j (0 = nearest TAM
-// in) is cells[(head+j) % len(cells)], so a shift moves one index instead
-// of every cell.
-type chain struct {
-	cells []bool
-	head  int
-}
-
-func newChain(n int) *chain { return &chain{cells: make([]bool, n)} }
-
-// shift clocks in one bit and returns the bit leaving the far end.
-func (ch *chain) shift(in bool) (out bool) {
-	last := ch.head + len(ch.cells) - 1
-	if last >= len(ch.cells) {
-		last -= len(ch.cells)
-	}
-	out = ch.cells[last]
-	ch.cells[last] = in
-	ch.head = last
-	return out
-}
-
-// linear rotates the ring so cell j is cells[j] and returns the cells.
-func (ch *chain) linear() []bool {
-	if ch.head != 0 {
-		slices.Reverse(ch.cells[:ch.head])
-		slices.Reverse(ch.cells[ch.head:])
-		slices.Reverse(ch.cells)
-		ch.head = 0
-	}
-	return ch.cells
-}
-
 // chipScanLane is one scan lane of the active session with everything
 // Step needs resolved once, in StartSession.
 type chipScanLane struct {
 	lane      pattern.ScanLane
-	chains    []*chain
+	chains    [][]bool
 	model     *pattern.CoreModel
 	chainOff  []int  // per core chain: offset into the model's state vector
 	pi, state []bool // capture scratch
@@ -192,10 +158,10 @@ func (c *Chip) StartSession(i int) error {
 }
 
 // planChains builds a wrapper plan's chains, all cells 0.
-func planChains(plan wrapper.Plan) []*chain {
-	chs := make([]*chain, len(plan.Chains))
+func planChains(plan wrapper.Plan) [][]bool {
+	chs := make([][]bool, len(plan.Chains))
 	for ci, ch := range plan.Chains {
-		chs[ci] = newChain(ch.Length())
+		chs[ci] = make([]bool, ch.Length())
 	}
 	return chs
 }
@@ -234,15 +200,17 @@ func (c *Chip) Step(cyc *pattern.Cycle) (tamOut, funcOut []uint64) {
 
 // shiftLane shifts every chain of a lane one cell: chain ci takes its
 // input from TAM wire wireLo+ci and drives its last cell onto that wire.
-func shiftLane(chains []*chain, wireLo int, cyc *pattern.Cycle, tamOut []uint64) {
-	for ci, ch := range chains {
-		if len(ch.cells) == 0 {
+func shiftLane(chains [][]bool, wireLo int, cyc *pattern.Cycle, tamOut []uint64) {
+	for ci, chain := range chains {
+		if len(chain) == 0 {
 			continue
 		}
 		wire := wireLo + ci
-		if ch.shift(cyc.TamIn.Level(wire)) {
+		if chain[len(chain)-1] {
 			tamOut[wire/64] |= 1 << (wire % 64)
 		}
+		copy(chain[1:], chain[:len(chain)-1])
+		chain[0] = cyc.TamIn.Level(wire)
 	}
 }
 
@@ -250,13 +218,9 @@ func shiftLane(chains []*chain, wireLo int, cyc *pattern.Cycle, tamOut []uint64)
 // drive the core PIs, the core logic computes, segments take the next scan
 // state, out-cells take the POs, in-cells capture the quiescent chip pins.
 func (sl *chipScanLane) capture() {
-	lane, model, chainOff := sl.lane, sl.model, sl.chainOff
+	lane, chs, model, chainOff := sl.lane, sl.chains, sl.model, sl.chainOff
 	core := lane.Core
 	pi, state := sl.pi, sl.state
-	chs := make([][]bool, len(sl.chains))
-	for ci, ch := range sl.chains {
-		chs[ci] = ch.linear()
-	}
 
 	piIdx := 0
 	for ci, ch := range lane.Plan.Chains {
@@ -377,7 +341,7 @@ func (c *Chip) extestStep(ex *pattern.ExtestLane, cyc *pattern.Cycle, tamOut []u
 	for i, cl := range ex.Cores {
 		piIdx, poIdx := 0, 0
 		for ci, ch := range cl.Plan.Chains {
-			chain := c.extest[i][ci].linear()
+			chain := c.extest[i][ci]
 			pos := 0
 			for k := 0; k < ch.InCells; k++ {
 				chain[pos] = sink[cl.Core.Name][piIdx]
@@ -406,7 +370,7 @@ func (c *Chip) extestCellValue(ex *pattern.ExtestLane, core string, inCell bool,
 		}
 		idx := 0
 		for ci, ch := range cl.Plan.Chains {
-			chain := c.extest[i][ci].linear()
+			chain := c.extest[i][ci]
 			n := ch.OutCells
 			base := ch.InCells + ch.ScanBits()
 			if inCell {
