@@ -18,6 +18,20 @@ import (
 	"steac/internal/testinfo"
 )
 
+// pinBytes[care<<8 | val] is the one-Bit-per-pin form of eight pins whose
+// care and value bits are the two bytes.
+var pinBytes = func() (t [1 << 16][8]byte) {
+	for k := range t {
+		for b := 0; b < 8; b++ {
+			t[k][b] = byte(pattern.BX)
+			if k>>(8+b)&1 == 1 {
+				t[k][b] = byte(k >> b & 1)
+			}
+		}
+	}
+	return t
+}()
+
 // streamDigest hashes every cycle Program.Stream emits, session by
 // session: TamIn, TamExpect, Func, FuncExpect unpacked to one Bit byte
 // per pin, and the non-idle actions sorted by core name — the byte
@@ -36,8 +50,11 @@ func streamDigest(t *testing.T, prog *pattern.Program) string {
 		err := prog.Stream(layout, func(c int, cyc *pattern.Cycle) bool {
 			buf = buf[:0]
 			for _, bus := range []*pattern.Bus{&cyc.TamIn, &cyc.TamExpect, &cyc.Func, &cyc.FuncExpect} {
-				for i := 0; i < bus.Len(); i++ {
-					buf = append(buf, byte(bus.Get(i)))
+				// Eight pins per table lookup: the DSC program streams
+				// billions of them.
+				for i := 0; i < bus.Len(); i += 8 {
+					w, o := i/64, i%64
+					buf = append(buf, pinBytes[bus.Care[w]>>o&0xFF<<8|bus.Val[w]>>o&0xFF][:min(8, bus.Len()-i)]...)
 				}
 				buf = append(buf, '|')
 			}
