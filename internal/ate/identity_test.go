@@ -167,11 +167,12 @@ func TestStreamAndRunIdentity(t *testing.T) {
 			},
 		},
 		{
-			name:   "p1500-lbist seed 4 extest",
-			input:  scenarioInput("p1500-lbist", 4, true),
-			digest: "ff3b1ccf26af9d085d5d3568226a858791ca472f1df717307acad4be82640719",
-			cycles: 261763,
-			sess:   []int{235414, 24325, 2024},
+			name:     "p1500-lbist seed 4 extest",
+			input:    scenarioInput("p1500-lbist", 4, true),
+			digest:   "ff3b1ccf26af9d085d5d3568226a858791ca472f1df717307acad4be82640719",
+			progFile: "16d462778d5b341a2e68e38c1fe1a01449ab49aa9ce9ec08581765fefe4b0443",
+			cycles:   261763,
+			sess:     []int{235414, 24325, 2024},
 			faulty: []faultyRun{
 				{
 					name: "open interconnect 2",
