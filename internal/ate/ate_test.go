@@ -3,6 +3,7 @@ package ate
 import (
 	"bytes"
 	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -319,6 +320,34 @@ func TestRecordedUnknownCore(t *testing.T) {
 	}
 	if _, err := RunRecorded(prog, rec, NewChip(prog, miniCores())); err == nil || !strings.Contains(err.Error(), "GHOST") {
 		t.Fatalf("unknown core replayed: %v", err)
+	}
+}
+
+// A tester file cut short — by one vector line or by many — is refused
+// with ErrCycleCount, both when it is read and when a recorded program
+// shorter than the chip's is replayed; it never replays as a pass.
+func TestTruncatedProgramFile(t *testing.T) {
+	prog, _, _ := buildProgram(t, miniRes(), sessionBased)
+	var buf bytes.Buffer
+	if err := pattern.WriteProgramFile(&buf, prog); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	for _, drop := range []int{1, 100} {
+		cut := strings.Join(lines[:len(lines)-drop], "")
+		if _, err := pattern.ReadProgramFile(strings.NewReader(cut)); !errors.Is(err, pattern.ErrCycleCount) {
+			t.Errorf("file cut by %d lines: err = %v, want ErrCycleCount", drop, err)
+		}
+		rec, err := pattern.ReadProgramFile(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := &rec.Sessions[len(rec.Sessions)-1]
+		last.Cycles = last.Cycles[:len(last.Cycles)-drop]
+		r, err := RunRecorded(prog, rec, NewChip(prog, miniCores()))
+		if !errors.Is(err, pattern.ErrCycleCount) {
+			t.Errorf("replay cut by %d cycles: pass=%t cycles=%d err=%v, want ErrCycleCount", drop, r.Pass, r.Cycles, err)
+		}
 	}
 }
 

@@ -59,22 +59,32 @@ type Chip struct {
 
 	session     int
 	layout      pattern.SessionLayout
-	extest      [][][]bool // EXTEST cores' wrapper chains, indexed like Extest.Cores
-	scanLanes   []*chipScanLane
+	lanes       []*chipLane // indexed like layout.Chains
+	glue        []glueWire  // an EXTEST session's interconnects, indexed like Extest.Wires
+	driven      []bool      // EXTEST capture scratch: each glue wire's value
 	funcLanes   []*chipFuncLane
 	cycleInSess int
 
 	tamOut, funcOut []uint64 // Step's output words
 }
 
-// chipScanLane is one scan lane of the active session with everything
-// Step needs resolved once, in StartSession.
-type chipScanLane struct {
-	lane      pattern.ScanLane
+// chipLane is one chain lane of the active session with everything Step
+// needs resolved once, in StartSession.  A scan lane captures its own
+// core; the lanes of an EXTEST session capture together (captureGlue)
+// and carry no core model.
+type chipLane struct {
+	lane      pattern.ChainLane
 	chains    [][]bool
 	model     *pattern.CoreModel
 	chainOff  []int  // per core chain: offset into the model's state vector
 	pi, state []bool // capture scratch
+}
+
+// glueWire is one EXTEST interconnect resolved to its boundary cells: the
+// source out-cell that drives it and the sink in-cell that captures it.
+type glueWire struct {
+	from, to *bool
+	open     bool
 }
 
 type chipFuncLane struct {
@@ -124,21 +134,22 @@ func (c *Chip) StartSession(i int) error {
 	c.session = i
 	c.layout = c.prog.Sessions[i]
 	c.cycleInSess = 0
-	c.scanLanes = nil
-	for _, lane := range c.layout.Scan {
-		model := c.models[lane.Core.Name]
-		c.scanLanes = append(c.scanLanes, &chipScanLane{
-			lane: lane, chains: planChains(lane.Plan),
-			model:    model,
-			chainOff: coreChainOffsets(lane.Core),
-			pi:       make([]bool, lane.Core.PIs),
-			state:    make([]bool, model.StateBits()),
-		})
+	ex := c.layout.Extest
+	c.lanes = nil
+	for _, lane := range c.layout.Chains {
+		l := &chipLane{lane: lane, chains: planChains(lane.Plan)}
+		if ex == nil {
+			l.model = c.models[lane.Core.Name]
+			l.chainOff = coreChainOffsets(lane.Core)
+			l.pi = make([]bool, lane.Core.PIs)
+			l.state = make([]bool, l.model.StateBits())
+		}
+		c.lanes = append(c.lanes, l)
 	}
-	c.extest = nil
-	if ex := c.layout.Extest; ex != nil {
-		for _, cl := range ex.Cores {
-			c.extest = append(c.extest, planChains(cl.Plan))
+	c.glue = nil
+	if ex != nil {
+		if err := c.resolveGlue(ex); err != nil {
+			return err
 		}
 	}
 	c.funcLanes = nil
@@ -175,16 +186,21 @@ func (c *Chip) Step(cyc *pattern.Cycle) (tamOut, funcOut []uint64) {
 	clear(tamOut)
 	clear(funcOut)
 
-	for i, sl := range c.scanLanes {
+	glue := false
+	for i, l := range c.lanes {
 		switch cyc.Actions[i] {
 		case pattern.ActShift:
-			shiftLane(sl.chains, sl.lane.WireLo, cyc, tamOut)
+			shiftLane(l.chains, l.lane.WireLo, cyc, tamOut)
 		case pattern.ActCapture:
-			sl.capture()
+			if c.layout.Extest != nil {
+				glue = true // one capture for the whole chip, below
+			} else {
+				l.capture()
+			}
 		}
 	}
-	if ex := c.layout.Extest; ex != nil {
-		c.extestStep(ex, cyc, tamOut)
+	if glue {
+		c.captureGlue()
 	}
 
 	for _, fl := range c.funcLanes {
@@ -217,10 +233,10 @@ func shiftLane(chains [][]bool, wireLo int, cyc *pattern.Cycle, tamOut []uint64)
 // capture performs the update+capture cycle of one wrapped core: in-cells
 // drive the core PIs, the core logic computes, segments take the next scan
 // state, out-cells take the POs, in-cells capture the quiescent chip pins.
-func (sl *chipScanLane) capture() {
-	lane, chs, model, chainOff := sl.lane, sl.chains, sl.model, sl.chainOff
+func (l *chipLane) capture() {
+	lane, chs, model, chainOff := l.lane, l.chains, l.model, l.chainOff
 	core := lane.Core
-	pi, state := sl.pi, sl.state
+	pi, state := l.pi, l.state
 
 	piIdx := 0
 	for ci, ch := range lane.Plan.Chains {
@@ -295,95 +311,53 @@ func (c *Chip) funcCycle(fl *chipFuncLane, cyc *pattern.Cycle, funcOut []uint64)
 	}
 }
 
-// extestStep handles an interconnect-test cycle: all wrapped cores shift
-// their single wrapper chain together; on capture, each sink input
-// boundary cell takes the value its glue wire carries (through any
-// injected open or bridge defect), core-internal segments hold, and output
-// cells capture the quiescent core side.
-func (c *Chip) extestStep(ex *pattern.ExtestLane, cyc *pattern.Cycle, tamOut []uint64) {
-	capture := false
-	for i, cl := range ex.Cores {
-		switch cyc.Actions[i] {
-		case pattern.ActShift:
-			shiftLane(c.extest[i], cl.WireLo, cyc, tamOut)
-		case pattern.ActCapture:
-			capture = true
-		}
-	}
-	if !capture {
-		return
-	}
-	// Gather driven values from the source out-cells (the update latches
-	// hold the loaded bits after the controller's UPDATE pulse).
-	driven := make([]bool, len(ex.Wires))
-	for wi, w := range ex.Wires {
-		driven[wi] = c.extestCellValue(ex, w.FromCore, false, w.FromPO)
-	}
-	// Defects.
-	for wi := range driven {
-		if c.openWires[wi] {
-			driven[wi] = false
-		}
-	}
-	for _, b := range c.bridges {
-		v := driven[b[0]] && driven[b[1]]
-		driven[b[0]], driven[b[1]] = v, v
-	}
-	// Sink capture: in-cells take their wire's value (default quiet 0),
-	// out-cells capture the idle core side (0); segments hold.
-	sink := make(map[string]map[int]bool)
-	for wi, w := range ex.Wires {
-		if sink[w.ToCore] == nil {
-			sink[w.ToCore] = make(map[int]bool)
-		}
-		sink[w.ToCore][w.ToPI] = driven[wi]
-	}
-	for i, cl := range ex.Cores {
-		piIdx, poIdx := 0, 0
-		for ci, ch := range cl.Plan.Chains {
-			chain := c.extest[i][ci]
-			pos := 0
-			for k := 0; k < ch.InCells; k++ {
-				chain[pos] = sink[cl.Core.Name][piIdx]
-				piIdx++
-				pos++
-			}
-			pos += ch.ScanBits() // core segments hold
-			for k := 0; k < ch.OutCells; k++ {
-				chain[pos] = false
-				poIdx++
-				pos++
+// resolveGlue locates every EXTEST interconnect's source out-cell and sink
+// in-cell in the session's chains, once per session.
+func (c *Chip) resolveGlue(ex *pattern.ExtestLane) error {
+	cell := func(core string, out bool, k int) *bool {
+		for _, l := range c.lanes {
+			if l.lane.Core.Name == core {
+				if ci, pos, ok := l.lane.Plan.BoundaryCell(out, k); ok {
+					return &l.chains[ci][pos]
+				}
 			}
 		}
-		_ = poIdx
+		return nil
 	}
+	c.glue = make([]glueWire, len(ex.Wires))
+	c.driven = make([]bool, len(ex.Wires))
+	for wi, w := range ex.Wires {
+		g := glueWire{from: cell(w.FromCore, true, w.FromPO), to: cell(w.ToCore, false, w.ToPI), open: c.openWires[wi]}
+		if g.from == nil || g.to == nil {
+			return fmt.Errorf("ate: interconnect %d has no boundary cell in session %d", wi, c.session)
+		}
+		c.glue[wi] = g
+	}
+	return nil
 }
 
-// extestCellValue reads a boundary cell's current content: inCell selects
-// the input-cell region (PI index k), otherwise the output-cell region (PO
-// index k), walking the sequential cell allocation across the core's
-// wrapper chains.
-func (c *Chip) extestCellValue(ex *pattern.ExtestLane, core string, inCell bool, k int) bool {
-	for i, cl := range ex.Cores {
-		if cl.Core.Name != core {
-			continue
-		}
-		idx := 0
-		for ci, ch := range cl.Plan.Chains {
-			chain := c.extest[i][ci]
-			n := ch.OutCells
-			base := ch.InCells + ch.ScanBits()
-			if inCell {
-				n = ch.InCells
-				base = 0
-			}
-			if k < idx+n {
-				return chain[base+(k-idx)]
-			}
-			idx += n
+// captureGlue is an EXTEST session's update+capture, once for the whole
+// chip: each sink in-cell takes the value its glue wire carries from the
+// source out-cell (through any injected open or bridge), every other
+// boundary cell captures the quiet level 0, and core segments hold.
+func (c *Chip) captureGlue() {
+	for wi, g := range c.glue {
+		c.driven[wi] = *g.from && !g.open
+	}
+	for _, b := range c.bridges {
+		v := c.driven[b[0]] && c.driven[b[1]]
+		c.driven[b[0]], c.driven[b[1]] = v, v
+	}
+	for _, l := range c.lanes {
+		for ci, ch := range l.lane.Plan.Chains {
+			chain := l.chains[ci]
+			clear(chain[:ch.InCells])
+			clear(chain[ch.InCells+ch.ScanBits():])
 		}
 	}
-	return false
+	for wi, g := range c.glue {
+		*g.to = c.driven[wi]
+	}
 }
 
 // BISTSatisfied reports whether the current session ran long enough to

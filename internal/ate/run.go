@@ -47,7 +47,7 @@ func Run(prog *pattern.Program, chip *Chip) (Result, error) {
 			return t.res, err
 		}
 		if count != layout.Cycles {
-			return t.res, fmt.Errorf("ate: session %d emitted %d of %d cycles", si, count, layout.Cycles)
+			return t.res, fmt.Errorf("ate: session %d emitted %d of %d cycles: %w", si, count, layout.Cycles, pattern.ErrCycleCount)
 		}
 		if !chip.BISTSatisfied() {
 			return t.res, fmt.Errorf("ate: session %d ended before BIST completed", si)
@@ -74,6 +74,10 @@ func RunRecorded(prog *pattern.Program, rec *pattern.RecordedProgram, chip *Chip
 	}
 	for si := range rec.Sessions {
 		rs, layout := &rec.Sessions[si], &prog.Sessions[si]
+		if len(rs.Cycles) != layout.Cycles {
+			return t.res, fmt.Errorf("ate: recorded session %d has %d of %d cycles: %w",
+				si, len(rs.Cycles), layout.Cycles, pattern.ErrCycleCount)
+		}
 		names := layout.ActionNames()
 		lane := make([]int, len(rs.Cores)) // recorded core -> session lane
 		for k, name := range rs.Cores {
@@ -159,17 +163,10 @@ func (t *tester) result() Result {
 // are reused over time (time-disjoint lanes legally share wires and slots),
 // so ownership is a (pin, cycle) question, not a pin question.
 func wireOwner(layout *pattern.SessionLayout, w, c int) (string, bool) {
-	for _, lane := range layout.Scan {
+	for _, lane := range layout.Chains {
 		if w >= lane.WireLo && w < lane.WireLo+len(lane.Plan.Chains) &&
 			c >= lane.Start && c < lane.Start+lane.Cycles {
-			return lane.Core.Name + ".scan", true
-		}
-	}
-	if ex := layout.Extest; ex != nil {
-		for _, cl := range ex.Cores {
-			if w >= cl.WireLo && w < cl.WireLo+len(cl.Plan.Chains) {
-				return "chip.extest", true
-			}
+			return lane.Test, true
 		}
 	}
 	return "", false

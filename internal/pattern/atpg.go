@@ -114,38 +114,3 @@ func (a *ATPG) ScanPattern(i int) (ScanPattern, error) {
 	}
 	return p, nil
 }
-
-// FuncPattern generates functional pattern i.  Functional patterns are
-// sequential: pattern i's expected PO depends on the machine state after
-// patterns 0..i-1, so random access costs O(i); use FuncWalk to stream.
-func (a *ATPG) FuncPattern(i int) (FuncPattern, error) {
-	if i < 0 || i >= a.funcCount {
-		return FuncPattern{}, fmt.Errorf("pattern: functional pattern %d of %d", i, a.funcCount)
-	}
-	var out FuncPattern
-	n := 0
-	a.FuncWalk(func(j int, p FuncPattern) bool {
-		if j == i {
-			out = p
-			n++
-			return false
-		}
-		return true
-	})
-	if n == 0 {
-		return FuncPattern{}, fmt.Errorf("pattern: functional walk missed %d", i)
-	}
-	return out, nil
-}
-
-// FuncWalk streams the functional pattern sequence from reset; fn returning
-// false stops early.
-func (a *ATPG) FuncWalk(fn func(i int, p FuncPattern) bool) {
-	next := a.FuncStream()
-	for i := 0; ; i++ {
-		p, ok := next()
-		if !ok || !fn(i, p) {
-			return
-		}
-	}
-}

@@ -23,16 +23,11 @@ type Interconnect struct {
 	ToPI     int
 }
 
-// ExtestCoreLane is one core's share of the EXTEST session.
-type ExtestCoreLane struct {
-	Core   *testinfo.Core
-	Plan   wrapper.Plan
-	WireLo int
-}
-
 // ExtestLane is the whole EXTEST session configuration.
 type ExtestLane struct {
-	Cores []ExtestCoreLane
+	// Cores holds one chain lane per wrapped core, each shifting MaxLen
+	// cycles per vector.
+	Cores []ChainLane
 	Wires []Interconnect
 	// Wires2 is the total TAM wires the session occupies (sum of the
 	// cores' chain counts).
@@ -113,17 +108,21 @@ func BuildExtest(cores []*testinfo.Core, wires []Interconnect, widths map[string
 				return nil, err
 			}
 		}
-		lane.Cores = append(lane.Cores, ExtestCoreLane{
-			Core: c, Plan: plan, WireLo: wireLo,
-		})
+		lane.Cores = append(lane.Cores, ChainLane{Core: c, Plan: plan, WireLo: wireLo, Test: "chip.extest"})
 		wireLo += len(plan.Chains)
-		if l := plan.MaxLength(); l > lane.MaxLen {
-			lane.MaxLen = l
-		}
+		lane.MaxLen = max(lane.MaxLen, plan.MaxLength())
 	}
 	lane.Wires2 = wireLo
 	lane.Vectors = 2 * extestVectorBits(len(wires))
 	lane.Cycles = (lane.MaxLen+1)*lane.Vectors + lane.MaxLen
+	for i := range lane.Cores {
+		cl := &lane.Cores[i]
+		cl.Depth, cl.Patterns, cl.Cycles = lane.MaxLen, lane.Vectors, lane.Cycles
+		cl.fill = func(v int, load, expect [][]Bit) error {
+			lane.extestImages(i, v, load, expect)
+			return nil
+		}
+	}
 	return lane, nil
 }
 
@@ -135,145 +134,42 @@ func (prog *Program) AttachExtest(sessionIdx int, lane *ExtestLane) error {
 		return fmt.Errorf("pattern: extest session %d of %d", sessionIdx, len(prog.Sessions))
 	}
 	l := &prog.Sessions[sessionIdx]
-	if len(l.Scan) > 0 || len(l.Func) > 0 {
+	if len(l.Chains) > 0 || len(l.Func) > 0 {
 		return fmt.Errorf("pattern: extest session %d already carries core tests", sessionIdx)
 	}
 	if l.Cycles != lane.Cycles {
 		return fmt.Errorf("pattern: extest session %d is %d cycles, lane needs %d",
 			sessionIdx, l.Cycles, lane.Cycles)
 	}
-	l.Extest = lane
+	l.Extest, l.Chains = lane, lane.Cores
 	if lane.Wires2 > prog.TamWidth {
 		prog.TamWidth = lane.Wires2
 	}
 	return nil
 }
 
-// extestImages renders vector v as per-core, per-chain load and expect
-// images.  Load: source out-cells drive their wire's bit, everything else
-// is don't-care (padded 0).  Expect: sink in-cells must capture the driven
-// bit; everything else is X.
-func (l *ExtestLane) extestImages(v int) (load, expect map[string][][]Bit) {
-	load = make(map[string][][]Bit, len(l.Cores))
-	expect = make(map[string][][]Bit, len(l.Cores))
-	// Per core: map PO index -> drive bit, PI index -> expected bit.
-	poDrive := make(map[string]map[int]Bit)
-	piExpect := make(map[string]map[int]Bit)
+// extestImages fills core i's per-chain load and expect images for vector
+// v.  Load: source out-cells drive their wire's bit, everything else is
+// don't-care.  Expect: sink in-cells must capture the driven bit;
+// everything else is X.
+func (l *ExtestLane) extestImages(i, v int, load, expect [][]Bit) {
+	cl := &l.Cores[i]
+	for ci := range load {
+		for k := range load[ci] {
+			load[ci][k], expect[ci][k] = BX, BX
+		}
+	}
 	for wi, w := range l.Wires {
 		b := FromBool(l.ExtestDrive(wi, v))
-		if poDrive[w.FromCore] == nil {
-			poDrive[w.FromCore] = make(map[int]Bit)
-		}
-		poDrive[w.FromCore][w.FromPO] = b
-		if piExpect[w.ToCore] == nil {
-			piExpect[w.ToCore] = make(map[int]Bit)
-		}
-		piExpect[w.ToCore][w.ToPI] = b
-	}
-	for _, cl := range l.Cores {
-		piIdx, poIdx := 0, 0
-		var li, ei [][]Bit
-		for _, ch := range cl.Plan.Chains {
-			lc := make([]Bit, 0, ch.Length())
-			ec := make([]Bit, 0, ch.Length())
-			for k := 0; k < ch.InCells; k++ {
-				lc = append(lc, BX)
-				if b, ok := piExpect[cl.Core.Name][piIdx]; ok {
-					ec = append(ec, b)
-				} else {
-					ec = append(ec, BX)
-				}
-				piIdx++
-			}
-			for _, seg := range ch.SegmentBits {
-				for k := 0; k < seg; k++ {
-					lc = append(lc, BX)
-					ec = append(ec, BX)
-				}
-			}
-			for k := 0; k < ch.OutCells; k++ {
-				if b, ok := poDrive[cl.Core.Name][poIdx]; ok {
-					lc = append(lc, b)
-				} else {
-					lc = append(lc, BX)
-				}
-				ec = append(ec, BX)
-				poIdx++
-			}
-			li = append(li, lc)
-			ei = append(ei, ec)
-		}
-		load[cl.Core.Name] = li
-		expect[cl.Core.Name] = ei
-	}
-	return load, expect
-}
-
-// streamExtest emits the EXTEST session cycles: all cores shift together
-// for MaxLen cycles per vector (update+capture on the MaxLen+1-th), then a
-// final unload.
-func (prog *Program) streamExtest(lane *ExtestLane, fn func(c int, cyc *Cycle) bool) error {
-	cyc := newCycle(prog.TamWidth, prog.FuncBus, len(lane.Cores))
-	L := lane.MaxLen
-	period := L + 1
-	var curLoad, prevExpect map[string][][]Bit
-	c := 0
-	emit := func() bool {
-		obsCyclesStreamed.Add(1)
-		ok := fn(c, cyc)
-		c++
-		return ok
-	}
-	for v := 0; v < lane.Vectors; v++ {
-		load, expect := lane.extestImages(v)
-		curLoad = load
-		for k := 0; k < period; k++ {
-			cyc.reset()
-			if k < L {
-				for i, cl := range lane.Cores {
-					cyc.Actions[i] = ActShift
-					for ci, img := range curLoad[cl.Core.Name] {
-						wire := cl.WireLo + ci
-						if idx := L - 1 - k; idx < len(img) {
-							cyc.TamIn.Set(wire, img[idx])
-						} else {
-							cyc.TamIn.Set(wire, B0)
-						}
-						if prevExpect != nil {
-							pimg := prevExpect[cl.Core.Name][ci]
-							if idx := len(pimg) - 1 - k; idx >= 0 {
-								cyc.TamExpect.Set(wire, pimg[idx])
-							}
-						}
-					}
-				}
-			} else {
-				for i := range lane.Cores {
-					cyc.Actions[i] = ActCapture
-				}
-			}
-			if !emit() {
-				return nil
+		if w.FromCore == cl.Core.Name {
+			if ci, pos, ok := cl.Plan.BoundaryCell(true, w.FromPO); ok {
+				load[ci][pos] = b
 			}
 		}
-		prevExpect = expect
-	}
-	// Final unload.
-	for k := 0; k < L; k++ {
-		cyc.reset()
-		for i, cl := range lane.Cores {
-			cyc.Actions[i] = ActShift
-			for ci, pimg := range prevExpect[cl.Core.Name] {
-				wire := cl.WireLo + ci
-				cyc.TamIn.Set(wire, B0)
-				if idx := len(pimg) - 1 - k; idx >= 0 {
-					cyc.TamExpect.Set(wire, pimg[idx])
-				}
+		if w.ToCore == cl.Core.Name {
+			if ci, pos, ok := cl.Plan.BoundaryCell(false, w.ToPI); ok {
+				expect[ci][pos] = b
 			}
-		}
-		if !emit() {
-			return nil
 		}
 	}
-	return nil
 }

@@ -64,7 +64,11 @@ func TestExtestImagesShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	for v := 0; v < lane.Vectors; v++ {
-		load, expect := lane.extestImages(v)
+		load, expect := make(map[string][][]Bit), make(map[string][][]Bit)
+		for i, cl := range lane.Cores {
+			load[cl.Core.Name], expect[cl.Core.Name] = chainBuffers(cl.Plan), chainBuffers(cl.Plan)
+			lane.extestImages(i, v, load[cl.Core.Name], expect[cl.Core.Name])
+		}
 		for _, cl := range lane.Cores {
 			for ci, ch := range cl.Plan.Chains {
 				if len(load[cl.Core.Name][ci]) != ch.Length() ||
@@ -162,10 +166,9 @@ func TestProgramFileInPackage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lane := ScanLane{Core: core, Source: src, Plan: plan,
-		Cycles: plan.ScanTestCycles(src.ScanCount())}
+	lane := NewScanLane(core, src, plan, 0, 0)
 	prog := &Program{TamWidth: 1, FuncBus: 2, Sessions: []SessionLayout{
-		{Index: 0, Cycles: lane.Cycles, Scan: []ScanLane{lane}},
+		{Index: 0, Cycles: lane.Cycles, Chains: []ChainLane{lane}},
 	}}
 	var buf bytes.Buffer
 	if err := WriteProgramFile(&buf, prog); err != nil {

@@ -155,33 +155,29 @@ func TestATPGFunctionalSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var walked []FuncPattern
-	a.FuncWalk(func(i int, p FuncPattern) bool {
-		walked = append(walked, p)
-		return true
-	})
-	if len(walked) != 40 {
-		t.Fatalf("walked %d", len(walked))
+	// Two iterators replay the same sequence from reset.
+	next, again := a.FuncStream(), a.FuncStream()
+	n := 0
+	for {
+		p, ok := next()
+		q, ok2 := again()
+		if ok != ok2 {
+			t.Fatalf("iterators disagree on the length at %d", n)
+		}
+		if !ok {
+			break
+		}
+		if !slices.Equal(p.PI, q.PI) || !slices.Equal(p.ExpectPO, q.ExpectPO) {
+			t.Fatalf("pattern %d differs between iterators", n)
+		}
+		n++
 	}
-	// Random access agrees with the walk.
-	for _, i := range []int{0, 7, 39} {
-		p, err := a.FuncPattern(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k := range p.PI {
-			if p.PI[k] != walked[i].PI[k] {
-				t.Fatalf("pattern %d PI differs", i)
-			}
-		}
-		for k := range p.ExpectPO {
-			if p.ExpectPO[k] != walked[i].ExpectPO[k] {
-				t.Fatalf("pattern %d PO differs", i)
-			}
-		}
+	if n != 40 || a.FuncCount() != 40 {
+		t.Fatalf("streamed %d of %d", n, a.FuncCount())
 	}
-	if _, err := a.FuncPattern(40); err == nil {
-		t.Fatal("out-of-range accepted")
+	// The stream stays ended.
+	if _, ok := next(); ok {
+		t.Fatal("pattern past the end")
 	}
 }
 
@@ -200,16 +196,25 @@ func TestChainImagesProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		lane := ScanLane{Core: core, Source: a, Plan: plan}
+		load, expect := chainBuffers(plan), chainBuffers(plan)
 		for i := 0; i < a.ScanCount(); i++ {
 			p, err := a.ScanPattern(i)
 			if err != nil {
 				return false
 			}
-			load, expect := chainImages(lane, p)
+			chainImages(plan, p, load, expect)
 			for ci, ch := range plan.Chains {
 				if len(load[ci]) != ch.Length() || len(expect[ci]) != ch.Length() {
 					return false
+				}
+				pos := ch.InCells
+				for _, cc := range ch.CoreChains {
+					for k, b := range p.Load[cc] {
+						if load[ci][pos] != FromBool(b) || expect[ci][pos] != FromBool(p.ExpectUnload[cc][k]) {
+							return false
+						}
+						pos++
+					}
 				}
 			}
 		}

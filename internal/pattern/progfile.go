@@ -2,6 +2,7 @@ package pattern
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -28,6 +29,11 @@ import (
 // "-" when no core is scanning.
 
 const progMagic = "STEACPROG"
+
+// ErrCycleCount reports a session whose vector lines do not number the
+// cycles its header (or the program replaying it) declares: a truncated
+// or padded tester file.
+var ErrCycleCount = errors.New("pattern: session cycle count mismatch")
 
 // WriteProgramFile streams the whole program to w.
 func WriteProgramFile(w io.Writer, prog *Program) error {
@@ -153,6 +159,14 @@ func ReadProgramFile(r io.Reader) (*RecordedProgram, error) {
 	}
 	var cur *RecordedSession
 	var coreIdx map[string]int // cur's Cores by name
+	declared := 0              // cur's header cycle count
+	endSession := func() error {
+		if cur != nil && len(cur.Cycles) != declared {
+			return fmt.Errorf("%w: session %d has %d vector lines, its header says %d",
+				ErrCycleCount, cur.Index, len(cur.Cycles), declared)
+		}
+		return nil
+	}
 	line := 1
 	for sc.Scan() {
 		line++
@@ -166,6 +180,12 @@ func ReadProgramFile(r io.Reader) (*RecordedProgram, error) {
 			idx, err := strconv.Atoi(fields[1])
 			if err != nil {
 				return nil, fmt.Errorf("pattern: line %d: bad session index", line)
+			}
+			if err := endSession(); err != nil {
+				return nil, err
+			}
+			if declared, err = intField(fields[2], "cycles"); err != nil {
+				return nil, fmt.Errorf("pattern: line %d: %w", line, err)
 			}
 			prog.Sessions = append(prog.Sessions, RecordedSession{Index: idx})
 			cur = &prog.Sessions[len(prog.Sessions)-1]
@@ -185,6 +205,9 @@ func ReadProgramFile(r io.Reader) (*RecordedProgram, error) {
 		}
 	}
 	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	if err := endSession(); err != nil {
 		return nil, err
 	}
 	if len(prog.Sessions) != nSessions {

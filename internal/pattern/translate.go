@@ -36,9 +36,8 @@ const (
 // so every cycle starts all-X with a single clear.
 type Cycle struct {
 	TamIn, TamExpect, Func, FuncExpect Bus
-	// Actions holds each lane's scan control, indexed like the session's
-	// ActionNames (its scan lanes, or its EXTEST cores); idle lanes read
-	// ActIdle.
+	// Actions holds each chain lane's scan control, indexed like the
+	// session's Chains; idle lanes read ActIdle.
 	Actions []CoreAction
 	planes  []uint64
 }
@@ -65,18 +64,48 @@ func (c *Cycle) reset() {
 	clear(c.Actions)
 }
 
-// ScanLane is one wrapped scan core's share of a session: its wrapper-chain
-// plan and its TAM wire range.
-type ScanLane struct {
+// ChainLane is one wrapped core's wrapper chains on a range of the
+// session's TAM wires.  Scan and EXTEST sessions shift through the same
+// lane: each pattern shifts Depth cycles — driving its load image and
+// unloading the previous pattern's expect image — then captures, and a
+// final Depth-cycle unload ends the lane.
+type ChainLane struct {
 	Core   *testinfo.Core
-	Source Source
 	Plan   wrapper.Plan
 	WireLo int
 	// Start is the lane's offset from the session origin (nonzero in
 	// packed non-session schedules).
 	Start int
-	// Cycles is (L+1)·p + L for this lane.
+	// Depth is the shift cycles per pattern: the plan's longest chain
+	// for a scan lane, the longest chain of the session for EXTEST.
+	Depth    int
+	Patterns int
+	// Cycles is (Depth+1)·Patterns + Depth.
 	Cycles int
+	// Test names the test that owns the lane's wires ("<core>.scan" or
+	// "chip.extest"), to which the tester attributes their mismatches.
+	Test string
+	// fill renders pattern t into per-chain load and expect images.
+	fill func(t int, load, expect [][]Bit) error
+}
+
+// NewScanLane is the lane that applies src's scan patterns through plan,
+// on TAM wires from wireLo, starting start cycles into the session.
+func NewScanLane(core *testinfo.Core, src Source, plan wrapper.Plan, wireLo, start int) ChainLane {
+	p := src.ScanCount()
+	return ChainLane{
+		Core: core, Plan: plan, WireLo: wireLo, Start: start,
+		Depth: plan.MaxLength(), Patterns: p, Cycles: plan.ScanTestCycles(p),
+		Test: core.Name + ".scan",
+		fill: func(t int, load, expect [][]Bit) error {
+			sp, err := src.ScanPattern(t)
+			if err != nil {
+				return err
+			}
+			chainImages(plan, sp, load, expect)
+			return nil
+		},
+	}
 }
 
 // FuncLane is one functional test's share of a session: its slot range on
@@ -98,27 +127,22 @@ type FuncLane struct {
 type SessionLayout struct {
 	Index  int
 	Cycles int
-	Scan   []ScanLane
+	// Chains holds the session's wrapper-chain lanes: its scan cores', or
+	// in an EXTEST session every wrapped core's.
+	Chains []ChainLane
 	Func   []FuncLane
 	// BISTCycles is the serial BIST occupancy padded into this session.
 	BISTCycles int
-	// Extest, when set, makes this an interconnect-test session (no scan
-	// or functional lanes).
+	// Extest, when set, makes this an interconnect-test session: Chains
+	// are its Cores, and there are no functional lanes.
 	Extest *ExtestLane
 }
 
 // ActionNames names the cores whose scan controls this session's cycles
-// carry, in Cycle.Actions order: the scan lanes' cores, or for an EXTEST
-// session the EXTEST lane's cores.
+// carry, in Cycle.Actions order: the cores of its chain lanes.
 func (l *SessionLayout) ActionNames() []string {
 	var names []string
-	if l.Extest != nil {
-		for _, cl := range l.Extest.Cores {
-			names = append(names, cl.Core.Name)
-		}
-		return names
-	}
-	for _, lane := range l.Scan {
+	for _, lane := range l.Chains {
 		names = append(names, lane.Core.Name)
 	}
 	return names
@@ -177,10 +201,7 @@ func Translate(s *sched.Schedule, sources map[string]Source, res sched.Resources
 				if err != nil {
 					return nil, fmt.Errorf("pattern: %s: %w", pl.Test.ID, err)
 				}
-				layout.Scan = append(layout.Scan, ScanLane{
-					Core: pl.Test.Core, Source: src, Plan: plan,
-					WireLo: lo, Start: pl.Start, Cycles: pl.Cycles,
-				})
+				layout.Chains = append(layout.Chains, NewScanLane(pl.Test.Core, src, plan, lo, pl.Start))
 				if lo+pl.Width > maxWire {
 					maxWire = lo + pl.Width
 				}
@@ -219,7 +240,7 @@ func Translate(s *sched.Schedule, sources map[string]Source, res sched.Resources
 			prog.TamWidth = maxWire
 		}
 		prog.Sessions = append(prog.Sessions, layout)
-		obsLanesTranslated.Add(int64(len(layout.Scan) + len(layout.Func)))
+		obsLanesTranslated.Add(int64(len(layout.Chains) + len(layout.Func)))
 	}
 	obsTranslations.Add(1)
 	return prog, nil
@@ -262,65 +283,70 @@ func (a *allocator) alloc(n, start, dur int) (int, error) {
 	return 0, fmt.Errorf("pattern: no %d contiguous units free of %d", n, a.size)
 }
 
-// laneState is the translator's per-scan-lane streaming state.  Each
-// pattern's images are built once, on entering it: its expect images
-// become the next pattern's prev and, for the last pattern, the final
-// unload's.
+// laneState is the translator's per-chain-lane streaming state.  Each
+// pattern's images are filled once, on entering it, into buffers the lane
+// reuses: its expect images become the next pattern's prev and, for the
+// last pattern, the final unload's.
 type laneState struct {
-	lane ScanLane
+	lane ChainLane
 	idx  int // the lane's index in the session (its Cycle.Actions slot)
-	L    int // lane.Plan.MaxLength()
-	p    int // lane.Source.ScanCount()
-	// chain contents expected on the chip after the previous capture
-	// (what unloads while the next pattern loads); nil before pattern 0.
-	prev [][]Bit
-	// current load images per chain (what we are shifting in).
-	cur [][]Bit
-	// chain contents expected after the current pattern's capture.
-	expect [][]Bit
+	// load is the current pattern's per-chain load image (what shifts
+	// in), expect the chain contents expected after its capture, and prev
+	// the previous pattern's expect (what unloads meanwhile).
+	load, expect, prev [][]Bit
 }
 
-// chainImages renders a scan pattern as per-wrapper-chain content vectors
-// (index 0 = cell nearest the chip's TAM-in pin).
+func newLaneState(lane ChainLane, idx int) *laneState {
+	return &laneState{lane: lane, idx: idx,
+		load: chainBuffers(lane.Plan), expect: chainBuffers(lane.Plan), prev: chainBuffers(lane.Plan)}
+}
+
+// chainBuffers allocates one image per wrapper chain (index 0 = cell
+// nearest the chip's TAM-in pin), covering the cells that carry pattern
+// data: the boundary cells and the core-chain segments (a soft core's
+// synthetic segments carry none).
+func chainBuffers(plan wrapper.Plan) [][]Bit {
+	imgs := make([][]Bit, len(plan.Chains))
+	for ci, ch := range plan.Chains {
+		n := ch.InCells + ch.OutCells
+		for _, bits := range ch.SegmentBits[:len(ch.CoreChains)] {
+			n += bits
+		}
+		imgs[ci] = make([]Bit, n)
+	}
+	return imgs
+}
+
+// chainImages renders a scan pattern into per-wrapper-chain load and
+// expect images.
 //
-// loadImage: in-cells carry the PI stimulus (allocated sequentially across
+// load: in-cells carry the PI stimulus (allocated sequentially across
 // chains, matching wrapper.Generate), segments carry the chain load data,
-// out-cells are don't-care.  expectImage: the post-capture content — the
+// out-cells are don't-care.  expect: the post-capture content — the
 // in-cells captured the quiescent chip-side pins (0), segments hold the
 // expected next state, out-cells hold the expected POs.
-func chainImages(lane ScanLane, p ScanPattern) (load, expect [][]Bit) {
+func chainImages(plan wrapper.Plan, p ScanPattern, load, expect [][]Bit) {
 	piIdx, poIdx := 0, 0
-	for _, ch := range lane.Plan.Chains {
-		li := make([]Bit, 0, ch.Length())
-		ei := make([]Bit, 0, ch.Length())
+	for ci, ch := range plan.Chains {
+		li, ei := load[ci], expect[ci]
+		pos := 0
 		for k := 0; k < ch.InCells; k++ {
-			li = append(li, FromBool(p.PI[piIdx]))
-			ei = append(ei, B0) // captured chip-side quiescent level
+			li[pos], ei[pos] = FromBool(p.PI[piIdx]), B0 // captured chip-side quiescent level
 			piIdx++
+			pos++
 		}
-		for _, ci := range ch.CoreChains {
-			for k := 0; k < len(p.Load[ci]); k++ {
-				li = append(li, FromBool(p.Load[ci][k]))
-				ei = append(ei, FromBool(p.ExpectUnload[ci][k]))
+		for _, cc := range ch.CoreChains {
+			for k := range p.Load[cc] {
+				li[pos], ei[pos] = FromBool(p.Load[cc][k]), FromBool(p.ExpectUnload[cc][k])
+				pos++
 			}
 		}
 		for k := 0; k < ch.OutCells; k++ {
-			li = append(li, BX)
-			ei = append(ei, FromBool(p.ExpectPO[poIdx]))
+			li[pos], ei[pos] = BX, FromBool(p.ExpectPO[poIdx])
 			poIdx++
+			pos++
 		}
-		load = append(load, li)
-		expect = append(expect, ei)
 	}
-	return load, expect
-}
-
-// ChainImages renders a scan pattern as per-wrapper-chain load and expect
-// vectors (index 0 = cell nearest the chip's TAM-in pin), exactly as the
-// translator streams them.  Gate-level cross-checkers use it to drive a
-// flattened wrapper with the same images the ATE applies.
-func ChainImages(lane ScanLane, p ScanPattern) (load, expect [][]Bit) {
-	return chainImages(lane, p)
 }
 
 // funcState streams a functional lane pattern by pattern (pull-based, no
@@ -371,19 +397,16 @@ func (prog *Program) Stream(layout SessionLayout, fn func(c int, cyc *Cycle) boo
 	defer tm.Stop()
 	emitted := 0
 	defer func() { obsCyclesStreamed.Add(int64(emitted)) }()
-	if layout.Extest != nil {
-		return prog.streamExtest(layout.Extest, fn)
-	}
-	lanes := make([]*laneState, len(layout.Scan))
-	for i, l := range layout.Scan {
-		lanes[i] = &laneState{lane: l, idx: i, L: l.Plan.MaxLength(), p: l.Source.ScanCount()}
+	lanes := make([]*laneState, len(layout.Chains))
+	for i, l := range layout.Chains {
+		lanes[i] = newLaneState(l, i)
 	}
 	funcs := make([]*funcState, len(layout.Func))
 	for i, l := range layout.Func {
 		funcs[i] = newFuncState(l)
 	}
 
-	cyc := newCycle(prog.TamWidth, prog.FuncBus, len(layout.Scan))
+	cyc := newCycle(prog.TamWidth, prog.FuncBus, len(layout.Chains))
 	for c := 0; c < layout.Cycles; c++ {
 		cyc.reset()
 
@@ -403,58 +426,45 @@ func (prog *Program) Stream(layout SessionLayout, fn func(c int, cyc *Cycle) boo
 	return nil
 }
 
+// emit drives one cycle of the lane: pattern t = c/(Depth+1) shifts for
+// its first Depth cycles and captures on the last; t = Patterns is the
+// final unload.
 func (ls *laneState) emit(cycleIdx int, cyc *Cycle) error {
-	lane := ls.lane
-	L, p := ls.L, ls.p
+	lane := &ls.lane
+	L, p := lane.Depth, lane.Patterns
 	c := cycleIdx - lane.Start
 	if c < 0 || c >= lane.Cycles || p == 0 {
 		return nil
 	}
-	period := L + 1
-	if c < period*p {
-		t, k := c/period, c%period
-		if k == 0 {
-			// Entering pattern t: pull its images.
-			sp, err := lane.Source.ScanPattern(t)
-			if err != nil {
+	t, k := c/(L+1), c%(L+1)
+	if k == 0 {
+		// Entering pattern t: the images of t-1 now unload.
+		ls.prev, ls.expect = ls.expect, ls.prev
+		if t < p {
+			if err := lane.fill(t, ls.load, ls.expect); err != nil {
 				return err
 			}
-			ls.prev = ls.expect
-			ls.cur, ls.expect = chainImages(lane, sp)
 		}
-		if k < L {
-			cyc.Actions[ls.idx] = ActShift
-			for ci, img := range ls.cur {
-				wire := lane.WireLo + ci
-				// Shift-in order: after L shifts, cell j holds the input
-				// from cycle L-1-j, so drive img[L-1-k]; cycles addressing
-				// beyond a shorter chain's length are padding.
-				if idx := L - 1 - k; idx < len(img) {
-					cyc.TamIn.Set(wire, img[idx])
-				} else {
-					cyc.TamIn.Set(wire, B0)
-				}
-				// Unload of the previous pattern drains head-first... the
-				// cell nearest TAM-out leaves first.
-				if ls.prev != nil {
-					pimg := ls.prev[ci]
-					if idx := len(pimg) - 1 - k; idx >= 0 {
-						cyc.TamExpect.Set(wire, pimg[idx])
-					}
-				}
-			}
-		} else {
-			cyc.Actions[ls.idx] = ActCapture
-		}
+	}
+	if k == L {
+		cyc.Actions[ls.idx] = ActCapture
 		return nil
 	}
-	// Final unload.
-	k := c - period*p
-	if k < L {
-		cyc.Actions[ls.idx] = ActShift
-		for ci, pimg := range ls.expect {
-			wire := lane.WireLo + ci
+	cyc.Actions[ls.idx] = ActShift
+	for ci, img := range ls.load {
+		wire := lane.WireLo + ci
+		// Shift-in order: after L shifts, cell j holds the input from
+		// cycle L-1-j, so drive img[L-1-k]; cycles addressing beyond a
+		// shorter chain's length, and the final unload, shift in 0.
+		if idx := L - 1 - k; t < p && idx < len(img) {
+			cyc.TamIn.Set(wire, img[idx])
+		} else {
 			cyc.TamIn.Set(wire, B0)
+		}
+		// The previous pattern unloads head-first: the cell nearest
+		// TAM-out leaves first.
+		if t > 0 {
+			pimg := ls.prev[ci]
 			if idx := len(pimg) - 1 - k; idx >= 0 {
 				cyc.TamExpect.Set(wire, pimg[idx])
 			}

@@ -101,6 +101,24 @@ func (p Plan) MaxLength() int {
 	return m
 }
 
+// BoundaryCell locates a boundary cell: output cell k (the cell of PO k)
+// when out, else input cell k (PI k).  Boundary cells are allocated in
+// order across the chains, input cells at a chain's head and output cells
+// at its tail; ok is false when the plan has no such cell.
+func (p Plan) BoundaryCell(out bool, k int) (chain, pos int, ok bool) {
+	for ci, ch := range p.Chains {
+		n, base := ch.InCells, 0
+		if out {
+			n, base = ch.OutCells, ch.InCells+ch.ScanBits()
+		}
+		if k < n {
+			return ci, base + k, true
+		}
+		k -= n
+	}
+	return 0, 0, false
+}
+
 // ScanTestCycles returns the scan test time for the plan: with p patterns
 // and maximum wrapper chain length L, the classical cycle count
 // (1+L)·p + L (load/shift overlapped across patterns, one capture per

@@ -255,11 +255,8 @@ func NewWrapperCampaignSim(name string, core *testinfo.Core, width int, opts Opt
 		src = &cappedSource{Source: atpg, n: opts.MaxPatterns}
 	}
 	pins := newWrapPins(base, plan.Width)
-	lane := pattern.ScanLane{
-		Core: core, Source: src, Plan: plan,
-		Cycles: plan.ScanTestCycles(src.ScanCount()),
-	}
-	layout := pattern.SessionLayout{Cycles: lane.Cycles, Scan: []pattern.ScanLane{lane}}
+	lane := pattern.NewScanLane(core, src, plan, 0, 0)
+	layout := pattern.SessionLayout{Cycles: lane.Cycles, Chains: []pattern.ChainLane{lane}}
 	prog := &pattern.Program{TamWidth: plan.Width}
 
 	run := func(ctx context.Context, sim *netlist.CompiledSim) int {

@@ -249,11 +249,8 @@ func verifyWrapper(ctx context.Context, name string, sim *netlist.CompiledSim, c
 	// INTESTSCAN; the first pattern load initializes every chain flop, so
 	// the bypass excursion leaves no residue).
 	res.Sessions++
-	lane := pattern.ScanLane{
-		Core: core, Source: atpg, Plan: plan,
-		Cycles: plan.ScanTestCycles(atpg.ScanCount()),
-	}
-	layout := pattern.SessionLayout{Cycles: lane.Cycles, Scan: []pattern.ScanLane{lane}}
+	lane := pattern.NewScanLane(core, atpg, plan, 0, 0)
+	layout := pattern.SessionLayout{Cycles: lane.Cycles, Chains: []pattern.ChainLane{lane}}
 	prog := &pattern.Program{TamWidth: plan.Width}
 	if err := streamScan(ctx, sim, prog, layout, core, pins, obs); err != nil {
 		return res, nil, err
