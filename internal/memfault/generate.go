@@ -71,30 +71,45 @@ func AddressFaults(cfg memory.Config) []Fault {
 // between each cell and its address-order neighbour (the dominant physical
 // adjacency in a RAM column).  Per victim/aggressor pair it emits:
 // CFin ×2 (rise/fall), CFid ×4 (rise/fall × forced 0/1) and CFst ×4
-// (aggressor state 0/1 × forced 0/1), in both pair orientations.
+// (aggressor state 0/1 × forced 0/1), in both pair orientations.  Every
+// fault is generated once: with two words, address 1's pairs are address
+// 0's, so only address 0 emits them; with three or more, no two addresses
+// share a pair.
 func CouplingFaults(cfg memory.Config) []Fault {
-	var faults []Fault
 	if cfg.Words < 2 {
 		return nil
 	}
-	forEachCell(cfg, func(v Cell) {
-		a := Cell{Addr: (v.Addr + 1) % cfg.Words, Bit: v.Bit}
-		for _, pair := range [][2]Cell{{a, v}, {v, a}} {
-			aggr, vict := pair[0], pair[1]
-			for _, rise := range []bool{true, false} {
-				faults = append(faults, Fault{Kind: CFin, Victim: vict, Aggr: aggr, AggrRise: rise})
-				for forced := 0; forced <= 1; forced++ {
-					faults = append(faults, Fault{Kind: CFid, Victim: vict, Aggr: aggr, AggrRise: rise, Forced: forced})
-				}
-			}
-			for state := 0; state <= 1; state++ {
-				for forced := 0; forced <= 1; forced++ {
-					faults = append(faults, Fault{Kind: CFst, Victim: vict, Aggr: aggr, AggrState: state, Forced: forced})
-				}
-			}
+	words := cfg.Words
+	if words == 2 {
+		words = 1
+	}
+	faults := make([]Fault, 0, 20*words*cfg.Bits)
+	for a := 0; a < words; a++ {
+		for b := 0; b < cfg.Bits; b++ {
+			v := Cell{Addr: a, Bit: b}
+			n := Cell{Addr: (a + 1) % cfg.Words, Bit: b}
+			faults = appendCouplings(faults, n, v)
+			faults = appendCouplings(faults, v, n)
 		}
-	})
-	return dedupe(faults)
+	}
+	return faults
+}
+
+// appendCouplings appends the ten coupling faults of one aggressor/victim
+// pair, in CouplingFaults order.
+func appendCouplings(faults []Fault, aggr, vict Cell) []Fault {
+	for _, rise := range []bool{true, false} {
+		faults = append(faults, Fault{Kind: CFin, Victim: vict, Aggr: aggr, AggrRise: rise})
+		for forced := 0; forced <= 1; forced++ {
+			faults = append(faults, Fault{Kind: CFid, Victim: vict, Aggr: aggr, AggrRise: rise, Forced: forced})
+		}
+	}
+	for state := 0; state <= 1; state++ {
+		for forced := 0; forced <= 1; forced++ {
+			faults = append(faults, Fault{Kind: CFst, Victim: vict, Aggr: aggr, AggrState: state, Forced: forced})
+		}
+	}
+	return faults
 }
 
 // RetentionFaults returns data-retention faults (decay to 0 and to 1) on
@@ -127,22 +142,12 @@ func IntraWordCouplingFaults(cfg memory.Config) []Fault {
 	if cfg.Bits < 2 {
 		return nil
 	}
-	var faults []Fault
+	// Each cell is the victim of exactly one pair, so nothing repeats.
+	faults := make([]Fault, 0, 10*cfg.BitCount())
 	forEachCell(cfg, func(v Cell) {
-		a := Cell{Addr: v.Addr, Bit: (v.Bit + 1) % cfg.Bits}
-		for _, rise := range []bool{true, false} {
-			faults = append(faults, Fault{Kind: CFin, Victim: v, Aggr: a, AggrRise: rise})
-			for forced := 0; forced <= 1; forced++ {
-				faults = append(faults, Fault{Kind: CFid, Victim: v, Aggr: a, AggrRise: rise, Forced: forced})
-			}
-		}
-		for state := 0; state <= 1; state++ {
-			for forced := 0; forced <= 1; forced++ {
-				faults = append(faults, Fault{Kind: CFst, Victim: v, Aggr: a, AggrState: state, Forced: forced})
-			}
-		}
+		faults = appendCouplings(faults, Cell{Addr: v.Addr, Bit: (v.Bit + 1) % cfg.Bits}, v)
 	})
-	return dedupe(faults)
+	return faults
 }
 
 // Checkerboard returns the alternating-bit background for a word width.
@@ -189,16 +194,4 @@ func forEachCell(cfg memory.Config, fn func(Cell)) {
 			fn(Cell{Addr: a, Bit: b})
 		}
 	}
-}
-
-func dedupe(faults []Fault) []Fault {
-	seen := make(map[Fault]bool, len(faults))
-	out := faults[:0]
-	for _, f := range faults {
-		if !seen[f] {
-			seen[f] = true
-			out = append(out, f)
-		}
-	}
-	return out
 }

@@ -2,14 +2,16 @@ package netlist
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"steac/internal/obs"
 )
 
 // Observability: Tick-level counting is the finest grain instrumented — a
-// tick evaluates the whole gate array (microseconds), so one atomic add is
-// noise.  Settle stays uninstrumented: it runs up to four times per tick
-// and is the innermost hot loop.
+// tick costs one or two kernel passes (microseconds), so one atomic add is
+// noise.  Settle stays uninstrumented: it runs after every input change and
+// twice per Tick, and is the innermost hot loop.
 var (
 	obsSims     = obs.GetCounter("netlist.sims_compiled")
 	obsTicks    = obs.GetCounter("netlist.ticks")
@@ -29,6 +31,10 @@ var (
 // Settle is skipped entirely while nothing has changed since the last one:
 // SetID/Set unsettle the machine only when they change a value, while a
 // Tick's state commit, Reset, LoadState, Inject and ClearFaults always do.
+// When value-changing SetIDs are all that happened since the last Settle,
+// the next one evaluates only their fanout (a selective trace); anything
+// else sweeps the whole kernel.  A clock-pure Tick captures through the
+// clock's capture list instead of scanning every sequential gate.
 //
 // The design must be free of combinational loops (NewCompiledSim reports
 // one as an error).  Semantics — including the treatment of latches as
@@ -42,11 +48,21 @@ type CompiledSim struct {
 	// private copy the faults are patched into (ownKern).
 	kern    []kOp
 	ownKern bool
-	vals    []bool // net values, indexed by net id
-	state   []bool // per-gate stored bit (sequential gates only)
-	next    []bool
-	pre     []bool // scratch: pre-edge clock values in the generic Tick path
-	settled bool   // vals is settled for the current inputs, state and faults
+	// capts holds the per-clock capture lists: p.capts until the first
+	// Inject on a sequential gate's input pin, then a private copy with
+	// that gate's entry recompiled (ownCapts).
+	capts    []capEntry
+	ownCapts bool
+	vals     []bool // net values, indexed by net id
+	state    []bool // per-gate stored bit (sequential gates only)
+	next     []bool
+	pre      []bool // scratch: pre-edge clock values in the generic Tick path
+	prev     []bool // scratch: a custom cell's outputs before a traced evaluation
+	settled  bool   // vals is settled for the current inputs, state and faults
+	// tracing: only value-changing SetIDs unsettled the machine, so Settle
+	// evaluates the kernel entries marked in marks instead of sweeping.
+	tracing bool
+	marks   traceMarks
 
 	forces  []cForce        // active stuck-at injections, in injection order
 	scratch map[string]bool // reused input map for custom (non-library) cells
@@ -54,20 +70,34 @@ type CompiledSim struct {
 }
 
 // csProg is the shared immutable part of a compiled simulation: net
-// interning, topological order and the fault-site list.  Clones share it.
+// interning, topological order, the settle kernel with its fanout, the
+// capture lists and the fault-site list.  Clones and packed sims share it.
 type csProg struct {
 	names     []string
 	ids       map[string]int32
+	gates     []cGate // pristine gate headers; sims copy them before faulting
 	comb      []int32 // combinational gate indices in topological order
 	seqs      []int32 // sequential gate indices
 	byName    map[string]int32
-	sites     []SAFault
 	const0    int32   // reserved always-0 net backing stuck-at-0 input forces
 	const1    int32   // reserved always-1 net
-	sink      int32   // reserved net unconnected and faulted kernel outputs write to
+	sink      int32   // reserved write-only net unconnected and faulted kernel outputs write to
 	clockPure []bool  // net id -> feeds only sequential clock pins
 	kern      []kOp   // fault-free settle kernel; never written after build
 	kpos      []int32 // gate index -> kernel entry
+
+	// Trace fanout (CSR): rd[rdOff[n]:rdOff[n+1]] are the kernel positions
+	// reading net n, drv[n] the position writing it (-1: none).
+	rdOff, rd []int32
+	drv       []int32
+	// Capture lists (CSR): capts[capOff[n]:capOff[n+1]] are the sequential
+	// gates clocked by net n; cpos maps a gate to its entry (-1: none).
+	capOff []int32
+	capts  []capEntry
+	cpos   []int32
+
+	sitesOnce sync.Once
+	sites     []SAFault // built by the first Faults call
 }
 
 // kOp is one gate of the flat settle kernel: net z takes op(a, b, c).
@@ -124,6 +154,7 @@ const (
 	opDFFR
 	opLatch
 	opState // kernel only: expose a sequential gate's stored bit
+	opHold  // capture list only: a gate whose clock pin is forced never captures
 )
 
 // opFor maps a cell to its opcode.  Only cells of the shared default
@@ -178,7 +209,6 @@ func NewCompiledSim(d *Design, top string) (*CompiledSim, error) {
 	p := &csProg{
 		ids:    make(map[string]int32),
 		byName: make(map[string]int32, len(fgs)),
-		sites:  enumerateFaults(fgs),
 	}
 	intern := func(n string) int32 {
 		if id, ok := p.ids[n]; ok {
@@ -308,6 +338,8 @@ func NewCompiledSim(d *Design, top string) (*CompiledSim, error) {
 		p.kpos[gi] = int32(len(p.kern))
 		p.kern = append(p.kern, p.kernelEntry(gi, &gates[gi]))
 	}
+	p.gates = gates
+	p.buildFanout(nNets)
 
 	// A net is "clock pure" when its only loads are sequential clock pins
 	// and no gate drives it; pulsing it cannot move any other net, which
@@ -332,12 +364,14 @@ func NewCompiledSim(d *Design, top string) (*CompiledSim, error) {
 
 	s := &CompiledSim{
 		p:       p,
-		gates:   gates,
+		gates:   slices.Clone(gates),
 		kern:    p.kern,
+		capts:   p.capts,
 		vals:    make([]bool, nNets),
 		state:   make([]bool, len(gates)),
 		next:    make([]bool, len(gates)),
 		pre:     make([]bool, len(gates)),
+		marks:   newTraceMarks(len(p.kern)),
 		scratch: make(map[string]bool, 8),
 		clkIDs:  make(map[string]int, 2),
 	}
@@ -390,7 +424,8 @@ func (k *kOp) setIn(si int, n int32) {
 // slot si now reads net n, or (out) output slot si now writes n (-1
 // meaning disconnected).  The shared kernel is copied on the first patch,
 // so clones and the compiled program never see this sim's faults.  Custom
-// cells' pins and sequential inputs are read through the gate header.
+// cells' pins are read through the gate header; a sequential gate's inputs
+// live in its capture entry, which is recompiled from the header.
 func (s *CompiledSim) patchKernel(gi int32, si int, out bool, n int32) {
 	if n < 0 {
 		n = s.p.sink
@@ -405,6 +440,9 @@ func (s *CompiledSim) patchKernel(gi int32, si int, out bool, n int32) {
 			k.z = n
 		case out && si == g.qnSlot:
 			k.b = n
+		case !out:
+			s.patchCapture(gi)
+			return
 		default:
 			return
 		}
@@ -420,6 +458,27 @@ func (s *CompiledSim) patchKernel(gi int32, si int, out bool, n int32) {
 		s.ownKern = true
 	}
 	s.kern[ki] = k
+}
+
+// patchCapture recompiles sequential gate gi's capture entry from its
+// (faulted or restored) header, copying the shared lists on the first
+// patch like patchKernel.
+func (s *CompiledSim) patchCapture(gi int32) {
+	ci := s.p.cpos[gi]
+	if ci < 0 {
+		return
+	}
+	if !s.ownCapts {
+		s.capts = slices.Clone(s.capts)
+		s.ownCapts = true
+	}
+	s.capts[ci] = s.p.captureEntry(gi, &s.gates[gi])
+}
+
+// unsettle marks the machine for a full sweep at the next Settle.
+func (s *CompiledSim) unsettle() {
+	s.settled = false
+	s.tracing = false
 }
 
 // GateCount reports the number of flattened primitive gates.
@@ -445,11 +504,18 @@ func (s *CompiledSim) BusIDs(name string, width int) []int {
 }
 
 // SetID drives a net by id.  Driving a net to the value it already holds
-// leaves a settled machine settled.
+// leaves a settled machine settled; a change on an otherwise settled
+// machine marks the net's driver and readers for a selective trace.
 func (s *CompiledSim) SetID(id int, v bool) {
-	if s.vals[id] != v {
-		s.vals[id] = v
-		s.settled = false
+	if s.vals[id] == v {
+		return
+	}
+	s.vals[id] = v
+	if s.settled {
+		s.settled, s.tracing = false, true
+	}
+	if s.tracing {
+		s.marks.net(s.p, int32(id))
 	}
 }
 
@@ -500,11 +566,19 @@ func (s *CompiledSim) in1(g *cGate, slot int) bool {
 // Settle exposes sequential state and evaluates every combinational gate
 // once in topological order.  Acyclicity is checked at build time, so a
 // single pass always reaches the fixpoint — and a second pass with nothing
-// changed would be a no-op, so a settled machine returns at once.
+// changed would be a no-op, so a settled machine returns at once.  When
+// only SetID changed nets since the last Settle, the pass visits just the
+// entries those changes reach (retrace); the result is the same.
 func (s *CompiledSim) Settle() {
 	if s.settled {
 		return
 	}
+	if s.tracing {
+		s.retrace()
+		s.settled, s.tracing = true, false
+		return
+	}
+	s.marks.reset()
 	v := s.vals
 	for i := range s.kern {
 		k := &s.kern[i]
@@ -544,6 +618,79 @@ func (s *CompiledSim) Settle() {
 		}
 	}
 	s.settled = true
+}
+
+// retrace is the selective-trace Settle: it evaluates the marked kernel
+// entries in ascending (topological) order, and an entry that changes a
+// net marks that net's readers.  Unmarked entries would recompute the
+// values they already hold, so the result equals a full sweep.
+func (s *CompiledSim) retrace() {
+	v := s.vals
+	for i := s.marks.next(); i >= 0; i = s.marks.next() {
+		k := &s.kern[i]
+		var z bool
+		switch k.op {
+		case opState:
+			st := s.state[k.a]
+			s.put(i, k.b, !st)
+			z = st
+		case opInv:
+			z = !v[k.a]
+		case opBuf:
+			z = v[k.a]
+		case opNand2:
+			z = !(v[k.a] && v[k.b])
+		case opNor2:
+			z = !(v[k.a] || v[k.b])
+		case opAnd2:
+			z = v[k.a] && v[k.b]
+		case opOr2:
+			z = v[k.a] || v[k.b]
+		case opXor2:
+			z = v[k.a] != v[k.b]
+		case opXnor2:
+			z = v[k.a] == v[k.b]
+		case opMux2:
+			if v[k.c] {
+				z = v[k.b]
+			} else {
+				z = v[k.a]
+			}
+		case opTie0:
+			z = false
+		case opTie1:
+			z = true
+		default:
+			s.retraceCustom(i, k.a)
+			continue
+		}
+		s.put(i, k.z, z)
+	}
+}
+
+// put writes net n from kernel entry i, marking n's readers on a change.
+func (s *CompiledSim) put(i int, n int32, x bool) {
+	if s.vals[n] != x {
+		s.vals[n] = x
+		s.marks.readersAfter(s.p, n, i)
+	}
+}
+
+// retraceCustom evaluates custom cell gi (kernel entry i) and marks the
+// readers of every output it changed.
+func (s *CompiledSim) retraceCustom(i int, gi int32) {
+	g := &s.gates[gi]
+	prev := s.prev[:0]
+	for _, n := range g.out {
+		prev = append(prev, n >= 0 && s.vals[n])
+	}
+	s.prev = prev
+	s.evalCustom(gi, false)
+	for oi, n := range g.out {
+		if n >= 0 && s.vals[n] != prev[oi] {
+			s.marks.readersAfter(s.p, n, i)
+		}
+	}
 }
 
 // evalCustom evaluates a non-library cell through its Eval closure using a
@@ -623,7 +770,8 @@ func (s *CompiledSim) Tick(clock string) {
 // TickID pulses a clock net by id: settle low, capture every sequential
 // cell whose clock pin sees a rising edge (through any gating logic),
 // commit, settle.  When the clock net feeds nothing but clock pins the
-// high/low half-settles are provably no-ops and are skipped.
+// high/low half-settles are provably no-ops and are skipped, and the
+// capture walks the clock's capture list.
 func (s *CompiledSim) TickID(ck int) {
 	obsTicks.Add(1)
 	if s.p.clockPure[ck] {
@@ -631,13 +779,24 @@ func (s *CompiledSim) TickID(ck int) {
 		// settled value: dropping it leaves the machine settled.
 		s.vals[ck] = false
 		s.Settle()
-		for _, gi := range s.p.seqs {
-			g := &s.gates[gi]
-			if g.in[g.clkSlot] == int32(ck) {
-				s.state[gi] = s.evalSeqNext(gi, true)
+		v := s.vals
+		for _, e := range s.p.captures(s.capts, ck) {
+			switch e.op {
+			case opDFF, opLatch: // a pulsed latch enable passes D
+				s.state[e.g] = v[e.a]
+			case opSDFF:
+				if v[e.c] {
+					s.state[e.g] = v[e.b]
+				} else {
+					s.state[e.g] = v[e.a]
+				}
+			case opDFFR:
+				s.state[e.g] = v[e.a] && !v[e.b]
+			case opCustom:
+				s.state[e.g] = s.evalSeqNext(e.g, true)
 			}
 		}
-		s.settled = false
+		s.unsettle()
 		s.Settle()
 		return
 	}
@@ -658,7 +817,7 @@ func (s *CompiledSim) TickID(ck int) {
 	for _, gi := range s.p.seqs {
 		s.state[gi] = s.next[gi]
 	}
-	s.settled = false
+	s.unsettle()
 	s.Settle()
 	s.SetID(ck, false)
 	s.Settle()
@@ -671,13 +830,39 @@ func (s *CompiledSim) LoadState(flatName string, v bool) error {
 		return fmt.Errorf("netlist: no sequential cell named %s", flatName)
 	}
 	s.state[gi] = v
-	s.settled = false
+	s.unsettle()
 	return nil
 }
 
 // Faults enumerates every injectable stuck-at site in deterministic order.
 // The returned slice is shared; callers must not modify it.
-func (s *CompiledSim) Faults() []SAFault { return s.p.sites }
+func (s *CompiledSim) Faults() []SAFault { return s.p.faults() }
+
+// faults builds the fault-site list on first use (only campaigns ask for
+// it): both polarities of every pin connected in the pristine headers, in
+// enumerateFaults order.  Clones and packed sims share the program, so the
+// build is guarded by a sync.Once.
+func (p *csProg) faults() []SAFault {
+	p.sitesOnce.Do(func() {
+		var sites []SAFault
+		for i := range p.gates {
+			g := &p.gates[i]
+			for si, port := range g.cell.Inputs {
+				if g.in[si] >= 0 {
+					sites = append(sites, SAFault{Gate: g.name, Port: port}, SAFault{Gate: g.name, Port: port, Value: true})
+				}
+			}
+			for oi, port := range g.cell.Outputs {
+				if g.out[oi] >= 0 {
+					sites = append(sites, SAFault{Gate: g.name, Port: port}, SAFault{Gate: g.name, Port: port, Value: true})
+				}
+			}
+		}
+		sortSites(sites)
+		p.sites = sites
+	})
+	return p.sites
+}
 
 // Inject forces a stuck-at fault on one port of one flattened gate.  Input
 // forces rewire that gate pin to a reserved constant net; output forces
@@ -706,7 +891,7 @@ func (s *CompiledSim) Inject(gate, port string, value bool) error {
 		}
 		s.patchKernel(gi, si, false, g.in[si])
 		s.forces = append(s.forces, cForce{gate: gi, slot: si, orig: orig, val: value})
-		s.settled = false
+		s.unsettle()
 		obsInjected.Add(1)
 		return nil
 	}
@@ -723,7 +908,7 @@ func (s *CompiledSim) Inject(gate, port string, value bool) error {
 		s.patchKernel(gi, oi, true, -1)
 		s.vals[orig] = value
 		s.forces = append(s.forces, cForce{gate: gi, slot: oi, out: true, orig: orig, val: value})
-		s.settled = false
+		s.unsettle()
 		obsInjected.Add(1)
 		return nil
 	}
@@ -748,7 +933,7 @@ func (s *CompiledSim) ClearFaults() {
 		s.patchKernel(f.gate, f.slot, f.out, f.orig)
 	}
 	s.forces = s.forces[:0]
-	s.settled = false
+	s.unsettle()
 }
 
 // Reset returns every net and sequential bit to 0 and settles.  Active
@@ -766,7 +951,7 @@ func (s *CompiledSim) Reset() {
 			s.vals[f.orig] = f.val
 		}
 	}
-	s.settled = false
+	s.unsettle()
 	s.Settle()
 }
 
@@ -780,10 +965,12 @@ func (s *CompiledSim) Clone() *CompiledSim {
 		p:       s.p,
 		gates:   append([]cGate(nil), s.gates...),
 		kern:    s.p.kern,
+		capts:   s.p.capts,
 		vals:    make([]bool, len(s.vals)),
 		state:   make([]bool, len(s.state)),
 		next:    make([]bool, len(s.next)),
 		pre:     make([]bool, len(s.pre)),
+		marks:   newTraceMarks(len(s.p.kern)),
 		forces:  append([]cForce(nil), s.forces...),
 		scratch: make(map[string]bool, 8),
 		clkIDs:  make(map[string]int, 2),
@@ -791,6 +978,8 @@ func (s *CompiledSim) Clone() *CompiledSim {
 	if len(s.forces) > 0 {
 		c.kern = append([]kOp(nil), s.kern...)
 		c.ownKern = true
+		c.capts = slices.Clone(s.capts)
+		c.ownCapts = true
 	}
 	c.vals[c.p.const1] = true
 	for _, f := range c.forces {

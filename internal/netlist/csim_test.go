@@ -3,6 +3,8 @@ package netlist
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -486,5 +488,208 @@ func TestSimulatorInjectErrors(t *testing.T) {
 	}
 	if err := cs.Inject("u_inv", "XYZ", true); err == nil {
 		t.Fatal("expected unknown-port error")
+	}
+}
+
+// compiledVsSimulatorProperty checks CompiledSim against the reference
+// Simulator on a random netlist: randomPackedDesign plus a latch and a
+// DFFR on their own clock-pure enable, so every capture-list opcode runs.
+// A seeded interleaving of Set-only settles (several nets at once,
+// same-value drives, gate-driven nets), Ticks on the plain, gating, gated
+// and latch clocks and on a data input, Inject/ClearFaults, LoadState and
+// Reset is compared on every net after every step.  Set-only settles are
+// the ones the compiled engine traces instead of sweeping, so unlike the
+// packed-vs-scalar properties this catches a trace bug both engines share.
+func compiledVsSimulatorProperty(t *testing.T, seed int64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	d, ins, _, obsNets := randomPackedDesign(rng, 6+rng.Intn(30))
+	m := d.Modules["dut"]
+	m.MustPort("lck", In, 1)
+	m.MustInstance("u_xl", CellLatchL, map[string]string{"D": obsNets[rng.Intn(len(obsNets))], "EN": "lck", "Q": "xl"})
+	m.MustInstance("u_xf", CellDFFR, map[string]string{"D": "xl", "CK": "lck", "R": ins[rng.Intn(len(ins))], "Q": "xf"})
+	ref, err := NewSimulator(d, "dut")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := NewCompiledSim(d, "dut")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(cs.Faults(), ref.Faults()) {
+		t.Fatalf("seed %d: compiled fault sites differ from the reference enumeration", seed)
+	}
+	// Every gate-driven net, keyed to the gate/port pin driving it.
+	drivenBy := map[string]string{}
+	var driven, seqs []string
+	for _, g := range cs.p.gates {
+		for oi, n := range g.out {
+			if n >= 0 {
+				drivenBy[cs.p.names[n]] = g.name + "/" + g.cell.Outputs[oi]
+				driven = append(driven, cs.p.names[n])
+			}
+		}
+		if g.seq {
+			seqs = append(seqs, g.name)
+		}
+	}
+	inputs := append([]string{"ck", "ck2", "lck"}, ins...)
+	clocks := []string{"ck", "ck2", "gck", "lck", ins[rng.Intn(len(ins))]}
+	sites := cs.Faults()
+	forced := map[string]bool{} // gate/port pins with an active force
+	settleBoth := func() {
+		if err := ref.Settle(); err != nil {
+			t.Fatal(err)
+		}
+		cs.Settle()
+	}
+	for i := 0; i < 300; i++ {
+		var step string
+		switch op := rng.Intn(10); op {
+		case 0, 1, 2: // drive 1-3 inputs, a third of the time to their value, then settle
+			for n := 1 + rng.Intn(3); n > 0; n-- {
+				in := inputs[rng.Intn(len(inputs))]
+				v := rng.Intn(2) == 1
+				if rng.Intn(3) == 0 {
+					v = ref.Get(in)
+				}
+				step += fmt.Sprintf("set %s=%v; ", in, v)
+				ref.Set(in, v)
+				cs.SetID(cs.NetID(in), v)
+			}
+			compareNets(t, fmt.Sprintf("seed %d step %d: %s(before settle)", seed, i, step), ref, cs)
+			settleBoth()
+			step += "settle"
+		case 3: // drive a gate-driven net: the settle must overwrite it
+			n := driven[rng.Intn(len(driven))]
+			if forced[drivenBy[n]] {
+				continue // the engines pin a forced net at different times
+			}
+			v := !ref.Get(n)
+			step = fmt.Sprintf("set driven %s=%v, settle", n, v)
+			ref.Set(n, v)
+			cs.Set(n, v)
+			settleBoth()
+		case 4, 5:
+			clk := clocks[rng.Intn(len(clocks))]
+			if forced[drivenBy[clk]] {
+				continue
+			}
+			step = "tick " + clk
+			if err := ref.Tick(clk); err != nil {
+				t.Fatal(err)
+			}
+			cs.Tick(clk)
+		case 6: // inject on a settled machine, then settle
+			f := sites[rng.Intn(len(sites))]
+			if forced[f.Gate+"/"+f.Port] {
+				continue
+			}
+			settleBoth()
+			step = "inject " + f.String()
+			forced[f.Gate+"/"+f.Port] = true
+			if err := ref.Inject(f.Gate, f.Port, f.Value); err != nil {
+				t.Fatal(err)
+			}
+			if err := cs.Inject(f.Gate, f.Port, f.Value); err != nil {
+				t.Fatal(err)
+			}
+			settleBoth()
+		case 7: // clear on a settled machine, then settle
+			settleBoth()
+			step = "clear faults"
+			clear(forced)
+			ref.ClearFaults()
+			cs.ClearFaults()
+			settleBoth()
+		case 8:
+			g := seqs[rng.Intn(len(seqs))]
+			v := rng.Intn(2) == 1
+			settleBoth()
+			step = fmt.Sprintf("load %s=%v", g, v)
+			if err := ref.LoadState(g, v); err != nil {
+				t.Fatal(err)
+			}
+			if err := cs.LoadState(g, v); err != nil {
+				t.Fatal(err)
+			}
+			settleBoth()
+		case 9:
+			step = "reset"
+			if err := ref.Reset(); err != nil {
+				t.Fatal(err)
+			}
+			cs.Reset()
+		}
+		compareNets(t, fmt.Sprintf("seed %d step %d: %s", seed, i, step), ref, cs)
+	}
+}
+
+// TestCompiledSimRandomNetlistsProperty sweeps many random netlists.
+func TestCompiledSimRandomNetlistsProperty(t *testing.T) {
+	rounds := 24
+	if testing.Short() {
+		rounds = 6
+	}
+	for seed := int64(0); seed < int64(rounds); seed++ {
+		compiledVsSimulatorProperty(t, seed)
+	}
+}
+
+// FuzzCompiledVsSimulator lets the fuzzer hunt for a seed where the
+// compiled engine diverges from the reference Simulator.
+func FuzzCompiledVsSimulator(f *testing.F) {
+	for _, s := range []int64{1, 42, 12345} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		compiledVsSimulatorProperty(t, seed)
+	})
+}
+
+// TestCompiledSimFaultSitesLazy checks the fault-site list built on first
+// use from the compiled headers against the reference enumeration over the
+// flattened design (same sites, same order, unconnected pins skipped), and
+// that clones and packed sims racing to build it share one list.
+func TestCompiledSimFaultSitesLazy(t *testing.T) {
+	for _, d := range []*Design{buildSimTestbed(t), buildCustomTestbed(t)} {
+		ref, err := NewSimulator(d, "dut")
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, err := NewCompiledSim(d, "dut")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps, err := NewPackedSim(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([][]SAFault, 4)
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				switch i {
+				case 0:
+					got[i] = base.Faults()
+				case 1:
+					got[i] = ps.Faults()
+				default:
+					got[i] = base.Clone().Faults()
+				}
+			}(i)
+		}
+		wg.Wait()
+		want := ref.Faults()
+		for i, sites := range got {
+			if !slices.Equal(sites, want) {
+				t.Fatalf("%s caller %d: %d sites, reference %d (or order differs)", d.Name, i, len(sites), len(want))
+			}
+			if &sites[0] != &got[0][0] {
+				t.Fatalf("%s caller %d: fault list built twice", d.Name, i)
+			}
+		}
 	}
 }

@@ -41,6 +41,12 @@ func enumerateFaults(gates []*flatGate) []SAFault {
 				SAFault{Gate: g.name, Port: p, Value: true})
 		}
 	}
+	sortSites(sites)
+	return sites
+}
+
+// sortSites orders fault sites by gate name, port name and polarity.
+func sortSites(sites []SAFault) {
 	sort.Slice(sites, func(i, j int) bool {
 		a, b := sites[i], sites[j]
 		if a.Gate != b.Gate {
@@ -51,7 +57,6 @@ func enumerateFaults(gates []*flatGate) []SAFault {
 		}
 		return !a.Value && b.Value
 	})
-	return sites
 }
 
 // Faults enumerates every injectable stuck-at site of the flattened design

@@ -30,7 +30,9 @@ const Lanes = 64
 // reserved constant nets.  A gate carrying a lane force has its kernel
 // entry swapped for a slow entry that evaluates through the gate header
 // and the masks; every other gate stays on the flat kernel.  Settle
-// follows CompiledSim's unsettle rules.
+// follows CompiledSim's unsettle rules, including the selective trace after
+// SetID/SetWordID-only changes, and a clock-pure Tick captures through the
+// shared capture lists.
 //
 // Lane semantics are exactly CompiledSim's per lane: an unfaulted lane
 // computes the same trajectory as a fault-free CompiledSim, and a lane with
@@ -40,7 +42,7 @@ const Lanes = 64
 // for the fault-free machine so detection is (word ^ golden) != 0.
 type PackedSim struct {
 	p     *csProg
-	gates []cGate // headers copied from the base; in/out arrays shared read-only
+	gates []cGate // the compiled program's pristine headers, read-only
 	// kern is p.kern until the first lane force on a library or sequential
 	// gate, then a private copy holding that gate's slow entry (ownKern).
 	kern    []kOp
@@ -49,7 +51,10 @@ type PackedSim struct {
 	state   []uint64 // per-gate stored lanes (sequential gates only)
 	next    []uint64
 	pre     []uint64 // scratch: pre-edge clock lanes in the generic Tick path
+	prev    []uint64 // scratch: a slow entry's output words before a traced evaluation
 	settled bool     // vals is settled for the current inputs, state and forces
+	tracing bool     // only value-changing SetWordIDs unsettled it (see CompiledSim)
+	marks   traceMarks
 
 	// Force lookup is per gate: a 63-lane batch injects dozens of sites, and
 	// every masked pin access during eval must find its (at most few) forces
@@ -77,21 +82,23 @@ type laneForce struct {
 
 // NewPackedSim builds a packed simulator over base's compiled program with
 // every lane at the all-zero reset state.  The base must be fault-free
-// (campaigns inject per lane via InjectLane); its gate headers are copied
-// so later Inject calls on the base cannot alias the packed machine, and
-// the kernel is the compiled program's until the first lane force.
+// (campaigns inject per lane via InjectLane); the packed machine reads the
+// program's pristine gate headers, so later Inject calls on the base cannot
+// alias it, and the kernel is the compiled program's until the first lane
+// force.
 func NewPackedSim(base *CompiledSim) (*PackedSim, error) {
 	if len(base.forces) > 0 {
 		return nil, fmt.Errorf("netlist: packed sim requires a fault-free base (has %d forces)", len(base.forces))
 	}
 	s := &PackedSim{
 		p:       base.p,
-		gates:   append([]cGate(nil), base.gates...),
+		gates:   base.p.gates,
 		kern:    base.p.kern,
 		vals:    make([]uint64, len(base.vals)),
 		state:   make([]uint64, len(base.state)),
 		next:    make([]uint64, len(base.next)),
 		pre:     make([]uint64, len(base.pre)),
+		marks:   newTraceMarks(len(base.p.kern)),
 		gforces: make([][]laneForce, len(base.gates)),
 		scratch: make(map[string]bool, 8),
 		clkIDs:  make(map[string]int, 2),
@@ -132,12 +139,26 @@ func (s *PackedSim) SetID(id int, v bool) {
 }
 
 // SetWordID drives a net with per-lane values.  Driving a net to the word
-// it already holds leaves a settled machine settled.
+// it already holds leaves a settled machine settled; a change on an
+// otherwise settled machine marks the net's driver and readers for a
+// selective trace.
 func (s *PackedSim) SetWordID(id int, w uint64) {
-	if s.vals[id] != w {
-		s.vals[id] = w
-		s.settled = false
+	if s.vals[id] == w {
+		return
 	}
+	s.vals[id] = w
+	if s.settled {
+		s.settled, s.tracing = false, true
+	}
+	if s.tracing {
+		s.marks.net(s.p, int32(id))
+	}
+}
+
+// unsettle marks the machine for a full sweep at the next Settle.
+func (s *PackedSim) unsettle() {
+	s.settled = false
+	s.tracing = false
 }
 
 // GetWordID reads a net's lane-word.
@@ -190,11 +211,17 @@ func (s *PackedSim) writeOut(gi int32, oi int, z uint64) {
 // Settle runs the kernel once: every sequential gate exposes its stored
 // lanes, then every combinational gate evaluates in topological order, all
 // 64 lanes per pass.  Like CompiledSim.Settle, a settled machine returns
-// at once.
+// at once, and a machine unsettled only by SetWordID is retraced.
 func (s *PackedSim) Settle() {
 	if s.settled {
 		return
 	}
+	if s.tracing {
+		s.retrace()
+		s.settled, s.tracing = true, false
+		return
+	}
+	s.marks.reset()
 	v := s.vals
 	for i := range s.kern {
 		k := &s.kern[i]
@@ -231,6 +258,79 @@ func (s *PackedSim) Settle() {
 		}
 	}
 	s.settled = true
+}
+
+// retrace is CompiledSim.retrace over lane-words: the marked entries run in
+// kernel order and a changed word marks its net's readers.  A slow entry
+// runs through evalSlow, its output words compared before and after.
+func (s *PackedSim) retrace() {
+	v := s.vals
+	for i := s.marks.next(); i >= 0; i = s.marks.next() {
+		k := &s.kern[i]
+		var z uint64
+		switch k.op {
+		case opState:
+			st := s.state[k.a]
+			s.put(i, k.b, ^st)
+			z = st
+		case opInv:
+			z = ^v[k.a]
+		case opBuf:
+			z = v[k.a]
+		case opNand2:
+			z = ^(v[k.a] & v[k.b])
+		case opNor2:
+			z = ^(v[k.a] | v[k.b])
+		case opAnd2:
+			z = v[k.a] & v[k.b]
+		case opOr2:
+			z = v[k.a] | v[k.b]
+		case opXor2:
+			z = v[k.a] ^ v[k.b]
+		case opXnor2:
+			z = ^(v[k.a] ^ v[k.b])
+		case opMux2:
+			sel := v[k.c]
+			z = (v[k.b] & sel) | (v[k.a] &^ sel)
+		case opTie0:
+			z = 0
+		case opTie1:
+			z = ^uint64(0)
+		default:
+			s.retraceSlow(i, k.a)
+			continue
+		}
+		s.put(i, k.z, z)
+	}
+}
+
+// put writes net n from kernel entry i, marking n's readers on a change.
+func (s *PackedSim) put(i int, n int32, w uint64) {
+	if s.vals[n] != w {
+		s.vals[n] = w
+		s.marks.readersAfter(s.p, n, i)
+	}
+}
+
+// retraceSlow evaluates slow entry i (gate gi) and marks the readers of
+// every output word it changed.
+func (s *PackedSim) retraceSlow(i int, gi int32) {
+	g := &s.gates[gi]
+	prev := s.prev[:0]
+	for _, n := range g.out {
+		var w uint64
+		if n >= 0 {
+			w = s.vals[n]
+		}
+		prev = append(prev, w)
+	}
+	s.prev = prev
+	s.evalSlow(gi)
+	for oi, n := range g.out {
+		if n >= 0 && s.vals[n] != prev[oi] {
+			s.marks.readersAfter(s.p, n, i)
+		}
+	}
 }
 
 // evalSlow is the slow kernel entry (an opCustom entry naming gate gi):
@@ -409,14 +509,26 @@ func (s *PackedSim) TickID(ck int) {
 		// No gate reads a clock-pure net, so dropping it never unsettles.
 		s.vals[ck] = 0
 		s.Settle()
-		for _, gi := range s.p.seqs {
-			g := &s.gates[gi]
-			if g.in[g.clkSlot] == int32(ck) {
-				capt := s.clkKeep(gi)
-				s.state[gi] = (s.evalSeqNext(gi, true) & capt) | (s.state[gi] &^ capt)
+		v := s.vals
+		for _, e := range s.p.captures(s.p.capts, ck) {
+			if len(s.gforces[e.g]) > 0 { // pins read through the lane masks
+				capt := s.clkKeep(e.g)
+				s.state[e.g] = (s.evalSeqNext(e.g, true) & capt) | (s.state[e.g] &^ capt)
+				continue
+			}
+			switch e.op {
+			case opDFF, opLatch: // a pulsed latch enable passes D
+				s.state[e.g] = v[e.a]
+			case opSDFF:
+				se := v[e.c]
+				s.state[e.g] = (v[e.b] & se) | (v[e.a] &^ se)
+			case opDFFR:
+				s.state[e.g] = v[e.a] &^ v[e.b]
+			default:
+				s.state[e.g] = s.evalSeqNext(e.g, true)
 			}
 		}
-		s.settled = false
+		s.unsettle()
 		s.Settle()
 		return
 	}
@@ -438,14 +550,14 @@ func (s *PackedSim) TickID(ck int) {
 	for _, gi := range s.p.seqs {
 		s.state[gi] = s.next[gi]
 	}
-	s.settled = false
+	s.unsettle()
 	s.Settle()
 	s.SetWordID(ck, 0)
 	s.Settle()
 }
 
 // Faults enumerates every injectable stuck-at site, shared with the base.
-func (s *PackedSim) Faults() []SAFault { return s.p.sites }
+func (s *PackedSim) Faults() []SAFault { return s.p.faults() }
 
 // InjectLane forces a stuck-at fault on one port of one flattened gate in
 // one lane.  Resolution and error cases mirror CompiledSim.Inject exactly
@@ -497,7 +609,7 @@ func (s *PackedSim) InjectLane(lane int, gate, port string, value bool) error {
 // one); the shared kernel is copied on the first swap, so other sims and
 // the compiled program never see this sim's forces.
 func (s *PackedSim) addForce(gi int32, slot int, out bool, bit uint64, value bool) {
-	s.settled = false
+	s.unsettle()
 	var set uint64
 	if value {
 		set = bit
@@ -534,7 +646,7 @@ func (s *PackedSim) ClearFaults() {
 		}
 	}
 	s.fgates = s.fgates[:0]
-	s.settled = false
+	s.unsettle()
 }
 
 // Reset returns every lane of every net and sequential bit to 0 and
@@ -551,6 +663,6 @@ func (s *PackedSim) Reset() {
 			}
 		}
 	}
-	s.settled = false
+	s.unsettle()
 	s.Settle()
 }

@@ -524,11 +524,12 @@ func (jm *jobManager) finish(j *campaignJob, res *campaign.Result, err error) {
 }
 
 // settle applies a terminal state to j (set runs under j.mu) and records
-// it.  The row is written while j.mu is held, so no poller ever sees a
-// terminal state the database has not acknowledged.  If the database
-// refuses the row, the job fails with that error and is not ingested into
-// the catalog; the database keeps its last acknowledged row, so after a
-// restart the job reads as checkpointed and stays resumable.
+// it.  The row is written and the outcome counted while j.mu is held, so
+// no poller ever sees a terminal state the database has not acknowledged
+// or the counters do not yet show.  If the database refuses the row, the
+// job fails with that error and is not ingested into the catalog; the
+// database keeps its last acknowledged row, so after a restart the job
+// reads as checkpointed and stays resumable.
 func (jm *jobManager) settle(j *campaignJob, set func()) {
 	j.mu.Lock()
 	j.finished = time.Now()
@@ -540,17 +541,17 @@ func (jm *jobManager) settle(j *campaignJob, set func()) {
 		j.errMsg = err.Error()
 		rec.State = jobFailed
 	}
-	j.mu.Unlock()
 	switch rec.State {
 	case jobDone:
 		obsJobsDone.Add(1)
-		if jm.ingest != nil {
-			jm.ingest(rec)
-		}
 	case jobCanceled:
 		obsJobsCanceled.Add(1)
 	default:
 		obsJobsFailed.Add(1)
+	}
+	j.mu.Unlock()
+	if rec.State == jobDone && jm.ingest != nil {
+		jm.ingest(rec)
 	}
 }
 

@@ -211,11 +211,8 @@ func NewControllerCampaignSim(name string, nGroups int, opts Options) (*Campaign
 	if err != nil {
 		return nil, err
 	}
-	goIDs := base.BusIDs("GO", nGroups)
-	gdoneIDs := base.BusIDs("GDONE", nGroups)
-	gfailIDs := base.BusIDs("GFAIL", nGroups)
-	outIDs := []int{base.NetID(bist.PinMBO), base.NetID(bist.PinMRD), base.NetID(bist.PinMSO)}
-	golden, _ := runControllerTraced(base, nGroups, goIDs, gdoneIDs, gfailIDs, outIDs, nil)
+	pins := newCtlPins(base, nGroups)
+	golden, _ := runControllerTraced(base, nGroups, pins, nil)
 	all := base.Faults()
 	return &CampaignSim{
 		name:   name,
@@ -224,11 +221,11 @@ func NewControllerCampaignSim(name string, nGroups int, opts Options) (*Campaign
 		faults: sampleFaults(all, opts.MaxFaults, opts.Seed),
 		golden: len(golden),
 		run: func(_ context.Context, sim *netlist.CompiledSim) int {
-			_, at := runControllerTraced(sim, nGroups, goIDs, gdoneIDs, gfailIDs, outIDs, golden)
+			_, at := runControllerTraced(sim, nGroups, pins, golden)
 			return at
 		},
 		packedRun: func(ctx context.Context, ps *netlist.PackedSim, pending uint64) []int {
-			return runControllerPacked(ctx, ps, nGroups, goIDs, gdoneIDs, gfailIDs, outIDs, golden, pending)
+			return runControllerPacked(ctx, ps, nGroups, pins, golden, pending)
 		},
 	}, nil
 }
@@ -254,7 +251,7 @@ func NewWrapperCampaignSim(name string, core *testinfo.Core, width int, opts Opt
 	if opts.MaxPatterns > 0 && opts.MaxPatterns < atpg.ScanCount() {
 		src = &cappedSource{Source: atpg, n: opts.MaxPatterns}
 	}
-	pins := newWrapPins(base, plan.Width)
+	pins := newWrapPins(base, plan.Width, core)
 	lane := pattern.NewScanLane(core, src, plan, 0, 0)
 	layout := pattern.SessionLayout{Cycles: lane.Cycles, Chains: []pattern.ChainLane{lane}}
 	prog := &pattern.Program{TamWidth: plan.Width}

@@ -47,6 +47,7 @@ func busToInt(v []bool) int {
 // per-memory pin labels mismatch reports use, so the per-cycle compare
 // loop formats nothing.
 type benchPins struct {
+	ck                                         int
 	cmdr, cmdd, dir, adv, elemdone, done, fail int
 	addr, d, q, qb                             [][]int
 	we, failI                                  []int
@@ -65,6 +66,7 @@ func bitLabels(name string, n int) []string {
 
 func newBenchPins(sim *netlist.CompiledSim, mems []memory.Config) benchPins {
 	p := benchPins{
+		ck:   sim.NetID("ck"),
 		cmdr: sim.NetID("cmdr"), cmdd: sim.NetID("cmdd"), dir: sim.NetID("dir"),
 		adv: sim.NetID("adv"), elemdone: sim.NetID("elemdone"),
 		done: sim.NetID("done"), fail: sim.NetID("fail"),
@@ -88,6 +90,25 @@ func newBenchPins(sim *netlist.CompiledSim, mems []memory.Config) benchPins {
 		p.failLbl = append(p.failLbl, fail)
 	}
 	return p
+}
+
+// ctlPins caches a compiled shared controller's net ids, resolved once per
+// session: the tester pins and the per-group GO/GDONE/GFAIL buses.
+type ctlPins struct {
+	mbs, mbr, msi, mbc int
+	mbo, mrd, mso      int
+	gos, gdone, gfail  []int
+}
+
+func newCtlPins(sim *netlist.CompiledSim, nGroups int) ctlPins {
+	return ctlPins{
+		mbs: sim.NetID(bist.PinMBS), mbr: sim.NetID(bist.PinMBR),
+		msi: sim.NetID(bist.PinMSI), mbc: sim.NetID(bist.PinMBC),
+		mbo: sim.NetID(bist.PinMBO), mrd: sim.NetID(bist.PinMRD), mso: sim.NetID(bist.PinMSO),
+		gos:   sim.BusIDs("GO", nGroups),
+		gdone: sim.BusIDs("GDONE", nGroups),
+		gfail: sim.BusIDs("GFAIL", nGroups),
+	}
 }
 
 func getBusID(sim *netlist.CompiledSim, ids []int) int {
@@ -220,7 +241,7 @@ func runBISTSession(ctx context.Context, sim *netlist.CompiledSim, pins benchPin
 	// Reset pulse on both machines.
 	sim.Set("rst", true)
 	sim.Set("en", false)
-	sim.Tick("ck")
+	sim.TickID(pins.ck)
 	ref.tick(false, true, bgsel)
 	sim.Set("rst", false)
 	sim.Set("en", true)
@@ -296,7 +317,7 @@ func runBISTSession(ctx context.Context, sim *netlist.CompiledSim, pins benchPin
 				gmem[i][getBusID(sim, pins.addr[i])] = uint64(getBusID(sim, pins.d[i]))
 			}
 		}
-		sim.Tick("ck")
+		sim.TickID(pins.ck)
 		ref.tick(true, false, bgsel)
 	}
 	res.Notes = append(res.Notes, fmt.Sprintf("DONE never asserted within %d cycles", maxCycles))
@@ -329,18 +350,15 @@ func VerifyControllerContext(ctx context.Context, name string, nGroups int, opts
 func verifyController(ctx context.Context, name string, sim *netlist.CompiledSim, nGroups int, opts Options) (EquivResult, error) {
 	res := EquivResult{Name: name, Gates: sim.GateCount()}
 	mmCap := opts.maxMismatches()
-	goIDs := sim.BusIDs("GO", nGroups)
+	pins := newCtlPins(sim, nGroups)
 	goLbl := bitLabels("GO", nGroups)
-	gdoneIDs := sim.BusIDs("GDONE", nGroups)
-	gfailIDs := sim.BusIDs("GFAIL", nGroups)
-	mbo, mrd, mso := sim.NetID(bist.PinMBO), sim.NetID(bist.PinMRD), sim.NetID(bist.PinMSO)
 
 	compare := func(cycle int, ref *refController, msi bool) {
 		p := ref.comb(msi)
-		res.check(cycle, bist.PinMBO, sim.GetID(mbo), p.mbo, mmCap)
-		res.check(cycle, bist.PinMRD, sim.GetID(mrd), p.mrd, mmCap)
-		res.check(cycle, bist.PinMSO, sim.GetID(mso), p.mso, mmCap)
-		for i, id := range goIDs {
+		res.check(cycle, bist.PinMBO, sim.GetID(pins.mbo), p.mbo, mmCap)
+		res.check(cycle, bist.PinMRD, sim.GetID(pins.mrd), p.mrd, mmCap)
+		res.check(cycle, bist.PinMSO, sim.GetID(pins.mso), p.mso, mmCap)
+		for i, id := range pins.gos {
 			res.check(cycle, goLbl[i], sim.GetID(id), p.gos[i], mmCap)
 		}
 	}
@@ -364,18 +382,18 @@ func verifyController(ctx context.Context, name string, sim *netlist.CompiledSim
 		mbs := rng.Intn(20) == 0
 		mbr := rng.Intn(50) == 0
 		msi := rng.Intn(2) == 0
-		sim.Set(bist.PinMBS, mbs)
-		sim.Set(bist.PinMBR, mbr)
-		sim.Set(bist.PinMSI, msi)
+		sim.SetID(pins.mbs, mbs)
+		sim.SetID(pins.mbr, mbr)
+		sim.SetID(pins.msi, msi)
 		for i := 0; i < nGroups; i++ {
 			gdone[i] = rng.Intn(5) == 0
 			gfail[i] = rng.Intn(10) == 0
-			sim.SetID(gdoneIDs[i], gdone[i])
-			sim.SetID(gfailIDs[i], gfail[i])
+			sim.SetID(pins.gdone[i], gdone[i])
+			sim.SetID(pins.gfail[i], gfail[i])
 		}
 		sim.Settle()
 		compare(cycle, ref, msi)
-		sim.Tick(bist.PinMBC)
+		sim.TickID(pins.mbc)
 		ref.tick(mbs, mbr, msi, gdone, gfail)
 		res.Cycles++
 	}
@@ -388,7 +406,7 @@ func verifyController(ctx context.Context, name string, sim *netlist.CompiledSim
 	// per-group latency; one mid-list group reports a failure.
 	if len(res.Mismatches) < mmCap {
 		res.Sessions++
-		cyc, notes := runControllerSession(sim, ref, nGroups, goIDs, gdoneIDs, gfailIDs,
+		cyc, notes := runControllerSession(sim, ref, nGroups, pins,
 			func(cycle int, msi bool) { compare(cycle, ref, msi) })
 		res.Cycles += cyc
 		res.Notes = append(res.Notes, notes...)
@@ -404,7 +422,7 @@ func verifyController(ctx context.Context, name string, sim *netlist.CompiledSim
 // injected failure, MSO readout of the failed flag) and returns any
 // violations as notes.
 func runControllerSession(sim *netlist.CompiledSim, ref *refController, nGroups int,
-	goIDs, gdoneIDs, gfailIDs []int, compare func(cycle int, msi bool)) (int, []string) {
+	pins ctlPins, compare func(cycle int, msi bool)) (int, []string) {
 	var notes []string
 	failing := nGroups / 2
 	sim.Reset()
@@ -412,17 +430,17 @@ func runControllerSession(sim *netlist.CompiledSim, ref *refController, nGroups 
 
 	zero := make([]bool, nGroups)
 	drive := func(mbs, mbr bool, gdone, gfail []bool) {
-		sim.Set(bist.PinMBS, mbs)
-		sim.Set(bist.PinMBR, mbr)
-		sim.Set(bist.PinMSI, true)
+		sim.SetID(pins.mbs, mbs)
+		sim.SetID(pins.mbr, mbr)
+		sim.SetID(pins.msi, true)
 		for i := 0; i < nGroups; i++ {
-			sim.SetID(gdoneIDs[i], gdone[i])
-			sim.SetID(gfailIDs[i], gfail[i])
+			sim.SetID(pins.gdone[i], gdone[i])
+			sim.SetID(pins.gfail[i], gfail[i])
 		}
 	}
 	step := func(mbs, mbr bool, gdone, gfail []bool) {
 		drive(mbs, mbr, gdone, gfail)
-		sim.Tick(bist.PinMBC)
+		sim.TickID(pins.mbc)
 		ref.tick(mbs, mbr, true, gdone, gfail)
 	}
 	step(false, true, zero, zero) // reset
@@ -437,12 +455,12 @@ func runControllerSession(sim *netlist.CompiledSim, ref *refController, nGroups 
 	for ; cycle < maxCycles; cycle++ {
 		drive(false, false, gdone, gfail)
 		sim.Settle()
-		if sim.GetID(sim.NetID(bist.PinMBO)) {
+		if sim.GetID(pins.mbo) {
 			break
 		}
 		for i := 0; i < nGroups; i++ {
 			gdone[i], gfail[i] = false, false
-			if sim.GetID(goIDs[i]) {
+			if sim.GetID(pins.gos[i]) {
 				if !started[i] {
 					started[i] = true
 					// Groups must start in index order.
@@ -460,14 +478,14 @@ func runControllerSession(sim *netlist.CompiledSim, ref *refController, nGroups 
 		drive(false, false, gdone, gfail)
 		sim.Settle()
 		compare(cycle, true)
-		sim.Tick(bist.PinMBC)
+		sim.TickID(pins.mbc)
 		ref.tick(false, false, true, gdone, gfail)
 	}
 	sim.Settle()
-	if !sim.Get(bist.PinMBO) {
+	if !sim.GetID(pins.mbo) {
 		notes = append(notes, fmt.Sprintf("MBO not raised within %d cycles", maxCycles))
 	}
-	if sim.Get(bist.PinMRD) {
+	if sim.GetID(pins.mrd) {
 		notes = append(notes, fmt.Sprintf("MRD reports pass despite group %d failure", failing))
 	}
 	for i, s := range started {

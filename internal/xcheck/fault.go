@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"steac/internal/bist"
 	"steac/internal/march"
 	"steac/internal/memory"
 	"steac/internal/netlist"
@@ -79,7 +78,7 @@ func runBISTTraced(sim *netlist.CompiledSim, pins benchPins, mems []memory.Confi
 	sim.Set("pbsel", false)
 	sim.Set("rst", true)
 	sim.Set("en", false)
-	sim.Tick("ck")
+	sim.TickID(pins.ck)
 	sim.Set("rst", false)
 	sim.Set("en", true)
 	// One settle propagates the enable; after that the state is settled at
@@ -119,7 +118,7 @@ func runBISTTraced(sim *netlist.CompiledSim, pins benchPins, mems []memory.Confi
 				gmem[i][getBusID(sim, pins.addr[i])] = uint64(getBusID(sim, pins.d[i]))
 			}
 		}
-		sim.Tick("ck")
+		sim.TickID(pins.ck)
 		cycle++
 		if golden == nil && cycle > 1<<22 {
 			return trace, -1 // safety net; fault-free benches always finish
@@ -155,8 +154,8 @@ type ctlTrace struct{ mbo, mrd, mso bool }
 // pass, then the middle group fails) with behavioural groups answering the
 // controller's own GO outputs.  Trace/compare semantics mirror
 // runBISTTraced.
-func runControllerTraced(sim *netlist.CompiledSim, nGroups int,
-	goIDs, gdoneIDs, gfailIDs, outIDs []int, golden []ctlTrace) ([]ctlTrace, int) {
+func runControllerTraced(sim *netlist.CompiledSim, nGroups int, pins ctlPins,
+	golden []ctlTrace) ([]ctlTrace, int) {
 	var trace []ctlTrace
 	cycle := 0
 	sim.Reset()
@@ -167,20 +166,20 @@ func runControllerTraced(sim *netlist.CompiledSim, nGroups int,
 		}
 		// Reset pulse, then start.
 		for _, step := range []struct{ mbs, mbr bool }{{false, true}, {true, false}} {
-			sim.Set(bist.PinMBS, step.mbs)
-			sim.Set(bist.PinMBR, step.mbr)
-			sim.Set(bist.PinMSI, true)
+			sim.SetID(pins.mbs, step.mbs)
+			sim.SetID(pins.mbr, step.mbr)
+			sim.SetID(pins.msi, true)
 			for i := 0; i < nGroups; i++ {
-				sim.SetID(gdoneIDs[i], false)
-				sim.SetID(gfailIDs[i], false)
+				sim.SetID(pins.gdone[i], false)
+				sim.SetID(pins.gfail[i], false)
 			}
-			sim.Tick(bist.PinMBC)
+			sim.TickID(pins.mbc)
 		}
-		sim.Set(bist.PinMBS, false)
+		sim.SetID(pins.mbs, false)
 		age := make([]int, nGroups)
 		for local := 0; local < 12*nGroups+12; local++ {
 			sim.Settle()
-			cur := ctlTrace{sim.GetID(outIDs[0]), sim.GetID(outIDs[1]), sim.GetID(outIDs[2])}
+			cur := ctlTrace{sim.GetID(pins.mbo), sim.GetID(pins.mrd), sim.GetID(pins.mso)}
 			if golden != nil {
 				if cur != golden[cycle] {
 					return nil, cycle
@@ -193,15 +192,15 @@ func runControllerTraced(sim *netlist.CompiledSim, nGroups int,
 			}
 			for i := 0; i < nGroups; i++ {
 				gdone, gfail := false, false
-				if sim.GetID(goIDs[i]) {
+				if sim.GetID(pins.gos[i]) {
 					age[i]++
 					gdone = age[i] >= 3+i%4
 					gfail = i == failing && age[i] == 2
 				}
-				sim.SetID(gdoneIDs[i], gdone)
-				sim.SetID(gfailIDs[i], gfail)
+				sim.SetID(pins.gdone[i], gdone)
+				sim.SetID(pins.gfail[i], gfail)
 			}
-			sim.Tick(bist.PinMBC)
+			sim.TickID(pins.mbc)
 			cycle++
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"slices"
 
-	"steac/internal/bist"
 	"steac/internal/memory"
 	"steac/internal/netlist"
 	"steac/internal/pattern"
@@ -105,7 +104,7 @@ func runBISTPacked(ctx context.Context, ps *netlist.PackedSim, pins benchPins,
 	ps.Set("pbsel", false)
 	ps.Set("rst", true)
 	ps.Set("en", false)
-	ps.Tick("ck")
+	ps.TickID(pins.ck)
 	ps.Set("rst", false)
 	ps.Set("en", true)
 	// One settle propagates the enable; inside the loop the state is
@@ -197,7 +196,7 @@ func runBISTPacked(ctx context.Context, ps *netlist.PackedSim, pins benchPins,
 				}
 			}
 		}
-		ps.Tick("ck")
+		ps.TickID(pins.ck)
 	}
 }
 
@@ -205,8 +204,8 @@ func runBISTPacked(ctx context.Context, ps *netlist.PackedSim, pins benchPins,
 // lanes: the scripted two-scenario session with per-lane behavioural groups
 // answering each lane's own GO outputs.  ctx is polled every
 // equivPollCycles cycles, like runBISTPacked.
-func runControllerPacked(ctx context.Context, ps *netlist.PackedSim, nGroups int,
-	goIDs, gdoneIDs, gfailIDs, outIDs []int, golden []ctlTrace, pending uint64) []int {
+func runControllerPacked(ctx context.Context, ps *netlist.PackedSim, nGroups int, pins ctlPins,
+	golden []ctlTrace, pending uint64) []int {
 	det := make([]int, netlist.Lanes)
 	for i := range det {
 		det[i] = -1
@@ -224,16 +223,16 @@ func runControllerPacked(ctx context.Context, ps *netlist.PackedSim, nGroups int
 			failing = nGroups / 2
 		}
 		for _, step := range []struct{ mbs, mbr bool }{{false, true}, {true, false}} {
-			ps.Set(bist.PinMBS, step.mbs)
-			ps.Set(bist.PinMBR, step.mbr)
-			ps.Set(bist.PinMSI, true)
+			ps.SetID(pins.mbs, step.mbs)
+			ps.SetID(pins.mbr, step.mbr)
+			ps.SetID(pins.msi, true)
 			for i := 0; i < nGroups; i++ {
-				ps.SetID(gdoneIDs[i], false)
-				ps.SetID(gfailIDs[i], false)
+				ps.SetID(pins.gdone[i], false)
+				ps.SetID(pins.gfail[i], false)
 			}
-			ps.Tick(bist.PinMBC)
+			ps.TickID(pins.mbc)
 		}
-		ps.Set(bist.PinMBS, false)
+		ps.SetID(pins.mbs, false)
 		for i := range age {
 			for l := range age[i] {
 				age[i][l] = 0
@@ -248,16 +247,16 @@ func runControllerPacked(ctx context.Context, ps *netlist.PackedSim, nGroups int
 			}
 			ps.Settle()
 			gb := golden[cycle]
-			diff := (ps.GetWordID(outIDs[0]) ^ bcast(gb.mbo)) |
-				(ps.GetWordID(outIDs[1]) ^ bcast(gb.mrd)) |
-				(ps.GetWordID(outIDs[2]) ^ bcast(gb.mso))
+			diff := (ps.GetWordID(pins.mbo) ^ bcast(gb.mbo)) |
+				(ps.GetWordID(pins.mrd) ^ bcast(gb.mrd)) |
+				(ps.GetWordID(pins.mso) ^ bcast(gb.mso))
 			pending = markDiff(det, diff, pending, cycle)
 			if cycle == len(golden)-1 || pending == 0 {
 				return det
 			}
 			for i := 0; i < nGroups; i++ {
 				var gdoneW, gfailW uint64
-				if goW := ps.GetWordID(goIDs[i]); goW != 0 {
+				if goW := ps.GetWordID(pins.gos[i]); goW != 0 {
 					for w := goW; w != 0; w &= w - 1 {
 						l := bits.TrailingZeros64(w)
 						age[i][l]++
@@ -269,10 +268,10 @@ func runControllerPacked(ctx context.Context, ps *netlist.PackedSim, nGroups int
 						}
 					}
 				}
-				ps.SetWordID(gdoneIDs[i], gdoneW)
-				ps.SetWordID(gfailIDs[i], gfailW)
+				ps.SetWordID(pins.gdone[i], gdoneW)
+				ps.SetWordID(pins.gfail[i], gfailW)
 			}
-			ps.Tick(bist.PinMBC)
+			ps.TickID(pins.mbc)
 			cycle++
 		}
 	}
@@ -307,23 +306,23 @@ type packedScanObserver func(cycle int, got uint64, want bool) bool
 func wirBypassScriptPacked(ps *netlist.PackedSim, pins wrapPins, obs packedScanObserver) int {
 	cycle := 0
 	shiftWIR := func(bitsIn []bool, echo []int) {
-		ps.Set("shiftwir", true)
+		ps.SetID(pins.shiftwir, true)
 		for k, b := range bitsIn {
 			ps.SetID(pins.wsi[0], b)
 			ps.Settle()
 			if echo != nil && echo[k] >= 0 {
 				obs(cycle, ps.GetWordID(pins.wirso), echo[k] == 1)
 			}
-			ps.Tick("tck")
+			ps.TickID(pins.tck)
 			cycle++
 		}
-		ps.Set("shiftwir", false)
-		ps.Tick("updatewir")
+		ps.SetID(pins.shiftwir, false)
+		ps.TickID(pins.updatewir)
 	}
 	shiftWIR([]bool{false, true, true}, nil)
 	for _, b := range []bool{true, false, true, true, false} {
 		ps.SetID(pins.wsi[0], b)
-		ps.Tick("tck")
+		ps.TickID(pins.tck)
 		cycle++
 		obs(cycle, ps.GetWordID(pins.wso[0]), b)
 	}
@@ -336,9 +335,9 @@ func wirBypassScriptPacked(ps *netlist.PackedSim, pins wrapPins, obs packedScanO
 func streamScanPacked(ctx context.Context, ps *netlist.PackedSim, prog *pattern.Program,
 	layout pattern.SessionLayout, core *testinfo.Core, pins wrapPins, obs packedScanObserver) error {
 	setSE := func(v bool) {
-		ps.Set("shift", v)
-		for _, se := range core.ScanEnables {
-			ps.Set(se, v)
+		ps.SetID(pins.shift, v)
+		for _, id := range pins.se {
+			ps.SetID(id, v)
 		}
 	}
 	lane := slices.Index(layout.ActionNames(), core.Name) // -1: the core never scans
@@ -370,13 +369,13 @@ func streamScanPacked(ctx context.Context, ps *netlist.PackedSim, prog *pattern.
 					return false
 				}
 			}
-			ps.Tick("tck")
+			ps.TickID(pins.tck)
 		case pattern.ActCapture:
 			setSE(false)
-			ps.Tick("update")
-			ps.Tick("tck")
+			ps.TickID(pins.update)
+			ps.TickID(pins.tck)
 		default:
-			ps.Tick("tck")
+			ps.TickID(pins.tck)
 		}
 		return true
 	})

@@ -68,21 +68,36 @@ func BuildWrapperDesign(core *testinfo.Core, width int, part wrapper.Partitioner
 	return d, plan, nil
 }
 
-// wrapPins caches compiled net ids for the xtop harness, and the wso
-// labels mismatch reports use.
+// wrapPins caches compiled net ids for the xtop harness — data pins, the
+// clock and strobe nets and the core's scan enables, resolved once per
+// session — and the wso labels mismatch reports use.  The ids are the
+// compiled program's, so packed sims built from the same base share them.
 type wrapPins struct {
 	wsi, wso []int
 	wsoLbl   []string
 	wirso    int
+
+	tck, update, updatewir int
+	shift, shiftwir        int
+	se                     []int // core scan enables
 }
 
-func newWrapPins(sim *netlist.CompiledSim, width int) wrapPins {
-	return wrapPins{
-		wsi:    sim.BusIDs("wsi", width),
-		wso:    sim.BusIDs("wso", width),
-		wsoLbl: bitLabels("wso", width),
-		wirso:  sim.NetID("wirso"),
+func newWrapPins(sim *netlist.CompiledSim, width int, core *testinfo.Core) wrapPins {
+	p := wrapPins{
+		wsi:       sim.BusIDs("wsi", width),
+		wso:       sim.BusIDs("wso", width),
+		wsoLbl:    bitLabels("wso", width),
+		wirso:     sim.NetID("wirso"),
+		tck:       sim.NetID("tck"),
+		update:    sim.NetID("update"),
+		updatewir: sim.NetID("updatewir"),
+		shift:     sim.NetID("shift"),
+		shiftwir:  sim.NetID("shiftwir"),
 	}
+	for _, se := range core.ScanEnables {
+		p.se = append(p.se, sim.NetID(se))
+	}
+	return p
 }
 
 // wrapDefaults puts the harness in INTEST posture: functional pins and
@@ -118,9 +133,9 @@ type scanObserver func(cycle int, pin string, got, want bool) bool
 func streamScan(ctx context.Context, sim *netlist.CompiledSim, prog *pattern.Program, layout pattern.SessionLayout,
 	core *testinfo.Core, pins wrapPins, obs scanObserver) error {
 	setSE := func(v bool) {
-		sim.Set("shift", v)
-		for _, se := range core.ScanEnables {
-			sim.Set(se, v)
+		sim.SetID(pins.shift, v)
+		for _, id := range pins.se {
+			sim.SetID(id, v)
 		}
 	}
 	lane := slices.Index(layout.ActionNames(), core.Name) // -1: the core never scans
@@ -152,13 +167,13 @@ func streamScan(ctx context.Context, sim *netlist.CompiledSim, prog *pattern.Pro
 					return false
 				}
 			}
-			sim.Tick("tck")
+			sim.TickID(pins.tck)
 		case pattern.ActCapture:
 			setSE(false)
-			sim.Tick("update")
-			sim.Tick("tck")
+			sim.TickID(pins.update)
+			sim.TickID(pins.tck)
 		default:
-			sim.Tick("tck")
+			sim.TickID(pins.tck)
 		}
 		return true
 	})
@@ -172,18 +187,18 @@ func streamScan(ctx context.Context, sim *netlist.CompiledSim, prog *pattern.Pro
 func wirBypassScript(sim *netlist.CompiledSim, pins wrapPins, obs scanObserver) int {
 	cycle := 0
 	shiftWIR := func(bits []bool, echo []int) {
-		sim.Set("shiftwir", true)
+		sim.SetID(pins.shiftwir, true)
 		for k, b := range bits {
 			sim.SetID(pins.wsi[0], b)
 			sim.Settle()
 			if echo != nil && echo[k] >= 0 {
 				obs(cycle, "wirso", sim.GetID(pins.wirso), echo[k] == 1)
 			}
-			sim.Tick("tck")
+			sim.TickID(pins.tck)
 			cycle++
 		}
-		sim.Set("shiftwir", false)
-		sim.Tick("updatewir")
+		sim.SetID(pins.shiftwir, false)
+		sim.TickID(pins.updatewir)
 	}
 	// Program BYPASS (code 3): the first bit shifted lands in the unused
 	// third stage, the last two become q1=1, q0=1.
@@ -191,7 +206,7 @@ func wirBypassScript(sim *netlist.CompiledSim, pins wrapPins, obs scanObserver) 
 	// The WBY register must now delay wsi[0] to wso[0] by exactly one cycle.
 	for _, b := range []bool{true, false, true, true, false} {
 		sim.SetID(pins.wsi[0], b)
-		sim.Tick("tck")
+		sim.TickID(pins.tck)
 		cycle++
 		obs(cycle, "wso[0]@bypass", sim.GetID(pins.wso[0]), b)
 	}
@@ -231,7 +246,7 @@ func verifyWrapper(ctx context.Context, name string, sim *netlist.CompiledSim, c
 	if err != nil {
 		return res, nil, err
 	}
-	pins := newWrapPins(sim, plan.Width)
+	pins := newWrapPins(sim, plan.Width, core)
 	mmCap := opts.maxMismatches()
 	obs := func(cycle int, pin string, got, want bool) bool {
 		res.check(cycle, pin, got, want, mmCap)
