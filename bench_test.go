@@ -158,6 +158,7 @@ func BenchmarkAreaOverhead(b *testing.B) {
 // --- §3 runtime: "a DFT-ready SOC in 5 minutes" -----------------------------
 
 func BenchmarkTestInsertionFlow(b *testing.B) {
+	b.ReportAllocs()
 	soc, err := dsc.BuildSOC()
 	if err != nil {
 		b.Fatal(err)

@@ -140,9 +140,11 @@ type Result struct {
 	Opts     Options
 	Groups   []bist.GroupSpec
 	Sessions []Session
-	Design   *netlist.Design
-	Top      *netlist.Module
-	Area     bist.AreaReport
+	// Design is the generated BIST netlist, linted when it is built;
+	// test insertion relies on that and does not lint it again.
+	Design *netlist.Design
+	Top    *netlist.Module
+	Area   bist.AreaReport
 
 	// Cycles is the total BIST test time: the sum of the session lengths.
 	Cycles int

@@ -9,3 +9,10 @@ import "errors"
 // request was well-formed, the budget just doesn't work) rather than a
 // server fault.
 var ErrBudgetExceeded = errors.New("steac: test resource budget exceeded")
+
+// ErrSoftCore marks a flow that asks to verify or insert a soft core.  A
+// soft core's scan chains are a scheduling view (the scheduler may
+// reconfigure them), not the physical chains the tester model and the
+// wrapper generator need, so such a flow is refused as a client error
+// naming the core.  Scheduling alone still accepts soft cores.
+var ErrSoftCore = errors.New("steac: soft core cannot be verified or inserted")

@@ -151,6 +151,9 @@ func RunFlowContext(ctx context.Context, in FlowInput) (*FlowResult, error) {
 				return fmt.Errorf("steac: duplicate core %q in STIL inputs", c.Name)
 			}
 			seen[c.Name] = true
+			if c.Soft && (in.Verify || in.SOC != nil) {
+				return fmt.Errorf("%w: core %q is soft (STIL input %d)", ErrSoftCore, c.Name, i)
+			}
 			res.Cores = append(res.Cores, c)
 			// A file carrying explicit vectors supplies them directly; a file
 			// carrying only generator annotations uses the ATPG substitute.

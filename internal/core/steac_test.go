@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -149,6 +150,29 @@ func TestFlowInputValidation(t *testing.T) {
 		TestPins: 4, FuncPins: 8, Partitioner: wrapper.LPT}}
 	if _, err := RunFlowContext(context.Background(), infeasible); err == nil {
 		t.Fatal("infeasible pin budget accepted")
+	}
+}
+
+// A soft core's scan chains are a scheduling view: a flow that verifies
+// or inserts one is refused with ErrSoftCore naming the core, while a
+// schedule-only flow still runs.
+func TestFlowRefusesSoftCores(t *testing.T) {
+	in := dscFlowInput(t, false)
+	c, err := stil.Parse(in.STIL[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.STIL = append([]string{strings.Replace(in.STIL[0], "soft=false", "soft=true", 1)}, in.STIL[1:]...)
+	verify := FlowInput{STIL: in.STIL, Resources: in.Resources, Verify: true}
+	for name, fi := range map[string]FlowInput{"insertion": in, "verify": verify} {
+		_, err := RunFlowContext(context.Background(), fi)
+		if !errors.Is(err, ErrSoftCore) || !strings.Contains(err.Error(), c.Name) {
+			t.Errorf("%s: err = %v, want ErrSoftCore naming %s", name, err, c.Name)
+		}
+	}
+	r, err := RunFlowContext(context.Background(), FlowInput{STIL: in.STIL, Resources: in.Resources})
+	if err != nil || r.Schedule.TotalCycles <= 0 {
+		t.Fatalf("schedule-only flow with a soft core: %v", err)
 	}
 }
 

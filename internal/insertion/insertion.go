@@ -44,7 +44,13 @@ type Result struct {
 // "core_<core>" (the convention the DSC model follows); those instances are
 // replaced by their wrapped versions and the test infrastructure is added
 // around them.  bistDesign, when non-nil, is merged in and its top module
-// instantiated (the BRAINS integration of Fig. 4).
+// instantiated (the BRAINS integration of Fig. 4); it must be lint-clean,
+// as BRAINS guarantees, since Insert lints only the modules it did not take
+// from it.
+//
+// The result shares the modules of orig and bistDesign rather than copying
+// them, and Insert never mutates either input: the same inputs may be
+// inserted again, and Clone a shared module before changing it.
 func Insert(orig *netlist.Design, cores []*testinfo.Core, s *sched.Schedule,
 	res sched.Resources, bistDesign *netlist.Design, bistTop string) (*Result, error) {
 	start := time.Now()
@@ -187,7 +193,16 @@ func Insert(orig *netlist.Design, cores []*testinfo.Core, s *sched.Schedule,
 	result.Top = top
 	d.Top = top.Name
 
-	if issues := d.Lint(); len(issues) != 0 {
+	// Lint what this insertion is answerable for: the original SOC's
+	// modules and everything generated here, including the new top's
+	// binding to the BIST top's ports.
+	lint := make([]string, 0, len(d.Modules))
+	for _, name := range d.ModuleNames() {
+		if bistDesign == nil || bistDesign.Modules[name] == nil {
+			lint = append(lint, name)
+		}
+	}
+	if issues := d.LintModules(lint); len(issues) != 0 {
 		return nil, fmt.Errorf("insertion: DFT netlist fails lint: %v (of %d)", issues[0], len(issues))
 	}
 

@@ -22,18 +22,19 @@ func (m *Module) Clone(newName string) *Module {
 	return c
 }
 
-// Merge imports every module of src into d.  Identical-name modules are an
-// error unless both are the same generated library cell (same name and both
-// already present is tolerated only for identical WBR-style shared cells,
-// which callers dedupe themselves), so collisions are simply rejected.
+// Merge adds every module of src to d.  The modules are shared, not
+// copied: afterwards both designs hold the same *Module values, so neither
+// design may mutate a merged module (Clone one for an independent copy).
+// A module name already present in d is a collision; Merge then returns an
+// error and adds nothing.
 func (d *Design) Merge(src *Design) error {
 	for _, name := range src.ModuleNames() {
 		if _, ok := d.Modules[name]; ok {
 			return fmt.Errorf("netlist: merge collision on module %s", name)
 		}
 	}
-	for _, name := range src.ModuleNames() {
-		d.Modules[name] = src.Modules[name].Clone(name)
+	for name, m := range src.Modules {
+		d.Modules[name] = m
 	}
 	return nil
 }

@@ -17,6 +17,7 @@ package netlist
 import (
 	"fmt"
 	"sort"
+	"strconv"
 )
 
 // PortDir is the direction of a module or cell port.
@@ -57,7 +58,7 @@ func BitName(name string, i, width int) string {
 	if width <= 1 {
 		return name
 	}
-	return fmt.Sprintf("%s[%d]", name, i)
+	return name + "[" + strconv.Itoa(i) + "]"
 }
 
 // Bits returns the flattened single-bit net names of the port
@@ -68,7 +69,7 @@ func (p Port) Bits() []string {
 	}
 	bits := make([]string, p.Width)
 	for i := range bits {
-		bits[i] = fmt.Sprintf("%s[%d]", p.Name, i)
+		bits[i] = BitName(p.Name, i, p.Width)
 	}
 	return bits
 }

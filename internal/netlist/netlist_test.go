@@ -1,6 +1,7 @@
 package netlist
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -294,6 +295,95 @@ func TestLintCleanAndDirty(t *testing.T) {
 	}
 }
 
+// dirtyDesign is a multi-module design with every lint issue kind: several
+// undriven and multidriven nets in one module, bad ports on cells and on a
+// sub-module's bus, unknown references, a clean sub-module, an inout port
+// and a behavioral module.  Each instance has at most one bad port, so the
+// issue order does not depend on map iteration.
+func dirtyDesign() *Design {
+	d := NewDesign("dirty", nil)
+	leaf := NewModule("leaf")
+	leaf.MustPort("d", In, 2)
+	leaf.MustPort("q", Out, 1)
+	leaf.MustInstance("g", CellAnd2, map[string]string{"A": "d[0]", "B": "d[1]", "Z": "q"})
+	d.MustAddModule(leaf)
+
+	alpha := NewModule("alpha")
+	alpha.MustPort("a", In, 1)
+	alpha.MustPort("z", Out, 2)
+	alpha.MustPort("y", Out, 1) // never driven
+	alpha.MustInstance("u0", CellInv, map[string]string{"A": "a", "Z": "z[0]"})
+	alpha.MustInstance("u1", CellInv, map[string]string{"A": "a", "Z": "z[0]"})
+	alpha.MustInstance("u2", CellBuf, map[string]string{"A": "f1", "Z": "z[1]"})
+	alpha.MustInstance("u3", CellBuf, map[string]string{"A": "f2", "Z": "z[1]"})
+	alpha.MustInstance("u4", CellNand2, map[string]string{"A": "f1", "B": "f2", "Z": "z[1]"})
+	alpha.MustInstance("l0", "leaf", map[string]string{"d[0]": "a", "d[1]": "f3", "q": "w"})
+	alpha.MustInstance("l1", "leaf", map[string]string{"d[0]": "a", "d[1]": "a", "q": "w"})
+	alpha.MustInstance("l2", "leaf", map[string]string{"d[2]": "a", "q": "v"})
+	alpha.MustInstance("u5", CellInv, map[string]string{"X": "w"})
+	alpha.MustInstance("u6", "ghost", map[string]string{"A": "a"})
+	alpha.MustInstance("u7", CellBuf, map[string]string{"A": "v", "Z": "f0"})
+	alpha.MustInstance("u8", CellInv, map[string]string{"A": "f0", "Z": "f0"})
+	d.MustAddModule(alpha)
+
+	beta := NewModule("beta")
+	beta.MustPort("i", In, 1)
+	beta.MustPort("o", Out, 1)
+	beta.MustPort("io", InOut, 1)
+	beta.MustInstance("a0", "alpha", map[string]string{"a": "i", "z[0]": "o", "z[1]": "n1", "y": "n1"})
+	beta.MustInstance("m0", "missing", nil)
+	beta.MustInstance("b0", CellBuf, map[string]string{"A": "n2", "Z": "n3"})
+	beta.MustInstance("b1", CellBuf, map[string]string{"A": "io", "Q": "n3"})
+	beta.MustInstance("b2", CellInv, map[string]string{"A": "i", "Z": "io"})
+	beta.MustInstance("b3", "ip", map[string]string{"clk": "i", "dout": "n4"})
+	d.MustAddModule(beta)
+
+	ip := NewModule("ip")
+	ip.Behavioral = true
+	ip.MustPort("clk", In, 1)
+	ip.MustPort("dout", Out, 1)
+	ip.MustInstance("x", "nowhere", nil) // not checked: behavioral
+	d.MustAddModule(ip)
+	return d
+}
+
+// The full issue list of a dirty design — module, kind, detail and order —
+// is pinned, so a faster lint cannot drop, add or reorder an issue.
+func TestLintGolden(t *testing.T) {
+	want := []LintIssue{
+		{"alpha", "bad-port", "instance l2 (leaf) has no port d[2]"},
+		{"alpha", "bad-port", "instance u5 (INV) has no port X"},
+		{"alpha", "unknown-ref", "instance u6 references unknown cell/module ghost"},
+		{"alpha", "multidriven", "net f0 has 2 drivers"},
+		{"alpha", "undriven", "net f1 has 2 loads and no driver"},
+		{"alpha", "undriven", "net f2 has 2 loads and no driver"},
+		{"alpha", "undriven", "net f3 has 1 loads and no driver"},
+		{"alpha", "multidriven", "net w has 2 drivers"},
+		{"alpha", "undriven", "net y has 1 loads and no driver"},
+		{"alpha", "multidriven", "net z[0] has 2 drivers"},
+		{"alpha", "multidriven", "net z[1] has 3 drivers"},
+		{"beta", "unknown-ref", "instance m0 references unknown cell/module missing"},
+		{"beta", "bad-port", "instance b1 (BUF) has no port Q"},
+		{"beta", "multidriven", "net io has 2 drivers"},
+		{"beta", "multidriven", "net n1 has 2 drivers"},
+		{"beta", "undriven", "net n2 has 1 loads and no driver"},
+	}
+	got := dirtyDesign().Lint()
+	if !slices.Equal(got, want) {
+		t.Fatalf("lint issues:\n got %#v\nwant %#v", got, want)
+	}
+
+	// LintModules reports the named modules' issues in the order named.
+	d := dirtyDesign()
+	sub := d.LintModules([]string{"beta", "leaf", "ip", "alpha"})
+	if reordered := append(slices.Clone(want[11:]), want[:11]...); !slices.Equal(sub, reordered) {
+		t.Fatalf("LintModules(beta, leaf, ip, alpha) = %v", sub)
+	}
+	if clean := d.LintModules([]string{"leaf", "ip"}); len(clean) != 0 {
+		t.Fatalf("clean modules flagged: %v", clean)
+	}
+}
+
 func TestEmitVerilog(t *testing.T) {
 	d := NewDesign("d", nil)
 	m := NewModule("m")
@@ -494,17 +584,31 @@ func TestMergeAndClone(t *testing.T) {
 	if err := b.Merge(a); err != nil {
 		t.Fatal(err)
 	}
-	got := b.Module("m")
-	if got == nil || got.Attrs["k"] != "v" || got.Instance("u") == nil {
-		t.Fatalf("merge lost content: %+v", got)
-	}
-	// Mutating the clone must not touch the original.
-	got.Attrs["k"] = "changed"
-	if a.Module("m").Attrs["k"] != "v" {
-		t.Fatal("merge aliased the original module")
+	// Merge shares the source's modules; it does not copy them.
+	if got := b.Module("m"); got != m {
+		t.Fatalf("merge did not share the module: %+v", got)
 	}
 	if err := b.Merge(a); err == nil {
 		t.Fatal("collision accepted")
+	}
+	// A collision adds nothing, not even the modules that do not collide.
+	c := NewDesign("c", nil)
+	c.MustAddModule(NewModule("n"))
+	c.MustAddModule(NewModule("m"))
+	if err := b.Merge(c); err == nil || b.Module("n") != nil {
+		t.Fatalf("partial merge: err %v, n %v", err, b.Module("n"))
+	}
+
+	// Clone is a deep copy: mutating it leaves the original untouched.
+	cl := m.Clone("m2")
+	if cl.Name != "m2" || cl.Attrs["k"] != "v" || cl.Instance("u") == nil || cl.Port("x") == nil {
+		t.Fatalf("clone lost content: %+v", cl)
+	}
+	cl.Attrs["k"] = "changed"
+	cl.Instance("u").Conns["A"] = "x[1]"
+	cl.MustPort("extra", In, 1)
+	if m.Attrs["k"] != "v" || m.Instance("u").Conns["A"] != "x[0]" || m.Port("extra") != nil {
+		t.Fatal("clone aliased the original module")
 	}
 }
 

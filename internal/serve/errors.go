@@ -79,9 +79,9 @@ var v1 = &envelope.Surface{
 		{Name: "draining", Status: http.StatusServiceUnavailable, Err: ErrDraining},
 		{Name: "not_found", Status: http.StatusNotFound, Err: ErrNotFound},
 		// Client-side failures: bad requests, STIL syntax, infeasible
-		// budgets.
+		// budgets, soft cores asked to be verified or inserted.
 		{Name: "bad_request", Status: http.StatusBadRequest, Err: ErrBadRequest,
-			Also: []error{stil.ErrSyntax, core.ErrBudgetExceeded, sched.ErrInfeasible}},
+			Also: []error{stil.ErrSyntax, core.ErrBudgetExceeded, sched.ErrInfeasible, core.ErrSoftCore}},
 		{Name: "timeout", Status: http.StatusGatewayTimeout, Err: context.DeadlineExceeded},
 		// The client went away; the status is academic but 499-style
 		// codes are non-standard, so report the nearest real one.
