@@ -24,6 +24,7 @@ import (
 	"steac/internal/memory"
 	"steac/internal/netlist"
 	"steac/internal/obs"
+	"steac/internal/obs/bench"
 	"steac/internal/pattern"
 	"steac/internal/sched"
 	"steac/internal/stil"
@@ -492,20 +493,22 @@ func BenchmarkATEApplication(b *testing.B) {
 	}
 }
 
-// Scheduler scaling on ITC'02-style synthetic SOCs: runtime of the
+// Scheduler scaling on generated chips of 4 to 32 cores: runtime of the
 // session-based scheduler (exhaustive partitions up to 10 cores, greedy
 // beyond) and the persistent session-vs-non-session gap.
 func BenchmarkSyntheticSchedulers(b *testing.B) {
 	for _, n := range []int{4, 8, 16, 32} {
 		b.Run(fmt.Sprintf("cores=%d", n), func(b *testing.B) {
-			cores := sched.SyntheticSOC(42, n)
-			bist := sched.SyntheticBIST(42, n/2+1)
-			tests, err := sched.BuildTests(cores, bist)
+			chip, tests, err := bench.SizedChip(n)
 			if err != nil {
 				b.Fatal(err)
 			}
-			res := sched.SyntheticResources(cores)
-			res.Partitioner = wrapper.LPT
+			res := chip.Resources
+			// One TAM wire beyond the dedicated control pins: the tightest
+			// budget the non-session baseline can meet, so IO pressure
+			// matters while the session-based scheduler recovers pins
+			// through sharing.
+			res.TestPins = sched.ControlPins(chip.Cores, true, false) + 2
 			var sb, nsb int
 			for i := 0; i < b.N; i++ {
 				s, err := sched.SessionBasedContext(context.Background(), tests, res)
@@ -526,17 +529,14 @@ func BenchmarkSyntheticSchedulers(b *testing.B) {
 }
 
 // Parallel session-partition search: worker scaling of the exact
-// branch-and-bound on a 9-core synthetic SOC (Bell(9) = 21,147 partitions).
+// branch-and-bound on a 9-core chip (Bell(9) = 21,147 partitions).
 // The schedule must be identical for every worker count.
 func BenchmarkSessionSearchParallel(b *testing.B) {
-	cores := sched.SyntheticSOC(42, 9)
-	bist := sched.SyntheticBIST(42, 5)
-	tests, err := sched.BuildTests(cores, bist)
+	chip, tests, err := bench.SizedChip(9)
 	if err != nil {
 		b.Fatal(err)
 	}
-	res := sched.SyntheticResources(cores)
-	res.Partitioner = wrapper.LPT
+	res := chip.Resources
 	res.Workers = 1
 	ref, err := sched.SessionBasedContext(context.Background(), tests, res)
 	if err != nil {

@@ -5,11 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"steac/internal/dsc"
 	"steac/internal/march"
 	"steac/internal/memory"
 	"steac/internal/scenario"
-	"steac/internal/testinfo"
 	"steac/internal/xcheck"
 )
 
@@ -92,16 +90,6 @@ func (s *XCheckSpec) name() string {
 	return s.Campaign
 }
 
-// coreByName resolves a wrapper campaign's core from the DSC inventory.
-func coreByName(name string) (*testinfo.Core, error) {
-	for _, c := range dsc.Cores() {
-		if c.Name == name {
-			return c, nil
-		}
-	}
-	return nil, fmt.Errorf("campaign: unknown core %q", name)
-}
-
 // Prepare implements Spec: build and compile the design, record the
 // fault-free golden trace, sample the fault universe.
 func (s *XCheckSpec) Prepare(context.Context) (Executor, error) {
@@ -149,13 +137,13 @@ func (s *XCheckSpec) Prepare(context.Context) (Executor, error) {
 		}
 		sim, err = xcheck.NewControllerCampaignSim(s.name(), s.NGroups, opts)
 	case XCheckWrapper:
-		var core *testinfo.Core
-		var cerr error
-		if chip != nil {
-			core, cerr = chipCore(chip, s.Core)
-		} else {
-			core, cerr = coreByName(s.Core)
+		// A bare core name is a Table-1 core: resolve it on the dsc chip.
+		if chip == nil {
+			if chip, err = scenario.GenerateByName("dsc", 0); err != nil {
+				return nil, err
+			}
 		}
+		core, cerr := chipCore(chip, s.Core)
 		if cerr != nil {
 			return nil, cerr
 		}

@@ -127,14 +127,20 @@ func (l *linter) module(issues []LintIssue, name string) []LintIssue {
 				fmt.Sprintf("instance %s references unknown cell/module %s", inst.Name, inst.Of)})
 			continue
 		}
+		// Bad ports are reported in port-name order, not map order.
+		var bad []string
 		for formal, actual := range inst.Conns {
 			t := formals[formal]
 			if t == 0 {
-				issues = append(issues, LintIssue{m.Name, "bad-port",
-					fmt.Sprintf("instance %s (%s) has no port %s", inst.Name, inst.Of, formal)})
+				bad = append(bad, formal)
 				continue
 			}
 			tally[actual] += t
+		}
+		sort.Strings(bad)
+		for _, formal := range bad {
+			issues = append(issues, LintIssue{m.Name, "bad-port",
+				fmt.Sprintf("instance %s (%s) has no port %s", inst.Name, inst.Of, formal)})
 		}
 	}
 	// Each net yields at most one issue, reported in net-name order.

@@ -46,15 +46,12 @@ type spec struct {
 }
 
 func dscTests() ([]sched.Test, sched.Resources, error) {
-	br, err := brains.CompileContext(context.Background(), dsc.Memories(), brains.Options{Grouping: brains.GroupPerMemory})
+	chip, err := scenario.GenerateByName("dsc", 0)
 	if err != nil {
 		return nil, sched.Resources{}, err
 	}
-	tests, err := sched.BuildTests(dsc.Cores(), core.BISTGroups(br))
-	if err != nil {
-		return nil, sched.Resources{}, err
-	}
-	return tests, dsc.Resources(), nil
+	tests, err := ChipTests(chip)
+	return tests, chip.Resources, err
 }
 
 func memoryConfig(name string) (memory.Config, error) {
@@ -85,15 +82,13 @@ func specs() []spec {
 		}},
 		{name: "sched.search_parallel", workers: 2, setup: func() (func() (opResult, error), error) {
 			// Exact branch-and-bound over the Bell(9) = 21,147 partitions
-			// of a 9-core synthetic SOC; the result is identical for every
-			// worker count.
-			cores := sched.SyntheticSOC(42, 9)
-			tests, err := sched.BuildTests(cores, sched.SyntheticBIST(42, 5))
+			// of a 9-core chip; the result is identical for every worker
+			// count.
+			chip, tests, err := SizedChip(9)
 			if err != nil {
 				return nil, err
 			}
-			res := sched.SyntheticResources(cores)
-			res.Partitioner = wrapper.LPT
+			res := chip.Resources
 			res.Workers = 2
 			return func() (opResult, error) {
 				s, err := sched.SessionBasedContext(context.Background(), tests, res)

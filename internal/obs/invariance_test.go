@@ -21,8 +21,9 @@ import (
 	"steac/internal/memfault"
 	"steac/internal/memory"
 	"steac/internal/obs"
+	"steac/internal/obs/bench"
+	"steac/internal/scenario"
 	"steac/internal/sched"
-	"steac/internal/wrapper"
 )
 
 // workerCounts returns {1, 2, NumCPU, 2·NumCPU} deduplicated in order.
@@ -94,13 +95,15 @@ func TestMemfaultTotalsWorkerInvariant(t *testing.T) {
 func TestSchedTotalsWorkerInvariant(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
-	cores := sched.SyntheticSOC(42, 7)
-	tests, err := sched.BuildTests(cores, sched.SyntheticBIST(42, 3))
+	chip, err := scenario.GenerateByName("hybrid-power", 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := sched.SyntheticResources(cores)
-	res.Partitioner = wrapper.LPT
+	tests, err := bench.ChipTests(chip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := chip.Resources
 	names := []string{"sched.schedules_built", "sched.jobs_scheduled"}
 
 	var ref map[string]int64

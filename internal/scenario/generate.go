@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"math"
 	"math/rand"
 	"sort"
@@ -56,7 +57,7 @@ func Generate(spec *Spec, seed int64) (*Chip, error) {
 		return nil, err
 	}
 	r := rand.New(rand.NewSource(seed ^ nameHash(spec.Name)))
-	chip := &Chip{Scenario: spec.Name, Seed: seed, Blocks: spec.Blocks}
+	chip := &Chip{Scenario: spec.Name, Seed: seed, Blocks: maps.Clone(spec.Blocks)}
 
 	seen := map[string]bool{"pll": true, "soc": true}
 	for b := range spec.Blocks {

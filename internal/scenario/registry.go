@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -52,7 +54,8 @@ func Lookup(name string) (*Spec, bool) {
 
 // Resolve returns the fully-merged, validated spec for a registered name:
 // the base chain is walked to its root (cycles and unknown names are typed
-// errors) and each derived spec is merged over its base.
+// errors) and each derived spec is merged over its base.  The result is a
+// deep copy the caller owns: mutating it never reaches the registry.
 func Resolve(name string) (*Spec, error) {
 	chain, err := baseChain(name)
 	if err != nil {
@@ -65,7 +68,7 @@ func Resolve(name string) (*Spec, error) {
 	if err := merged.Validate(); err != nil {
 		return nil, err
 	}
-	return merged, nil
+	return merged.clone(), nil
 }
 
 // ResolveSpec resolves a spec that is not (necessarily) registered — e.g. a
@@ -119,12 +122,50 @@ func baseChain(name string) ([]*Spec, error) {
 	}
 }
 
+// clone returns a deep copy of s: no slice, map or pointer of the copy is
+// shared with s.
+func (s *Spec) clone() *Spec {
+	c := *s
+	c.Cores = slices.Clone(s.Cores)
+	for i := range c.Cores {
+		cs := &c.Cores[i]
+		for _, d := range []**IntDist{&cs.Count, &cs.Clocks, &cs.Resets, &cs.TestEnables,
+			&cs.PIs, &cs.POs, &cs.Chains, &cs.ChainLength, &cs.ScanPatterns, &cs.FuncPatterns} {
+			*d = (*d).clone()
+		}
+		cs.ChainLengths = slices.Clone(cs.ChainLengths)
+	}
+	c.Memories = slices.Clone(s.Memories)
+	for i := range c.Memories {
+		ms := &c.Memories[i]
+		for _, d := range []**IntDist{&ms.Count, &ms.Words, &ms.Bits} {
+			*d = (*d).clone()
+		}
+	}
+	c.Blocks = maps.Clone(s.Blocks)
+	if s.Resources != nil {
+		r := *s.Resources
+		c.Resources = &r
+	}
+	if s.BIST != nil {
+		b := *s.BIST
+		c.BIST = &b
+	}
+	if s.LogicBIST != nil {
+		lb := *s.LogicBIST
+		lb.Patterns = lb.Patterns.clone()
+		c.LogicBIST = &lb
+	}
+	return &c
+}
+
 // merge overlays child on base and returns a fresh spec (neither input is
-// mutated).  Cores and memories merge by template name: a child entry with
-// a base-matching name replaces it in place (Remove deletes it), new names
-// append in child order.  Blocks merge by key, a zero area deleting the
-// block.  Resources and BIST merge field-wise (zero keeps base); LogicBIST
-// replaces wholesale.
+// mutated, though the result may share their nested values).  Cores and
+// memories merge by template name: a child entry with a base-matching name
+// replaces it in place (Remove deletes it), new names append in child
+// order.  Blocks merge by key, a zero area deleting the block.  Resources
+// and BIST merge field-wise (zero keeps base); LogicBIST replaces
+// wholesale.
 func merge(base, child *Spec) *Spec {
 	out := &Spec{
 		Name:        child.Name,

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"encoding/json"
 	"errors"
 	"reflect"
 	"runtime"
@@ -8,6 +9,11 @@ import (
 
 	"steac/internal/dsc"
 )
+
+// builtins are the registered builtin scenarios.  Tests iterate them, not
+// Names(): TestTypedErrors registers deliberately broken specs into the
+// process-global registry, and under -shuffle those may already be there.
+var builtins = []string{"dsc", "hybrid-power", "manycore", "memory-heavy", "p1500-lbist"}
 
 // TestDSCReproducesTable1 is the anchor of the whole registry: the fully
 // pinned dsc builtin must regenerate the hand-written dsc package's chip
@@ -91,7 +97,7 @@ func TestDSCSelectorsMatchFlowChoices(t *testing.T) {
 // on repeated runs and regardless of GOMAXPROCS; different seeds on a
 // randomized scenario must differ somewhere.
 func TestGenerateDeterministic(t *testing.T) {
-	for _, name := range Names() {
+	for _, name := range builtins {
 		chips := make([]*Chip, 3)
 		for i := range chips {
 			old := runtime.GOMAXPROCS([]int{1, runtime.NumCPU(), 2}[i%3])
@@ -297,13 +303,12 @@ func errOfSpec(_ *Spec, err error) error { return err }
 // across a seed span, and the registry listing is stable and sorted.
 func TestBuiltinsAllGenerate(t *testing.T) {
 	names := Names()
-	wantBuiltins := []string{"dsc", "hybrid-power", "manycore", "memory-heavy", "p1500-lbist"}
-	for _, w := range wantBuiltins {
+	for _, w := range builtins {
 		if _, ok := Lookup(w); !ok {
 			t.Fatalf("builtin %q not registered (have %v)", w, names)
 		}
 	}
-	for _, name := range wantBuiltins {
+	for _, name := range builtins {
 		for seed := int64(0); seed < 10; seed++ {
 			chip, err := GenerateByName(name, seed)
 			if err != nil {
@@ -316,5 +321,89 @@ func TestBuiltinsAllGenerate(t *testing.T) {
 				t.Fatalf("%s seed %d: socgen: %v", name, seed, err)
 			}
 		}
+	}
+}
+
+// scribble changes every value reachable from v: numbers and strings,
+// booleans, slice elements, the entries of non-nil maps (plus one new key)
+// and the targets of pointers.
+func scribble(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if !v.IsNil() {
+			scribble(v.Elem())
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			scribble(v.Field(i))
+		}
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			scribble(v.Index(i))
+		}
+	case reflect.Map:
+		if v.IsNil() {
+			return
+		}
+		for _, k := range v.MapKeys() {
+			v.SetMapIndex(k, reflect.ValueOf(v.MapIndex(k).Float()+1))
+		}
+		v.SetMapIndex(reflect.ValueOf("scribbled"), reflect.ValueOf(1.0))
+	case reflect.Int, reflect.Int64:
+		v.SetInt(v.Int() + 1)
+	case reflect.Float64:
+		v.SetFloat(v.Float() + 1)
+	case reflect.String:
+		v.SetString(v.String() + "x")
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	}
+}
+
+// TestResolvedSpecsAreOwned: a resolved spec, a spec derived from a
+// builtin and a generated chip's blocks belong to the caller.  Rewriting
+// every value in them must leave the registry — and so every later
+// resolve and chip — exactly as before.
+func TestResolvedSpecsAreOwned(t *testing.T) {
+	snapshot := func(name string) string {
+		t.Helper()
+		s, err := Resolve(name)
+		if err != nil {
+			t.Fatalf("%s no longer resolves: %v", name, err)
+		}
+		blob, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(blob)
+	}
+	for _, name := range builtins {
+		want := snapshot(name)
+		s, err := Resolve(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scribble(reflect.ValueOf(s))
+		derived, err := ResolveSpec(&Spec{Name: "derived", Base: name})
+		if err != nil {
+			t.Fatal(err)
+		}
+		scribble(reflect.ValueOf(derived))
+		if got := snapshot(name); got != want {
+			t.Fatalf("%s: mutating resolved specs changed the registry:\n got %s\nwant %s", name, got, want)
+		}
+	}
+
+	chip, err := GenerateByName("dsc", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chip.Blocks["glue"] = 1
+	again, err := GenerateByName("dsc", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again.Blocks, dsc.ChipAreas()) {
+		t.Fatalf("mutating one chip's blocks reached the next chip: %v", again.Blocks)
 	}
 }

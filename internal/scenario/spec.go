@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"steac/internal/march"
 )
@@ -46,6 +47,16 @@ type IntDist struct {
 	Min     int   `json:"min,omitempty"`
 	Max     int   `json:"max,omitempty"`
 	Choices []int `json:"choices,omitempty"`
+}
+
+// clone copies a distribution (nil stays nil).
+func (d *IntDist) clone() *IntDist {
+	if d == nil {
+		return nil
+	}
+	c := *d
+	c.Choices = slices.Clone(d.Choices)
+	return &c
 }
 
 // fixed pins a distribution to a single value.

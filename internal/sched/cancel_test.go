@@ -1,4 +1,4 @@
-package sched
+package sched_test
 
 import (
 	"context"
@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"steac/internal/wrapper"
+	"steac/internal/sched"
 )
 
 // cancelBudget is the promptness contract from DESIGN.md: once ctx fires,
@@ -20,25 +20,20 @@ const cancelBudget = 250 * time.Millisecond
 // search is in flight (or starts next) must surface the wrapped
 // context.Canceled promptly and return no schedule.
 func TestSessionBasedContextCancel(t *testing.T) {
-	cores := SyntheticSOC(42, 10) // 10 jobs: the exhaustive-search path
-	tests, err := BuildTests(cores, SyntheticBIST(42, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := SyntheticResources(cores)
-	res.Partitioner = wrapper.LPT
+	chip, tests := sizedTests(t, 10) // 10 jobs: the exhaustive-search path
+	res := chip.Resources
 	res.Workers = 4
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	type result struct {
-		s   *Schedule
+		s   *sched.Schedule
 		err error
 	}
 	done := make(chan result, 1)
 	go func() {
 		for {
-			s, err := SessionBasedContext(ctx, tests, res)
+			s, err := sched.SessionBasedContext(ctx, tests, res)
 			if err != nil {
 				done <- result{s, err}
 				return
@@ -72,17 +67,12 @@ func TestSessionBasedContextCancel(t *testing.T) {
 // TestSessionBasedContextDeadline checks that an expired deadline surfaces
 // as context.DeadlineExceeded through the same wrapping.
 func TestSessionBasedContextDeadline(t *testing.T) {
-	cores := SyntheticSOC(7, 8)
-	tests, err := BuildTests(cores, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := SyntheticResources(cores)
-	res.Partitioner = wrapper.LPT
+	chip, tests := sizedTests(t, 8)
+	res := chip.Resources
 
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	if _, err := SessionBasedContext(ctx, tests, res); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := sched.SessionBasedContext(ctx, tests, res); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded in the chain", err)
 	}
 }

@@ -1,33 +1,13 @@
-package sched
+package sched_test
 
 import (
 	"context"
 	"reflect"
 	"testing"
 
+	"steac/internal/sched"
 	"steac/internal/wrapper"
 )
-
-// referenceBest re-derives the exhaustive-search optimum with a plain,
-// unpruned enumeration: every partition fully designed, first strict
-// minimum in enumeration order wins.  The branch-and-bound search (any
-// worker count) must reproduce it exactly.
-func referenceBest(t *testing.T, tests []Test, res Resources) searchResult {
-	t.Helper()
-	jobs, bist := buildJobs(tests)
-	tc := newTimeCache(res.Partitioner)
-	var best searchResult
-	forEachPartition(jobs, func(part [][]coreJob) {
-		r := evalPartition(part, bist, res, tc)
-		if r.ok && (!best.ok || r.total < best.total) {
-			best = r
-		}
-	})
-	if !best.ok {
-		t.Fatal("reference enumeration found no feasible partition")
-	}
-	return best
-}
 
 // TestSessionBasedParallelDeterminism is the scheduler-side determinism
 // guarantee: the parallel branch-and-bound finds the same schedule as a
@@ -36,76 +16,59 @@ func referenceBest(t *testing.T, tests []Test, res Resources) searchResult {
 func TestSessionBasedParallelDeterminism(t *testing.T) {
 	fixtures := []struct {
 		name  string
-		tests func(t *testing.T) []Test
-		res   Resources
+		tests func(t *testing.T) ([]sched.Test, sched.Resources)
 	}{
 		{
 			name: "dsc",
-			tests: func(t *testing.T) []Test {
-				tests, err := BuildTests(dscCores(), dscBist())
+			tests: func(t *testing.T) ([]sched.Test, sched.Resources) {
+				tests, err := sched.BuildTests(sched.DSCCores(), sched.DSCBist())
 				if err != nil {
 					t.Fatal(err)
 				}
-				return tests
+				return tests, sched.DSCResources()
 			},
-			res: dscResources(),
 		},
 		{
 			name: "synthetic8",
-			tests: func(t *testing.T) []Test {
-				cores := SyntheticSOC(42, 8)
-				tests, err := BuildTests(cores, SyntheticBIST(42, 5))
-				if err != nil {
-					t.Fatal(err)
-				}
-				return tests
+			tests: func(t *testing.T) ([]sched.Test, sched.Resources) {
+				chip, tests := sizedTests(t, 8)
+				return tests, oneWireBudget(chip)
 			},
-			res: func() Resources {
-				r := SyntheticResources(SyntheticSOC(42, 8))
-				r.Partitioner = wrapper.LPT
-				return r
-			}(),
 		},
 		{
-			// More than exhaustiveJobLimit jobs: the greedy path, whose
+			// More than ExhaustiveJobLimit jobs: the greedy path, whose
 			// optimum has no unpruned reference to compare against.
 			name: "synthetic12-greedy",
-			tests: func(t *testing.T) []Test {
-				tests, err := BuildTests(SyntheticSOC(7, 12), nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return tests
+			tests: func(t *testing.T) ([]sched.Test, sched.Resources) {
+				chip, tests := sizedTests(t, 12)
+				return tests, oneWireBudget(chip)
 			},
-			res: func() Resources {
-				r := SyntheticResources(SyntheticSOC(7, 12))
-				r.Partitioner = wrapper.LPT
-				return r
-			}(),
 		},
 	}
 	for _, fx := range fixtures {
 		t.Run(fx.name, func(t *testing.T) {
-			tests := fx.tests(t)
-			var ref searchResult
-			if jobs, _ := buildJobs(tests); len(jobs) <= exhaustiveJobLimit {
-				ref = referenceBest(t, tests, fx.res)
+			tests, res := fx.tests(t)
+			refTotal, refOK := 0, false
+			if sched.JobCount(tests) <= sched.ExhaustiveJobLimit {
+				if refTotal, refOK = sched.ReferenceBest(tests, res); !refOK {
+					t.Fatal("reference enumeration found no feasible partition")
+				}
 			}
 
-			serialRes, parallelRes := fx.res, fx.res
+			serialRes, parallelRes := res, res
 			serialRes.Workers = 1
 			parallelRes.Workers = 8
-			serial, err := SessionBasedContext(context.Background(), tests, serialRes)
+			serial, err := sched.SessionBasedContext(context.Background(), tests, serialRes)
 			if err != nil {
 				t.Fatal(err)
 			}
-			parallel, err := SessionBasedContext(context.Background(), tests, parallelRes)
+			parallel, err := sched.SessionBasedContext(context.Background(), tests, parallelRes)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ref.ok && serial.TotalCycles != ref.total {
+			if refOK && serial.TotalCycles != refTotal {
 				t.Errorf("serial search total %d != reference optimum %d",
-					serial.TotalCycles, ref.total)
+					serial.TotalCycles, refTotal)
 			}
 			if parallel.TotalCycles != serial.TotalCycles {
 				t.Errorf("parallel total %d != serial total %d",
@@ -123,17 +86,12 @@ func TestSessionBasedParallelDeterminism(t *testing.T) {
 // whose scan time cannot be estimated must fail the greedy packing loudly
 // instead of being silently weighted at zero cycles.
 func TestGreedyDurationsPropagatesErrors(t *testing.T) {
-	cores := SyntheticSOC(7, 12) // >exhaustiveJobLimit: greedy path
-	tests, err := BuildTests(cores, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := SyntheticResources(cores)
-	res.Partitioner = wrapper.LPT
+	chip, tests := sizedTests(t, 12) // >ExhaustiveJobLimit: greedy path
+	res := chip.Resources
 	// An unknown partitioner makes wrapper.DesignChains fail for every
 	// scanned hard core, so duration estimation cannot succeed.
 	res.Partitioner = wrapper.Partitioner(99)
-	if _, err := SessionBasedContext(context.Background(), tests, res); err == nil {
+	if _, err := sched.SessionBasedContext(context.Background(), tests, res); err == nil {
 		t.Fatal("expected scan-time estimation error to propagate")
 	}
 }

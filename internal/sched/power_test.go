@@ -1,4 +1,4 @@
-package sched
+package sched_test
 
 import (
 	"context"
@@ -6,11 +6,13 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"steac/internal/sched"
 )
 
 // sessionPowerSums computes, for every session of a schedule, the summed
 // power of all its placements — the quantity Resources.PowerBudget bounds.
-func sessionPowerSums(s *Schedule) []float64 {
+func sessionPowerSums(s *sched.Schedule) []float64 {
 	sums := make([]float64, len(s.Sessions))
 	for i, sess := range s.Sessions {
 		for _, p := range sess.Placements {
@@ -22,7 +24,7 @@ func sessionPowerSums(s *Schedule) []float64 {
 
 // maxTestPower is the largest single test power — no budget below it can be
 // feasible, and any budget at or above the full sum is never binding.
-func maxTestPower(tests []Test) float64 {
+func maxTestPower(tests []sched.Test) float64 {
 	m := 0.0
 	for _, t := range tests {
 		if t.Power > m {
@@ -32,12 +34,23 @@ func maxTestPower(tests []Test) float64 {
 	return m
 }
 
-func totalTestPower(tests []Test) float64 {
+func totalTestPower(tests []sched.Test) float64 {
 	s := 0.0
 	for _, t := range tests {
 		s += t.Power
 	}
 	return s
+}
+
+// unboundedPower draws a power-budgeted hybrid-BIST chip and returns its
+// tests under the chip's pin budget with both power limits lifted, the
+// unconstrained baseline each test tightens.
+func unboundedPower(t *testing.T, seed int64) (sched.Resources, []sched.Test) {
+	t.Helper()
+	chip, tests := chipTests(t, "hybrid-power", seed)
+	res := chip.Resources
+	res.MaxPower, res.PowerBudget = 0, 0
+	return res, tests
 }
 
 // A budget of zero (unbounded) and a budget far above the total demand must
@@ -46,24 +59,17 @@ func totalTestPower(tests []Test) float64 {
 // order, tie-breaks or BIST fill decisions.
 func TestPowerBudgetUnboundedBitIdentical(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
-		cores := SyntheticSOC(seed, 6)
-		bist := SyntheticBIST(seed, 4)
-		tests, err := BuildTests(cores, bist)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := SyntheticResources(cores)
-		res.MaxPower = 0
+		res, tests := unboundedPower(t, seed)
 		res.Workers = 1
 
-		base, err := SessionBasedContext(context.Background(), tests, res)
+		base, err := sched.SessionBasedContext(context.Background(), tests, res)
 		if err != nil {
 			t.Fatalf("seed %d: unconstrained schedule: %v", seed, err)
 		}
 		for _, budget := range []float64{math.MaxFloat64 / 4, 1e12, totalTestPower(tests) + 1} {
 			res2 := res
 			res2.PowerBudget = budget
-			got, err := SessionBasedContext(context.Background(), tests, res2)
+			got, err := sched.SessionBasedContext(context.Background(), tests, res2)
 			if err != nil {
 				t.Fatalf("seed %d budget %g: %v", seed, budget, err)
 			}
@@ -77,31 +83,24 @@ func TestPowerBudgetUnboundedBitIdentical(t *testing.T) {
 
 // Any schedule returned under a finite budget must respect it in every
 // session, and a budget the scheduler cannot meet must surface as the typed
-// ErrInfeasible — never as a silently over-budget schedule.
+// sched.ErrInfeasible — never as a silently over-budget schedule.
 func TestPowerBudgetNeverExceeded(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
-		cores := SyntheticSOC(seed, 5)
-		bist := SyntheticBIST(seed, 3)
-		tests, err := BuildTests(cores, bist)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := SyntheticResources(cores)
-		res.MaxPower = 0
+		res, tests := unboundedPower(t, seed)
 		lo := maxTestPower(tests)
 		hi := totalTestPower(tests)
 		for i := 0; i <= 8; i++ {
 			budget := lo + (hi-lo)*float64(i)/8
 			res2 := res
 			res2.PowerBudget = budget
-			sched, err := SessionBasedContext(context.Background(), tests, res2)
+			s, err := sched.SessionBasedContext(context.Background(), tests, res2)
 			if err != nil {
-				if !errors.Is(err, ErrInfeasible) {
+				if !errors.Is(err, sched.ErrInfeasible) {
 					t.Fatalf("seed %d budget %.2f: non-infeasibility error: %v", seed, budget, err)
 				}
 				continue
 			}
-			for si, sum := range sessionPowerSums(sched) {
+			for si, sum := range sessionPowerSums(s) {
 				if sum > budget+1e-9 {
 					t.Errorf("seed %d budget %.2f: session %d sums to %.2f power",
 						seed, budget, si, sum)
@@ -114,17 +113,10 @@ func TestPowerBudgetNeverExceeded(t *testing.T) {
 // A budget below the single largest test power is structurally infeasible:
 // that test can never be placed anywhere.
 func TestPowerBudgetBelowSingleTestInfeasible(t *testing.T) {
-	cores := SyntheticSOC(7, 4)
-	bist := SyntheticBIST(7, 2)
-	tests, err := BuildTests(cores, bist)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := SyntheticResources(cores)
-	res.MaxPower = 0
+	res, tests := unboundedPower(t, 7)
 	res.PowerBudget = maxTestPower(tests) * 0.99
-	if _, err := SessionBasedContext(context.Background(), tests, res); !errors.Is(err, ErrInfeasible) {
-		t.Fatalf("want ErrInfeasible, got %v", err)
+	if _, err := sched.SessionBasedContext(context.Background(), tests, res); !errors.Is(err, sched.ErrInfeasible) {
+		t.Fatalf("want sched.ErrInfeasible, got %v", err)
 	}
 }
 
@@ -132,15 +124,8 @@ func TestPowerBudgetBelowSingleTestInfeasible(t *testing.T) {
 // schedule's fattest session forces a repartition into more (or equal)
 // sessions, all of which respect the tighter envelope.
 func TestPowerBudgetForcesRepartition(t *testing.T) {
-	cores := SyntheticSOC(3, 6)
-	bist := SyntheticBIST(3, 4)
-	tests, err := BuildTests(cores, bist)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := SyntheticResources(cores)
-	res.MaxPower = 0
-	base, err := SessionBasedContext(context.Background(), tests, res)
+	res, tests := unboundedPower(t, 3)
+	base, err := sched.SessionBasedContext(context.Background(), tests, res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,24 +136,24 @@ func TestPowerBudgetForcesRepartition(t *testing.T) {
 		}
 	}
 	res.PowerBudget = fattest - 1e-6
-	sched, err := SessionBasedContext(context.Background(), tests, res)
-	if errors.Is(err, ErrInfeasible) {
+	s, err := sched.SessionBasedContext(context.Background(), tests, res)
+	if errors.Is(err, sched.ErrInfeasible) {
 		return // legitimately unsplittable under the tighter envelope
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sched.Sessions) < len(base.Sessions) {
+	if len(s.Sessions) < len(base.Sessions) {
 		t.Errorf("tighter budget produced fewer sessions: %d vs %d",
-			len(sched.Sessions), len(base.Sessions))
+			len(s.Sessions), len(base.Sessions))
 	}
-	for si, sum := range sessionPowerSums(sched) {
+	for si, sum := range sessionPowerSums(s) {
 		if sum > res.PowerBudget+1e-9 {
 			t.Errorf("session %d sums to %.2f > budget %.2f", si, sum, res.PowerBudget)
 		}
 	}
-	if sched.TotalCycles < base.TotalCycles {
+	if s.TotalCycles < base.TotalCycles {
 		t.Errorf("constrained schedule is shorter than unconstrained: %d < %d",
-			sched.TotalCycles, base.TotalCycles)
+			s.TotalCycles, base.TotalCycles)
 	}
 }

@@ -9,10 +9,8 @@ import (
 	"strconv"
 	"time"
 
-	"steac/internal/brains"
 	"steac/internal/campaign"
 	"steac/internal/catalog"
-	"steac/internal/dsc"
 	"steac/internal/envelope"
 	"steac/internal/memfault"
 	"steac/internal/memory"
@@ -56,20 +54,8 @@ type catalogSource interface {
 // for explicit-STIL submissions (no regenerable provenance) and unknown
 // scenario names.
 func chipProfile(name string, seed int64) (feat catalog.Features, cfg catalog.Config, ok bool) {
-	switch name {
-	case "":
+	if name == "" {
 		return catalog.Features{}, catalog.Config{}, false
-	case "dsc":
-		res := dsc.Resources()
-		feat = catalog.CoreFeatures(dsc.Cores(), dsc.Memories())
-		cfg = catalog.Config{
-			TamWidth:    res.TestPins,
-			Partitioner: "lpt",
-			Algorithm:   "March C-",
-			Grouping:    brains.GroupPerMemory.String(),
-			PowerBudget: res.PowerBudget,
-		}
-		return feat, cfg, true
 	}
 	chip, err := chipByName(name, seed)
 	if err != nil {

@@ -79,14 +79,16 @@ func memoryConfig(words, bits int, twoPort bool) memory.Config {
 	return memory.Config{Name: "req", Words: words, Bits: bits, Kind: kind}
 }
 
-// FlowRequest runs the complete STEAC integration flow.  Chip "dsc" loads
-// the paper's chip model (Table 1 cores, the 22 embedded memories, the pin
-// and power budgets); any other registered scenario name generates the
-// chip from the scenario registry with Seed; alternatively supply explicit
-// STIL sources and memory configs.
+// FlowRequest runs the complete STEAC integration flow.  Chip names a
+// registered scenario, generated from the scenario registry with Seed —
+// "dsc" is the paper's chip (Table 1 cores, the 22 embedded memories, the
+// pin and power budgets); alternatively supply explicit STIL sources and
+// memory configs.
 type FlowRequest struct {
 	Chip string `json:"chip,omitempty"`
-	// Seed samples the scenario chip (ignored for "dsc", which is pinned).
+	// Seed samples the scenario chip.  A fully pinned scenario such as
+	// "dsc" yields the same chip for every seed, though the seed still
+	// keys the cache and the catalog record.
 	Seed     int64           `json:"seed,omitempty"`
 	STIL     []string        `json:"stil,omitempty"`
 	Memories []memory.Config `json:"memories,omitempty"`
@@ -130,46 +132,28 @@ type FlowResponse struct {
 
 func (r FlowRequest) run(ctx context.Context) (interface{}, error) {
 	in := core.FlowInput{Verify: r.Verify}
-	switch r.Chip {
-	case "dsc":
-		stils, err := core.EmitSTIL(dsc.Cores())
-		if err != nil {
-			return nil, err
-		}
-		soc, err := dsc.BuildSOC()
-		if err != nil {
-			return nil, err
-		}
-		in.STIL = stils
-		in.SOC = soc
-		in.Memories = dsc.Memories()
-		in.Resources = dsc.Resources()
-		// Per-memory sequencers reproduce the paper's DSC flow (the
-		// schedule is infeasible at 26 test pins under kind-grouping).
-		in.BISTOptions.Grouping = brains.GroupPerMemory
-		if r.Extest {
-			in.Interconnects = dsc.Interconnects()
-		}
-	case "":
+	if r.Chip == "" {
 		if len(r.STIL) == 0 {
 			return nil, badRequestf("request needs a chip scenario name or explicit stil sources")
 		}
 		in.STIL = r.STIL
 		in.Memories = r.Memories
 		in.Resources = sched.Resources{TestPins: 26, FuncPins: 300}
-	default:
+	} else {
 		chip, err := chipByName(r.Chip, r.Seed)
 		if err != nil {
 			return nil, err
 		}
-		if r.Extest {
-			return nil, badRequestf("extest is only available for chip \"dsc\"")
-		}
-		ci, err := chip.FlowInput(r.Verify)
-		if err != nil {
+		if in, err = chip.FlowInput(r.Verify); err != nil {
 			return nil, err
 		}
-		in = ci
+		if r.Extest {
+			// The interconnect netlist is the DSC chip's, as in dscflow.
+			if chip.Scenario != "dsc" {
+				return nil, badRequestf("extest is only available for chip \"dsc\"")
+			}
+			in.Interconnects = dsc.Interconnects()
+		}
 	}
 	if r.TestPins > 0 {
 		in.Resources.TestPins = r.TestPins
@@ -191,7 +175,8 @@ func (r FlowRequest) run(ctx context.Context) (interface{}, error) {
 		in.Resources.Partitioner = part
 	}
 	// An explicit algorithm always wins; otherwise a scenario chip keeps
-	// its own BIST plan and the legacy paths default to March C-.
+	// its own BIST plan, and a chip or STIL submission without one
+	// defaults to March C-.
 	if r.Algorithm != "" || in.BISTOptions.Algorithm.Name == "" {
 		alg, err := algorithmByName(r.Algorithm)
 		if err != nil {
@@ -254,6 +239,14 @@ type SchedRequest struct {
 	TimeoutMS int `json:"timeout_ms,omitempty"` // non-semantic
 }
 
+// chip is the sweep's scenario name, "dsc" when unset.
+func (r SchedRequest) chip() string {
+	if r.Chip == "" {
+		return "dsc"
+	}
+	return r.Chip
+}
+
 // SchedPoint is one sweep sample.
 type SchedPoint struct {
 	TestPins   int     `json:"test_pins"`
@@ -273,18 +266,15 @@ func (r SchedRequest) run(ctx context.Context) (interface{}, error) {
 	if len(r.TestPins) == 0 {
 		return nil, badRequestf("test_pins sweep list is empty")
 	}
-	cores, extraBIST, base := dsc.Cores(), []sched.BISTGroup(nil), dsc.Resources()
-	if r.Chip != "" && r.Chip != "dsc" {
-		chip, err := chipByName(r.Chip, r.Seed)
-		if err != nil {
-			return nil, err
-		}
-		cores, extraBIST, base = chip.Cores, chip.ExtraBIST, chip.Resources
-	}
-	tests, err := sched.BuildTests(cores, extraBIST)
+	chip, err := chipByName(r.chip(), r.Seed)
 	if err != nil {
 		return nil, err
 	}
+	tests, err := sched.BuildTests(chip.Cores, chip.ExtraBIST)
+	if err != nil {
+		return nil, err
+	}
+	base := chip.Resources
 	if r.FuncPins > 0 {
 		base.FuncPins = r.FuncPins
 	}
@@ -406,8 +396,9 @@ type XCheckRequest struct {
 	Scenario string `json:"scenario,omitempty"`
 	ChipSeed int64  `json:"chip_seed,omitempty"`
 	Memory   string `json:"memory,omitempty"`
-	// Core names a Table-1 core (USB, TV, JPEG) — or, with Scenario, one of
-	// the generated chip's cores — for wrapper campaigns.
+	// Core names the wrapper campaign's core on the Scenario chip; without
+	// Scenario it is a Table-1 core (USB, the default, TV or JPEG) of the
+	// dsc scenario chip.
 	Core      string `json:"core,omitempty"`
 	TamWidth  int    `json:"tam_width,omitempty"`
 	MaxFaults int    `json:"max_faults,omitempty"`
@@ -481,32 +472,27 @@ func (r XCheckRequest) run(ctx context.Context) (interface{}, error) {
 		if width <= 0 {
 			width = 2
 		}
-		if chip != nil {
-			var wc *testinfo.Core
-			for _, c := range chip.Cores {
-				if c.Name == r.Core {
-					wc = c
-					break
-				}
+		// A bare core name is a Table-1 core: resolve it on the dsc chip.
+		name := r.Core
+		if chip == nil {
+			if chip, err = chipByName("dsc", 0); err != nil {
+				return nil, err
 			}
-			if wc == nil {
-				return nil, badRequestf("scenario %q chip has no core %q", r.Scenario, r.Core)
+			if name == "" {
+				name = "USB"
 			}
-			res, err = xcheck.WrapperCampaignContext(ctx, "wrapper", wc, width, opts)
-			break
 		}
-		var c int
-		switch r.Core {
-		case "USB", "":
-			c = 0
-		case "TV":
-			c = 1
-		case "JPEG":
-			c = 2
-		default:
-			return nil, badRequestf("unknown core %q (USB, TV or JPEG)", r.Core)
+		var wc *testinfo.Core
+		for _, c := range chip.Cores {
+			if c.Name == name {
+				wc = c
+				break
+			}
 		}
-		res, err = xcheck.WrapperCampaignContext(ctx, "wrapper", dsc.Cores()[c], width, opts)
+		if wc == nil {
+			return nil, badRequestf("scenario %q chip has no core %q", chip.Scenario, name)
+		}
+		res, err = xcheck.WrapperCampaignContext(ctx, "wrapper", wc, width, opts)
 	default:
 		return nil, badRequestf("unknown campaign kind %q (tpg, controller or wrapper)", r.Kind)
 	}
@@ -567,10 +553,7 @@ func (r SchedRequest) catalogRecords(fingerprint, tenant string, result interfac
 	if !ok {
 		return nil
 	}
-	chipName := r.Chip
-	if chipName == "" {
-		chipName = "dsc"
-	}
+	chipName := r.chip()
 	feat, cfg, ok := chipProfile(chipName, r.Seed)
 	if !ok {
 		return nil

@@ -1,15 +1,26 @@
-package socgen
+package socgen_test
 
 import (
 	"testing"
 
-	"steac/internal/sched"
+	"steac/internal/scenario"
+	"steac/internal/socgen"
 	"steac/internal/testinfo"
 )
 
-func TestBuildSyntheticSOC(t *testing.T) {
-	cores := sched.SyntheticSOC(3, 5)
-	d, err := Build(cores, Options{Name: "synth", Blocks: map[string]float64{
+// chipCores draws a generated chip's cores from the scenario registry.
+func chipCores(t *testing.T, name string, seed int64) []*testinfo.Core {
+	t.Helper()
+	chip, err := scenario.GenerateByName(name, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return chip.Cores
+}
+
+func TestBuildGeneratedSOC(t *testing.T) {
+	cores := chipCores(t, "hybrid-power", 3)
+	d, err := socgen.Build(cores, socgen.Options{Name: "synth", Blocks: map[string]float64{
 		"glue": 9000, "cpu": 40000,
 	}})
 	if err != nil {
@@ -42,23 +53,23 @@ func TestBuildSyntheticSOC(t *testing.T) {
 }
 
 func TestBuildRejects(t *testing.T) {
-	if _, err := Build(nil, Options{}); err == nil {
+	if _, err := socgen.Build(nil, socgen.Options{}); err == nil {
 		t.Fatal("empty core set accepted")
 	}
 	bad := []*testinfo.Core{{Name: "x"}} // no clock
-	if _, err := Build(bad, Options{}); err == nil {
+	if _, err := socgen.Build(bad, socgen.Options{}); err == nil {
 		t.Fatal("invalid core accepted")
 	}
 }
 
 func TestBuildDeterministic(t *testing.T) {
-	cores := sched.SyntheticSOC(5, 3)
-	opts := Options{Blocks: map[string]float64{"a": 1, "b": 2, "c": 3}}
-	d1, err := Build(cores, opts)
+	cores := chipCores(t, "p1500-lbist", 5)
+	opts := socgen.Options{Blocks: map[string]float64{"a": 1, "b": 2, "c": 3}}
+	d1, err := socgen.Build(cores, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := Build(cores, opts)
+	d2, err := socgen.Build(cores, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
