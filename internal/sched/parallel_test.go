@@ -95,3 +95,15 @@ func TestGreedyDurationsPropagatesErrors(t *testing.T) {
 		t.Fatal("expected scan-time estimation error to propagate")
 	}
 }
+
+// bench.SizedSpec(n) must yield exactly n core jobs at every size the
+// suite, benchmarks and tests use, and 9 — the suite's
+// sched.search_parallel op — must stay on the exhaustive path.
+func TestSizedChipJobCounts(t *testing.T) {
+	for _, n := range []int{4, 8, 9, 10, 12, 16, 32} {
+		sizedTests(t, n)
+	}
+	if 9 > sched.ExhaustiveJobLimit {
+		t.Fatalf("a 9-job chip is past the exhaustive limit %d", sched.ExhaustiveJobLimit)
+	}
+}
