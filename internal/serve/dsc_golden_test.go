@@ -10,10 +10,10 @@ import (
 // TestDSCRoutesGolden pins the exact response bytes of the routes that
 // resolve the paper's DSC chip: the flow with and without the EXTEST
 // session, the default-chip scheduling sweep, the flow's catalog record
-// and a wrapper campaign on a bare Table-1 core name.  The goldens were
-// captured when serve still built the DSC chip from the dsc inventory; it
-// now resolves "dsc" through the scenario registry like every other chip,
-// and nothing a client sees may move.  Run with -update to rebless.
+// and a wrapper campaign on a bare Table-1 core name.  The goldens hold
+// the bytes serve answered when it built the DSC chip from the dsc
+// inventory, which the scenario registry's dsc chip must reproduce.  Run
+// with -update to rebless.
 func TestDSCRoutesGolden(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 8})
 	t.Cleanup(func() { _ = s.Drain(context.Background()) })
