@@ -18,7 +18,6 @@ import (
 	"steac/internal/bist"
 	"steac/internal/brains"
 	"steac/internal/core"
-	"steac/internal/dsc"
 	"steac/internal/march"
 	"steac/internal/memfault"
 	"steac/internal/memory"
@@ -26,6 +25,7 @@ import (
 	"steac/internal/obs"
 	"steac/internal/obs/bench"
 	"steac/internal/pattern"
+	"steac/internal/scenario"
 	"steac/internal/sched"
 	"steac/internal/stil"
 	"steac/internal/testinfo"
@@ -36,24 +36,55 @@ import (
 
 func parseSTIL(src string) (*testinfo.Core, error) { return stil.Parse(src) }
 
+// dscChip generates the paper's chip.  Every call returns a fresh chip, so
+// a benchmark may modify what it gets.
+func dscChip(b *testing.B) *scenario.Chip {
+	b.Helper()
+	chip, err := scenario.GenerateByName("dsc", 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return chip
+}
+
+// dscCore returns a fresh copy of one of the paper chip's Table-1 cores.
+func dscCore(b *testing.B, name string) *testinfo.Core {
+	b.Helper()
+	for _, c := range dscChip(b).Cores {
+		if c.Name == name {
+			return c
+		}
+	}
+	b.Fatalf("dsc chip has no core %s", name)
+	return nil
+}
+
+// dscFlowInput is the paper chip's complete flow input.
+func dscFlowInput(b *testing.B, verify bool) core.FlowInput {
+	b.Helper()
+	in, err := dscChip(b).FlowInput(verify)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return in
+}
+
 func dscTests(b *testing.B) ([]sched.Test, sched.Resources) {
 	b.Helper()
-	br, err := brains.CompileContext(context.Background(), dsc.Memories(), brains.Options{Grouping: brains.GroupPerMemory})
+	chip := dscChip(b)
+	tests, err := bench.ChipTests(chip)
 	if err != nil {
 		b.Fatal(err)
 	}
-	tests, err := sched.BuildTests(dsc.Cores(), core.BISTGroups(br))
-	if err != nil {
-		b.Fatal(err)
-	}
-	return tests, dsc.Resources()
+	return tests, chip.Resources
 }
 
 // --- Table 1: core test information through the STIL hand-off -------------
 
 func BenchmarkTable1CoreTestInfo(b *testing.B) {
+	cores := dscChip(b).Cores
 	for i := 0; i < b.N; i++ {
-		stils, err := core.EmitSTIL(dsc.Cores())
+		stils, err := core.EmitSTIL(cores)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -117,7 +148,7 @@ func BenchmarkScheduleAblationSerial(b *testing.B) {
 // --- §3 test IOs: 19 dedicated control pins, reduced by sharing ------------
 
 func BenchmarkTestIOReduction(b *testing.B) {
-	cores := dsc.Cores()
+	cores := dscChip(b).Cores
 	var s testinfo.SharedControlIOs
 	for i := 0; i < b.N; i++ {
 		s = testinfo.ShareControlIOs(cores)
@@ -129,19 +160,7 @@ func BenchmarkTestIOReduction(b *testing.B) {
 // --- §3 area: WBR 26 gates, controller ~371, TAM mux ~132, ~0.3% overhead --
 
 func BenchmarkAreaOverhead(b *testing.B) {
-	soc, err := dsc.BuildSOC()
-	if err != nil {
-		b.Fatal(err)
-	}
-	stils, err := core.EmitSTIL(dsc.Cores())
-	if err != nil {
-		b.Fatal(err)
-	}
-	in := core.FlowInput{
-		STIL: stils, SOC: soc, Resources: dsc.Resources(),
-		Memories:    dsc.Memories(),
-		BISTOptions: brains.Options{Grouping: brains.GroupPerMemory},
-	}
+	in := dscFlowInput(b, false)
 	var ins = (*core.FlowResult)(nil)
 	for i := 0; i < b.N; i++ {
 		r, err := core.RunFlowContext(context.Background(), in)
@@ -160,19 +179,7 @@ func BenchmarkAreaOverhead(b *testing.B) {
 
 func BenchmarkTestInsertionFlow(b *testing.B) {
 	b.ReportAllocs()
-	soc, err := dsc.BuildSOC()
-	if err != nil {
-		b.Fatal(err)
-	}
-	stils, err := core.EmitSTIL(dsc.Cores())
-	if err != nil {
-		b.Fatal(err)
-	}
-	in := core.FlowInput{
-		STIL: stils, SOC: soc, Resources: dsc.Resources(),
-		Memories:    dsc.Memories(),
-		BISTOptions: brains.Options{Grouping: brains.GroupPerMemory},
-	}
+	in := dscFlowInput(b, false)
 	for i := 0; i < b.N; i++ {
 		if _, err := core.RunFlowContext(context.Background(), in); err != nil {
 			b.Fatal(err)
@@ -183,20 +190,7 @@ func BenchmarkTestInsertionFlow(b *testing.B) {
 // --- Fig. 1: the end-to-end flow with full ATE verification ----------------
 
 func BenchmarkFig1FlowEndToEnd(b *testing.B) {
-	soc, err := dsc.BuildSOC()
-	if err != nil {
-		b.Fatal(err)
-	}
-	stils, err := core.EmitSTIL(dsc.Cores())
-	if err != nil {
-		b.Fatal(err)
-	}
-	in := core.FlowInput{
-		STIL: stils, SOC: soc, Resources: dsc.Resources(),
-		Memories:    dsc.Memories(),
-		BISTOptions: brains.Options{Grouping: brains.GroupPerMemory},
-		Verify:      true,
-	}
+	in := dscFlowInput(b, true)
 	var cycles int
 	for i := 0; i < b.N; i++ {
 		r, err := core.RunFlowContext(context.Background(), in)
@@ -211,7 +205,7 @@ func BenchmarkFig1FlowEndToEnd(b *testing.B) {
 // --- Fig. 2: shared-controller BIST over the heterogeneous memory set ------
 
 func BenchmarkFig2MultiMemoryBIST(b *testing.B) {
-	cfgs := dsc.Memories()
+	cfgs := dscChip(b).Memories
 	var cycles int
 	for i := 0; i < b.N; i++ {
 		groups := make([]bist.Group, 0, 2)
@@ -249,17 +243,18 @@ func BenchmarkFig2MultiMemoryBIST(b *testing.B) {
 // --- Fig. 4: BRAINS integrated into STEAC -----------------------------------
 
 func BenchmarkFig4BrainsIntegration(b *testing.B) {
+	chip := dscChip(b)
 	var cycles int
 	for i := 0; i < b.N; i++ {
-		br, err := brains.CompileContext(context.Background(), dsc.Memories(), brains.Options{Grouping: brains.GroupPerMemory})
+		br, err := brains.CompileContext(context.Background(), chip.Memories, chip.BIST)
 		if err != nil {
 			b.Fatal(err)
 		}
-		tests, err := sched.BuildTests(dsc.Cores(), core.BISTGroups(br))
+		tests, err := sched.BuildTests(chip.Cores, core.BISTGroups(br))
 		if err != nil {
 			b.Fatal(err)
 		}
-		s, err := sched.SessionBasedContext(context.Background(), tests, dsc.Resources())
+		s, err := sched.SessionBasedContext(context.Background(), tests, chip.Resources)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -361,7 +356,7 @@ func BenchmarkWrapperChainDesignFirstFit(b *testing.B) { benchPartition(b, wrapp
 func BenchmarkWrapperChainDesignOptimal(b *testing.B)  { benchPartition(b, wrapper.Optimal) }
 
 func benchPartition(b *testing.B, p wrapper.Partitioner) {
-	usb := dsc.USB()
+	usb := dscCore(b, "USB")
 	var maxLen int
 	for i := 0; i < b.N; i++ {
 		plan, err := wrapper.DesignChains(usb, 3, p)
@@ -377,10 +372,11 @@ func benchPartition(b *testing.B, p wrapper.Partitioner) {
 func BenchmarkBISTSchedulingAblation(b *testing.B) {
 	for _, schedKind := range []bist.Schedule{bist.Serial, bist.Parallel} {
 		b.Run(schedKind.String(), func(b *testing.B) {
+			cfgs := dscChip(b).Memories
 			var cycles int
 			for i := 0; i < b.N; i++ {
 				var groups []bist.Group
-				for _, cfg := range dsc.Memories() {
+				for _, cfg := range cfgs {
 					m, err := memory.New(cfg)
 					if err != nil {
 						b.Fatal(err)
@@ -408,7 +404,7 @@ func BenchmarkBISTSchedulingAblation(b *testing.B) {
 // Gate-level BIST generation cost (hardware side of Fig. 2).
 func BenchmarkBISTNetlistGeneration(b *testing.B) {
 	groups := []bist.GroupSpec{
-		{Name: "sp", Alg: march.MarchCMinus(), Mems: dsc.Memories()[:4]},
+		{Name: "sp", Alg: march.MarchCMinus(), Mems: dscChip(b).Memories[:4]},
 	}
 	var gates float64
 	for i := 0; i < b.N; i++ {
@@ -425,7 +421,7 @@ func BenchmarkBISTNetlistGeneration(b *testing.B) {
 // Pattern translation throughput (the translator streams ~4.4M cycles in
 // the full flow; here one scan core's stream is measured in isolation).
 func BenchmarkPatternTranslation(b *testing.B) {
-	tv := dsc.TV()
+	tv := dscCore(b, "TV")
 	tv.Patterns = tv.Patterns[:1] // scan set only
 	src, err := pattern.NewATPG(tv)
 	if err != nil {
@@ -461,7 +457,7 @@ func BenchmarkPatternTranslation(b *testing.B) {
 
 // ATE application throughput on the miniature chip.
 func BenchmarkATEApplication(b *testing.B) {
-	tv := dsc.TV()
+	tv := dscCore(b, "TV")
 	tv.Patterns = []testinfo.PatternSet{{Name: "scan", Type: testinfo.Scan, Count: 20, Seed: 9}}
 	src, err := pattern.NewATPG(tv)
 	if err != nil {
@@ -564,7 +560,7 @@ func BenchmarkSessionSearchParallel(b *testing.B) {
 
 // Tester-file emission throughput (the chip-level pattern hand-off).
 func BenchmarkProgramFileWrite(b *testing.B) {
-	tv := dsc.TV()
+	tv := dscCore(b, "TV")
 	tv.Patterns = []testinfo.PatternSet{{Name: "scan", Type: testinfo.Scan, Count: 50, Seed: 9}}
 	src, err := pattern.NewATPG(tv)
 	if err != nil {
@@ -603,10 +599,14 @@ func (w countWriter) Write(p []byte) (int, error) {
 
 // EXTEST interconnect-test session cost on the DSC chip (24 glue wires).
 func BenchmarkExtestInterconnect(b *testing.B) {
-	cores := dsc.Cores()
+	chip := dscChip(b)
+	wires, err := chip.Interconnects()
+	if err != nil {
+		b.Fatal(err)
+	}
 	var cycles, vectors int
 	for i := 0; i < b.N; i++ {
-		lane, err := pattern.BuildExtest(cores, dsc.Interconnects(), nil, wrapper.LPT)
+		lane, err := pattern.BuildExtest(chip.Cores, wires, nil, wrapper.LPT)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -619,7 +619,7 @@ func BenchmarkExtestInterconnect(b *testing.B) {
 // Port-B verification cost across the DSC's two-port macros.
 func BenchmarkPortBVerification(b *testing.B) {
 	var twoPort []memory.Config
-	for _, m := range dsc.Memories() {
+	for _, m := range dscChip(b).Memories {
 		if m.Kind == memory.TwoPort {
 			twoPort = append(twoPort, m)
 		}
@@ -648,7 +648,7 @@ func BenchmarkPortBVerification(b *testing.B) {
 
 // Verilog netlist I/O throughput on the DFT-inserted DSC design.
 func BenchmarkVerilogRoundTrip(b *testing.B) {
-	soc, err := dsc.BuildSOC()
+	soc, err := dscChip(b).BuildSOC()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -691,8 +691,8 @@ func BenchmarkScheduleAblationPartitioner(b *testing.B) {
 // Soft-core rebalancing ablation (paper §2 feedback loop): USB as a hard
 // vs soft core at TAM width 4.
 func BenchmarkSoftCoreRebalancing(b *testing.B) {
-	hard := dsc.USB()
-	soft := dsc.USB()
+	hard := dscCore(b, "USB")
+	soft := dscCore(b, "USB")
 	soft.Soft = true
 	var hardCycles, softCycles int
 	for i := 0; i < b.N; i++ {

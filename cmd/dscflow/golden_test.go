@@ -10,28 +10,31 @@ import (
 
 	"steac/internal/brains"
 	"steac/internal/core"
-	"steac/internal/dsc"
 	"steac/internal/memory"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden report files")
 
+// dscFlowInput builds the flow input main builds for the default
+// `-scenario dsc -workers 1`: the paper's chip, one worker everywhere so
+// every counter is deterministic.
+func dscFlowInput(verify bool) (core.FlowInput, error) {
+	chip, err := loadChip("dsc", 0)
+	if err != nil {
+		return core.FlowInput{}, err
+	}
+	in, err := chip.FlowInput(verify)
+	in.BISTOptions.Workers = 1
+	in.Resources.Workers = 1
+	return in, err
+}
+
 var flowOnce = sync.OnceValues(func() (*core.FlowResult, error) {
-	soc, err := dsc.BuildSOC()
+	in, err := dscFlowInput(false)
 	if err != nil {
 		return nil, err
 	}
-	stils, err := core.EmitSTIL(dsc.Cores())
-	if err != nil {
-		return nil, err
-	}
-	return core.RunFlowContext(context.Background(), core.FlowInput{
-		STIL:        stils,
-		SOC:         soc,
-		Resources:   dsc.Resources(),
-		Memories:    dsc.Memories(),
-		BISTOptions: brains.Options{Grouping: brains.GroupPerMemory, Workers: 1},
-	})
+	return core.RunFlowContext(context.Background(), in)
 })
 
 // checkGolden compares got against testdata/<name>.golden byte-for-byte;

@@ -32,7 +32,6 @@ import (
 
 	"steac/internal/brains"
 	"steac/internal/core"
-	"steac/internal/dsc"
 	"steac/internal/memory"
 	"steac/internal/obs"
 	"steac/internal/obs/bench"
@@ -131,10 +130,8 @@ func main() {
 	in.BISTOptions.Workers = *workers
 	in.Resources.Workers = *workers
 	if *extest {
-		if chip.Scenario != "dsc" {
-			fail(fmt.Errorf("-extest models the DSC glue interconnects and is only available for -scenario dsc"))
-		}
-		in.Interconnects = dsc.Interconnects()
+		in.Interconnects, err = chip.Interconnects()
+		fail(err)
 	}
 	res, err := core.RunFlowContext(context.Background(), in)
 	fail(err)

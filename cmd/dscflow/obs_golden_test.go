@@ -6,9 +6,7 @@ import (
 	"regexp"
 	"testing"
 
-	"steac/internal/brains"
 	"steac/internal/core"
-	"steac/internal/dsc"
 	"steac/internal/obs"
 )
 
@@ -26,22 +24,11 @@ func TestObsReportGolden(t *testing.T) {
 	defer obs.Disable()
 	obs.Reset()
 
-	soc, err := dsc.BuildSOC()
+	in, err := dscFlowInput(true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stils, err := core.EmitSTIL(dsc.Cores())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := core.RunFlowContext(context.Background(), core.FlowInput{
-		STIL:        stils,
-		SOC:         soc,
-		Resources:   dsc.Resources(),
-		Memories:    dsc.Memories(),
-		BISTOptions: brains.Options{Grouping: brains.GroupPerMemory, Workers: 1},
-		Verify:      true,
-	}); err != nil {
+	if _, err := core.RunFlowContext(context.Background(), in); err != nil {
 		t.Fatal(err)
 	}
 

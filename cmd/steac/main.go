@@ -15,11 +15,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"steac/internal/core"
-	"steac/internal/dsc"
 	"steac/internal/netlist"
+	"steac/internal/scenario"
 	"steac/internal/sched"
+	"steac/internal/stil"
 	"steac/internal/wrapper"
 )
 
@@ -36,15 +38,19 @@ func main() {
 	flag.Parse()
 
 	if *emit != "" {
-		cores := map[string]int{"USB": 0, "TV": 1, "JPEG": 2}
-		idx, ok := cores[*emit]
-		if !ok {
-			fail(fmt.Errorf("unknown core %q (USB, TV or JPEG)", *emit))
-		}
-		stils, err := core.EmitSTIL(dsc.Cores())
+		chip, err := scenario.GenerateByName("dsc", 0)
 		fail(err)
-		fmt.Print(stils[idx])
-		return
+		var names []string
+		for _, c := range chip.Cores {
+			if c.Name == *emit {
+				src, err := stil.Emit(c)
+				fail(err)
+				fmt.Print(src)
+				return
+			}
+			names = append(names, c.Name)
+		}
+		fail(fmt.Errorf("unknown core %q (%s)", *emit, strings.Join(names, ", ")))
 	}
 
 	if flag.NArg() == 0 {

@@ -12,27 +12,29 @@ import (
 
 	"steac/internal/brains"
 	"steac/internal/core"
-	"steac/internal/dsc"
 	"steac/internal/report"
+	"steac/internal/scenario"
 	"steac/internal/sched"
 )
 
 func main() {
-	cores := dsc.Cores()
-	b, err := brains.CompileContext(context.Background(), dsc.Memories(), brains.Options{Grouping: brains.GroupPerMemory})
+	chip, err := scenario.GenerateByName("dsc", 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	tests, err := sched.BuildTests(cores, core.BISTGroups(b))
+	b, err := brains.CompileContext(context.Background(), chip.Memories, chip.BIST)
+	if err != nil {
+		log.Fatal(err)
+	}
+	tests, err := sched.BuildTests(chip.Cores, core.BISTGroups(b))
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	t := report.NewTable("Test time vs test-pin budget (DSC chip, cycles)",
 		"Test pins", "Session-based", "Non-session", "Winner", "Gap%")
-	base := dsc.Resources()
 	for _, pins := range []int{24, 25, 26, 28, 30, 34, 40, 50} {
-		res := base
+		res := chip.Resources
 		res.TestPins = pins
 		sb, err := sched.SessionBasedContext(context.Background(), tests, res)
 		if err != nil {

@@ -10,9 +10,7 @@ import (
 	"testing"
 
 	"steac/internal/ate"
-	"steac/internal/brains"
 	"steac/internal/core"
-	"steac/internal/dsc"
 	"steac/internal/pattern"
 	"steac/internal/scenario"
 	"steac/internal/testinfo"
@@ -192,16 +190,7 @@ func TestStreamAndRunIdentity(t *testing.T) {
 				if testing.Short() {
 					t.Skip("full DSC program (~4.4M cycles) skipped in -short")
 				}
-				soc, err := dsc.BuildSOC()
-				if err != nil {
-					t.Fatal(err)
-				}
-				stils, err := core.EmitSTIL(dsc.Cores())
-				if err != nil {
-					t.Fatal(err)
-				}
-				return core.FlowInput{STIL: stils, SOC: soc, Resources: dsc.Resources(), Memories: dsc.Memories(),
-					BISTOptions: brains.Options{Grouping: brains.GroupPerMemory}}
+				return scenarioInput("dsc", 0, false)(t)
 			},
 			digest: "d105dab05a1d7399d1eb97d8459257a45ae16aa3f2da2446534f52afd1c01202",
 			cycles: 4376942,

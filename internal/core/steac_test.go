@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"context"
@@ -7,35 +7,34 @@ import (
 	"testing"
 
 	"steac/internal/ate"
-
 	"steac/internal/brains"
-	"steac/internal/dsc"
+	"steac/internal/core"
 	"steac/internal/memory"
 	"steac/internal/pattern"
+	"steac/internal/scenario"
 	"steac/internal/sched"
 	"steac/internal/stil"
 	"steac/internal/testinfo"
 	"steac/internal/wrapper"
 )
 
-func dscFlowInput(t *testing.T, verify bool) FlowInput {
+// dscChip generates the paper's chip.
+func dscChip(t *testing.T) *scenario.Chip {
 	t.Helper()
-	soc, err := dsc.BuildSOC()
+	chip, err := scenario.GenerateByName("dsc", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stils, err := EmitSTIL(dsc.Cores())
+	return chip
+}
+
+func dscFlowInput(t *testing.T, verify bool) core.FlowInput {
+	t.Helper()
+	in, err := dscChip(t).FlowInput(verify)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return FlowInput{
-		STIL:        stils,
-		SOC:         soc,
-		Resources:   dsc.Resources(),
-		Memories:    dsc.Memories(),
-		BISTOptions: brains.Options{Grouping: brains.GroupPerMemory},
-		Verify:      verify,
-	}
+	return in
 }
 
 // TestDSCHeadlineNumbers reproduces the paper's §3 scheduling experiment:
@@ -43,7 +42,7 @@ func dscFlowInput(t *testing.T, verify bool) FlowInput {
 // totals and gap in the published regime (paper: 4,371,194 vs 4,713,935
 // cycles, a 7.3% saving).
 func TestDSCHeadlineNumbers(t *testing.T) {
-	res, err := RunFlowContext(context.Background(), dscFlowInput(t, false))
+	res, err := core.RunFlowContext(context.Background(), dscFlowInput(t, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +74,7 @@ func TestDSCHeadlineNumbers(t *testing.T) {
 }
 
 func TestDSCInsertionAreas(t *testing.T) {
-	res, err := RunFlowContext(context.Background(), dscFlowInput(t, false))
+	res, err := core.RunFlowContext(context.Background(), dscFlowInput(t, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +117,7 @@ func TestDSCFullVerification(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-chip ATE verification (~5s) skipped in -short")
 	}
-	res, err := RunFlowContext(context.Background(), dscFlowInput(t, true))
+	res, err := core.RunFlowContext(context.Background(), dscFlowInput(t, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,30 +130,31 @@ func TestDSCFullVerification(t *testing.T) {
 }
 
 func TestFlowInputValidation(t *testing.T) {
-	if _, err := RunFlowContext(context.Background(), FlowInput{}); err == nil {
+	if _, err := core.RunFlowContext(context.Background(), core.FlowInput{}); err == nil {
 		t.Fatal("empty input accepted")
 	}
-	stils, err := EmitSTIL(dsc.Cores())
+	chip := dscChip(t)
+	stils, err := core.EmitSTIL(chip.Cores)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dup := FlowInput{STIL: append(stils, stils[0]), Resources: dsc.Resources()}
-	if _, err := RunFlowContext(context.Background(), dup); err == nil {
+	dup := core.FlowInput{STIL: append(stils, stils[0]), Resources: chip.Resources}
+	if _, err := core.RunFlowContext(context.Background(), dup); err == nil {
 		t.Fatal("duplicate core accepted")
 	}
-	bad := FlowInput{STIL: []string{"not stil"}, Resources: dsc.Resources()}
-	if _, err := RunFlowContext(context.Background(), bad); err == nil {
+	bad := core.FlowInput{STIL: []string{"not stil"}, Resources: chip.Resources}
+	if _, err := core.RunFlowContext(context.Background(), bad); err == nil {
 		t.Fatal("malformed STIL accepted")
 	}
-	infeasible := FlowInput{STIL: stils, Resources: sched.Resources{
+	infeasible := core.FlowInput{STIL: stils, Resources: sched.Resources{
 		TestPins: 4, FuncPins: 8, Partitioner: wrapper.LPT}}
-	if _, err := RunFlowContext(context.Background(), infeasible); err == nil {
+	if _, err := core.RunFlowContext(context.Background(), infeasible); err == nil {
 		t.Fatal("infeasible pin budget accepted")
 	}
 }
 
 // A soft core's scan chains are a scheduling view: a flow that verifies
-// or inserts one is refused with ErrSoftCore naming the core, while a
+// or inserts one is refused with core.ErrSoftCore naming the core, while a
 // schedule-only flow still runs.
 func TestFlowRefusesSoftCores(t *testing.T) {
 	in := dscFlowInput(t, false)
@@ -163,14 +163,14 @@ func TestFlowRefusesSoftCores(t *testing.T) {
 		t.Fatal(err)
 	}
 	in.STIL = append([]string{strings.Replace(in.STIL[0], "soft=false", "soft=true", 1)}, in.STIL[1:]...)
-	verify := FlowInput{STIL: in.STIL, Resources: in.Resources, Verify: true}
-	for name, fi := range map[string]FlowInput{"insertion": in, "verify": verify} {
-		_, err := RunFlowContext(context.Background(), fi)
-		if !errors.Is(err, ErrSoftCore) || !strings.Contains(err.Error(), c.Name) {
-			t.Errorf("%s: err = %v, want ErrSoftCore naming %s", name, err, c.Name)
+	verify := core.FlowInput{STIL: in.STIL, Resources: in.Resources, Verify: true}
+	for name, fi := range map[string]core.FlowInput{"insertion": in, "verify": verify} {
+		_, err := core.RunFlowContext(context.Background(), fi)
+		if !errors.Is(err, core.ErrSoftCore) || !strings.Contains(err.Error(), c.Name) {
+			t.Errorf("%s: err = %v, want core.ErrSoftCore naming %s", name, err, c.Name)
 		}
 	}
-	r, err := RunFlowContext(context.Background(), FlowInput{STIL: in.STIL, Resources: in.Resources})
+	r, err := core.RunFlowContext(context.Background(), core.FlowInput{STIL: in.STIL, Resources: in.Resources})
 	if err != nil || r.Schedule.TotalCycles <= 0 {
 		t.Fatalf("schedule-only flow with a soft core: %v", err)
 	}
@@ -184,7 +184,7 @@ func TestBISTGroupsMapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups := BISTGroups(b)
+	groups := core.BISTGroups(b)
 	if len(groups) != 2 {
 		t.Fatalf("groups = %d", len(groups))
 	}
@@ -192,43 +192,43 @@ func TestBISTGroupsMapping(t *testing.T) {
 	if groups[0].Cycles != 10*1024+1 {
 		t.Fatalf("group cycles = %d", groups[0].Cycles)
 	}
-	if BISTGroups(nil) != nil {
+	if core.BISTGroups(nil) != nil {
 		t.Fatal("nil result should map to nil groups")
 	}
 }
 
 func TestReports(t *testing.T) {
-	res, err := RunFlowContext(context.Background(), dscFlowInput(t, false))
+	res, err := core.RunFlowContext(context.Background(), dscFlowInput(t, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	table1 := Table1(res.Cores)
+	table1 := core.Table1(res.Cores)
 	for _, want := range []string{"USB", "1,629", "716", "202,673", "235,696", "No scan"} {
 		if !strings.Contains(table1, want) {
 			t.Fatalf("Table 1 missing %q:\n%s", want, table1)
 		}
 	}
-	cmp := ComparisonReport(res)
+	cmp := core.ComparisonReport(res)
 	for _, want := range []string{"session-based", "non-session-based", "serial", "saves"} {
 		if !strings.Contains(cmp, want) {
 			t.Fatalf("comparison missing %q", want)
 		}
 	}
-	io := IOReport(res.Cores)
+	io := core.IOReport(res.Cores)
 	if !strings.Contains(io, "19") {
 		t.Fatalf("IO report missing the 19-pin total:\n%s", io)
 	}
-	area := AreaReport(res)
+	area := core.AreaReport(res)
 	for _, want := range []string{"WBR cell", "test controller", "TAM multiplexer", "memory BIST (logic)", "overhead"} {
 		if !strings.Contains(area, want) {
 			t.Fatalf("area report missing %q", want)
 		}
 	}
-	sr := ScheduleReport(res.Schedule)
+	sr := core.ScheduleReport(res.Schedule)
 	if !strings.Contains(sr, "USB.scan") || !strings.Contains(sr, "total test time") {
 		t.Fatalf("schedule report incomplete:\n%s", sr)
 	}
-	if AreaReport(&FlowResult{}) == "" {
+	if core.AreaReport(&core.FlowResult{}) == "" {
 		t.Fatal("empty-area report")
 	}
 }
@@ -237,9 +237,15 @@ func TestReports(t *testing.T) {
 // schedule gains one session, the translated program verifies end to end,
 // and glue defects are caught.
 func TestDSCWithInterconnects(t *testing.T) {
-	in := dscFlowInput(t, !testing.Short())
-	in.Interconnects = dsc.Interconnects()
-	res, err := RunFlowContext(context.Background(), in)
+	chip := dscChip(t)
+	in, err := chip.FlowInput(!testing.Short())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in.Interconnects, err = chip.Interconnects(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.RunFlowContext(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,8 +269,8 @@ func TestDSCWithInterconnects(t *testing.T) {
 			res.Insertion.CtlSpec.Sessions, len(res.Schedule.Sessions))
 	}
 	// A glue open must be caught by the translated program.
-	chip := ate.NewChip(res.Program, res.Cores, ate.WithOpenInterconnect(7))
-	r, err := ate.Run(res.Program, chip)
+	faulty := ate.NewChip(res.Program, res.Cores, ate.WithOpenInterconnect(7))
+	r, err := ate.Run(res.Program, faulty)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,11 +280,11 @@ func TestDSCWithInterconnects(t *testing.T) {
 }
 
 func TestTimelineReport(t *testing.T) {
-	res, err := RunFlowContext(context.Background(), dscFlowInput(t, false))
+	res, err := core.RunFlowContext(context.Background(), dscFlowInput(t, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tl := TimelineReport(res.Schedule, 60)
+	tl := core.TimelineReport(res.Schedule, 60)
 	if !strings.Contains(tl, "USB.scan") || !strings.Contains(tl, "#") {
 		t.Fatalf("timeline incomplete:\n%s", tl)
 	}
@@ -286,7 +292,7 @@ func TestTimelineReport(t *testing.T) {
 	if len(lines) < len(res.Schedule.Sessions)+2 {
 		t.Fatalf("timeline too short:\n%s", tl)
 	}
-	if TimelineReport(&sched.Schedule{Kind: "empty"}, 5) == "" {
+	if core.TimelineReport(&sched.Schedule{Kind: "empty"}, 5) == "" {
 		t.Fatal("empty timeline")
 	}
 }
@@ -314,7 +320,7 @@ func TestFlowWithExplicitVectors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunFlowContext(context.Background(), FlowInput{
+	res, err := core.RunFlowContext(context.Background(), core.FlowInput{
 		STIL:      []string{src},
 		Resources: sched.Resources{TestPins: 10, FuncPins: 4, Partitioner: wrapper.LPT},
 		Verify:    true,
@@ -333,7 +339,7 @@ func TestFlowWithExplicitVectors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunFlowContext(context.Background(), FlowInput{STIL: []string{bad},
+	if _, err := core.RunFlowContext(context.Background(), core.FlowInput{STIL: []string{bad},
 		Resources: sched.Resources{TestPins: 10, FuncPins: 4, Partitioner: wrapper.LPT}}); err == nil {
 		t.Fatal("vector/count mismatch accepted")
 	}
@@ -342,11 +348,11 @@ func TestFlowWithExplicitVectors(t *testing.T) {
 // The whole flow is deterministic: two runs produce identical schedules,
 // programs and netlists.
 func TestFlowDeterminism(t *testing.T) {
-	r1, err := RunFlowContext(context.Background(), dscFlowInput(t, false))
+	r1, err := core.RunFlowContext(context.Background(), dscFlowInput(t, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := RunFlowContext(context.Background(), dscFlowInput(t, false))
+	r2, err := core.RunFlowContext(context.Background(), dscFlowInput(t, false))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,13 +2,10 @@ package insertion
 
 import (
 	"context"
-	"crypto/sha256"
-	"fmt"
 	"strings"
 	"testing"
 
 	"steac/internal/brains"
-	"steac/internal/dsc"
 	"steac/internal/memory"
 	"steac/internal/netlist"
 	"steac/internal/sched"
@@ -212,91 +209,6 @@ func TestDFTNetlistVerilogRoundTrip(t *testing.T) {
 	a2, err := back.Area(back.Top)
 	if err != nil || a1 != a2 {
 		t.Fatalf("area changed: %v vs %v (%v)", a1, a2, err)
-	}
-}
-
-// dscInputs builds the paper's DSC chip inputs for insertion the way the
-// flow does: the original SOC, the Table 1 cores, the per-memory BRAINS
-// compilation and the session-based schedule.
-func dscInputs(t *testing.T) (*netlist.Design, []*testinfo.Core, *sched.Schedule, sched.Resources, *brains.Result) {
-	t.Helper()
-	soc, err := dsc.BuildSOC()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cores := dsc.Cores()
-	b, err := brains.CompileContext(context.Background(), dsc.Memories(),
-		brains.Options{Grouping: brains.GroupPerMemory})
-	if err != nil {
-		t.Fatal(err)
-	}
-	groups := make([]sched.BISTGroup, len(b.Groups))
-	for i, g := range b.Groups {
-		groups[i] = sched.BISTGroup{Name: g.Name, Cycles: brains.GroupCycles(g) + 1,
-			Power: brains.GroupPower(g)}
-	}
-	tests, err := sched.BuildTests(cores, groups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := dsc.Resources()
-	s, err := sched.SessionBasedContext(context.Background(), tests, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return soc, cores, s, res, b
-}
-
-func emit(t *testing.T, d *netlist.Design) string {
-	t.Helper()
-	v, err := d.EmitVerilogString()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return v
-}
-
-// The DSC chip's DFT netlist is pinned byte for byte: the SHA-256 of its
-// Verilog.
-func TestInsertDSCGolden(t *testing.T) {
-	soc, cores, s, res, b := dscInputs(t)
-	ins, err := Insert(soc, cores, s, res, b.Design, b.Top.Name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const want = "ada36bdb30f84f65e28470ac7f018cead69893fcc21c07dc5dbb417b4b1beb84"
-	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(emit(t, ins.Design)))); got != want {
-		t.Fatalf("DSC DFT netlist SHA-256 = %s, want %s", got, want)
-	}
-}
-
-// Insert shares the modules of its inputs with the result, so it must
-// never change them: the original SOC and the BIST design emit the same
-// bytes before and after, and a second insertion from the same inputs
-// emits the same DFT netlist as the first.
-func TestInsertLeavesInputsUntouched(t *testing.T) {
-	soc, cores, s, res, b := dscInputs(t)
-	socBefore, bistBefore := emit(t, soc), emit(t, b.Design)
-	first, err := Insert(soc, cores, s, res, b.Design, b.Top.Name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1 := emit(t, first.Design)
-	second, err := Insert(soc, cores, s, res, b.Design, b.Top.Name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v2 := emit(t, second.Design); v1 != v2 {
-		t.Fatal("two insertions from the same inputs emit different netlists")
-	}
-	if emit(t, soc) != socBefore {
-		t.Fatal("Insert changed the original SOC design")
-	}
-	if emit(t, b.Design) != bistBefore {
-		t.Fatal("Insert changed the BIST design")
-	}
-	if emit(t, first.Design) != v1 {
-		t.Fatal("a second insertion changed the first one's result")
 	}
 }
 

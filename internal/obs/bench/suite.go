@@ -9,9 +9,7 @@ import (
 
 	"steac/internal/ate"
 	"steac/internal/bist"
-	"steac/internal/brains"
 	"steac/internal/core"
-	"steac/internal/dsc"
 	"steac/internal/march"
 	"steac/internal/memfault"
 	"steac/internal/memory"
@@ -55,7 +53,11 @@ func dscTests() ([]sched.Test, sched.Resources, error) {
 }
 
 func memoryConfig(name string) (memory.Config, error) {
-	for _, cfg := range dsc.Memories() {
+	chip, err := scenario.GenerateByName("dsc", 0)
+	if err != nil {
+		return memory.Config{}, err
+	}
+	for _, cfg := range chip.Memories {
 		if cfg.Name == name {
 			return cfg, nil
 		}
@@ -134,10 +136,13 @@ func specs() []spec {
 			}, nil
 		}},
 		{name: "bist.engine", workers: 1, setup: func() (func() (opResult, error), error) {
-			cfgs := dsc.Memories()
+			chip, err := scenario.GenerateByName("dsc", 0)
+			if err != nil {
+				return nil, err
+			}
 			return func() (opResult, error) {
 				var sp, tp []bist.MemoryUnderTest
-				for _, cfg := range cfgs {
+				for _, cfg := range chip.Memories {
 					m, err := memory.New(cfg)
 					if err != nil {
 						return opResult{}, err
@@ -164,7 +169,14 @@ func specs() []spec {
 			}, nil
 		}},
 		{name: "pattern.translate", workers: 1, setup: func() (func() (opResult, error), error) {
-			tv := dsc.TV()
+			chip, err := scenario.GenerateByName("dsc", 0)
+			if err != nil {
+				return nil, err
+			}
+			tv := chip.Cores[1] // TV, Table 1's second core
+			if tv.Name != "TV" {
+				return nil, fmt.Errorf("bench: DSC core 1 is %s, not TV", tv.Name)
+			}
 			tv.Patterns = tv.Patterns[:1] // scan set only
 			src, err := pattern.NewATPG(tv)
 			if err != nil {
@@ -253,18 +265,13 @@ func specs() []spec {
 			}, nil
 		}},
 		{name: "flow.insert", workers: 1, setup: func() (func() (opResult, error), error) {
-			soc, err := dsc.BuildSOC()
+			chip, err := scenario.GenerateByName("dsc", 0)
 			if err != nil {
 				return nil, err
 			}
-			stils, err := core.EmitSTIL(dsc.Cores())
+			in, err := chip.FlowInput(false)
 			if err != nil {
 				return nil, err
-			}
-			in := core.FlowInput{
-				STIL: stils, SOC: soc, Resources: dsc.Resources(),
-				Memories:    dsc.Memories(),
-				BISTOptions: brains.Options{Grouping: brains.GroupPerMemory},
 			}
 			in.Resources.Workers = 1
 			return func() (opResult, error) {

@@ -1,12 +1,19 @@
 package scenario
 
-// The builtin catalog.  `dsc` is the paper's Table-1 chip, fully pinned so
-// every distribution is a point mass and the generated chip is
-// seed-invariant and byte-identical to the dsc package's inventory (the
-// registry test asserts this with reflect.DeepEqual).  The others span the
-// design-space dimensions the related work adds: Sadredini-style
-// per-session power budgets for hybrid BIST, Bernardi-style P1500
-// logic-core BIST, SRAM-dominated chips, and many-core pin pressure.
+import (
+	"errors"
+	"fmt"
+
+	"steac/internal/pattern"
+)
+
+// The builtin catalog.  `dsc` is the paper's Table-1 chip and the only
+// source of it: fully pinned, so every distribution is a point mass and the
+// generated chip is seed-invariant (the registry tests pin its Table-1
+// values and its netlist's bytes).  The others span the design-space
+// dimensions the related work adds: Sadredini-style per-session power
+// budgets for hybrid BIST, Bernardi-style P1500 logic-core BIST,
+// SRAM-dominated chips, and many-core pin pressure.
 func init() {
 	Register(dscSpec())
 	Register(hybridPowerSpec())
@@ -15,8 +22,13 @@ func init() {
 	Register(manycoreSpec())
 }
 
-// dscSpec pins the paper's DSC controller: Table 1's three cores, the 22
-// reconstructed SRAM macros, and the 26-pin/34-power budget.
+// dscSpec pins the paper's DSC controller (Fig. 3): Table 1's three cores,
+// the 22 SRAM macros — "tens of single-port and two-port synchronous
+// SRAMs", reconstructed as frame and line buffers, JPEG working RAM and
+// FIFOs totalling ≈437K words, so March C- over the set lands in the
+// paper's ≈4.37M-cycle regime — the unwrapped blocks that put the chip
+// logic near 170K gates (the base of the paper's ≈0.3% DFT overhead), and
+// the 26-pin/34-power budget of the pad-limited chip.
 func dscSpec() *Spec {
 	return &Spec{
 		Name:        "dsc",
@@ -79,6 +91,34 @@ func dscSpec() *Spec {
 		},
 		BIST: &BISTSpec{Grouping: "per-memory"},
 	}
+}
+
+// ErrNoInterconnects reports a chip without a modelled core-to-core glue
+// netlist, so no EXTEST interconnect session can be built for it.
+var ErrNoInterconnects = errors.New("scenario: no glue interconnects")
+
+// Interconnects returns the core-to-core glue wiring the EXTEST
+// interconnect session covers.  Only the paper's chip models one: the JPEG
+// codec's pixel-bus outputs feed the TV encoder's inputs, the TV encoder's
+// sync outputs feed the USB (status readback), and USB control outputs
+// feed the JPEG codec.  Every other chip, dsc-derived ones included, is an
+// ErrNoInterconnects error.
+func (c *Chip) Interconnects() ([]pattern.Interconnect, error) {
+	if c.Scenario != "dsc" {
+		return nil, fmt.Errorf("%w: chip %q (EXTEST is only available for chip \"dsc\")",
+			ErrNoInterconnects, c.Scenario)
+	}
+	var wires []pattern.Interconnect
+	for i := 0; i < 16; i++ { // JPEG pixel bus -> TV encoder
+		wires = append(wires, pattern.Interconnect{FromCore: "JPEG", FromPO: i, ToCore: "TV", ToPI: i})
+	}
+	for i := 0; i < 4; i++ { // TV sync -> USB status
+		wires = append(wires, pattern.Interconnect{FromCore: "TV", FromPO: 32 + i, ToCore: "USB", ToPI: 200 + i})
+	}
+	for i := 0; i < 4; i++ { // USB control -> JPEG
+		wires = append(wires, pattern.Interconnect{FromCore: "USB", FromPO: 96 + i, ToCore: "JPEG", ToPI: 160 + i})
+	}
+	return wires, nil
 }
 
 // hybridPowerSpec is the Sadredini-style power-constrained hybrid-BIST SOC:

@@ -1,37 +1,61 @@
-package dsc
+// The paper's chip pinned: the dsc builtin is the only source of the
+// Table-1 DSC controller, so these tests hold its Table-1 values, its
+// memory inventory, its SOC netlist and its glue wiring.
+package scenario_test
 
 import (
+	"errors"
 	"testing"
 
 	"steac/internal/memory"
+	"steac/internal/obs/bench"
+	"steac/internal/scenario"
 	"steac/internal/stil"
+	"steac/internal/testinfo"
 )
 
-func TestTable1Fidelity(t *testing.T) {
-	usb, tv, jpeg := USB(), TV(), JPEG()
-	for _, tc := range []struct {
-		name           string
-		ti, to, pi, po int
-	}{
-		{"USB", 18, 4, 221, 104},
-		{"TV", 6, 1, 25, 40},
-		{"JPEG", 1, 0, 165, 104},
-	} {
-		var c = map[string]interface{}{"USB": usb, "TV": tv, "JPEG": jpeg}[tc.name]
-		core := c.(interface {
-			TestInputs() int
-			TestOutputs() int
-		})
-		if got := core.TestInputs(); got != tc.ti {
-			t.Errorf("%s TI = %d, want %d", tc.name, got, tc.ti)
-		}
-		if got := core.TestOutputs(); got != tc.to {
-			t.Errorf("%s TO = %d, want %d", tc.name, got, tc.to)
+// dscChip generates the paper's chip.
+func dscChip(t *testing.T) *scenario.Chip {
+	t.Helper()
+	chip, err := scenario.GenerateByName("dsc", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return chip
+}
+
+// dscCore returns the dsc chip's core of that name.
+func dscCore(t *testing.T, chip *scenario.Chip, name string) *testinfo.Core {
+	t.Helper()
+	for _, c := range chip.Cores {
+		if c.Name == name {
+			return c
 		}
 	}
-	if usb.PIs != 221 || usb.POs != 104 || tv.PIs != 25 || tv.POs != 40 ||
-		jpeg.PIs != 165 || jpeg.POs != 104 {
-		t.Error("PI/PO counts diverge from Table 1")
+	t.Fatalf("dsc chip has no core %s", name)
+	return nil
+}
+
+func TestTable1Fidelity(t *testing.T) {
+	chip := dscChip(t)
+	usb, tv, jpeg := dscCore(t, chip, "USB"), dscCore(t, chip, "TV"), dscCore(t, chip, "JPEG")
+	for _, tc := range []struct {
+		core           *testinfo.Core
+		ti, to, pi, po int
+	}{
+		{usb, 18, 4, 221, 104},
+		{tv, 6, 1, 25, 40},
+		{jpeg, 1, 0, 165, 104},
+	} {
+		if got := tc.core.TestInputs(); got != tc.ti {
+			t.Errorf("%s TI = %d, want %d", tc.core.Name, got, tc.ti)
+		}
+		if got := tc.core.TestOutputs(); got != tc.to {
+			t.Errorf("%s TO = %d, want %d", tc.core.Name, got, tc.to)
+		}
+		if tc.core.PIs != tc.pi || tc.core.POs != tc.po {
+			t.Errorf("%s PI/PO = %d/%d, want %d/%d (Table 1)", tc.core.Name, tc.core.PIs, tc.core.POs, tc.pi, tc.po)
+		}
 	}
 	lens := usb.ChainLengths()
 	want := []int{1629, 293, 78, 45}
@@ -52,7 +76,7 @@ func TestTable1Fidelity(t *testing.T) {
 }
 
 func TestCoresSurviveSTILRoundTrip(t *testing.T) {
-	for _, c := range Cores() {
+	for _, c := range dscChip(t).Cores {
 		src, err := stil.Emit(c)
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name, err)
@@ -72,7 +96,7 @@ func TestCoresSurviveSTILRoundTrip(t *testing.T) {
 }
 
 func TestMemoryInventory(t *testing.T) {
-	mems := Memories()
+	mems := dscChip(t).Memories
 	if len(mems) < 20 {
 		t.Fatalf("only %d memories; the paper says tens", len(mems))
 	}
@@ -104,7 +128,7 @@ func TestMemoryInventory(t *testing.T) {
 }
 
 func TestBuildSOC(t *testing.T) {
-	d, err := BuildSOC()
+	d, err := dscChip(t).BuildSOC()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,41 +158,70 @@ func TestBuildSOC(t *testing.T) {
 }
 
 func TestResources(t *testing.T) {
-	r := Resources()
+	r := dscChip(t).Resources
 	if r.TestPins <= 0 || r.FuncPins <= 0 || r.MaxPower <= 0 {
 		t.Fatalf("resources = %+v", r)
 	}
 }
 
+// TestInterconnectsWellFormed: the dsc chip's 24 glue wires join real
+// ports of its cores, no sink is driven twice, and every other chip —
+// each other builtin and the dsc-derived sized chip — is refused with
+// ErrNoInterconnects.
 func TestInterconnectsWellFormed(t *testing.T) {
-	wires := Interconnects()
+	chip := dscChip(t)
+	wires, err := chip.Interconnects()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(wires) != 24 {
 		t.Fatalf("interconnects = %d, want 24", len(wires))
 	}
-	byName := map[string]int{"USB": 0, "TV": 0, "JPEG": 0}
-	po := map[string]int{"USB": 104, "TV": 40, "JPEG": 104}
-	pi := map[string]int{"USB": 221, "TV": 25, "JPEG": 165}
-	for _, w := range wires {
-		if _, ok := byName[w.FromCore]; !ok {
-			t.Fatalf("unknown source %s", w.FromCore)
-		}
-		if _, ok := byName[w.ToCore]; !ok {
-			t.Fatalf("unknown sink %s", w.ToCore)
-		}
-		if w.FromPO < 0 || w.FromPO >= po[w.FromCore] {
-			t.Fatalf("PO %d out of range for %s", w.FromPO, w.FromCore)
-		}
-		if w.ToPI < 0 || w.ToPI >= pi[w.ToCore] {
-			t.Fatalf("PI %d out of range for %s", w.ToPI, w.ToCore)
-		}
+	cores := map[string]*testinfo.Core{}
+	for _, c := range chip.Cores {
+		cores[c.Name] = c
 	}
-	// No two wires share a sink input.
 	sinks := make(map[[2]interface{}]bool)
 	for _, w := range wires {
+		from, to := cores[w.FromCore], cores[w.ToCore]
+		if from == nil {
+			t.Fatalf("unknown source %s", w.FromCore)
+		}
+		if to == nil {
+			t.Fatalf("unknown sink %s", w.ToCore)
+		}
+		if w.FromPO < 0 || w.FromPO >= from.POs {
+			t.Fatalf("PO %d out of range for %s", w.FromPO, w.FromCore)
+		}
+		if w.ToPI < 0 || w.ToPI >= to.PIs {
+			t.Fatalf("PI %d out of range for %s", w.ToPI, w.ToCore)
+		}
 		k := [2]interface{}{w.ToCore, w.ToPI}
 		if sinks[k] {
 			t.Fatalf("sink %s.pi[%d] driven twice", w.ToCore, w.ToPI)
 		}
 		sinks[k] = true
+	}
+
+	sized, err := bench.SizedSpec(9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizedChip, err := scenario.Generate(sized, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	others := []*scenario.Chip{sizedChip}
+	for _, name := range []string{"hybrid-power", "manycore", "memory-heavy", "p1500-lbist"} {
+		c, err := scenario.GenerateByName(name, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		others = append(others, c)
+	}
+	for _, c := range others {
+		if wires, err := c.Interconnects(); !errors.Is(err, scenario.ErrNoInterconnects) || wires != nil {
+			t.Errorf("%s: Interconnects = %d wires, %v; want ErrNoInterconnects", c.Scenario, len(wires), err)
+		}
 	}
 }

@@ -1,13 +1,16 @@
 package scenario
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
 
-	"steac/internal/dsc"
+	"steac/internal/sched"
+	"steac/internal/wrapper"
 )
 
 // builtins are the registered builtin scenarios.  Tests iterate them, not
@@ -15,27 +18,46 @@ import (
 // process-global registry, and under -shuffle those may already be there.
 var builtins = []string{"dsc", "hybrid-power", "manycore", "memory-heavy", "p1500-lbist"}
 
+// dscBlocks and dscResources are the paper chip's unwrapped-block areas
+// and test budget: 26 dedicated test pins, 300 functional pads, a power
+// budget that keeps a large SRAM from switching alongside a scanning core.
+var (
+	dscBlocks    = map[string]float64{"processor": 60000, "extmem": 18000, "glue": 13000}
+	dscResources = sched.Resources{TestPins: 26, FuncPins: 300, MaxPower: 34, Partitioner: wrapper.LPT}
+)
+
 // TestDSCReproducesTable1 is the anchor of the whole registry: the fully
-// pinned dsc builtin must regenerate the hand-written dsc package's chip
-// exactly — cores, memories, blocks and resource budget — for any seed,
-// because a point-mass spec draws nothing from the sample stream.
+// pinned dsc builtin must regenerate the same chip — cores, memories,
+// blocks and resource budget — for any seed, because a point-mass spec
+// draws nothing from the sample stream.  dsc_test.go pins that chip's
+// Table-1 values.
 func TestDSCReproducesTable1(t *testing.T) {
-	for _, seed := range []int64{0, 1, 42, -7, 1 << 40} {
+	want, err := GenerateByName("dsc", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want.Resources, dscResources) {
+		t.Fatalf("resources = %+v, want %+v", want.Resources, dscResources)
+	}
+	if !reflect.DeepEqual(want.Blocks, dscBlocks) {
+		t.Fatalf("blocks = %v, want %v", want.Blocks, dscBlocks)
+	}
+	for _, seed := range []int64{1, 42, -7, 1 << 40} {
 		chip, err := GenerateByName("dsc", seed)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if !reflect.DeepEqual(chip.Cores, dsc.Cores()) {
-			t.Fatalf("seed %d: cores diverge from dsc.Cores()", seed)
+		if !reflect.DeepEqual(chip.Cores, want.Cores) {
+			t.Fatalf("seed %d: cores diverge from seed 0's", seed)
 		}
-		if !reflect.DeepEqual(chip.Memories, dsc.Memories()) {
-			t.Fatalf("seed %d: memories diverge from dsc.Memories()", seed)
+		if !reflect.DeepEqual(chip.Memories, want.Memories) {
+			t.Fatalf("seed %d: memories diverge from seed 0's", seed)
 		}
-		if !reflect.DeepEqual(chip.Resources, dsc.Resources()) {
-			t.Fatalf("seed %d: resources diverge from dsc.Resources(): %+v", seed, chip.Resources)
+		if !reflect.DeepEqual(chip.Resources, want.Resources) {
+			t.Fatalf("seed %d: resources diverge from seed 0's: %+v", seed, chip.Resources)
 		}
-		if !reflect.DeepEqual(chip.Blocks, dsc.ChipAreas()) {
-			t.Fatalf("seed %d: blocks diverge from dsc.ChipAreas()", seed)
+		if !reflect.DeepEqual(chip.Blocks, want.Blocks) {
+			t.Fatalf("seed %d: blocks diverge from seed 0's", seed)
 		}
 		if len(chip.ExtraBIST) != 0 {
 			t.Fatalf("seed %d: dsc chip has unexpected logic BIST", seed)
@@ -44,31 +66,25 @@ func TestDSCReproducesTable1(t *testing.T) {
 }
 
 // TestDSCNetlistMatchesHandWritten: the generated dsc chip's SOC netlist
-// must be byte-identical to dsc.BuildSOC()'s, so `-scenario dsc` runs the
-// exact flow the golden files and the steacd smoke test pin down.
+// must keep the bytes of the hand-written Fig. 3 netlist it replaced
+// (whose SHA-256 is recorded here), so `-scenario dsc` runs the exact flow
+// the golden files and the steacd smoke test pin down.
 func TestDSCNetlistMatchesHandWritten(t *testing.T) {
+	const want = "f5715530724bb3bfae19a9239b38862206e1c9c8f7b5b1a3ad661039a8776db0"
 	chip, err := GenerateByName("dsc", 99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := chip.BuildSOC()
+	d, err := chip.BuildSOC()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := dsc.BuildSOC()
+	v, err := d.EmitVerilogString()
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotV, err := got.EmitVerilogString()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantV, err := want.EmitVerilogString()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotV != wantV {
-		t.Fatalf("generated dsc netlist differs from dsc.BuildSOC()")
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(v))); got != want {
+		t.Fatalf("dsc netlist SHA-256 = %s, want %s", got, want)
 	}
 }
 
@@ -248,9 +264,12 @@ func TestMergeSemantics(t *testing.T) {
 
 // TestTypedErrors pins every failure class onto its sentinel.
 func TestTypedErrors(t *testing.T) {
-	// Base-chain cycle (registered once; the registry is process-global).
-	Register(&Spec{Name: "t-cyc-a", Base: "t-cyc-b", Cores: []CoreSpec{{Name: "x"}}})
-	Register(&Spec{Name: "t-cyc-b", Base: "t-cyc-a", Cores: []CoreSpec{{Name: "x"}}})
+	// Base-chain cycle.  The registry is process-global, so a repeated run
+	// (-count=2) finds the pair already registered.
+	if _, ok := Lookup("t-cyc-a"); !ok {
+		Register(&Spec{Name: "t-cyc-a", Base: "t-cyc-b", Cores: []CoreSpec{{Name: "x"}}})
+		Register(&Spec{Name: "t-cyc-b", Base: "t-cyc-a", Cores: []CoreSpec{{Name: "x"}}})
+	}
 
 	cases := []struct {
 		name string
@@ -403,7 +422,7 @@ func TestResolvedSpecsAreOwned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(again.Blocks, dsc.ChipAreas()) {
+	if !reflect.DeepEqual(again.Blocks, dscBlocks) {
 		t.Fatalf("mutating one chip's blocks reached the next chip: %v", again.Blocks)
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"steac/internal/brains"
 	"steac/internal/catalog"
 	"steac/internal/core"
-	"steac/internal/dsc"
 	"steac/internal/march"
 	"steac/internal/memory"
 	"steac/internal/scenario"
@@ -148,11 +147,9 @@ func (r FlowRequest) run(ctx context.Context) (interface{}, error) {
 			return nil, err
 		}
 		if r.Extest {
-			// The interconnect netlist is the DSC chip's, as in dscflow.
-			if chip.Scenario != "dsc" {
-				return nil, badRequestf("extest is only available for chip \"dsc\"")
+			if in.Interconnects, err = chip.Interconnects(); err != nil {
+				return nil, errBadRequest{err}
 			}
-			in.Interconnects = dsc.Interconnects()
 		}
 	}
 	if r.TestPins > 0 {

@@ -8,8 +8,8 @@ import (
 	"testing"
 
 	"steac/internal/core"
-	"steac/internal/dsc"
 	"steac/internal/envelope"
+	"steac/internal/scenario"
 )
 
 // TestFlowScenarioEndpoint drives a generated scenario chip through the
@@ -59,9 +59,15 @@ func TestFlowScenarioBadRequests(t *testing.T) {
 		t.Errorf("unknown-scenario error does not list builtins: %s", blob)
 	}
 
+	// Only the dsc chip models glue interconnects: EXTEST on any other
+	// chip is the client's fault.
 	resp, blob = post(t, ts.URL+"/v1/flow", `{"chip":"manycore","extest":true}`)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("extest on scenario chip: %d %s, want 400", resp.StatusCode, blob)
+	var we envelope.Error
+	if err := json.Unmarshal(blob, &we); err != nil {
+		t.Fatalf("extest on scenario chip: %d %s", resp.StatusCode, blob)
+	}
+	if resp.StatusCode != http.StatusBadRequest || we.Code != "bad_request" {
+		t.Errorf("extest on scenario chip: %d %+v, want a 400 bad_request", resp.StatusCode, we)
 	}
 }
 
@@ -71,11 +77,15 @@ func TestFlowScenarioBadRequests(t *testing.T) {
 func TestFlowSoftCore(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
 	t.Cleanup(func() { _ = s.Drain(context.Background()) })
-	stils, err := core.EmitSTIL(dsc.Cores())
+	chip, err := scenario.GenerateByName("dsc", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	soft := dsc.Cores()[0].Name
+	stils, err := core.EmitSTIL(chip.Cores)
+	if err != nil {
+		t.Fatal(err)
+	}
+	soft := chip.Cores[0].Name
 	stils[0] = strings.Replace(stils[0], "soft=false", "soft=true", 1)
 
 	body := func(verify bool) string {

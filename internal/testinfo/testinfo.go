@@ -48,7 +48,7 @@ type PatternSet struct {
 	Type  TestType
 	Count int
 	// Seed parameterizes the synthetic ATPG substitute that generates the
-	// actual vectors (see package dsc); two equal seeds give identical
+	// actual vectors (see package pattern); two equal seeds give identical
 	// pattern data.
 	Seed int64
 }

@@ -111,7 +111,7 @@ func CoreModuleName(core string) string { return "core_" + core }
 // CoreAreaGates estimates the logic area of a core from its test
 // information (a synthesis-free stand-in: scanned state costs a scan flop,
 // IO costs drivers, plus combinational logic proportional to state).  The
-// DSC glue/processor sizes in package dsc are calibrated so the whole chip
+// DSC glue/processor sizes of the dsc scenario are calibrated so the whole chip
 // lands near the paper's 0.3% controller+TAM overhead.
 func CoreAreaGates(core *testinfo.Core) float64 {
 	scan := float64(core.TotalScanBits())
