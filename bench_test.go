@@ -648,11 +648,12 @@ func BenchmarkPortBVerification(b *testing.B) {
 
 // Verilog netlist I/O throughput on the DFT-inserted DSC design.
 func BenchmarkVerilogRoundTrip(b *testing.B) {
-	soc, err := dscChip(b).BuildSOC()
+	b.ReportAllocs()
+	r, err := core.RunFlowContext(context.Background(), dscFlowInput(b, false))
 	if err != nil {
 		b.Fatal(err)
 	}
-	v, err := soc.EmitVerilogString()
+	v, err := r.Insertion.Design.EmitVerilogString()
 	if err != nil {
 		b.Fatal(err)
 	}

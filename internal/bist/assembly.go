@@ -2,6 +2,7 @@ package bist
 
 import (
 	"fmt"
+	"strconv"
 
 	"steac/internal/march"
 	"steac/internal/memory"
@@ -66,6 +67,14 @@ func GenerateRAMModule(d *netlist.Design, cfg memory.Config) (*netlist.Module, e
 // shared controller, one sequencer per group, one TPG per memory, and the
 // behavioural RAM macros, all stitched in a module named topName.  It
 // returns the top module and the area report.
+//
+// Each distinct block body is generated, and its area computed, once: the
+// first group of an algorithm (name and elements, all GenerateSequencer
+// reads) and the first memory of a shape (a memory.Config but its name,
+// all GenerateTPG reads) get fresh sequencer and TPG modules, and every
+// later one gets an alias (netlist.Module.Alias) of that body under its
+// own module name.  The emitted Verilog is the same as generating every
+// block afresh.
 func GenerateBIST(d *netlist.Design, topName string, groups []GroupSpec) (*netlist.Module, AreaReport, error) {
 	var report AreaReport
 	if len(groups) == 0 {
@@ -99,53 +108,55 @@ func GenerateBIST(d *netlist.Design, topName string, groups []GroupSpec) (*netli
 		PinMSO: PinMSO, PinMBO: PinMBO, PinMRD: PinMRD,
 	}
 	for gi := range groups {
-		ctlConns[netlist.BitName("GDONE", gi, len(groups))] = fmt.Sprintf("gdone%d", gi)
-		ctlConns[netlist.BitName("GFAIL", gi, len(groups))] = fmt.Sprintf("gfail%d", gi)
-		ctlConns[netlist.BitName("GO", gi, len(groups))] = fmt.Sprintf("go%d", gi)
+		gs := strconv.Itoa(gi)
+		ctlConns[netlist.BitName("GDONE", gi, len(groups))] = "gdone" + gs
+		ctlConns[netlist.BitName("GFAIL", gi, len(groups))] = "gfail" + gs
+		ctlConns[netlist.BitName("GO", gi, len(groups))] = "go" + gs
 	}
 	top.MustInstance("u_ctl", ctlName, ctlConns)
 
+	seqs := make(map[string]block)
+	tpgs := make(map[memory.Config]block)
 	for gi, g := range groups {
 		if len(g.Mems) == 0 {
 			return nil, report, fmt.Errorf("bist: group %s has no memories", g.Name)
 		}
-		seqName := fmt.Sprintf("%s_seq_%s", topName, g.Name)
-		if _, err := GenerateSequencer(d, seqName, g.Alg); err != nil {
-			return nil, report, err
-		}
-		sa, err := d.Area(seqName)
+		seqName := topName + "_seq_" + g.Name
+		sa, err := generateOnce(d, seqs, g.Alg.Name+g.Alg.String(), seqName,
+			func() (*netlist.Module, error) { return GenerateSequencer(d, seqName, g.Alg) })
 		if err != nil {
 			return nil, report, err
 		}
 		report.Sequencers += sa
 
-		pfx := fmt.Sprintf("g%d_", gi)
+		gs := strconv.Itoa(gi)
+		pfx := "g" + gs + "_"
 		top.MustInstance("u_seq"+g.Name, seqName, map[string]string{
-			"CK": PinMBC, "RST": PinMBR, "EN": fmt.Sprintf("go%d", gi),
+			"CK": PinMBC, "RST": PinMBR, "EN": "go" + gs,
 			"ELEMDONE": pfx + "elemdone",
 			"CMDR":     pfx + "cmdr", "CMDD": pfx + "cmdd", "DIR": pfx + "dir",
-			"ADV": pfx + "adv", "DONE": fmt.Sprintf("gdone%d", gi), "RUN": pfx + "run",
+			"ADV": pfx + "adv", "DONE": "gdone" + gs, "RUN": pfx + "run",
 		})
 		// TPG enable = GO AND RUN (no spurious access after the last element).
 		top.MustInstance(pfx+"engate", netlist.CellAnd2,
-			map[string]string{"A": fmt.Sprintf("go%d", gi), "B": pfx + "run", "Z": pfx + "en"})
+			map[string]string{"A": "go" + gs, "B": pfx + "run", "Z": pfx + "en"})
 
 		var elemDones, fails []string
 		for mi, cfg := range g.Mems {
 			if _, err := GenerateRAMModule(d, cfg); err != nil {
 				return nil, report, err
 			}
-			tpgName := fmt.Sprintf("%s_tpg_%s", topName, cfg.Name)
-			if _, err := GenerateTPG(d, tpgName, cfg); err != nil {
-				return nil, report, err
-			}
-			ta, err := d.Area(tpgName)
+			tpgName := topName + "_tpg_" + cfg.Name
+			shape := cfg
+			shape.Name = ""
+			ta, err := generateOnce(d, tpgs, shape, tpgName,
+				func() (*netlist.Module, error) { return GenerateTPG(d, tpgName, cfg) })
 			if err != nil {
 				return nil, report, err
 			}
 			report.TPGs += ta
 
-			mp := fmt.Sprintf("%sm%d_", pfx, mi)
+			mp := pfx + "m" + strconv.Itoa(mi) + "_"
 			tpgConns := map[string]string{
 				"CK": PinMBC, "RST": PinMBR, "EN": pfx + "en", "ADV": pfx + "adv",
 				"CMDR": pfx + "cmdr", "CMDD": pfx + "cmdd", "DIR": pfx + "dir",
@@ -154,7 +165,7 @@ func GenerateBIST(d *netlist.Design, topName string, groups []GroupSpec) (*netli
 			}
 			ramConns := map[string]string{"CK": PinMBC, "WE": mp + "we"}
 			for b := 0; b < cfg.AddrBits(); b++ {
-				n := fmt.Sprintf("%saddr%d", mp, b)
+				n := mp + "addr" + strconv.Itoa(b)
 				tpgConns[netlist.BitName("ADDR", b, cfg.AddrBits())] = n
 				ramConns[netlist.BitName("ADDR", b, cfg.AddrBits())] = n
 				if cfg.Kind == memory.TwoPort {
@@ -162,14 +173,14 @@ func GenerateBIST(d *netlist.Design, topName string, groups []GroupSpec) (*netli
 				}
 			}
 			for b := 0; b < cfg.Bits; b++ {
-				dn := fmt.Sprintf("%sd%d", mp, b)
-				qn := fmt.Sprintf("%sq%d", mp, b)
+				bs := strconv.Itoa(b)
+				dn, qn := mp+"d"+bs, mp+"q"+bs
 				tpgConns[netlist.BitName("D", b, cfg.Bits)] = dn
 				tpgConns[netlist.BitName("Q", b, cfg.Bits)] = qn
 				ramConns[netlist.BitName("D", b, cfg.Bits)] = dn
 				ramConns[netlist.BitName("Q", b, cfg.Bits)] = qn
 				if cfg.Kind == memory.TwoPort {
-					qb := fmt.Sprintf("%sqb%d", mp, b)
+					qb := mp + "qb" + bs
 					tpgConns[netlist.BitName("QB", b, cfg.Bits)] = qb
 					ramConns[netlist.BitName("QB", b, cfg.Bits)] = qb
 				}
@@ -185,7 +196,7 @@ func GenerateBIST(d *netlist.Design, topName string, groups []GroupSpec) (*netli
 		if _, err := netlist.AddAndTree(top, pfx+"eda", elemDones, pfx+"elemdone"); err != nil {
 			return nil, report, err
 		}
-		if _, err := netlist.AddOrTree(top, pfx+"flo", fails, fmt.Sprintf("gfail%d", gi)); err != nil {
+		if _, err := netlist.AddOrTree(top, pfx+"flo", fails, "gfail"+gs); err != nil {
 			return nil, report, err
 		}
 	}
@@ -193,4 +204,34 @@ func GenerateBIST(d *netlist.Design, topName string, groups []GroupSpec) (*netli
 		return nil, report, err
 	}
 	return top, report, nil
+}
+
+// block is a generated module body and its area, shared by every module
+// of the same key.
+type block struct {
+	m    *netlist.Module
+	area float64
+}
+
+// generateOnce adds module name to d with the body of key's block:
+// generated by gen (which adds it to d) and measured the first time key is
+// seen, an alias of that body every later time.  It returns the block's
+// area.
+func generateOnce[K comparable](d *netlist.Design, blocks map[K]block, key K, name string, gen func() (*netlist.Module, error)) (float64, error) {
+	if b, ok := blocks[key]; ok {
+		if err := d.AddModule(b.m.Alias(name)); err != nil {
+			return 0, err
+		}
+		return b.area, nil
+	}
+	m, err := gen()
+	if err != nil {
+		return 0, err
+	}
+	a, err := d.Area(name)
+	if err != nil {
+		return 0, err
+	}
+	blocks[key] = block{m, a}
+	return a, nil
 }

@@ -2,6 +2,7 @@ package bist
 
 import (
 	"fmt"
+	"strconv"
 
 	"steac/internal/march"
 	"steac/internal/memory"
@@ -37,8 +38,9 @@ func addUpCounter(m *netlist.Module, name, ck, rst, en string, q []string) error
 	n := len(q)
 	carry := en
 	for i := 0; i < n; i++ {
-		sum := fmt.Sprintf("%s_sum%d", name, i)
-		if _, err := m.AddInstance(fmt.Sprintf("%s_x%d", name, i), netlist.CellXor2,
+		is := strconv.Itoa(i)
+		sum := name + "_sum" + is
+		if _, err := m.AddInstance(name+"_x"+is, netlist.CellXor2,
 			map[string]string{"A": q[i], "B": carry, "Z": sum}); err != nil {
 			return err
 		}
@@ -51,18 +53,18 @@ func addUpCounter(m *netlist.Module, name, ck, rst, en string, q []string) error
 				return err
 			}
 		}
-		d := fmt.Sprintf("%s_d%d", name, i)
-		if _, err := m.AddInstance(fmt.Sprintf("%s_a%d", name, i), netlist.CellAnd2,
+		d := name + "_d" + is
+		if _, err := m.AddInstance(name+"_a"+is, netlist.CellAnd2,
 			map[string]string{"A": sum, "B": nrst, "Z": d}); err != nil {
 			return err
 		}
-		if _, err := m.AddInstance(fmt.Sprintf("%s_ff%d", name, i), netlist.CellDFF,
+		if _, err := m.AddInstance(name+"_ff"+is, netlist.CellDFF,
 			map[string]string{"D": d, "CK": ck, "Q": q[i]}); err != nil {
 			return err
 		}
 		if i < n-1 {
-			nextCarry := fmt.Sprintf("%s_c%d", name, i+1)
-			if _, err := m.AddInstance(fmt.Sprintf("%s_cg%d", name, i), netlist.CellAnd2,
+			nextCarry := name + "_c" + strconv.Itoa(i+1)
+			if _, err := m.AddInstance(name+"_cg"+is, netlist.CellAnd2,
 				map[string]string{"A": carry, "B": q[i], "Z": nextCarry}); err != nil {
 				return err
 			}
@@ -80,8 +82,9 @@ func addEqualsConst(m *netlist.Module, name string, q []string, value int, out s
 			terms[i] = q[i]
 			continue
 		}
-		inv := fmt.Sprintf("%s_qi%d", name, i)
-		if _, err := m.AddInstance(fmt.Sprintf("%s_inv%d", name, i), netlist.CellInv,
+		is := strconv.Itoa(i)
+		inv := name + "_qi" + is
+		if _, err := m.AddInstance(name+"_inv"+is, netlist.CellInv,
 			map[string]string{"A": q[i], "Z": inv}); err != nil {
 			return err
 		}
@@ -132,7 +135,7 @@ func GenerateTPG(d *netlist.Design, name string, cfg memory.Config) (*netlist.Mo
 	}
 	// Descending reflection: ADDR = cnt XOR DIR.
 	for i := 0; i < ab; i++ {
-		if _, err := m.AddInstance(fmt.Sprintf("ar%d", i), netlist.CellXor2,
+		if _, err := m.AddInstance("ar"+strconv.Itoa(i), netlist.CellXor2,
 			map[string]string{"A": cnt[i], "B": "DIR", "Z": netlist.BitName("ADDR", i, ab)}); err != nil {
 			return nil, err
 		}
@@ -145,15 +148,15 @@ func GenerateTPG(d *netlist.Design, name string, cfg memory.Config) (*netlist.Mo
 	// BGSEL=1 the checkerboard (odd bits inverted).  The comparator below
 	// compares against the same expanded data, so both passes self-check.
 	for i := 0; i < cfg.Bits; i++ {
-		out := netlist.BitName("D", i, cfg.Bits)
+		out, dx := netlist.BitName("D", i, cfg.Bits), "dx"+strconv.Itoa(i)
 		if i%2 == 1 {
-			if _, err := m.AddInstance(fmt.Sprintf("dx%d", i), netlist.CellXor2,
+			if _, err := m.AddInstance(dx, netlist.CellXor2,
 				map[string]string{"A": "CMDD", "B": "BGSEL", "Z": out}); err != nil {
 				return nil, err
 			}
 			continue
 		}
-		if _, err := m.AddInstance(fmt.Sprintf("dx%d", i), netlist.CellBuf,
+		if _, err := m.AddInstance(dx, netlist.CellBuf,
 			map[string]string{"A": "CMDD", "Z": out}); err != nil {
 			return nil, err
 		}
@@ -165,20 +168,21 @@ func GenerateTPG(d *netlist.Design, name string, cfg memory.Config) (*netlist.Mo
 	// compare the PBSEL-selected port).
 	xors := make([]string, cfg.Bits)
 	for i := 0; i < cfg.Bits; i++ {
+		is := strconv.Itoa(i)
 		src := netlist.BitName("Q", i, cfg.Bits)
 		if cfg.Kind == memory.TwoPort {
-			sel := fmt.Sprintf("qsel%d", i)
+			sel := "qsel" + is
 			m.AddNet(sel)
-			if _, err := m.AddInstance(fmt.Sprintf("qm%d", i), netlist.CellMux2,
+			if _, err := m.AddInstance("qm"+is, netlist.CellMux2,
 				map[string]string{"A": src, "B": netlist.BitName("QB", i, cfg.Bits),
 					"S": "PBSEL", "Z": sel}); err != nil {
 				return nil, err
 			}
 			src = sel
 		}
-		xors[i] = fmt.Sprintf("cmp%d", i)
+		xors[i] = "cmp" + is
 		m.AddNet(xors[i])
-		if _, err := m.AddInstance(fmt.Sprintf("cx%d", i), netlist.CellXor2,
+		if _, err := m.AddInstance("cx"+is, netlist.CellXor2,
 			map[string]string{"A": src, "B": netlist.BitName("D", i, cfg.Bits), "Z": xors[i]}); err != nil {
 			return nil, err
 		}
@@ -232,7 +236,7 @@ func GenerateSequencer(d *netlist.Design, name string, alg march.Algorithm) (*ne
 	// One-hot decodes of the element and op counters.
 	eHot := make([]string, nElem+1)
 	for i := range eHot {
-		eHot[i] = fmt.Sprintf("eh%d", i)
+		eHot[i] = "eh" + strconv.Itoa(i)
 		m.AddNet(eHot[i])
 	}
 	if _, err := netlist.AddDecoder(m, "edec", ecnt, "", eHot); err != nil {
@@ -240,7 +244,7 @@ func GenerateSequencer(d *netlist.Design, name string, alg march.Algorithm) (*ne
 	}
 	oHot := make([]string, maxOps)
 	for i := range oHot {
-		oHot[i] = fmt.Sprintf("oh%d", i)
+		oHot[i] = "oh" + strconv.Itoa(i)
 		m.AddNet(oHot[i])
 	}
 	if _, err := netlist.AddDecoder(m, "odec", ocnt, "", oHot); err != nil {
@@ -251,7 +255,7 @@ func GenerateSequencer(d *netlist.Design, name string, alg march.Algorithm) (*ne
 	var readT, dataT, lastT, dirT []string
 	mt := 0
 	minterm := func(e, o int) (string, error) {
-		n := fmt.Sprintf("mt%d", mt)
+		n := "mt" + strconv.Itoa(mt)
 		mt++
 		m.AddNet(n)
 		_, err := m.AddInstance("mi"+n, netlist.CellAnd2,
@@ -363,22 +367,23 @@ func GenerateController(d *netlist.Design, name string, nGroups int) (*netlist.M
 	// Active-group one-hot; GO[i] = hot[i] AND run.
 	hot := make([]string, nGroups+1)
 	for i := range hot {
-		hot[i] = fmt.Sprintf("hot%d", i)
+		hot[i] = "hot" + strconv.Itoa(i)
 		m.AddNet(hot[i])
 	}
 	if _, err := netlist.AddDecoder(m, "gdec", gcnt, "", hot); err != nil {
 		return nil, err
 	}
 	for i := 0; i < nGroups; i++ {
-		m.MustInstance(fmt.Sprintf("go%d", i), netlist.CellAnd2,
+		m.MustInstance("go"+strconv.Itoa(i), netlist.CellAnd2,
 			map[string]string{"A": hot[i], "B": "run", "Z": netlist.BitName("GO", i, nGroups)})
 	}
 	// Advance when the active group reports done.
 	adv := make([]string, nGroups)
 	for i := 0; i < nGroups; i++ {
-		adv[i] = fmt.Sprintf("adv%d", i)
+		is := strconv.Itoa(i)
+		adv[i] = "adv" + is
 		m.AddNet(adv[i])
-		m.MustInstance(fmt.Sprintf("ad%d", i), netlist.CellAnd2,
+		m.MustInstance("ad"+is, netlist.CellAnd2,
 			map[string]string{"A": netlist.BitName("GO", i, nGroups), "B": netlist.BitName("GDONE", i, nGroups), "Z": adv[i]})
 	}
 	if _, err := netlist.AddOrTree(m, "advor", adv, "gadv"); err != nil {
@@ -395,19 +400,19 @@ func GenerateController(d *netlist.Design, name string, nGroups int) (*netlist.M
 	// and MSO (serial diagnosis, selected by the group counter).
 	fails := make([]string, nGroups)
 	for i := 0; i < nGroups; i++ {
-		fl := fmt.Sprintf("fl%d", i)
+		is := strconv.Itoa(i)
+		fl, cap, fn, fd := "fl"+is, "fc"+is, "fn"+is, "fd"+is
 		fails[i] = fl
 		m.AddNet(fl)
-		cap := fmt.Sprintf("fc%d", i)
 		m.AddNet(cap)
-		m.MustInstance(fmt.Sprintf("fa%d", i), netlist.CellAnd2,
+		m.MustInstance("fa"+is, netlist.CellAnd2,
 			map[string]string{"A": netlist.BitName("GFAIL", i, nGroups), "B": netlist.BitName("GO", i, nGroups), "Z": cap})
-		m.MustInstance(fmt.Sprintf("fo%d", i), netlist.CellOr2,
-			map[string]string{"A": cap, "B": fl, "Z": fmt.Sprintf("fn%d", i)})
-		m.MustInstance(fmt.Sprintf("fr%d", i), netlist.CellAnd2,
-			map[string]string{"A": fmt.Sprintf("fn%d", i), "B": "nrst", "Z": fmt.Sprintf("fd%d", i)})
-		m.MustInstance(fmt.Sprintf("ff%d", i), netlist.CellDFF,
-			map[string]string{"D": fmt.Sprintf("fd%d", i), "CK": PinMBC, "Q": fl})
+		m.MustInstance("fo"+is, netlist.CellOr2,
+			map[string]string{"A": cap, "B": fl, "Z": fn})
+		m.MustInstance("fr"+is, netlist.CellAnd2,
+			map[string]string{"A": fn, "B": "nrst", "Z": fd})
+		m.MustInstance("ff"+is, netlist.CellDFF,
+			map[string]string{"D": fd, "CK": PinMBC, "Q": fl})
 	}
 	if _, err := netlist.AddOrTree(m, "anyfail", fails, "failany"); err != nil {
 		return nil, err

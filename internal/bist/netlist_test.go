@@ -2,6 +2,7 @@ package bist
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"steac/internal/march"
@@ -221,21 +222,92 @@ func TestGenerateBISTAssembly(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"module membist", "membist_ctl", "membist_tpg_m2", "ram_m0"} {
-		if !contains(v, want) {
+		if !strings.Contains(v, want) {
 			t.Fatalf("emitted verilog missing %q", want)
 		}
 	}
 }
 
-func contains(s, sub string) bool {
-	return len(s) >= len(sub) && (func() bool {
-		for i := 0; i+len(sub) <= len(s); i++ {
-			if s[i:i+len(sub)] == sub {
-				return true
+// Memories of one shape share one generated TPG body, and groups of one
+// algorithm one sequencer body; each still gets its own module declaration
+// under its own name, byte for byte what GenerateTPG and GenerateSequencer
+// emit, and its own share of the area report.
+func TestGenerateBISTSharesBodies(t *testing.T) {
+	d := netlist.NewDesign("soc", nil)
+	shape := memory.Config{Words: 256, Bits: 8}
+	m0, m1 := shape, shape
+	m0.Name, m1.Name = "m0", "m1"
+	groups := []GroupSpec{
+		{Name: "a", Alg: march.MarchCMinus(), Mems: []memory.Config{m0}},
+		{Name: "b", Alg: march.MarchCMinus(), Mems: []memory.Config{m1}},
+	}
+	_, report, err := GenerateBIST(d, "membist", groups)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if issues := d.Lint(); len(issues) != 0 {
+		t.Fatalf("assembly lint: %v", issues)
+	}
+	for name, of := range map[string]string{
+		"membist_tpg_m0": "", "membist_tpg_m1": "membist_tpg_m0",
+		"membist_seq_a": "", "membist_seq_b": "membist_seq_a",
+	} {
+		if got := d.Module(name).AliasOf(); got != of {
+			t.Errorf("%s is an alias of %q, want %q", name, got, of)
+		}
+	}
+	v, err := d.EmitVerilogString()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The reference: every block generated afresh in a design of its own.
+	ref := netlist.NewDesign("ref", nil)
+	for _, name := range []string{"membist_tpg_m0", "membist_tpg_m1"} {
+		if _, err := GenerateTPG(ref, name, shape); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range []string{"membist_seq_a", "membist_seq_b"} {
+		if _, err := GenerateSequencer(ref, name, march.MarchCMinus()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rv, err := ref.EmitVerilogString()
+	if err != nil {
+		t.Fatal(err)
+	}
+	decl := func(v, name string) string {
+		for _, m := range strings.Split(v, "\n\n") {
+			if strings.HasPrefix(m, "module "+name+"(") {
+				return strings.TrimPrefix(m, "module "+name+"(")
 			}
 		}
-		return false
-	})()
+		t.Fatalf("no declaration of module %s", name)
+		return ""
+	}
+	for _, pair := range [][2]string{{"membist_tpg_m0", "membist_tpg_m1"}, {"membist_seq_a", "membist_seq_b"}} {
+		first, second := decl(v, pair[0]), decl(v, pair[1])
+		if first != second {
+			t.Errorf("%s and %s declare different bodies", pair[0], pair[1])
+		}
+		for _, name := range pair {
+			if decl(v, name) != decl(rv, name) {
+				t.Errorf("%s differs from a freshly generated module", name)
+			}
+		}
+	}
+	tpgArea, err := ref.Area("membist_tpg_m0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqArea, err := ref.Area("membist_seq_a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.TPGs != 2*tpgArea || report.Sequencers != 2*seqArea {
+		t.Fatalf("area report %+v, want TPGs %v and sequencers %v", report, 2*tpgArea, 2*seqArea)
+	}
 }
 
 func TestGenerateBISTErrors(t *testing.T) {

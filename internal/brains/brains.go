@@ -230,7 +230,15 @@ func CompileContext(ctx context.Context, mems []memory.Config, opts Options) (*R
 	if err != nil {
 		return nil, fmt.Errorf("brains: generating BIST netlist: %w", err)
 	}
-	if issues := design.Lint(); len(issues) != 0 {
+	// An alias has its source's body, so it would get its source's lint
+	// result: lint each distinct body once.
+	var bodies []string
+	for _, name := range design.ModuleNames() {
+		if design.Modules[name].AliasOf() == "" {
+			bodies = append(bodies, name)
+		}
+	}
+	if issues := design.LintModules(bodies); len(issues) != 0 {
 		return nil, fmt.Errorf("brains: generated netlist fails lint: %v", issues[0])
 	}
 

@@ -68,6 +68,25 @@ func TestInsertDSCGolden(t *testing.T) {
 	}
 }
 
+// The DSC's DFT netlist, aliased BIST modules included, reads back from
+// its Verilog and emits the same bytes again.
+func TestInsertDSCVerilogRoundTrip(t *testing.T) {
+	soc, cores, s, res, b := dscInputs(t)
+	ins, err := insertion.Insert(soc, cores, s, res, b.Design, b.Top.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := emit(t, ins.Design)
+	back, err := netlist.ParseVerilog(v, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back.Top = ins.Design.Top
+	if emit(t, back) != v {
+		t.Fatal("DSC DFT netlist round trip is not a fixed point")
+	}
+}
+
 // Insert shares the modules of its inputs with the result, so it must
 // never change them: the original SOC and the BIST design emit the same
 // bytes before and after, and a second insertion from the same inputs

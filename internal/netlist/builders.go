@@ -1,6 +1,9 @@
 package netlist
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Builder helpers shared by the hardware generators (wrapper, TAM,
 // controller, BIST).  All helpers create instances inside an existing
@@ -29,14 +32,15 @@ func AddMuxTree(m *Module, name string, inputs []string, sel []string, out strin
 	for li, s := range sel {
 		next := make([]string, len(level)/2)
 		for j := range next {
+			lj := strconv.Itoa(li) + "_" + strconv.Itoa(j)
 			var o string
 			if len(next) == 1 && li == len(sel)-1 {
 				o = out
 			} else {
-				o = fmt.Sprintf("%s_l%d_%d", name, li, j)
+				o = name + "_l" + lj
 			}
 			m.AddNet(o)
-			if _, err := m.AddInstance(fmt.Sprintf("%s_m%d_%d", name, li, j), CellMux2,
+			if _, err := m.AddInstance(name+"_m"+lj, CellMux2,
 				map[string]string{"A": level[2*j], "B": level[2*j+1], "S": s, "Z": o}); err != nil {
 				return count, err
 			}
@@ -60,9 +64,10 @@ func AddDecoder(m *Module, name string, sel []string, en string, outs []string) 
 	// Shared inverted select lines.
 	inv := make([]string, len(sel))
 	for i, s := range sel {
-		inv[i] = fmt.Sprintf("%s_n%d", name, i)
+		is := strconv.Itoa(i)
+		inv[i] = name + "_n" + is
 		m.AddNet(inv[i])
-		if _, err := m.AddInstance(fmt.Sprintf("%s_inv%d", name, i), CellInv,
+		if _, err := m.AddInstance(name+"_inv"+is, CellInv,
 			map[string]string{"A": s, "Z": inv[i]}); err != nil {
 			return count, err
 		}
@@ -80,7 +85,7 @@ func AddDecoder(m *Module, name string, sel []string, en string, outs []string) 
 				terms = append(terms, inv[b])
 			}
 		}
-		n, err := AddAndTree(m, fmt.Sprintf("%s_o%d", name, code), terms, out)
+		n, err := AddAndTree(m, name+"_o"+strconv.Itoa(code), terms, out)
 		if err != nil {
 			return count, err
 		}
@@ -110,15 +115,17 @@ func addTree(m *Module, name, cell2, cell1 string, inputs []string, out string) 
 	round := 0
 	for len(level) > 1 {
 		next := make([]string, 0, (len(level)+1)/2)
+		rs := strconv.Itoa(round) + "_"
 		for j := 0; j+1 < len(level); j += 2 {
+			js := strconv.Itoa(j / 2)
 			var o string
 			if len(level) == 2 {
 				o = out
 			} else {
-				o = fmt.Sprintf("%s_t%d_%d", name, round, j/2)
+				o = name + "_t" + rs + js
 			}
 			m.AddNet(o)
-			if _, err := m.AddInstance(fmt.Sprintf("%s_g%d_%d", name, round, j/2), cell2,
+			if _, err := m.AddInstance(name+"_g"+rs+js, cell2,
 				map[string]string{"A": level[j], "B": level[j+1], "Z": o}); err != nil {
 				return count, err
 			}
@@ -152,7 +159,7 @@ func AddRegister(m *Module, name, ck string, d, q []string) (int, error) {
 	for i := range d {
 		m.AddNet(d[i])
 		m.AddNet(q[i])
-		if _, err := m.AddInstance(fmt.Sprintf("%s_ff%d", name, i), CellDFF,
+		if _, err := m.AddInstance(name+"_ff"+strconv.Itoa(i), CellDFF,
 			map[string]string{"D": d[i], "CK": ck, "Q": q[i]}); err != nil {
 			return i, err
 		}

@@ -2,31 +2,28 @@ package netlist
 
 import "fmt"
 
-// Clone returns a deep copy of the module.
-func (m *Module) Clone(newName string) *Module {
-	c := NewModule(newName)
-	c.Behavioral = m.Behavioral
-	c.AreaOverride = m.AreaOverride
-	for k, v := range m.Attrs {
-		c.Attrs[k] = v
+// Alias returns a module named name that shares m's body: its ports, nets,
+// instances and attributes are m's own values, not copies, so it emits the
+// same declaration under another name.  Like a module that Merge shares, a
+// module is never mutated once it is in a design, and neither m nor its
+// alias may be mutated afterwards.
+func (m *Module) Alias(name string) *Module {
+	a := *m
+	a.Name = name
+	if a.aliasOf == "" {
+		a.aliasOf = m.Name
 	}
-	for _, p := range m.Ports {
-		c.MustPort(p.Name, p.Dir, p.Width)
-	}
-	for n := range m.Nets {
-		c.AddNet(n)
-	}
-	for _, inst := range m.Instances {
-		c.MustInstance(inst.Name, inst.Of, inst.Conns)
-	}
-	return c
+	return &a
 }
+
+// AliasOf returns the name of the module whose body m shares (see Alias),
+// or "" when m owns its body.
+func (m *Module) AliasOf() string { return m.aliasOf }
 
 // Merge adds every module of src to d.  The modules are shared, not
 // copied: afterwards both designs hold the same *Module values, so neither
-// design may mutate a merged module (Clone one for an independent copy).
-// A module name already present in d is a collision; Merge then returns an
-// error and adds nothing.
+// design may mutate a merged module.  A module name already present in d
+// is a collision; Merge then returns an error and adds nothing.
 func (d *Design) Merge(src *Design) error {
 	for _, name := range src.ModuleNames() {
 		if _, ok := d.Modules[name]; ok {

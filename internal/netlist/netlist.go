@@ -111,6 +111,8 @@ type Module struct {
 
 	ports map[string]*Port
 	insts map[string]*Instance
+	// aliasOf names the module whose body this one shares (see Alias).
+	aliasOf string
 }
 
 // NewModule creates an empty module with the given name.

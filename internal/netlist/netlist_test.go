@@ -576,7 +576,7 @@ func TestCellHistogram(t *testing.T) {
 	}
 }
 
-func TestMergeAndClone(t *testing.T) {
+func TestMergeAndAlias(t *testing.T) {
 	a := NewDesign("a", nil)
 	m := NewModule("m")
 	m.Attrs["k"] = "v"
@@ -603,16 +603,32 @@ func TestMergeAndClone(t *testing.T) {
 		t.Fatalf("partial merge: err %v, n %v", err, b.Module("n"))
 	}
 
-	// Clone is a deep copy: mutating it leaves the original untouched.
-	cl := m.Clone("m2")
-	if cl.Name != "m2" || cl.Attrs["k"] != "v" || cl.Instance("u") == nil || cl.Port("x") == nil {
-		t.Fatalf("clone lost content: %+v", cl)
+	// An alias shares the body of its source: the same ports, nets,
+	// instances and attributes under another name, and so the same
+	// declaration once renamed.  A body owner has no AliasOf; an alias of
+	// an alias names the owner.
+	al := m.Alias("m2")
+	if al.Name != "m2" || m.Name != "m" || al.AliasOf() != "m" || m.AliasOf() != "" {
+		t.Fatalf("alias names: %q of %q, source %q of %q", al.Name, al.AliasOf(), m.Name, m.AliasOf())
 	}
-	cl.Attrs["k"] = "changed"
-	cl.Instance("u").Conns["A"] = "x[1]"
-	cl.MustPort("extra", In, 1)
-	if m.Attrs["k"] != "v" || m.Instance("u").Conns["A"] != "x[0]" || m.Port("extra") != nil {
-		t.Fatal("clone aliased the original module")
+	if al.Instance("u") != m.Instance("u") || al.Port("x") != m.Port("x") ||
+		al.Nets["y"] != m.Nets["y"] || al.Attrs["k"] != "v" {
+		t.Fatal("alias does not share its source's body")
+	}
+	if al2 := al.Alias("m3"); al2.AliasOf() != "m" {
+		t.Fatalf("alias of an alias names %q, want the owner m", al2.AliasOf())
+	}
+	d := NewDesign("d", nil)
+	d.MustAddModule(m)
+	d.MustAddModule(al)
+	v, err := d.EmitVerilogString()
+	if err != nil {
+		t.Fatal(err)
+	}
+	decls := strings.Split(strings.TrimSpace(v), "\n\n")
+	// The top, m, is emitted last.
+	if len(decls) != 2 || strings.Replace(decls[0], "module m2(", "module m(", 1) != decls[1] {
+		t.Fatalf("alias declaration differs from its source's:\n%s", v)
 	}
 }
 
