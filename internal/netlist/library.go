@@ -1,6 +1,9 @@
 package netlist
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Cell is a primitive standard cell: a combinational gate, a flip-flop or a
 // latch.  Area is in NAND2 equivalents.
@@ -62,15 +65,17 @@ const (
 	CellTie1   = "TIE1"
 )
 
-var defaultLib *Library
+// defaultLib builds the default library once, on first use, however many
+// goroutines ask for it at once.
+var defaultLib = sync.OnceValue(newDefaultLibrary)
 
 // DefaultLibrary returns the shared primitive library.  Areas follow the
 // paper's NAND2-equivalent accounting: the generated WBR cell built from
-// these primitives totals 26 gates, matching the published figure.
-func DefaultLibrary() *Library {
-	if defaultLib != nil {
-		return defaultLib
-	}
+// these primitives totals 26 gates, matching the published figure.  It is
+// safe for concurrent use.
+func DefaultLibrary() *Library { return defaultLib() }
+
+func newDefaultLibrary() *Library {
 	l := NewLibrary()
 	comb := func(name string, area float64, ins []string, eval func(map[string]bool) bool) {
 		c := &Cell{Name: name, Inputs: ins, Outputs: []string{"Z"}, Area: area,
@@ -143,6 +148,5 @@ func DefaultLibrary() *Library {
 			return map[string]bool{"Q": in["Q"]}
 		},
 	})
-	defaultLib = l
 	return l
 }
