@@ -79,8 +79,9 @@ func TestDSCBuildsEachBlockOnce(t *testing.T) {
 	}
 }
 
-// Two compiles of the same memories share nothing: run concurrently
-// (under -race in CI) they emit identical Verilog.
+// A compile keeps its generate-once bookkeeping to itself: two compiles
+// of the same memories run at once (under -race in CI) emit identical
+// Verilog.
 func TestConcurrentCompilesAgree(t *testing.T) {
 	chip, err := scenario.GenerateByName("dsc", 0)
 	if err != nil {
