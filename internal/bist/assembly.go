@@ -103,15 +103,16 @@ func GenerateBIST(d *netlist.Design, topName string, groups []GroupSpec) (*netli
 	}
 	report.Controller = a
 
-	ctlConns := map[string]string{
-		PinMBS: PinMBS, PinMBR: PinMBR, PinMBC: PinMBC, PinMSI: PinMSI,
-		PinMSO: PinMSO, PinMBO: PinMBO, PinMRD: PinMRD,
+	ctlConns := netlist.Pins{
+		{PinMBS, PinMBS}, {PinMBR, PinMBR}, {PinMBC, PinMBC}, {PinMSI, PinMSI},
+		{PinMSO, PinMSO}, {PinMBO, PinMBO}, {PinMRD, PinMRD},
 	}
 	for gi := range groups {
 		gs := strconv.Itoa(gi)
-		ctlConns[netlist.BitName("GDONE", gi, len(groups))] = "gdone" + gs
-		ctlConns[netlist.BitName("GFAIL", gi, len(groups))] = "gfail" + gs
-		ctlConns[netlist.BitName("GO", gi, len(groups))] = "go" + gs
+		ctlConns = append(ctlConns,
+			[2]string{netlist.BitName("GDONE", gi, len(groups)), "gdone" + gs},
+			[2]string{netlist.BitName("GFAIL", gi, len(groups)), "gfail" + gs},
+			[2]string{netlist.BitName("GO", gi, len(groups)), "go" + gs})
 	}
 	top.MustInstance("u_ctl", ctlName, ctlConns)
 
@@ -131,15 +132,15 @@ func GenerateBIST(d *netlist.Design, topName string, groups []GroupSpec) (*netli
 
 		gs := strconv.Itoa(gi)
 		pfx := "g" + gs + "_"
-		top.MustInstance("u_seq"+g.Name, seqName, map[string]string{
-			"CK": PinMBC, "RST": PinMBR, "EN": "go" + gs,
-			"ELEMDONE": pfx + "elemdone",
-			"CMDR":     pfx + "cmdr", "CMDD": pfx + "cmdd", "DIR": pfx + "dir",
-			"ADV": pfx + "adv", "DONE": "gdone" + gs, "RUN": pfx + "run",
+		top.MustInstance("u_seq"+g.Name, seqName, netlist.Pins{
+			{"CK", PinMBC}, {"RST", PinMBR}, {"EN", "go" + gs},
+			{"ELEMDONE", pfx + "elemdone"},
+			{"CMDR", pfx + "cmdr"}, {"CMDD", pfx + "cmdd"}, {"DIR", pfx + "dir"},
+			{"ADV", pfx + "adv"}, {"DONE", "gdone" + gs}, {"RUN", pfx + "run"},
 		})
 		// TPG enable = GO AND RUN (no spurious access after the last element).
 		top.MustInstance(pfx+"engate", netlist.CellAnd2,
-			map[string]string{"A": "go" + gs, "B": pfx + "run", "Z": pfx + "en"})
+			netlist.Pins{{"A", "go" + gs}, {"B", pfx + "run"}, {"Z", pfx + "en"}})
 
 		var elemDones, fails []string
 		for mi, cfg := range g.Mems {
@@ -157,36 +158,35 @@ func GenerateBIST(d *netlist.Design, topName string, groups []GroupSpec) (*netli
 			report.TPGs += ta
 
 			mp := pfx + "m" + strconv.Itoa(mi) + "_"
-			tpgConns := map[string]string{
-				"CK": PinMBC, "RST": PinMBR, "EN": pfx + "en", "ADV": pfx + "adv",
-				"CMDR": pfx + "cmdr", "CMDD": pfx + "cmdd", "DIR": pfx + "dir",
-				"BGSEL": "MBG",
-				"WE":    mp + "we", "ELEMDONE": mp + "elemdone", "FAIL": mp + "fail",
+			tpgConns := netlist.Pins{
+				{"CK", PinMBC}, {"RST", PinMBR}, {"EN", pfx + "en"}, {"ADV", pfx + "adv"},
+				{"CMDR", pfx + "cmdr"}, {"CMDD", pfx + "cmdd"}, {"DIR", pfx + "dir"},
+				{"BGSEL", "MBG"},
+				{"WE", mp + "we"}, {"ELEMDONE", mp + "elemdone"}, {"FAIL", mp + "fail"},
 			}
-			ramConns := map[string]string{"CK": PinMBC, "WE": mp + "we"}
+			ramConns := netlist.Pins{{"CK", PinMBC}, {"WE", mp + "we"}}
 			for b := 0; b < cfg.AddrBits(); b++ {
 				n := mp + "addr" + strconv.Itoa(b)
-				tpgConns[netlist.BitName("ADDR", b, cfg.AddrBits())] = n
-				ramConns[netlist.BitName("ADDR", b, cfg.AddrBits())] = n
+				tpgConns = append(tpgConns, [2]string{netlist.BitName("ADDR", b, cfg.AddrBits()), n})
+				ramConns = append(ramConns, [2]string{netlist.BitName("ADDR", b, cfg.AddrBits()), n})
 				if cfg.Kind == memory.TwoPort {
-					ramConns[netlist.BitName("ADDRB", b, cfg.AddrBits())] = n
+					ramConns = append(ramConns, [2]string{netlist.BitName("ADDRB", b, cfg.AddrBits()), n})
 				}
 			}
 			for b := 0; b < cfg.Bits; b++ {
 				bs := strconv.Itoa(b)
 				dn, qn := mp+"d"+bs, mp+"q"+bs
-				tpgConns[netlist.BitName("D", b, cfg.Bits)] = dn
-				tpgConns[netlist.BitName("Q", b, cfg.Bits)] = qn
-				ramConns[netlist.BitName("D", b, cfg.Bits)] = dn
-				ramConns[netlist.BitName("Q", b, cfg.Bits)] = qn
+				d, q := netlist.BitName("D", b, cfg.Bits), netlist.BitName("Q", b, cfg.Bits)
+				tpgConns = append(tpgConns, [2]string{d, dn}, [2]string{q, qn})
+				ramConns = append(ramConns, [2]string{d, dn}, [2]string{q, qn})
 				if cfg.Kind == memory.TwoPort {
 					qb := mp + "qb" + bs
-					tpgConns[netlist.BitName("QB", b, cfg.Bits)] = qb
-					ramConns[netlist.BitName("QB", b, cfg.Bits)] = qb
+					tpgConns = append(tpgConns, [2]string{netlist.BitName("QB", b, cfg.Bits), qb})
+					ramConns = append(ramConns, [2]string{netlist.BitName("QB", b, cfg.Bits), qb})
 				}
 			}
 			if cfg.Kind == memory.TwoPort {
-				tpgConns["PBSEL"] = "MPB"
+				tpgConns = append(tpgConns, [2]string{"PBSEL", "MPB"})
 			}
 			top.MustInstance("u_tpg_"+cfg.Name, tpgName, tpgConns)
 			top.MustInstance("u_ram_"+cfg.Name, "ram_"+cfg.Name, ramConns)

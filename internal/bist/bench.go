@@ -34,12 +34,12 @@ func BuildVerifyBench(alg march.Algorithm, mems []memory.Config) (*netlist.Desig
 	for _, p := range []string{"cmdr", "cmdd", "dir", "adv", "elemdone", "done", "fail"} {
 		tb.MustPort(p, netlist.Out, 1)
 	}
-	tb.MustInstance("u_seq", "seq", map[string]string{
-		"CK": "ck", "RST": "rst", "EN": "en", "ELEMDONE": "elemdone",
-		"CMDR": "cmdr", "CMDD": "cmdd", "DIR": "dir", "ADV": "adv",
-		"DONE": "done", "RUN": "run",
+	tb.MustInstance("u_seq", "seq", netlist.Pins{
+		{"CK", "ck"}, {"RST", "rst"}, {"EN", "en"}, {"ELEMDONE", "elemdone"},
+		{"CMDR", "cmdr"}, {"CMDD", "cmdd"}, {"DIR", "dir"}, {"ADV", "adv"},
+		{"DONE", "done"}, {"RUN", "run"},
 	})
-	tb.MustInstance("engate", netlist.CellAnd2, map[string]string{"A": "en", "B": "run", "Z": "tpen"})
+	tb.MustInstance("engate", netlist.CellAnd2, netlist.Pins{{"A", "en"}, {"B", "run"}, {"Z", "tpen"}})
 	var elemDones, fails []string
 	for i, cfg := range mems {
 		if err := cfg.Validate(); err != nil {
@@ -59,25 +59,26 @@ func BuildVerifyBench(alg march.Algorithm, mems []memory.Config) (*netlist.Desig
 		tb.MustPort(failP, netlist.Out, 1)
 		ed := fmt.Sprintf("ed%d", i)
 		tb.AddNet(ed)
-		conns := map[string]string{
-			"CK": "ck", "RST": "rst", "EN": "tpen", "ADV": "adv",
-			"CMDR": "cmdr", "CMDD": "cmdd", "DIR": "dir", "BGSEL": "bgsel",
-			"WE": weP, "ELEMDONE": ed, "FAIL": failP,
+		conns := netlist.Pins{
+			{"CK", "ck"}, {"RST", "rst"}, {"EN", "tpen"}, {"ADV", "adv"},
+			{"CMDR", "cmdr"}, {"CMDD", "cmdd"}, {"DIR", "dir"}, {"BGSEL", "bgsel"},
+			{"WE", weP}, {"ELEMDONE", ed}, {"FAIL", failP},
 		}
 		for b := 0; b < ab; b++ {
-			conns[netlist.BitName("ADDR", b, ab)] = netlist.BitName(addrP, b, ab)
+			conns = append(conns, [2]string{netlist.BitName("ADDR", b, ab), netlist.BitName(addrP, b, ab)})
 		}
 		for b := 0; b < cfg.Bits; b++ {
-			conns[netlist.BitName("D", b, cfg.Bits)] = netlist.BitName(dP, b, cfg.Bits)
-			conns[netlist.BitName("Q", b, cfg.Bits)] = netlist.BitName(qP, b, cfg.Bits)
+			conns = append(conns,
+				[2]string{netlist.BitName("D", b, cfg.Bits), netlist.BitName(dP, b, cfg.Bits)},
+				[2]string{netlist.BitName("Q", b, cfg.Bits), netlist.BitName(qP, b, cfg.Bits)})
 		}
 		if cfg.Kind == memory.TwoPort {
 			qbP := fmt.Sprintf("qb%d", i)
 			tb.MustPort(qbP, netlist.In, cfg.Bits)
 			for b := 0; b < cfg.Bits; b++ {
-				conns[netlist.BitName("QB", b, cfg.Bits)] = netlist.BitName(qbP, b, cfg.Bits)
+				conns = append(conns, [2]string{netlist.BitName("QB", b, cfg.Bits), netlist.BitName(qbP, b, cfg.Bits)})
 			}
-			conns["PBSEL"] = "pbsel"
+			conns = append(conns, [2]string{"PBSEL", "pbsel"})
 		}
 		tb.MustInstance(fmt.Sprintf("u_tpg%d", i), tpgName, conns)
 		elemDones = append(elemDones, ed)

@@ -41,7 +41,7 @@ func addUpCounter(m *netlist.Module, name, ck, rst, en string, q []string) error
 		is := strconv.Itoa(i)
 		sum := name + "_sum" + is
 		if _, err := m.AddInstance(name+"_x"+is, netlist.CellXor2,
-			map[string]string{"A": q[i], "B": carry, "Z": sum}); err != nil {
+			netlist.Pins{{"A", q[i]}, {"B", carry}, {"Z", sum}}); err != nil {
 			return err
 		}
 		// Synchronous reset: d = sum AND NOT rst.
@@ -49,23 +49,23 @@ func addUpCounter(m *netlist.Module, name, ck, rst, en string, q []string) error
 		if i == 0 {
 			m.AddNet(nrst)
 			if _, err := m.AddInstance(name+"_rstinv", netlist.CellInv,
-				map[string]string{"A": rst, "Z": nrst}); err != nil {
+				netlist.Pins{{"A", rst}, {"Z", nrst}}); err != nil {
 				return err
 			}
 		}
 		d := name + "_d" + is
 		if _, err := m.AddInstance(name+"_a"+is, netlist.CellAnd2,
-			map[string]string{"A": sum, "B": nrst, "Z": d}); err != nil {
+			netlist.Pins{{"A", sum}, {"B", nrst}, {"Z", d}}); err != nil {
 			return err
 		}
 		if _, err := m.AddInstance(name+"_ff"+is, netlist.CellDFF,
-			map[string]string{"D": d, "CK": ck, "Q": q[i]}); err != nil {
+			netlist.Pins{{"D", d}, {"CK", ck}, {"Q", q[i]}}); err != nil {
 			return err
 		}
 		if i < n-1 {
 			nextCarry := name + "_c" + strconv.Itoa(i+1)
 			if _, err := m.AddInstance(name+"_cg"+is, netlist.CellAnd2,
-				map[string]string{"A": carry, "B": q[i], "Z": nextCarry}); err != nil {
+				netlist.Pins{{"A", carry}, {"B", q[i]}, {"Z", nextCarry}}); err != nil {
 				return err
 			}
 			carry = nextCarry
@@ -85,7 +85,7 @@ func addEqualsConst(m *netlist.Module, name string, q []string, value int, out s
 		is := strconv.Itoa(i)
 		inv := name + "_qi" + is
 		if _, err := m.AddInstance(name+"_inv"+is, netlist.CellInv,
-			map[string]string{"A": q[i], "Z": inv}); err != nil {
+			netlist.Pins{{"A", q[i]}, {"Z", inv}}); err != nil {
 			return err
 		}
 		terms[i] = inv
@@ -136,7 +136,7 @@ func GenerateTPG(d *netlist.Design, name string, cfg memory.Config) (*netlist.Mo
 	// Descending reflection: ADDR = cnt XOR DIR.
 	for i := 0; i < ab; i++ {
 		if _, err := m.AddInstance("ar"+strconv.Itoa(i), netlist.CellXor2,
-			map[string]string{"A": cnt[i], "B": "DIR", "Z": netlist.BitName("ADDR", i, ab)}); err != nil {
+			netlist.Pins{{"A", cnt[i]}, {"B", "DIR"}, {"Z", netlist.BitName("ADDR", i, ab)}}); err != nil {
 			return nil, err
 		}
 	}
@@ -151,19 +151,19 @@ func GenerateTPG(d *netlist.Design, name string, cfg memory.Config) (*netlist.Mo
 		out, dx := netlist.BitName("D", i, cfg.Bits), "dx"+strconv.Itoa(i)
 		if i%2 == 1 {
 			if _, err := m.AddInstance(dx, netlist.CellXor2,
-				map[string]string{"A": "CMDD", "B": "BGSEL", "Z": out}); err != nil {
+				netlist.Pins{{"A", "CMDD"}, {"B", "BGSEL"}, {"Z", out}}); err != nil {
 				return nil, err
 			}
 			continue
 		}
 		if _, err := m.AddInstance(dx, netlist.CellBuf,
-			map[string]string{"A": "CMDD", "Z": out}); err != nil {
+			netlist.Pins{{"A", "CMDD"}, {"Z", out}}); err != nil {
 			return nil, err
 		}
 	}
 	// WE = EN-qualified write command.
-	m.MustInstance("winv", netlist.CellInv, map[string]string{"A": "CMDR", "Z": "nread"})
-	m.MustInstance("wand", netlist.CellAnd2, map[string]string{"A": "nread", "B": "EN", "Z": "WE"})
+	m.MustInstance("winv", netlist.CellInv, netlist.Pins{{"A", "CMDR"}, {"Z", "nread"}})
+	m.MustInstance("wand", netlist.CellAnd2, netlist.Pins{{"A", "nread"}, {"B", "EN"}, {"Z", "WE"}})
 	// Comparator: mismatch on any bit during a read (two-port macros
 	// compare the PBSEL-selected port).
 	xors := make([]string, cfg.Bits)
@@ -174,8 +174,8 @@ func GenerateTPG(d *netlist.Design, name string, cfg memory.Config) (*netlist.Mo
 			sel := "qsel" + is
 			m.AddNet(sel)
 			if _, err := m.AddInstance("qm"+is, netlist.CellMux2,
-				map[string]string{"A": src, "B": netlist.BitName("QB", i, cfg.Bits),
-					"S": "PBSEL", "Z": sel}); err != nil {
+				netlist.Pins{{"A", src}, {"B", netlist.BitName("QB", i, cfg.Bits)},
+					{"S", "PBSEL"}, {"Z", sel}}); err != nil {
 				return nil, err
 			}
 			src = sel
@@ -183,20 +183,20 @@ func GenerateTPG(d *netlist.Design, name string, cfg memory.Config) (*netlist.Mo
 		xors[i] = "cmp" + is
 		m.AddNet(xors[i])
 		if _, err := m.AddInstance("cx"+is, netlist.CellXor2,
-			map[string]string{"A": src, "B": netlist.BitName("D", i, cfg.Bits), "Z": xors[i]}); err != nil {
+			netlist.Pins{{"A", src}, {"B", netlist.BitName("D", i, cfg.Bits)}, {"Z", xors[i]}}); err != nil {
 			return nil, err
 		}
 	}
 	if _, err := netlist.AddOrTree(m, "mis", xors, "mismatch"); err != nil {
 		return nil, err
 	}
-	m.MustInstance("misr", netlist.CellAnd2, map[string]string{"A": "mismatch", "B": "CMDR", "Z": "rdmis"})
-	m.MustInstance("misq", netlist.CellAnd2, map[string]string{"A": "rdmis", "B": "EN", "Z": "qmis"})
+	m.MustInstance("misr", netlist.CellAnd2, netlist.Pins{{"A", "mismatch"}, {"B", "CMDR"}, {"Z", "rdmis"}})
+	m.MustInstance("misq", netlist.CellAnd2, netlist.Pins{{"A", "rdmis"}, {"B", "EN"}, {"Z", "qmis"}})
 	// Sticky fail flag.
-	m.MustInstance("for", netlist.CellOr2, map[string]string{"A": "qmis", "B": "FAIL", "Z": "fnext"})
-	m.MustInstance("fclr", netlist.CellInv, map[string]string{"A": "RST", "Z": "nrstf"})
-	m.MustInstance("fand", netlist.CellAnd2, map[string]string{"A": "fnext", "B": "nrstf", "Z": "fd"})
-	m.MustInstance("fff", netlist.CellDFF, map[string]string{"D": "fd", "CK": "CK", "Q": "FAIL"})
+	m.MustInstance("for", netlist.CellOr2, netlist.Pins{{"A", "qmis"}, {"B", "FAIL"}, {"Z", "fnext"}})
+	m.MustInstance("fclr", netlist.CellInv, netlist.Pins{{"A", "RST"}, {"Z", "nrstf"}})
+	m.MustInstance("fand", netlist.CellAnd2, netlist.Pins{{"A", "fnext"}, {"B", "nrstf"}, {"Z", "fd"}})
+	m.MustInstance("fff", netlist.CellDFF, netlist.Pins{{"D", "fd"}, {"CK", "CK"}, {"Q", "FAIL"}})
 	if err := d.AddModule(m); err != nil {
 		return nil, err
 	}
@@ -259,7 +259,7 @@ func GenerateSequencer(d *netlist.Design, name string, alg march.Algorithm) (*ne
 		mt++
 		m.AddNet(n)
 		_, err := m.AddInstance("mi"+n, netlist.CellAnd2,
-			map[string]string{"A": eHot[e], "B": oHot[o], "Z": n})
+			netlist.Pins{{"A", eHot[e]}, {"B", oHot[o]}, {"Z", n}})
 		return n, err
 	}
 	for ei, e := range alg.Elements {
@@ -290,7 +290,7 @@ func GenerateSequencer(d *netlist.Design, name string, alg march.Algorithm) (*ne
 	}
 	emitOr := func(terms []string, out string) error {
 		if len(terms) == 0 {
-			_, err := m.AddInstance(out+"_tie", netlist.CellTie0, map[string]string{"Z": out})
+			_, err := m.AddInstance(out+"_tie", netlist.CellTie0, netlist.Pins{{"Z", out}})
 			return err
 		}
 		_, err := netlist.AddOrTree(m, out+"_or", terms, out)
@@ -309,16 +309,16 @@ func GenerateSequencer(d *netlist.Design, name string, alg march.Algorithm) (*ne
 		return nil, err
 	}
 	// ADV pulses on the last op of each word while enabled and running.
-	m.MustInstance("ninv", netlist.CellInv, map[string]string{"A": "DONE", "Z": "RUN"})
-	m.MustInstance("adv1", netlist.CellAnd2, map[string]string{"A": "lastop", "B": "EN", "Z": "adv_en"})
-	m.MustInstance("adv2", netlist.CellAnd2, map[string]string{"A": "adv_en", "B": "RUN", "Z": "ADV"})
+	m.MustInstance("ninv", netlist.CellInv, netlist.Pins{{"A", "DONE"}, {"Z", "RUN"}})
+	m.MustInstance("adv1", netlist.CellAnd2, netlist.Pins{{"A", "lastop"}, {"B", "EN"}, {"Z", "adv_en"}})
+	m.MustInstance("adv2", netlist.CellAnd2, netlist.Pins{{"A", "adv_en"}, {"B", "RUN"}, {"Z", "ADV"}})
 	// Op counter: increments while enabled, resets on last op or RST.
-	m.MustInstance("orst", netlist.CellOr2, map[string]string{"A": "RST", "B": "ADV", "Z": "oprst"})
+	m.MustInstance("orst", netlist.CellOr2, netlist.Pins{{"A", "RST"}, {"B", "ADV"}, {"Z", "oprst"}})
 	if err := addUpCounter(m, "oc", "CK", "oprst", "EN", ocnt); err != nil {
 		return nil, err
 	}
 	// Element counter: increments when the element sweep completes.
-	m.MustInstance("eadv", netlist.CellAnd2, map[string]string{"A": "ADV", "B": "ELEMDONE", "Z": "elemadv"})
+	m.MustInstance("eadv", netlist.CellAnd2, netlist.Pins{{"A", "ADV"}, {"B", "ELEMDONE"}, {"Z", "elemadv"}})
 	if err := addUpCounter(m, "ec", "CK", "RST", "elemadv", ecnt); err != nil {
 		return nil, err
 	}
@@ -357,12 +357,12 @@ func GenerateController(d *netlist.Design, name string, nGroups int) (*netlist.M
 		m.AddNet(n)
 	}
 	// Running flag: set by MBS, cleared by MBR or MBO.
-	m.MustInstance("rset", netlist.CellOr2, map[string]string{"A": PinMBS, "B": "run", "Z": "rs"})
-	m.MustInstance("rov", netlist.CellInv, map[string]string{"A": PinMBO, "Z": "nover"})
-	m.MustInstance("rrst", netlist.CellInv, map[string]string{"A": PinMBR, "Z": "nrst"})
-	m.MustInstance("ra1", netlist.CellAnd2, map[string]string{"A": "rs", "B": "nover", "Z": "ra"})
-	m.MustInstance("ra2", netlist.CellAnd2, map[string]string{"A": "ra", "B": "nrst", "Z": "rd"})
-	m.MustInstance("rff", netlist.CellDFF, map[string]string{"D": "rd", "CK": PinMBC, "Q": "run"})
+	m.MustInstance("rset", netlist.CellOr2, netlist.Pins{{"A", PinMBS}, {"B", "run"}, {"Z", "rs"}})
+	m.MustInstance("rov", netlist.CellInv, netlist.Pins{{"A", PinMBO}, {"Z", "nover"}})
+	m.MustInstance("rrst", netlist.CellInv, netlist.Pins{{"A", PinMBR}, {"Z", "nrst"}})
+	m.MustInstance("ra1", netlist.CellAnd2, netlist.Pins{{"A", "rs"}, {"B", "nover"}, {"Z", "ra"}})
+	m.MustInstance("ra2", netlist.CellAnd2, netlist.Pins{{"A", "ra"}, {"B", "nrst"}, {"Z", "rd"}})
+	m.MustInstance("rff", netlist.CellDFF, netlist.Pins{{"D", "rd"}, {"CK", PinMBC}, {"Q", "run"}})
 
 	// Active-group one-hot; GO[i] = hot[i] AND run.
 	hot := make([]string, nGroups+1)
@@ -375,7 +375,7 @@ func GenerateController(d *netlist.Design, name string, nGroups int) (*netlist.M
 	}
 	for i := 0; i < nGroups; i++ {
 		m.MustInstance("go"+strconv.Itoa(i), netlist.CellAnd2,
-			map[string]string{"A": hot[i], "B": "run", "Z": netlist.BitName("GO", i, nGroups)})
+			netlist.Pins{{"A", hot[i]}, {"B", "run"}, {"Z", netlist.BitName("GO", i, nGroups)}})
 	}
 	// Advance when the active group reports done.
 	adv := make([]string, nGroups)
@@ -384,7 +384,7 @@ func GenerateController(d *netlist.Design, name string, nGroups int) (*netlist.M
 		adv[i] = "adv" + is
 		m.AddNet(adv[i])
 		m.MustInstance("ad"+is, netlist.CellAnd2,
-			map[string]string{"A": netlist.BitName("GO", i, nGroups), "B": netlist.BitName("GDONE", i, nGroups), "Z": adv[i]})
+			netlist.Pins{{"A", netlist.BitName("GO", i, nGroups)}, {"B", netlist.BitName("GDONE", i, nGroups)}, {"Z", adv[i]}})
 	}
 	if _, err := netlist.AddOrTree(m, "advor", adv, "gadv"); err != nil {
 		return nil, err
@@ -395,7 +395,7 @@ func GenerateController(d *netlist.Design, name string, nGroups int) (*netlist.M
 	if err := addEqualsConst(m, "ov", gcnt, nGroups, "over"); err != nil {
 		return nil, err
 	}
-	m.MustInstance("ovb", netlist.CellBuf, map[string]string{"A": "over", "Z": PinMBO})
+	m.MustInstance("ovb", netlist.CellBuf, netlist.Pins{{"A", "over"}, {"Z", PinMBO}})
 	// Sticky per-group fail flags feed MRD (go/no-go, active high = pass)
 	// and MSO (serial diagnosis, selected by the group counter).
 	fails := make([]string, nGroups)
@@ -406,24 +406,24 @@ func GenerateController(d *netlist.Design, name string, nGroups int) (*netlist.M
 		m.AddNet(fl)
 		m.AddNet(cap)
 		m.MustInstance("fa"+is, netlist.CellAnd2,
-			map[string]string{"A": netlist.BitName("GFAIL", i, nGroups), "B": netlist.BitName("GO", i, nGroups), "Z": cap})
+			netlist.Pins{{"A", netlist.BitName("GFAIL", i, nGroups)}, {"B", netlist.BitName("GO", i, nGroups)}, {"Z", cap}})
 		m.MustInstance("fo"+is, netlist.CellOr2,
-			map[string]string{"A": cap, "B": fl, "Z": fn})
+			netlist.Pins{{"A", cap}, {"B", fl}, {"Z", fn}})
 		m.MustInstance("fr"+is, netlist.CellAnd2,
-			map[string]string{"A": fn, "B": "nrst", "Z": fd})
+			netlist.Pins{{"A", fn}, {"B", "nrst"}, {"Z", fd}})
 		m.MustInstance("ff"+is, netlist.CellDFF,
-			map[string]string{"D": fd, "CK": PinMBC, "Q": fl})
+			netlist.Pins{{"D", fd}, {"CK", PinMBC}, {"Q", fl}})
 	}
 	if _, err := netlist.AddOrTree(m, "anyfail", fails, "failany"); err != nil {
 		return nil, err
 	}
-	m.MustInstance("mrd", netlist.CellInv, map[string]string{"A": "failany", "Z": PinMRD})
+	m.MustInstance("mrd", netlist.CellInv, netlist.Pins{{"A", "failany"}, {"Z", PinMRD}})
 	// Serial diagnosis output: group fail flag selected by the counter,
 	// qualified by the serial command input (MSI acts as output enable).
 	if _, err := netlist.AddMuxTree(m, "somux", fails, gcnt[:bitsFor(nGroups)], "sosel"); err != nil {
 		return nil, err
 	}
-	m.MustInstance("soq", netlist.CellAnd2, map[string]string{"A": "sosel", "B": PinMSI, "Z": PinMSO})
+	m.MustInstance("soq", netlist.CellAnd2, netlist.Pins{{"A", "sosel"}, {"B", PinMSI}, {"Z", PinMSO}})
 	if err := d.AddModule(m); err != nil {
 		return nil, err
 	}

@@ -106,30 +106,30 @@ func Generate(d *netlist.Design, name string, spec Spec) (*netlist.Module, error
 
 	// Boundary update strobe: pulses right after SE falls (shift phase
 	// over), which is when the wrapper update latches take the stimulus.
-	m.MustInstance("seq", netlist.CellDFF, map[string]string{"D": "SE", "CK": "TCK", "Q": "se_q"})
-	m.MustInstance("sei", netlist.CellInv, map[string]string{"A": "SE", "Z": "se_n"})
-	m.MustInstance("upd", netlist.CellAnd2, map[string]string{"A": "se_q", "B": "se_n", "Z": "UPDATE"})
+	m.MustInstance("seq", netlist.CellDFF, netlist.Pins{{"D", "SE"}, {"CK", "TCK"}, {"Q", "se_q"}})
+	m.MustInstance("sei", netlist.CellInv, netlist.Pins{{"A", "SE"}, {"Z", "se_n"}})
+	m.MustInstance("upd", netlist.CellAnd2, netlist.Pins{{"A", "se_q"}, {"B", "se_n"}, {"Z", "UPDATE"}})
 
 	// WIR-load sequencer: a session entry (registered TNEXT) raises a busy
 	// flag for four TCKs during which SHIFTWIR streams the instruction,
 	// closing with an UPDATEWIR pulse.
-	m.MustInstance("tnq", netlist.CellDFF, map[string]string{"D": "TNEXT", "CK": "TCK", "Q": "tn_q"})
+	m.MustInstance("tnq", netlist.CellDFF, netlist.Pins{{"D", "TNEXT"}, {"CK", "TCK"}, {"Q", "tn_q"}})
 	wcnt := []string{"wb0", "wb1"}
 	for _, n := range wcnt {
 		m.AddNet(n)
 	}
-	m.MustInstance("wdone0", netlist.CellAnd2, map[string]string{"A": "wb0", "B": "wb1", "Z": "wir_last"})
-	m.MustInstance("wbor", netlist.CellOr2, map[string]string{"A": "tn_q", "B": "wir_busyq", "Z": "wb_set"})
-	m.MustInstance("wlinv", netlist.CellInv, map[string]string{"A": "wir_last", "Z": "wir_nlast"})
-	m.MustInstance("wband", netlist.CellAnd2, map[string]string{"A": "wb_set", "B": "wir_nlast", "Z": "wb_d0"})
-	m.MustInstance("wbrst", netlist.CellInv, map[string]string{"A": "TRST", "Z": "wb_nrst"})
-	m.MustInstance("wband2", netlist.CellAnd2, map[string]string{"A": "wb_d0", "B": "wb_nrst", "Z": "wb_d"})
-	m.MustInstance("wbff", netlist.CellDFF, map[string]string{"D": "wb_d", "CK": "TCK", "Q": "wir_busyq"})
+	m.MustInstance("wdone0", netlist.CellAnd2, netlist.Pins{{"A", "wb0"}, {"B", "wb1"}, {"Z", "wir_last"}})
+	m.MustInstance("wbor", netlist.CellOr2, netlist.Pins{{"A", "tn_q"}, {"B", "wir_busyq"}, {"Z", "wb_set"}})
+	m.MustInstance("wlinv", netlist.CellInv, netlist.Pins{{"A", "wir_last"}, {"Z", "wir_nlast"}})
+	m.MustInstance("wband", netlist.CellAnd2, netlist.Pins{{"A", "wb_set"}, {"B", "wir_nlast"}, {"Z", "wb_d0"}})
+	m.MustInstance("wbrst", netlist.CellInv, netlist.Pins{{"A", "TRST"}, {"Z", "wb_nrst"}})
+	m.MustInstance("wband2", netlist.CellAnd2, netlist.Pins{{"A", "wb_d0"}, {"B", "wb_nrst"}, {"Z", "wb_d"}})
+	m.MustInstance("wbff", netlist.CellDFF, netlist.Pins{{"D", "wb_d"}, {"CK", "TCK"}, {"Q", "wir_busyq"}})
 	if err := addCounter(m, "wc", "TCK", "TRST", "wir_busyq", wcnt); err != nil {
 		return nil, err
 	}
-	m.MustInstance("swbuf", netlist.CellBuf, map[string]string{"A": "wir_busyq", "Z": "SHIFTWIR"})
-	m.MustInstance("uwand", netlist.CellAnd2, map[string]string{"A": "wir_busyq", "B": "wir_last", "Z": "UPDATEWIR"})
+	m.MustInstance("swbuf", netlist.CellBuf, netlist.Pins{{"A", "wir_busyq"}, {"Z", "SHIFTWIR"}})
+	m.MustInstance("uwand", netlist.CellAnd2, netlist.Pins{{"A", "wir_busyq"}, {"B", "wir_last"}, {"Z", "UPDATEWIR"}})
 
 	// Per-session done flags, serially observable on TSO.
 	doneFlags := make([]string, spec.Sessions)
@@ -139,13 +139,13 @@ func Generate(d *netlist.Design, name string, spec Spec) (*netlist.Module, error
 		m.AddNet(fl)
 		cap := fmt.Sprintf("dcap%d", s)
 		m.MustInstance(fmt.Sprintf("dc%d", s), netlist.CellAnd2,
-			map[string]string{"A": "TNEXT", "B": hot[s], "Z": cap})
+			netlist.Pins{{"A", "TNEXT"}, {"B", hot[s]}, {"Z", cap}})
 		m.MustInstance(fmt.Sprintf("do%d", s), netlist.CellOr2,
-			map[string]string{"A": cap, "B": fl, "Z": fmt.Sprintf("dn%d", s)})
+			netlist.Pins{{"A", cap}, {"B", fl}, {"Z", fmt.Sprintf("dn%d", s)}})
 		m.MustInstance(fmt.Sprintf("dr%d", s), netlist.CellAnd2,
-			map[string]string{"A": fmt.Sprintf("dn%d", s), "B": "wb_nrst", "Z": fmt.Sprintf("dd%d", s)})
+			netlist.Pins{{"A", fmt.Sprintf("dn%d", s)}, {"B", "wb_nrst"}, {"Z", fmt.Sprintf("dd%d", s)}})
 		m.MustInstance(fmt.Sprintf("df%d", s), netlist.CellDFF,
-			map[string]string{"D": fmt.Sprintf("dd%d", s), "CK": "TCK", "Q": fl})
+			netlist.Pins{{"D", fmt.Sprintf("dd%d", s)}, {"CK", "TCK"}, {"Q", fl}})
 	}
 	if _, err := netlist.AddMuxTree(m, "tso", doneFlags, cnt[:sessBits(spec.Sessions)], "TSO"); err != nil {
 		return nil, err
@@ -164,7 +164,7 @@ func Generate(d *netlist.Design, name string, spec Spec) (*netlist.Module, error
 		act := core.Name + "_actd"
 		m.AddNet(act)
 		if len(core.ActiveSessions) == 0 {
-			m.MustInstance(core.Name+"_tie", netlist.CellTie0, map[string]string{"Z": act})
+			m.MustInstance(core.Name+"_tie", netlist.CellTie0, netlist.Pins{{"Z", act}})
 		} else {
 			terms := make([]string, len(core.ActiveSessions))
 			for i, s := range core.ActiveSessions {
@@ -177,19 +177,19 @@ func Generate(d *netlist.Design, name string, spec Spec) (*netlist.Module, error
 		reg := core.Name + "_actq"
 		m.AddNet(reg)
 		m.MustInstance(core.Name+"_aff", netlist.CellDFF,
-			map[string]string{"D": act, "CK": "TCK", "Q": reg})
+			netlist.Pins{{"D", act}, {"CK", "TCK"}, {"Q", reg}})
 		m.MustInstance(core.Name+"_mbuf", netlist.CellBuf,
-			map[string]string{"A": reg, "Z": core.Name + "_MODE"})
+			netlist.Pins{{"A", reg}, {"Z", core.Name + "_MODE"}})
 		m.MustInstance(core.Name+"_shg", netlist.CellAnd2,
-			map[string]string{"A": "SE", "B": reg, "Z": core.Name + "_SHIFT"})
+			netlist.Pins{{"A", "SE"}, {"B", reg}, {"Z", core.Name + "_SHIFT"}})
 		for i := 0; i < core.TestEnables; i++ {
 			m.MustInstance(fmt.Sprintf("%s_teb%d", core.Name, i), netlist.CellBuf,
-				map[string]string{"A": reg, "Z": netlist.BitName(core.Name+"_TE", i, core.TestEnables)})
+				netlist.Pins{{"A", reg}, {"Z", netlist.BitName(core.Name+"_TE", i, core.TestEnables)}})
 		}
 		for i := 0; i < core.ScanEnables; i++ {
 			m.MustInstance(fmt.Sprintf("%s_seg%d", core.Name, i), netlist.CellAnd2,
-				map[string]string{"A": "SE", "B": reg,
-					"Z": netlist.BitName(core.Name+"_SE", i, core.ScanEnables)})
+				netlist.Pins{{"A", "SE"}, {"B", reg},
+					{"Z", netlist.BitName(core.Name+"_SE", i, core.ScanEnables)}})
 		}
 	}
 	if err := d.AddModule(m); err != nil {
@@ -206,28 +206,28 @@ func addCounter(m *netlist.Module, name, ck, rst, en string, q []string) error {
 	nrst := name + "_nrst"
 	m.AddNet(nrst)
 	if _, err := m.AddInstance(name+"_rinv", netlist.CellInv,
-		map[string]string{"A": rst, "Z": nrst}); err != nil {
+		netlist.Pins{{"A", rst}, {"Z", nrst}}); err != nil {
 		return err
 	}
 	for i := range q {
 		sum := fmt.Sprintf("%s_s%d", name, i)
 		dnet := fmt.Sprintf("%s_d%d", name, i)
 		if _, err := m.AddInstance(fmt.Sprintf("%s_x%d", name, i), netlist.CellXor2,
-			map[string]string{"A": q[i], "B": carry, "Z": sum}); err != nil {
+			netlist.Pins{{"A", q[i]}, {"B", carry}, {"Z", sum}}); err != nil {
 			return err
 		}
 		if _, err := m.AddInstance(fmt.Sprintf("%s_a%d", name, i), netlist.CellAnd2,
-			map[string]string{"A": sum, "B": nrst, "Z": dnet}); err != nil {
+			netlist.Pins{{"A", sum}, {"B", nrst}, {"Z", dnet}}); err != nil {
 			return err
 		}
 		if _, err := m.AddInstance(fmt.Sprintf("%s_f%d", name, i), netlist.CellDFF,
-			map[string]string{"D": dnet, "CK": ck, "Q": q[i]}); err != nil {
+			netlist.Pins{{"D", dnet}, {"CK", ck}, {"Q", q[i]}}); err != nil {
 			return err
 		}
 		if i < len(q)-1 {
 			nc := fmt.Sprintf("%s_c%d", name, i+1)
 			if _, err := m.AddInstance(fmt.Sprintf("%s_cg%d", name, i), netlist.CellAnd2,
-				map[string]string{"A": carry, "B": q[i], "Z": nc}); err != nil {
+				netlist.Pins{{"A", carry}, {"B", q[i]}, {"Z", nc}}); err != nil {
 				return err
 			}
 			carry = nc

@@ -274,53 +274,58 @@ func buildTop(d *netlist.Design, orig *netlist.Design, cores map[string]*testinf
 	top.MustPort("tin", netlist.In, tamSpec.Width)
 	top.MustPort("tout", netlist.Out, tamSpec.Width)
 
-	top.MustInstance("u_tie0", netlist.CellTie0, map[string]string{"Z": "safe0"})
+	top.MustInstance("u_tie0", netlist.CellTie0, netlist.Pins{{"Z", "safe0"}})
 
 	// Clone original instances, replacing cores with wrapped versions.
 	for _, inst := range ot.Instances {
 		coreName, isCore := coreOf(inst.Of)
 		if !isCore {
-			top.MustInstance(inst.Name, inst.Of, inst.Conns)
+			top.MustInstance(inst.Name, inst.Of, ot.PinsOf(inst))
 			continue
 		}
 		core, ok := cores[coreName]
 		if !ok {
 			// A core module we were not asked to wrap: keep as is.
-			top.MustInstance(inst.Name, inst.Of, inst.Conns)
+			top.MustInstance(inst.Name, inst.Of, ot.PinsOf(inst))
 			continue
 		}
 		plan := result.Plans[coreName]
-		conns := make(map[string]string, len(inst.Conns)+16)
-		for f, a := range inst.Conns {
-			conns[f] = a
-		}
 		// Test-side wiring.
-		conns["wrck"] = "tck"
-		conns["shift"] = coreName + "_shift"
-		conns["update"] = "glb_update"
-		conns["mode"] = coreName + "_mode"
-		conns["safe"] = "safe0"
-		conns["shiftwir"] = "glb_shiftwir"
-		conns["updatewir"] = "glb_updatewir"
-		conns["wirso"] = coreName + "_wirso"
+		conns := netlist.Pins{
+			{"wrck", "tck"}, {"shift", coreName + "_shift"}, {"update", "glb_update"},
+			{"mode", coreName + "_mode"}, {"safe", "safe0"}, {"shiftwir", "glb_shiftwir"},
+			{"updatewir", "glb_updatewir"}, {"wirso", coreName + "_wirso"},
+		}
 		for w := 0; w < plan.Width; w++ {
-			conns[netlist.BitName("wsi", w, plan.Width)] = fmt.Sprintf("%s_wsi%d", coreName, w)
-			conns[netlist.BitName("wso", w, plan.Width)] = fmt.Sprintf("%s_wso%d", coreName, w)
+			conns = append(conns,
+				[2]string{netlist.BitName("wsi", w, plan.Width), fmt.Sprintf("%s_wsi%d", coreName, w)},
+				[2]string{netlist.BitName("wso", w, plan.Width), fmt.Sprintf("%s_wso%d", coreName, w)})
 		}
 		for i, se := range core.ScanEnables {
-			conns[se] = fmt.Sprintf("%s_se%d", coreName, i)
+			conns = append(conns, [2]string{se, fmt.Sprintf("%s_se%d", coreName, i)})
 		}
 		for i, te := range core.TestEnables {
-			conns[te] = fmt.Sprintf("%s_te%d", coreName, i)
+			conns = append(conns, [2]string{te, fmt.Sprintf("%s_te%d", coreName, i)})
+		}
+		// The original bindings follow, but for any pin the test side
+		// now drives.
+		testSide := make(map[string]bool, len(conns))
+		for _, p := range conns {
+			testSide[p[0]] = true
+		}
+		for _, c := range inst.Conns {
+			if !testSide[c.Formal] {
+				conns = append(conns, [2]string{c.Formal, ot.Nets[c.Net]})
+			}
 		}
 		top.MustInstance(inst.Name, "wrap_"+coreName, conns)
 	}
 
 	// Controller.
-	ctlConns := map[string]string{
-		"TCK": "tck", "TRST": "trst", "TNEXT": "tnext", "SE": "se_pin",
-		"SHIFTWIR": "glb_shiftwir", "UPDATEWIR": "glb_updatewir",
-		"UPDATE": "glb_update", "TSO": "tso",
+	ctlConns := netlist.Pins{
+		{"TCK", "tck"}, {"TRST", "trst"}, {"TNEXT", "tnext"}, {"SE", "se_pin"},
+		{"SHIFTWIR", "glb_shiftwir"}, {"UPDATEWIR", "glb_updatewir"},
+		{"UPDATE", "glb_update"}, {"TSO", "tso"},
 	}
 	ctl := d.Module(ctlName)
 	sb := 0
@@ -330,36 +335,36 @@ func buildTop(d *netlist.Design, orig *netlist.Design, cores map[string]*testinf
 		}
 	}
 	for b := 0; b < sb; b++ {
-		ctlConns[netlist.BitName("SESS", b, sb)] = fmt.Sprintf("sess%d", b)
+		ctlConns = append(ctlConns, [2]string{netlist.BitName("SESS", b, sb), fmt.Sprintf("sess%d", b)})
 	}
 	for _, cc := range result.CtlSpec.Cores {
-		ctlConns[cc.Name+"_MODE"] = cc.Name + "_mode"
-		ctlConns[cc.Name+"_SHIFT"] = cc.Name + "_shift"
+		ctlConns = append(ctlConns, [2]string{cc.Name + "_MODE", cc.Name + "_mode"},
+			[2]string{cc.Name + "_SHIFT", cc.Name + "_shift"})
 		for i := 0; i < cc.TestEnables; i++ {
-			ctlConns[netlist.BitName(cc.Name+"_TE", i, cc.TestEnables)] = fmt.Sprintf("%s_te%d", cc.Name, i)
+			ctlConns = append(ctlConns, [2]string{netlist.BitName(cc.Name+"_TE", i, cc.TestEnables), fmt.Sprintf("%s_te%d", cc.Name, i)})
 		}
 		for i := 0; i < cc.ScanEnables; i++ {
-			ctlConns[netlist.BitName(cc.Name+"_SE", i, cc.ScanEnables)] = fmt.Sprintf("%s_se%d", cc.Name, i)
+			ctlConns = append(ctlConns, [2]string{netlist.BitName(cc.Name+"_SE", i, cc.ScanEnables), fmt.Sprintf("%s_se%d", cc.Name, i)})
 		}
 	}
 	top.MustInstance("u_tacs", ctlName, ctlConns)
 
 	// TAM multiplexer.
 	tm := d.Module(tamName)
-	tamConns := make(map[string]string)
+	var tamConns netlist.Pins
 	for _, p := range tm.Ports {
 		switch {
 		case p.Name == "TIN":
 			for b := 0; b < p.Width; b++ {
-				tamConns[netlist.BitName("TIN", b, p.Width)] = netlist.BitName("tin", b, tamSpec.Width)
+				tamConns = append(tamConns, [2]string{netlist.BitName("TIN", b, p.Width), netlist.BitName("tin", b, tamSpec.Width)})
 			}
 		case p.Name == "TOUT":
 			for b := 0; b < p.Width; b++ {
-				tamConns[netlist.BitName("TOUT", b, p.Width)] = netlist.BitName("tout", b, tamSpec.Width)
+				tamConns = append(tamConns, [2]string{netlist.BitName("TOUT", b, p.Width), netlist.BitName("tout", b, tamSpec.Width)})
 			}
 		case p.Name == "SESS":
 			for b := 0; b < p.Width; b++ {
-				tamConns[netlist.BitName("SESS", b, p.Width)] = fmt.Sprintf("sess%d", b)
+				tamConns = append(tamConns, [2]string{netlist.BitName("SESS", b, p.Width), fmt.Sprintf("sess%d", b)})
 			}
 		default:
 			// <core>_WSI / <core>_WSO buses.
@@ -371,7 +376,7 @@ func buildTop(d *netlist.Design, orig *netlist.Design, cores map[string]*testinf
 						lower = "_wso"
 					}
 					for b := 0; b < p.Width; b++ {
-						tamConns[netlist.BitName(p.Name, b, p.Width)] = fmt.Sprintf("%s%s%d", coreName, lower, b)
+						tamConns = append(tamConns, [2]string{netlist.BitName(p.Name, b, p.Width), fmt.Sprintf("%s%s%d", coreName, lower, b)})
 					}
 				}
 			}
@@ -381,15 +386,15 @@ func buildTop(d *netlist.Design, orig *netlist.Design, cores map[string]*testinf
 
 	// BIST.
 	if bistTop != "" && d.Module(bistTop) != nil {
-		top.MustInstance("u_membist", bistTop, map[string]string{
-			"MBS": "mbs", "MBR": "mbr", "MBC": "tck", "MSI": "msi",
-			"MSO": "mso", "MBO": "mbo", "MRD": "mrd",
+		top.MustInstance("u_membist", bistTop, netlist.Pins{
+			{"MBS", "mbs"}, {"MBR", "mbr"}, {"MBC", "tck"}, {"MSI", "msi"},
+			{"MSO", "mso"}, {"MBO", "mbo"}, {"MRD", "mrd"},
 		})
 	} else {
 		// No BIST: tie the tester outputs quiet.
-		top.MustInstance("u_tmso", netlist.CellTie0, map[string]string{"Z": "mso"})
-		top.MustInstance("u_tmbo", netlist.CellTie0, map[string]string{"Z": "mbo"})
-		top.MustInstance("u_tmrd", netlist.CellTie1, map[string]string{"Z": "mrd"})
+		top.MustInstance("u_tmso", netlist.CellTie0, netlist.Pins{{"Z", "mso"}})
+		top.MustInstance("u_tmbo", netlist.CellTie0, netlist.Pins{{"Z", "mbo"}})
+		top.MustInstance("u_tmrd", netlist.CellTie1, netlist.Pins{{"Z", "mrd"}})
 	}
 	if err := d.AddModule(top); err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package insertion
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -32,7 +33,9 @@ func smallCore() *testinfo.Core {
 	}
 }
 
-func smallSOC(t *testing.T, core *testinfo.Core) *netlist.Design {
+// smallSOC instantiates the core in a one-core SOC, binding its clock,
+// reset and functional pins plus any extra pins given.
+func smallSOC(t *testing.T, core *testinfo.Core, extra ...[2]string) *netlist.Design {
 	t.Helper()
 	d := netlist.NewDesign("mini", nil)
 	if _, err := wrapper.GenerateCoreModule(d, core); err != nil {
@@ -49,15 +52,16 @@ func smallSOC(t *testing.T, core *testinfo.Core) *netlist.Design {
 	top.MustPort("rst", netlist.In, 1)
 	top.MustPort("pi", netlist.In, core.PIs)
 	top.MustPort("po", netlist.Out, core.POs)
-	conns := map[string]string{"ck": "clk", "rst": "rst"}
+	conns := netlist.Pins{{"ck", "clk"}, {"rst", "rst"}}
 	for i := 0; i < core.PIs; i++ {
-		conns[netlist.BitName("pi", i, core.PIs)] = netlist.BitName("pi", i, core.PIs)
+		conns = append(conns, [2]string{netlist.BitName("pi", i, core.PIs), netlist.BitName("pi", i, core.PIs)})
 	}
 	for i := 0; i < core.POs; i++ {
-		conns[netlist.BitName("po", i, core.POs)] = netlist.BitName("po", i, core.POs)
+		conns = append(conns, [2]string{netlist.BitName("po", i, core.POs), netlist.BitName("po", i, core.POs)})
 	}
+	conns = append(conns, extra...)
 	top.MustInstance("u_CPU", wrapper.CoreModuleName(core.Name), conns)
-	top.MustInstance("u_glue", "glue", map[string]string{"clk": "clk"})
+	top.MustInstance("u_glue", "glue", netlist.Pins{{"clk", "clk"}})
 	d.MustAddModule(top)
 	d.Top = "soc"
 	return d
@@ -212,6 +216,24 @@ func TestDFTNetlistVerilogRoundTrip(t *testing.T) {
 	}
 }
 
+// An original SOC may already bind a core's test pins; the wrapped
+// instance binds them to the test controller instead, once each.
+func TestInsertRebindsOriginalTestPins(t *testing.T) {
+	core := smallCore()
+	soc := smallSOC(t, core, [2]string{"se", "rst"}, [2]string{"te", "rst"})
+	s, res := schedule(t, core, nil)
+	ins, err := Insert(soc, []*testinfo.Core{core}, s, res, nil, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := ins.Top.Instance("u_CPU")
+	for formal, want := range map[string]string{"se": "CPU_se0", "te": "CPU_te0", "rst": "rst"} {
+		if id := inst.Actual(formal); id < 0 || ins.Top.Nets[id] != want {
+			t.Errorf("wrapped core binds %s to net %d, want %s", formal, id, want)
+		}
+	}
+}
+
 // Insert lints the original SOC's modules along with everything it
 // generates, so a broken original design is refused.
 func TestInsertRefusesDirtyOriginal(t *testing.T) {
@@ -219,11 +241,13 @@ func TestInsertRefusesDirtyOriginal(t *testing.T) {
 	s, res := schedule(t, core, nil)
 	for name, spoil := range map[string]func(top *netlist.Module){
 		"double-driven net": func(top *netlist.Module) {
-			top.MustInstance("u_d0", netlist.CellBuf, map[string]string{"A": "clk", "Z": "x"})
-			top.MustInstance("u_d1", netlist.CellInv, map[string]string{"A": "rst", "Z": "x"})
+			top.MustInstance("u_d0", netlist.CellBuf, netlist.Pins{{"A", "clk"}, {"Z", "x"}})
+			top.MustInstance("u_d1", netlist.CellInv, netlist.Pins{{"A", "rst"}, {"Z", "x"}})
 		},
 		"core port the core lacks": func(top *netlist.Module) {
-			top.Instance("u_CPU").Conns["bogus"] = "clk"
+			// "bogus" sorts before every formal the instance binds.
+			inst := top.Instance("u_CPU")
+			inst.Conns = slices.Insert(inst.Conns, 0, netlist.Conn{Formal: "bogus", Net: top.NetID("clk")})
 		},
 	} {
 		soc := smallSOC(t, core)

@@ -41,7 +41,7 @@ func AddMuxTree(m *Module, name string, inputs []string, sel []string, out strin
 			}
 			m.AddNet(o)
 			if _, err := m.AddInstance(name+"_m"+lj, CellMux2,
-				map[string]string{"A": level[2*j], "B": level[2*j+1], "S": s, "Z": o}); err != nil {
+				Pins{{"A", level[2*j]}, {"B", level[2*j+1]}, {"S", s}, {"Z", o}}); err != nil {
 				return count, err
 			}
 			count++
@@ -68,7 +68,7 @@ func AddDecoder(m *Module, name string, sel []string, en string, outs []string) 
 		inv[i] = name + "_n" + is
 		m.AddNet(inv[i])
 		if _, err := m.AddInstance(name+"_inv"+is, CellInv,
-			map[string]string{"A": s, "Z": inv[i]}); err != nil {
+			Pins{{"A", s}, {"Z", inv[i]}}); err != nil {
 			return count, err
 		}
 		count++
@@ -126,7 +126,7 @@ func addTree(m *Module, name, cell2, cell1 string, inputs []string, out string) 
 			}
 			m.AddNet(o)
 			if _, err := m.AddInstance(name+"_g"+rs+js, cell2,
-				map[string]string{"A": level[j], "B": level[j+1], "Z": o}); err != nil {
+				Pins{{"A", level[j]}, {"B", level[j+1]}, {"Z", o}}); err != nil {
 				return count, err
 			}
 			count++
@@ -141,7 +141,7 @@ func addTree(m *Module, name, cell2, cell1 string, inputs []string, out string) 
 	if len(inputs) == 1 {
 		m.AddNet(out)
 		if _, err := m.AddInstance(name+"_buf", cell1,
-			map[string]string{"A": inputs[0], "Z": out}); err != nil {
+			Pins{{"A", inputs[0]}, {"Z", out}}); err != nil {
 			return count, err
 		}
 		count++
@@ -160,7 +160,7 @@ func AddRegister(m *Module, name, ck string, d, q []string) (int, error) {
 		m.AddNet(d[i])
 		m.AddNet(q[i])
 		if _, err := m.AddInstance(name+"_ff"+strconv.Itoa(i), CellDFF,
-			map[string]string{"D": d[i], "CK": ck, "Q": q[i]}); err != nil {
+			Pins{{"D", d[i]}, {"CK", ck}, {"Q", q[i]}}); err != nil {
 			return i, err
 		}
 	}

@@ -20,8 +20,8 @@ func buildSimTestbed(t *testing.T) *Design {
 	tff.MustPort("ck", In, 1)
 	tff.MustPort("t", In, 1)
 	tff.MustPort("q", Out, 1)
-	tff.MustInstance("u_x", CellXor2, map[string]string{"A": "q", "B": "t", "Z": "nd"})
-	tff.MustInstance("u_f", CellDFF, map[string]string{"D": "nd", "CK": "ck", "Q": "q"})
+	tff.MustInstance("u_x", CellXor2, Pins{{"A", "q"}, {"B", "t"}, {"Z", "nd"}})
+	tff.MustInstance("u_f", CellDFF, Pins{{"D", "nd"}, {"CK", "ck"}, {"Q", "q"}})
 	d.MustAddModule(tff)
 
 	m := NewModule("dut")
@@ -31,27 +31,27 @@ func buildSimTestbed(t *testing.T) *Design {
 	for _, p := range []string{"y0", "y1", "cq", "sq", "rq", "lq", "gq", "t0q", "t1q"} {
 		m.MustPort(p, Out, 1)
 	}
-	m.MustInstance("u_inv", CellInv, map[string]string{"A": "a", "Z": "y0"})
-	m.MustInstance("u_nand", CellNand2, map[string]string{"A": "a", "B": "b", "Z": "n1"})
-	m.MustInstance("u_nor", CellNor2, map[string]string{"A": "a", "B": "s", "Z": "n2"})
-	m.MustInstance("u_and", CellAnd2, map[string]string{"A": "n1", "B": "b", "Z": "n3"})
-	m.MustInstance("u_or", CellOr2, map[string]string{"A": "n2", "B": "s", "Z": "n4"})
-	m.MustInstance("u_xor", CellXor2, map[string]string{"A": "n3", "B": "n4", "Z": "n5"})
-	m.MustInstance("u_xnor", CellXnor2, map[string]string{"A": "n5", "B": "a", "Z": "n6"})
-	m.MustInstance("u_mux", CellMux2, map[string]string{"A": "n5", "B": "n6", "S": "s", "Z": "m1"})
-	m.MustInstance("u_buf", CellBuf, map[string]string{"A": "m1", "Z": "y1"})
-	m.MustInstance("u_t0", CellTie0, map[string]string{"Z": "tz"})
-	m.MustInstance("u_t1", CellTie1, map[string]string{"Z": "to"})
-	m.MustInstance("u_dff", CellDFF, map[string]string{"D": "n5", "CK": "ck", "Q": "cq"})
+	m.MustInstance("u_inv", CellInv, Pins{{"A", "a"}, {"Z", "y0"}})
+	m.MustInstance("u_nand", CellNand2, Pins{{"A", "a"}, {"B", "b"}, {"Z", "n1"}})
+	m.MustInstance("u_nor", CellNor2, Pins{{"A", "a"}, {"B", "s"}, {"Z", "n2"}})
+	m.MustInstance("u_and", CellAnd2, Pins{{"A", "n1"}, {"B", "b"}, {"Z", "n3"}})
+	m.MustInstance("u_or", CellOr2, Pins{{"A", "n2"}, {"B", "s"}, {"Z", "n4"}})
+	m.MustInstance("u_xor", CellXor2, Pins{{"A", "n3"}, {"B", "n4"}, {"Z", "n5"}})
+	m.MustInstance("u_xnor", CellXnor2, Pins{{"A", "n5"}, {"B", "a"}, {"Z", "n6"}})
+	m.MustInstance("u_mux", CellMux2, Pins{{"A", "n5"}, {"B", "n6"}, {"S", "s"}, {"Z", "m1"}})
+	m.MustInstance("u_buf", CellBuf, Pins{{"A", "m1"}, {"Z", "y1"}})
+	m.MustInstance("u_t0", CellTie0, Pins{{"Z", "tz"}})
+	m.MustInstance("u_t1", CellTie1, Pins{{"Z", "to"}})
+	m.MustInstance("u_dff", CellDFF, Pins{{"D", "n5"}, {"CK", "ck"}, {"Q", "cq"}})
 	m.MustInstance("u_sdff", CellSDFF,
-		map[string]string{"D": "a", "SI": "cq", "SE": "s", "CK": "ck", "Q": "sq", "QN": "sqn"})
-	m.MustInstance("u_dffr", CellDFFR, map[string]string{"D": "b", "CK": "ck", "R": "rst", "Q": "rq"})
-	m.MustInstance("u_lat", CellLatchL, map[string]string{"D": "a", "EN": "en", "Q": "lq"})
+		Pins{{"D", "a"}, {"SI", "cq"}, {"SE", "s"}, {"CK", "ck"}, {"Q", "sq"}, {"QN", "sqn"}})
+	m.MustInstance("u_dffr", CellDFFR, Pins{{"D", "b"}, {"CK", "ck"}, {"R", "rst"}, {"Q", "rq"}})
+	m.MustInstance("u_lat", CellLatchL, Pins{{"D", "a"}, {"EN", "en"}, {"Q", "lq"}})
 	// Gated clock: ck2 drives an AND, so ck2 is not "clock pure".
-	m.MustInstance("u_gate", CellAnd2, map[string]string{"A": "ck2", "B": "en", "Z": "gck"})
-	m.MustInstance("u_gdff", CellDFF, map[string]string{"D": "sqn", "CK": "gck", "Q": "gq"})
-	m.MustInstance("u_tff0", "tff", map[string]string{"ck": "ck", "t": "to", "q": "t0q"})
-	m.MustInstance("u_tff1", "tff", map[string]string{"ck": "ck", "t": "tz", "q": "t1q"})
+	m.MustInstance("u_gate", CellAnd2, Pins{{"A", "ck2"}, {"B", "en"}, {"Z", "gck"}})
+	m.MustInstance("u_gdff", CellDFF, Pins{{"D", "sqn"}, {"CK", "gck"}, {"Q", "gq"}})
+	m.MustInstance("u_tff0", "tff", Pins{{"ck", "ck"}, {"t", "to"}, {"q", "t0q"}})
+	m.MustInstance("u_tff1", "tff", Pins{{"ck", "ck"}, {"t", "tz"}, {"q", "t1q"}})
 	d.MustAddModule(m)
 	d.Top = "dut"
 	return d
@@ -147,13 +147,13 @@ func buildCustomTestbed(t *testing.T) *Design {
 	for _, p := range []string{"y", "q1", "q2"} {
 		m.MustPort(p, Out, 1)
 	}
-	m.MustInstance("u_aoi", "AOI21", map[string]string{"A1": "a", "A2": "b", "B": "q1", "Z": "n1"})
-	m.MustInstance("u_ha", "HA", map[string]string{"A": "n1", "B": "s", "S": "s1", "C": "c1"})
-	m.MustInstance("u_t", "TFFC", map[string]string{"T": "s1", "CK": "ck", "Q": "q1"})
-	m.MustInstance("u_open", CellNand2, map[string]string{"A": "c1", "Z": "n2"})
-	m.MustInstance("u_dangle", CellInv, map[string]string{"A": "n2"})
-	m.MustInstance("u_mux", CellMux2, map[string]string{"A": "n2", "B": "s1", "S": "en", "Z": "y"})
-	m.MustInstance("u_d", CellDFF, map[string]string{"D": "y", "CK": "ck", "Q": "q2"})
+	m.MustInstance("u_aoi", "AOI21", Pins{{"A1", "a"}, {"A2", "b"}, {"B", "q1"}, {"Z", "n1"}})
+	m.MustInstance("u_ha", "HA", Pins{{"A", "n1"}, {"B", "s"}, {"S", "s1"}, {"C", "c1"}})
+	m.MustInstance("u_t", "TFFC", Pins{{"T", "s1"}, {"CK", "ck"}, {"Q", "q1"}})
+	m.MustInstance("u_open", CellNand2, Pins{{"A", "c1"}, {"Z", "n2"}})
+	m.MustInstance("u_dangle", CellInv, Pins{{"A", "n2"}})
+	m.MustInstance("u_mux", CellMux2, Pins{{"A", "n2"}, {"B", "s1"}, {"S", "en"}, {"Z", "y"}})
+	m.MustInstance("u_d", CellDFF, Pins{{"D", "y"}, {"CK", "ck"}, {"Q", "q2"}})
 	d.MustAddModule(m)
 	d.Top = "dut"
 	return d
@@ -459,8 +459,8 @@ func TestCompiledSimRejectsCombLoop(t *testing.T) {
 	m.MustPort("sn", In, 1)
 	m.MustPort("rn", In, 1)
 	m.MustPort("q", Out, 1)
-	m.MustInstance("u_a", CellNand2, map[string]string{"A": "sn", "B": "qb", "Z": "q"})
-	m.MustInstance("u_b", CellNand2, map[string]string{"A": "q", "B": "rn", "Z": "qb"})
+	m.MustInstance("u_a", CellNand2, Pins{{"A", "sn"}, {"B", "qb"}, {"Z", "q"}})
+	m.MustInstance("u_b", CellNand2, Pins{{"A", "q"}, {"B", "rn"}, {"Z", "qb"}})
 	d.MustAddModule(m)
 	if _, err := NewCompiledSim(d, "latchpair"); err == nil {
 		t.Fatal("expected a combinational-loop error")
@@ -506,8 +506,8 @@ func compiledVsSimulatorProperty(t *testing.T, seed int64) {
 	d, ins, _, obsNets := randomPackedDesign(rng, 6+rng.Intn(30))
 	m := d.Modules["dut"]
 	m.MustPort("lck", In, 1)
-	m.MustInstance("u_xl", CellLatchL, map[string]string{"D": obsNets[rng.Intn(len(obsNets))], "EN": "lck", "Q": "xl"})
-	m.MustInstance("u_xf", CellDFFR, map[string]string{"D": "xl", "CK": "lck", "R": ins[rng.Intn(len(ins))], "Q": "xf"})
+	m.MustInstance("u_xl", CellLatchL, Pins{{"D", obsNets[rng.Intn(len(obsNets))]}, {"EN", "lck"}, {"Q", "xl"}})
+	m.MustInstance("u_xf", CellDFFR, Pins{{"D", "xl"}, {"CK", "lck"}, {"R", ins[rng.Intn(len(ins))]}, {"Q", "xf"}})
 	ref, err := NewSimulator(d, "dut")
 	if err != nil {
 		t.Fatal(err)

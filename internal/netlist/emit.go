@@ -1,9 +1,11 @@
 package netlist
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -21,92 +23,103 @@ func (d *Design) EmitVerilog(w io.Writer) error {
 	if d.Top != "" {
 		ordered = append(ordered, d.Top)
 	}
+	bw := bufio.NewWriter(w)
 	for _, n := range ordered {
-		if err := d.emitModule(w, d.Modules[n]); err != nil {
-			return err
-		}
+		d.emitModule(bw, d.Modules[n])
 	}
-	return nil
+	return bw.Flush()
 }
 
-// vname renders a net/instance/formal name as a Verilog identifier: plain
-// names pass through, anything with characters outside [A-Za-z0-9_$] (bus
-// bits of formals, hierarchical junctions) becomes an escaped identifier
-// ("\name " with the mandatory trailing space), which the parser in this
-// package reads back verbatim — emission round-trips.
-func vname(name string) string {
-	plain := true
-	for i := 0; i < len(name); i++ {
+// writeName writes a net/instance/formal name as a Verilog identifier:
+// plain names pass through, anything with characters outside
+// [A-Za-z0-9_$] (bus bits of formals, hierarchical junctions) becomes an
+// escaped identifier ("\name " with the mandatory trailing space), which
+// the parser in this package reads back verbatim — emission round-trips.
+func writeName(w *bufio.Writer, name string) {
+	plain := len(name) > 0 && !(name[0] >= '0' && name[0] <= '9')
+	for i := 0; plain && i < len(name); i++ {
 		c := name[i]
-		if !(c == '_' || c == '$' || (c >= '0' && c <= '9') ||
-			(c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')) {
-			plain = false
-			break
-		}
+		plain = c == '_' || c == '$' || (c >= '0' && c <= '9') ||
+			(c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
 	}
-	if plain && len(name) > 0 && !(name[0] >= '0' && name[0] <= '9') {
-		return name
+	if plain {
+		w.WriteString(name)
+		return
 	}
-	return "\\" + name + " "
+	w.WriteByte('\\')
+	w.WriteString(name)
+	w.WriteByte(' ')
 }
 
-func (d *Design) emitModule(w io.Writer, m *Module) error {
-	portNames := make([]string, len(m.Ports))
-	for i, p := range m.Ports {
-		portNames[i] = vname(p.Name)
-	}
+// emitModule writes one module declaration; a write error is kept in w
+// and returned by its Flush.
+func (d *Design) emitModule(w *bufio.Writer, m *Module) {
 	if m.Behavioral {
-		if _, err := fmt.Fprintf(w, "// behavioral IP block, %0.f NAND2-equivalent gates\nmodule %s(%s);\n",
-			m.AreaOverride, vname(m.Name), strings.Join(portNames, ", ")); err != nil {
-			return err
-		}
-	} else {
-		if _, err := fmt.Fprintf(w, "module %s(%s);\n", vname(m.Name), strings.Join(portNames, ", ")); err != nil {
-			return err
-		}
+		fmt.Fprintf(w, "// behavioral IP block, %0.f NAND2-equivalent gates\n", m.AreaOverride)
 	}
+	w.WriteString("module ")
+	writeName(w, m.Name)
+	w.WriteByte('(')
+	for i, p := range m.Ports {
+		if i > 0 {
+			w.WriteString(", ")
+		}
+		writeName(w, p.Name)
+	}
+	w.WriteString(");\n")
 	for _, p := range m.Ports {
+		w.WriteString("  ")
+		w.WriteString(p.Dir.String())
 		if p.Width > 1 {
-			fmt.Fprintf(w, "  %s [%d:0] %s;\n", p.Dir, p.Width-1, vname(p.Name))
-		} else {
-			fmt.Fprintf(w, "  %s %s;\n", p.Dir, vname(p.Name))
+			w.WriteString(" [")
+			w.WriteString(strconv.Itoa(p.Width - 1))
+			w.WriteString(":0]")
 		}
+		w.WriteByte(' ')
+		writeName(w, p.Name)
+		w.WriteString(";\n")
 	}
-	// Internal wires (anything not backing a port bit).
-	portBit := make(map[string]bool)
-	for _, p := range m.Ports {
-		for _, b := range p.Bits() {
-			portBit[b] = true
-		}
+	// Port bits are written as bit-selects, not as escaped names, and
+	// are not declared as wires.
+	portBit := make([]bool, len(m.Nets))
+	for _, id := range m.portBits {
+		portBit[id] = true
 	}
 	wires := make([]string, 0, len(m.Nets))
-	for n := range m.Nets {
-		if !portBit[n] {
+	for id, n := range m.Nets {
+		if !portBit[id] {
 			wires = append(wires, n)
 		}
 	}
 	sort.Strings(wires)
 	for _, n := range wires {
-		fmt.Fprintf(w, "  wire %s;\n", vname(n))
+		w.WriteString("  wire ")
+		writeName(w, n)
+		w.WriteString(";\n")
 	}
 	for _, inst := range m.Instances {
-		formals := make([]string, 0, len(inst.Conns))
-		for f := range inst.Conns {
-			formals = append(formals, f)
-		}
-		sort.Strings(formals)
-		conns := make([]string, len(formals))
-		for i, f := range formals {
-			actual := inst.Conns[f]
-			if !portBit[actual] {
-				actual = vname(actual)
+		w.WriteString("  ")
+		w.WriteString(inst.Of)
+		w.WriteByte(' ')
+		writeName(w, inst.Name)
+		w.WriteString(" (")
+		for i, c := range inst.Conns {
+			if i > 0 {
+				w.WriteString(", ")
 			}
-			conns[i] = fmt.Sprintf(".%s(%s)", vname(f), actual)
+			w.WriteByte('.')
+			writeName(w, c.Formal)
+			w.WriteByte('(')
+			if portBit[c.Net] {
+				w.WriteString(m.Nets[c.Net])
+			} else {
+				writeName(w, m.Nets[c.Net])
+			}
+			w.WriteByte(')')
 		}
-		fmt.Fprintf(w, "  %s %s (%s);\n", inst.Of, vname(inst.Name), strings.Join(conns, ", "))
+		w.WriteString(");\n")
 	}
-	_, err := fmt.Fprintf(w, "endmodule\n\n")
-	return err
+	w.WriteString("endmodule\n\n")
 }
 
 // EmitVerilogString renders the design to a string; it is a convenience

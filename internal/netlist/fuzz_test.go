@@ -1,6 +1,9 @@
 package netlist
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // FuzzParseVerilog feeds arbitrary bytes to the structural-Verilog reader.
 // Malformed input must return an error — never panic — and any design the
@@ -12,9 +15,12 @@ func FuzzParseVerilog(f *testing.F) {
 	m.MustPort("a", In, 1)
 	m.MustPort("b", In, 1)
 	m.MustPort("y", Out, 1)
-	m.MustInstance("u1", CellAnd2, map[string]string{"A": "a", "B": "b", "Z": "y"})
+	m.MustInstance("u1", CellAnd2, Pins{{"A", "a"}, {"B", "b"}, {"Z", "y"}})
 	d.MustAddModule(m)
 	if src, err := d.EmitVerilogString(); err == nil {
+		f.Add(src)
+	}
+	if src, err := randomDesign(rand.New(rand.NewSource(1))).EmitVerilogString(); err == nil {
 		f.Add(src)
 	}
 	f.Add("module m(a, y);\ninput a;\noutput y;\nBUF u0 (.A(a), .Z(y));\nendmodule\n")

@@ -2,7 +2,8 @@ package netlist
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // LintIssue is one structural problem found by Lint.
@@ -29,7 +30,7 @@ func (d *Design) Lint() []LintIssue {
 // design from parts already linted by their builders lints just the
 // modules it made.
 func (d *Design) LintModules(names []string) []LintIssue {
-	l := linter{d: d, formals: make(map[string]map[string]uint64)}
+	l := linter{d: d, formals: make(map[string][]formal)}
 	var issues []LintIssue
 	for _, name := range names {
 		issues = l.module(issues, name)
@@ -61,42 +62,61 @@ func bindTally(dir PortDir) uint64 {
 	return oneDriver + oneLoad
 }
 
+// formal is one port bit of a cell or module with its bindTally.
+type formal struct {
+	name  string
+	tally uint64
+}
+
 // linter holds what one LintModules call learns about the cells and
 // modules its instances reference.
 type linter struct {
 	d *Design
 	// formals maps Instance.Of to the port bits of that cell or module,
-	// each with its bindTally; nil marks a reference that resolves to
-	// neither.
-	formals map[string]map[string]uint64
+	// sorted bytewise by name like Instance.Conns; nil marks a reference
+	// that resolves to neither.
+	formals map[string][]formal
 }
 
-func (l *linter) portsOf(of string) map[string]uint64 {
+func (l *linter) portsOf(of string) []formal {
 	if f, ok := l.formals[of]; ok {
 		return f
 	}
-	var f map[string]uint64
+	var f []formal
 	if cell, ok := l.d.Lib.Cell(of); ok {
-		f = make(map[string]uint64, len(cell.Inputs)+len(cell.Outputs))
+		f = make([]formal, 0, len(cell.Inputs)+len(cell.Outputs))
 		for _, p := range cell.Inputs {
-			f[p] |= oneLoad
+			f = append(f, formal{p, oneLoad})
 		}
 		for _, p := range cell.Outputs {
-			f[p] |= oneDriver
+			f = append(f, formal{p, oneDriver})
 		}
 	} else if sub, ok := l.d.Modules[of]; ok {
-		bits := 0
-		for _, p := range sub.Ports {
-			bits += max(p.Width, 1)
-		}
-		f = make(map[string]uint64, bits)
+		f = make([]formal, 0, len(sub.portBits))
+		k := 0
 		for _, p := range sub.Ports {
 			t := bindTally(p.Dir)
-			for i := 0; i < max(p.Width, 1); i++ {
-				f[BitName(p.Name, i, p.Width)] |= t
+			for range p.Width {
+				f = append(f, formal{sub.Nets[sub.portBits[k]], t})
+				k++
 			}
 		}
+	} else {
+		l.formals[of] = nil
+		return nil
 	}
+	// A name listed twice (a pin that is both input and output) binds
+	// with both tallies.
+	slices.SortFunc(f, func(a, b formal) int { return strings.Compare(a.name, b.name) })
+	uniq := f[:0]
+	for _, x := range f {
+		if n := len(uniq); n > 0 && uniq[n-1].name == x.name {
+			uniq[n-1].tally |= x.tally
+			continue
+		}
+		uniq = append(uniq, x)
+	}
+	f = uniq
 	l.formals[of] = f
 	return f
 }
@@ -106,8 +126,9 @@ func (l *linter) module(issues []LintIssue, name string) []LintIssue {
 	if m.Behavioral {
 		return issues
 	}
-	tally := make(map[string]uint64, len(m.Nets))
+	tally := make([]uint64, len(m.Nets))
 	// Module input bits drive nets; output bits are loads.
+	k := 0
 	for _, p := range m.Ports {
 		t := oneDriver + oneLoad // InOut counts as both.
 		switch p.Dir {
@@ -116,8 +137,9 @@ func (l *linter) module(issues []LintIssue, name string) []LintIssue {
 		case Out:
 			t = oneLoad
 		}
-		for i := 0; i < max(p.Width, 1); i++ {
-			tally[BitName(p.Name, i, p.Width)] += t
+		for range p.Width {
+			tally[m.portBits[k]] += t
+			k++
 		}
 	}
 	for _, inst := range m.Instances {
@@ -127,37 +149,36 @@ func (l *linter) module(issues []LintIssue, name string) []LintIssue {
 				fmt.Sprintf("instance %s references unknown cell/module %s", inst.Name, inst.Of)})
 			continue
 		}
-		// Bad ports are reported in port-name order, not map order.
-		var bad []string
-		for formal, actual := range inst.Conns {
-			t := formals[formal]
-			if t == 0 {
-				bad = append(bad, formal)
+		// Conns and formals are both sorted by name: one merge pass
+		// tallies the bound nets and finds the bad ports in name order.
+		j := 0
+		for _, c := range inst.Conns {
+			for j < len(formals) && formals[j].name < c.Formal {
+				j++
+			}
+			if j < len(formals) && formals[j].name == c.Formal {
+				tally[c.Net] += formals[j].tally
 				continue
 			}
-			tally[actual] += t
-		}
-		sort.Strings(bad)
-		for _, formal := range bad {
 			issues = append(issues, LintIssue{m.Name, "bad-port",
-				fmt.Sprintf("instance %s (%s) has no port %s", inst.Name, inst.Of, formal)})
+				fmt.Sprintf("instance %s (%s) has no port %s", inst.Name, inst.Of, c.Formal)})
 		}
 	}
 	// Each net yields at most one issue, reported in net-name order.
-	var flagged []string
-	for n := range m.Nets {
-		if dr, ld := split(tally[n]); dr > 1 || dr == 0 && ld > 0 {
-			flagged = append(flagged, n)
+	var flagged []int32
+	for id, t := range tally {
+		if dr, ld := split(t); dr > 1 || dr == 0 && ld > 0 {
+			flagged = append(flagged, int32(id))
 		}
 	}
-	sort.Strings(flagged)
-	for _, n := range flagged {
-		if dr, ld := split(tally[n]); dr == 0 {
+	slices.SortFunc(flagged, func(a, b int32) int { return strings.Compare(m.Nets[a], m.Nets[b]) })
+	for _, id := range flagged {
+		if dr, ld := split(tally[id]); dr == 0 {
 			issues = append(issues, LintIssue{m.Name, "undriven",
-				fmt.Sprintf("net %s has %d loads and no driver", n, ld)})
+				fmt.Sprintf("net %s has %d loads and no driver", m.Nets[id], ld)})
 		} else {
 			issues = append(issues, LintIssue{m.Name, "multidriven",
-				fmt.Sprintf("net %s has %d drivers", n, dr)})
+				fmt.Sprintf("net %s has %d drivers", m.Nets[id], dr)})
 		}
 	}
 	return issues

@@ -16,8 +16,10 @@ package netlist
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 )
 
 // PortDir is the direction of a module or cell port.
@@ -74,13 +76,18 @@ func (p Port) Bits() []string {
 	return bits
 }
 
-// Net is a single-bit wire inside a module.  Bus ports are flattened to
-// one Net per bit at construction time.
-type Net struct {
-	Name string
-	// Attr carries free-form annotations (e.g. "tam", "scan") used by
-	// reports; it does not affect simulation.
-	Attr string
+// Pins is the pin list an instance is added with: each element binds a
+// formal port bit of the instantiated cell or module (element 0) to an
+// actual net name in the parent module (element 1), as in
+// Pins{{"A", a}, {"Z", z}}.  Order does not matter; a formal may appear
+// once.
+type Pins [][2]string
+
+// Conn binds one formal port bit of an instance to a net of its module.
+type Conn struct {
+	Formal string
+	// Net is the id of the actual net: an index into the module's Nets.
+	Net int32
 }
 
 // Instance is the use of a primitive cell or of another module.
@@ -88,16 +95,30 @@ type Instance struct {
 	Name string
 	// Of is the primitive cell name or module name instantiated.
 	Of string
-	// Conns maps a formal port-bit name of the instantiated cell/module to
-	// an actual net name in the parent module.
-	Conns map[string]string
+	// Conns binds formal port-bit names of the instantiated cell/module to
+	// nets of the parent module, sorted bytewise by Formal.
+	Conns []Conn
+}
+
+// Actual returns the id of the net bound to formal, or -1 if the formal is
+// unconnected.
+func (inst *Instance) Actual(formal string) int32 {
+	i, ok := slices.BinarySearchFunc(inst.Conns, formal, func(c Conn, f string) int {
+		return strings.Compare(c.Formal, f)
+	})
+	if !ok {
+		return -1
+	}
+	return inst.Conns[i].Net
 }
 
 // Module is a hierarchical netlist node.
 type Module struct {
-	Name      string
-	Ports     []Port
-	Nets      map[string]*Net
+	Name  string
+	Ports []Port
+	// Nets holds every single-bit net name, indexed by net id in creation
+	// order.  Bus ports are flattened to one net per bit.
+	Nets      []string
 	Instances []*Instance
 
 	// Behavioral marks IP blocks whose internals we do not elaborate
@@ -109,8 +130,12 @@ type Module struct {
 	// Attrs carries free-form annotations used by reports.
 	Attrs map[string]string
 
-	ports map[string]*Port
-	insts map[string]*Instance
+	ports  map[string]*Port
+	insts  map[string]*Instance
+	netIDs map[string]int32
+	// portBits holds the net id of every port bit, port by port in
+	// declaration order, bit 0 first.
+	portBits []int32
 	// aliasOf names the module whose body this one shares (see Alias).
 	aliasOf string
 }
@@ -118,11 +143,11 @@ type Module struct {
 // NewModule creates an empty module with the given name.
 func NewModule(name string) *Module {
 	return &Module{
-		Name:  name,
-		Nets:  make(map[string]*Net),
-		Attrs: make(map[string]string),
-		ports: make(map[string]*Port),
-		insts: make(map[string]*Instance),
+		Name:   name,
+		Attrs:  make(map[string]string),
+		ports:  make(map[string]*Port),
+		insts:  make(map[string]*Instance),
+		netIDs: make(map[string]int32),
 	}
 }
 
@@ -138,10 +163,8 @@ func (m *Module) AddPort(name string, dir PortDir, width int) error {
 	p := Port{Name: name, Dir: dir, Width: width}
 	m.Ports = append(m.Ports, p)
 	m.ports[name] = &m.Ports[len(m.Ports)-1]
-	for _, b := range p.Bits() {
-		if _, ok := m.Nets[b]; !ok {
-			m.Nets[b] = &Net{Name: b}
-		}
+	for i := 0; i < width; i++ {
+		m.portBits = append(m.portBits, m.AddNet(BitName(name, i, width)))
 	}
 	return nil
 }
@@ -157,38 +180,70 @@ func (m *Module) MustPort(name string, dir PortDir, width int) {
 // Port returns the declared port with the given name, or nil.
 func (m *Module) Port(name string) *Port { return m.ports[name] }
 
-// AddNet declares an internal single-bit net.  Adding an existing net is a
-// no-op, so generators can freely re-declare junction nets.
-func (m *Module) AddNet(name string) *Net {
-	if n, ok := m.Nets[name]; ok {
-		return n
+// AddNet declares a single-bit net and returns its id.  Adding an existing
+// net returns the id it already has, so generators can freely re-declare
+// junction nets.
+func (m *Module) AddNet(name string) int32 {
+	if id, ok := m.netIDs[name]; ok {
+		return id
 	}
-	n := &Net{Name: name}
-	m.Nets[name] = n
-	return n
+	id := int32(len(m.Nets))
+	m.Nets = append(m.Nets, name)
+	m.netIDs[name] = id
+	return id
+}
+
+// NetID returns the id of the named net, or -1 if the module has no such
+// net.
+func (m *Module) NetID(name string) int32 {
+	if id, ok := m.netIDs[name]; ok {
+		return id
+	}
+	return -1
 }
 
 // AddInstance instantiates cell or module `of` under the given instance
-// name, with conns mapping formal port bits to actual nets.  Actual nets are
-// created on demand.
-func (m *Module) AddInstance(name, of string, conns map[string]string) (*Instance, error) {
+// name, binding each formal port bit of pins to its actual net.  Actual
+// nets are created on demand.  A formal bound twice in pins is an error.
+func (m *Module) AddInstance(name, of string, pins Pins) (*Instance, error) {
 	if _, ok := m.insts[name]; ok {
 		return nil, fmt.Errorf("netlist: duplicate instance %s in %s", name, m.Name)
 	}
-	cp := make(map[string]string, len(conns))
-	for formal, actual := range conns {
-		cp[formal] = actual
-		m.AddNet(actual)
+	// Sort with each Net holding its pin's index; it becomes the net id
+	// once no formal repeats.
+	conns := make([]Conn, len(pins))
+	for i, p := range pins {
+		conns[i] = Conn{Formal: p[0], Net: int32(i)}
 	}
-	inst := &Instance{Name: name, Of: of, Conns: cp}
+	slices.SortFunc(conns, func(a, b Conn) int { return strings.Compare(a.Formal, b.Formal) })
+	for i := 1; i < len(conns); i++ {
+		if conns[i].Formal == conns[i-1].Formal {
+			return nil, fmt.Errorf("netlist: instance %s in %s binds formal %s twice", name, m.Name, conns[i].Formal)
+		}
+	}
+	for i := range conns {
+		conns[i].Net = m.AddNet(pins[conns[i].Net][1])
+	}
+	inst := &Instance{Name: name, Of: of, Conns: conns}
 	m.Instances = append(m.Instances, inst)
 	m.insts[name] = inst
 	return inst, nil
 }
 
+// PinsOf returns the pin list of inst, one of m's instances, with net
+// names in place of ids: adding it to another module binds the same nets
+// by name.
+func (m *Module) PinsOf(inst *Instance) Pins {
+	pins := make(Pins, len(inst.Conns))
+	for i, c := range inst.Conns {
+		pins[i] = [2]string{c.Formal, m.Nets[c.Net]}
+	}
+	return pins
+}
+
 // MustInstance is AddInstance that panics on error.
-func (m *Module) MustInstance(name, of string, conns map[string]string) *Instance {
-	inst, err := m.AddInstance(name, of, conns)
+func (m *Module) MustInstance(name, of string, pins Pins) *Instance {
+	inst, err := m.AddInstance(name, of, pins)
 	if err != nil {
 		panic(err)
 	}

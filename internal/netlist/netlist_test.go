@@ -36,7 +36,7 @@ func TestAddPortDuplicate(t *testing.T) {
 
 func TestAddInstanceDuplicate(t *testing.T) {
 	m := NewModule("m")
-	if _, err := m.AddInstance("u1", CellInv, map[string]string{"A": "a", "Z": "z"}); err != nil {
+	if _, err := m.AddInstance("u1", CellInv, Pins{{"A", "a"}, {"Z", "z"}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.AddInstance("u1", CellInv, nil); err == nil {
@@ -52,15 +52,15 @@ func TestDesignAreaHierarchy(t *testing.T) {
 	leaf := NewModule("leaf")
 	leaf.MustPort("a", In, 1)
 	leaf.MustPort("z", Out, 1)
-	leaf.MustInstance("i0", CellInv, map[string]string{"A": "a", "Z": "z"})
-	leaf.MustInstance("i1", CellNand2, map[string]string{"A": "a", "B": "a", "Z": "n"})
+	leaf.MustInstance("i0", CellInv, Pins{{"A", "a"}, {"Z", "z"}})
+	leaf.MustInstance("i1", CellNand2, Pins{{"A", "a"}, {"B", "a"}, {"Z", "n"}})
 	d.MustAddModule(leaf)
 
 	top := NewModule("top")
 	top.MustPort("a", In, 1)
 	top.MustPort("z", Out, 1)
-	top.MustInstance("l0", "leaf", map[string]string{"a": "a", "z": "m"})
-	top.MustInstance("l1", "leaf", map[string]string{"a": "m", "z": "z"})
+	top.MustInstance("l0", "leaf", Pins{{"a", "a"}, {"z", "m"}})
+	top.MustInstance("l1", "leaf", Pins{{"a", "m"}, {"z", "z"}})
 	d.MustAddModule(top)
 	d.Top = "top"
 
@@ -112,10 +112,10 @@ func TestSimCombinational(t *testing.T) {
 	m.MustPort("b", In, 1)
 	m.MustPort("z", Out, 1)
 	// z = a XOR b out of NAND gates.
-	m.MustInstance("n1", CellNand2, map[string]string{"A": "a", "B": "b", "Z": "t1"})
-	m.MustInstance("n2", CellNand2, map[string]string{"A": "a", "B": "t1", "Z": "t2"})
-	m.MustInstance("n3", CellNand2, map[string]string{"A": "t1", "B": "b", "Z": "t3"})
-	m.MustInstance("n4", CellNand2, map[string]string{"A": "t2", "B": "t3", "Z": "z"})
+	m.MustInstance("n1", CellNand2, Pins{{"A", "a"}, {"B", "b"}, {"Z", "t1"}})
+	m.MustInstance("n2", CellNand2, Pins{{"A", "a"}, {"B", "t1"}, {"Z", "t2"}})
+	m.MustInstance("n3", CellNand2, Pins{{"A", "t1"}, {"B", "b"}, {"Z", "t3"}})
+	m.MustInstance("n4", CellNand2, Pins{{"A", "t2"}, {"B", "t3"}, {"Z", "z"}})
 	d.MustAddModule(m)
 
 	sim, err := NewSimulator(d, "xorgate")
@@ -142,9 +142,9 @@ func TestSimShiftRegister(t *testing.T) {
 	m.MustPort("si", In, 1)
 	m.MustPort("ck", In, 1)
 	m.MustPort("so", Out, 1)
-	m.MustInstance("f0", CellDFF, map[string]string{"D": "si", "CK": "ck", "Q": "q0"})
-	m.MustInstance("f1", CellDFF, map[string]string{"D": "q0", "CK": "ck", "Q": "q1"})
-	m.MustInstance("f2", CellDFF, map[string]string{"D": "q1", "CK": "ck", "Q": "so"})
+	m.MustInstance("f0", CellDFF, Pins{{"D", "si"}, {"CK", "ck"}, {"Q", "q0"}})
+	m.MustInstance("f1", CellDFF, Pins{{"D", "q0"}, {"CK", "ck"}, {"Q", "q1"}})
+	m.MustInstance("f2", CellDFF, Pins{{"D", "q1"}, {"CK", "ck"}, {"Q", "so"}})
 	d.MustAddModule(m)
 	sim, err := NewSimulator(d, "sr")
 	if err != nil {
@@ -180,8 +180,8 @@ func TestSimScanDFFAndReset(t *testing.T) {
 	}
 	m.MustPort("q", Out, 1)
 	m.MustPort("qr", Out, 1)
-	m.MustInstance("sf", CellSDFF, map[string]string{"D": "d", "SI": "si", "SE": "se", "CK": "ck", "Q": "q"})
-	m.MustInstance("rf", CellDFFR, map[string]string{"D": "d", "CK": "ck", "R": "r", "Q": "qr"})
+	m.MustInstance("sf", CellSDFF, Pins{{"D", "d"}, {"SI", "si"}, {"SE", "se"}, {"CK", "ck"}, {"Q", "q"}})
+	m.MustInstance("rf", CellDFFR, Pins{{"D", "d"}, {"CK", "ck"}, {"R", "r"}, {"Q", "qr"}})
 	d.MustAddModule(m)
 	sim, err := NewSimulator(d, "m")
 	if err != nil {
@@ -220,8 +220,8 @@ func TestSimGatedClock(t *testing.T) {
 		m.MustPort(p, In, 1)
 	}
 	m.MustPort("q", Out, 1)
-	m.MustInstance("cg", CellAnd2, map[string]string{"A": "ck", "B": "en", "Z": "gck"})
-	m.MustInstance("ff", CellDFF, map[string]string{"D": "d", "CK": "gck", "Q": "q"})
+	m.MustInstance("cg", CellAnd2, Pins{{"A", "ck"}, {"B", "en"}, {"Z", "gck"}})
+	m.MustInstance("ff", CellDFF, Pins{{"D", "d"}, {"CK", "gck"}, {"Q", "q"}})
 	d.MustAddModule(m)
 	sim, err := NewSimulator(d, "m")
 	if err != nil {
@@ -248,7 +248,7 @@ func TestSimCombinationalLoopDetected(t *testing.T) {
 	d := NewDesign("d", nil)
 	m := NewModule("loop")
 	m.MustPort("z", Out, 1)
-	m.MustInstance("i", CellInv, map[string]string{"A": "z", "Z": "z"})
+	m.MustInstance("i", CellInv, Pins{{"A", "z"}, {"Z", "z"}})
 	d.MustAddModule(m)
 	if _, err := NewSimulator(d, "loop"); err == nil {
 		t.Fatal("ring oscillator settled")
@@ -270,7 +270,7 @@ func TestLintCleanAndDirty(t *testing.T) {
 	m := NewModule("m")
 	m.MustPort("a", In, 1)
 	m.MustPort("z", Out, 1)
-	m.MustInstance("u", CellInv, map[string]string{"A": "a", "Z": "z"})
+	m.MustInstance("u", CellInv, Pins{{"A", "a"}, {"Z", "z"}})
 	d.MustAddModule(m)
 	if issues := d.Lint(); len(issues) != 0 {
 		t.Fatalf("clean design flagged: %v", issues)
@@ -278,10 +278,10 @@ func TestLintCleanAndDirty(t *testing.T) {
 
 	bad := NewModule("bad")
 	bad.MustPort("z", Out, 1)
-	bad.MustInstance("u0", CellInv, map[string]string{"A": "floating", "Z": "z"})
-	bad.MustInstance("u1", CellInv, map[string]string{"A": "floating", "Z": "z"}) // double driver
-	bad.MustInstance("u2", "ghost", nil)                                          // unknown module
-	bad.MustInstance("u3", CellInv, map[string]string{"X": "z"})                  // bad port
+	bad.MustInstance("u0", CellInv, Pins{{"A", "floating"}, {"Z", "z"}})
+	bad.MustInstance("u1", CellInv, Pins{{"A", "floating"}, {"Z", "z"}}) // double driver
+	bad.MustInstance("u2", "ghost", nil)                                 // unknown module
+	bad.MustInstance("u3", CellInv, Pins{{"X", "z"}})                    // bad port
 	d.MustAddModule(bad)
 	issues := d.Lint()
 	kinds := make(map[string]int)
@@ -305,37 +305,37 @@ func dirtyDesign() *Design {
 	leaf := NewModule("leaf")
 	leaf.MustPort("d", In, 2)
 	leaf.MustPort("q", Out, 1)
-	leaf.MustInstance("g", CellAnd2, map[string]string{"A": "d[0]", "B": "d[1]", "Z": "q"})
+	leaf.MustInstance("g", CellAnd2, Pins{{"A", "d[0]"}, {"B", "d[1]"}, {"Z", "q"}})
 	d.MustAddModule(leaf)
 
 	alpha := NewModule("alpha")
 	alpha.MustPort("a", In, 1)
 	alpha.MustPort("z", Out, 2)
 	alpha.MustPort("y", Out, 1) // never driven
-	alpha.MustInstance("u0", CellInv, map[string]string{"A": "a", "Z": "z[0]"})
-	alpha.MustInstance("u1", CellInv, map[string]string{"A": "a", "Z": "z[0]"})
-	alpha.MustInstance("u2", CellBuf, map[string]string{"A": "f1", "Z": "z[1]"})
-	alpha.MustInstance("u3", CellBuf, map[string]string{"A": "f2", "Z": "z[1]"})
-	alpha.MustInstance("u4", CellNand2, map[string]string{"A": "f1", "B": "f2", "Z": "z[1]"})
-	alpha.MustInstance("l0", "leaf", map[string]string{"d[0]": "a", "d[1]": "f3", "q": "w"})
-	alpha.MustInstance("l1", "leaf", map[string]string{"d[0]": "a", "d[1]": "a", "q": "w"})
-	alpha.MustInstance("l2", "leaf", map[string]string{"d[2]": "a", "q": "v"})
-	alpha.MustInstance("u5", CellInv, map[string]string{"X": "w", "Y": "w"})
-	alpha.MustInstance("u6", "ghost", map[string]string{"A": "a"})
-	alpha.MustInstance("u7", CellBuf, map[string]string{"A": "v", "Z": "f0"})
-	alpha.MustInstance("u8", CellInv, map[string]string{"A": "f0", "Z": "f0"})
+	alpha.MustInstance("u0", CellInv, Pins{{"A", "a"}, {"Z", "z[0]"}})
+	alpha.MustInstance("u1", CellInv, Pins{{"A", "a"}, {"Z", "z[0]"}})
+	alpha.MustInstance("u2", CellBuf, Pins{{"A", "f1"}, {"Z", "z[1]"}})
+	alpha.MustInstance("u3", CellBuf, Pins{{"A", "f2"}, {"Z", "z[1]"}})
+	alpha.MustInstance("u4", CellNand2, Pins{{"A", "f1"}, {"B", "f2"}, {"Z", "z[1]"}})
+	alpha.MustInstance("l0", "leaf", Pins{{"d[0]", "a"}, {"d[1]", "f3"}, {"q", "w"}})
+	alpha.MustInstance("l1", "leaf", Pins{{"d[0]", "a"}, {"d[1]", "a"}, {"q", "w"}})
+	alpha.MustInstance("l2", "leaf", Pins{{"d[2]", "a"}, {"q", "v"}})
+	alpha.MustInstance("u5", CellInv, Pins{{"X", "w"}, {"Y", "w"}})
+	alpha.MustInstance("u6", "ghost", Pins{{"A", "a"}})
+	alpha.MustInstance("u7", CellBuf, Pins{{"A", "v"}, {"Z", "f0"}})
+	alpha.MustInstance("u8", CellInv, Pins{{"A", "f0"}, {"Z", "f0"}})
 	d.MustAddModule(alpha)
 
 	beta := NewModule("beta")
 	beta.MustPort("i", In, 1)
 	beta.MustPort("o", Out, 1)
 	beta.MustPort("io", InOut, 1)
-	beta.MustInstance("a0", "alpha", map[string]string{"a": "i", "z[0]": "o", "z[1]": "n1", "y": "n1"})
+	beta.MustInstance("a0", "alpha", Pins{{"a", "i"}, {"z[0]", "o"}, {"z[1]", "n1"}, {"y", "n1"}})
 	beta.MustInstance("m0", "missing", nil)
-	beta.MustInstance("b0", CellBuf, map[string]string{"A": "n2", "Z": "n3"})
-	beta.MustInstance("b1", CellBuf, map[string]string{"A": "io", "Q": "n3"})
-	beta.MustInstance("b2", CellInv, map[string]string{"A": "i", "Z": "io"})
-	beta.MustInstance("b3", "ip", map[string]string{"clk": "i", "dout": "n4"})
+	beta.MustInstance("b0", CellBuf, Pins{{"A", "n2"}, {"Z", "n3"}})
+	beta.MustInstance("b1", CellBuf, Pins{{"A", "io"}, {"Q", "n3"}})
+	beta.MustInstance("b2", CellInv, Pins{{"A", "i"}, {"Z", "io"}})
+	beta.MustInstance("b3", "ip", Pins{{"clk", "i"}, {"dout", "n4"}})
 	d.MustAddModule(beta)
 
 	ip := NewModule("ip")
@@ -393,7 +393,7 @@ func TestEmitVerilog(t *testing.T) {
 	m := NewModule("m")
 	m.MustPort("a", In, 2)
 	m.MustPort("z", Out, 1)
-	m.MustInstance("u", CellAnd2, map[string]string{"A": "a[0]", "B": "a[1]", "Z": "z"})
+	m.MustInstance("u", CellAnd2, Pins{{"A", "a[0]"}, {"B", "a[1]"}, {"Z", "z"}})
 	d.MustAddModule(m)
 	s, err := d.EmitVerilogString()
 	if err != nil {
@@ -529,7 +529,7 @@ func TestLoadState(t *testing.T) {
 	m := NewModule("m")
 	m.MustPort("ck", In, 1)
 	m.MustPort("q", Out, 1)
-	m.MustInstance("ff", CellDFF, map[string]string{"D": "q", "CK": "ck", "Q": "q"})
+	m.MustInstance("ff", CellDFF, Pins{{"D", "q"}, {"CK", "ck"}, {"Q", "q"}})
 	d.MustAddModule(m)
 	sim, err := NewSimulator(d, "m")
 	if err != nil {
@@ -549,13 +549,13 @@ func TestLoadState(t *testing.T) {
 func TestCellHistogram(t *testing.T) {
 	d := NewDesign("d", nil)
 	leaf := NewModule("leaf")
-	leaf.MustInstance("i", CellInv, map[string]string{"A": "a", "Z": "b"})
-	leaf.MustInstance("n", CellNand2, map[string]string{"A": "a", "B": "b", "Z": "c"})
+	leaf.MustInstance("i", CellInv, Pins{{"A", "a"}, {"Z", "b"}})
+	leaf.MustInstance("n", CellNand2, Pins{{"A", "a"}, {"B", "b"}, {"Z", "c"}})
 	d.MustAddModule(leaf)
 	top := NewModule("top")
 	top.MustInstance("l0", "leaf", nil)
 	top.MustInstance("l1", "leaf", nil)
-	top.MustInstance("ff", CellDFF, map[string]string{"D": "c", "CK": "ck", "Q": "q"})
+	top.MustInstance("ff", CellDFF, Pins{{"D", "c"}, {"CK", "ck"}, {"Q", "q"}})
 	d.MustAddModule(top)
 	h, err := d.CellHistogram("top")
 	if err != nil {
@@ -581,7 +581,7 @@ func TestMergeAndAlias(t *testing.T) {
 	m := NewModule("m")
 	m.Attrs["k"] = "v"
 	m.MustPort("x", In, 2)
-	m.MustInstance("u", CellBuf, map[string]string{"A": "x[0]", "Z": "y"})
+	m.MustInstance("u", CellBuf, Pins{{"A", "x[0]"}, {"Z", "y"}})
 	a.MustAddModule(m)
 
 	b := NewDesign("b", nil)
@@ -612,7 +612,7 @@ func TestMergeAndAlias(t *testing.T) {
 		t.Fatalf("alias names: %q of %q, source %q of %q", al.Name, al.AliasOf(), m.Name, m.AliasOf())
 	}
 	if al.Instance("u") != m.Instance("u") || al.Port("x") != m.Port("x") ||
-		al.Nets["y"] != m.Nets["y"] || al.Attrs["k"] != "v" {
+		al.NetID("y") < 0 || al.NetID("y") != m.NetID("y") || &al.Nets[0] != &m.Nets[0] || al.Attrs["k"] != "v" {
 		t.Fatal("alias does not share its source's body")
 	}
 	if al2 := al.Alias("m3"); al2.AliasOf() != "m" {
@@ -722,7 +722,7 @@ func TestSimulatorNetsAndBitName(t *testing.T) {
 	m := NewModule("m")
 	m.MustPort("a", In, 1)
 	m.MustPort("z", Out, 1)
-	m.MustInstance("u", CellInv, map[string]string{"A": "a", "Z": "z"})
+	m.MustInstance("u", CellInv, Pins{{"A", "a"}, {"Z", "z"}})
 	d.MustAddModule(m)
 	sim, err := NewSimulator(d, "m")
 	if err != nil {
@@ -748,12 +748,12 @@ func TestFlattenUnknownAndUnconnected(t *testing.T) {
 	sub := NewModule("sub")
 	sub.MustPort("a", In, 1)
 	sub.MustPort("z", Out, 1)
-	sub.MustInstance("u", CellInv, map[string]string{"A": "a", "Z": "z"})
+	sub.MustInstance("u", CellInv, Pins{{"A", "a"}, {"Z", "z"}})
 	d.MustAddModule(sub)
 	top := NewModule("top")
 	top.MustPort("z", Out, 1)
 	// Input "a" left unconnected: floats to 0, so z = 1.
-	top.MustInstance("s", "sub", map[string]string{"z": "z"})
+	top.MustInstance("s", "sub", Pins{{"z", "z"}})
 	d.MustAddModule(top)
 	d.Top = "top"
 	sim, err := NewSimulator(d, "top")

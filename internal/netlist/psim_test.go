@@ -166,7 +166,7 @@ func randomPackedDesign(rng *rand.Rand, nGates int) (*Design, []string, []string
 	nets := append([]string{}, ins...)
 	pick := func() string { return nets[rng.Intn(len(nets))] }
 	// A gated clock keeps the generic Tick path exercised.
-	m.MustInstance("u_gck", CellAnd2, map[string]string{"A": "ck2", "B": "i0", "Z": "gck"})
+	m.MustInstance("u_gck", CellAnd2, Pins{{"A", "ck2"}, {"B", "i0"}, {"Z", "gck"}})
 	clocks := []string{"ck", "gck"}
 	var obsNets []string
 	for gi := 0; gi < nGates; gi++ {
@@ -174,30 +174,30 @@ func randomPackedDesign(rng *rand.Rand, nGates int) (*Design, []string, []string
 		name := fmt.Sprintf("u_g%d", gi)
 		switch rng.Intn(12) {
 		case 0:
-			m.MustInstance(name, CellInv, map[string]string{"A": pick(), "Z": z})
+			m.MustInstance(name, CellInv, Pins{{"A", pick()}, {"Z", z}})
 		case 1:
-			m.MustInstance(name, CellBuf, map[string]string{"A": pick(), "Z": z})
+			m.MustInstance(name, CellBuf, Pins{{"A", pick()}, {"Z", z}})
 		case 2:
-			m.MustInstance(name, CellNand2, map[string]string{"A": pick(), "B": pick(), "Z": z})
+			m.MustInstance(name, CellNand2, Pins{{"A", pick()}, {"B", pick()}, {"Z", z}})
 		case 3:
-			m.MustInstance(name, CellNor2, map[string]string{"A": pick(), "B": pick(), "Z": z})
+			m.MustInstance(name, CellNor2, Pins{{"A", pick()}, {"B", pick()}, {"Z", z}})
 		case 4:
-			m.MustInstance(name, CellAnd2, map[string]string{"A": pick(), "B": pick(), "Z": z})
+			m.MustInstance(name, CellAnd2, Pins{{"A", pick()}, {"B", pick()}, {"Z", z}})
 		case 5:
-			m.MustInstance(name, CellOr2, map[string]string{"A": pick(), "B": pick(), "Z": z})
+			m.MustInstance(name, CellOr2, Pins{{"A", pick()}, {"B", pick()}, {"Z", z}})
 		case 6:
-			m.MustInstance(name, CellXor2, map[string]string{"A": pick(), "B": pick(), "Z": z})
+			m.MustInstance(name, CellXor2, Pins{{"A", pick()}, {"B", pick()}, {"Z", z}})
 		case 7:
-			m.MustInstance(name, CellMux2, map[string]string{"A": pick(), "B": pick(), "S": pick(), "Z": z})
+			m.MustInstance(name, CellMux2, Pins{{"A", pick()}, {"B", pick()}, {"S", pick()}, {"Z", z}})
 		case 8:
-			m.MustInstance(name, CellDFF, map[string]string{"D": pick(), "CK": clocks[rng.Intn(2)], "Q": z})
+			m.MustInstance(name, CellDFF, Pins{{"D", pick()}, {"CK", clocks[rng.Intn(2)]}, {"Q", z}})
 		case 9:
 			m.MustInstance(name, CellSDFF,
-				map[string]string{"D": pick(), "SI": pick(), "SE": pick(), "CK": clocks[rng.Intn(2)], "Q": z})
+				Pins{{"D", pick()}, {"SI", pick()}, {"SE", pick()}, {"CK", clocks[rng.Intn(2)]}, {"Q", z}})
 		case 10:
-			m.MustInstance(name, CellDFFR, map[string]string{"D": pick(), "CK": clocks[rng.Intn(2)], "R": pick(), "Q": z})
+			m.MustInstance(name, CellDFFR, Pins{{"D", pick()}, {"CK", clocks[rng.Intn(2)]}, {"R", pick()}, {"Q", z}})
 		case 11:
-			m.MustInstance(name, CellLatchL, map[string]string{"D": pick(), "EN": pick(), "Q": z})
+			m.MustInstance(name, CellLatchL, Pins{{"D", pick()}, {"EN", pick()}, {"Q", z}})
 		}
 		nets = append(nets, z)
 		obsNets = append(obsNets, z)

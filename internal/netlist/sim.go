@@ -22,8 +22,10 @@ type flatGate struct {
 // modules cannot be flattened and cause an error.
 func flatten(d *Design, top string) ([]*flatGate, error) {
 	var gates []*flatGate
-	var walk func(modName, prefix string, bind map[string]string) error
-	walk = func(modName, prefix string, bind map[string]string) error {
+	// bind holds, by net id of the module walked, the global name of each
+	// port bit the parent connects; "" marks a net local to the module.
+	var walk func(modName, prefix string, bind []string) error
+	walk = func(modName, prefix string, bind []string) error {
 		m, ok := d.Modules[modName]
 		if !ok {
 			return fmt.Errorf("netlist: unknown module %s", modName)
@@ -33,17 +35,17 @@ func flatten(d *Design, top string) ([]*flatGate, error) {
 		}
 		// Resolve a local net to a global name: port bits use the parent
 		// binding, internal nets get the hierarchical prefix.
-		resolve := func(local string) string {
-			if g, ok := bind[local]; ok {
+		resolve := func(id int32) string {
+			if g := bind[id]; g != "" {
 				return g
 			}
-			return prefix + local
+			return prefix + m.Nets[id]
 		}
 		for _, inst := range m.Instances {
 			if cell, ok := d.Lib.Cell(inst.Of); ok {
 				conns := make(map[string]string, len(inst.Conns))
-				for f, a := range inst.Conns {
-					conns[f] = resolve(a)
+				for _, c := range inst.Conns {
+					conns[c.Formal] = resolve(c.Net)
 				}
 				gates = append(gates, &flatGate{
 					name:  prefix + inst.Name,
@@ -56,15 +58,14 @@ func flatten(d *Design, top string) ([]*flatGate, error) {
 			if !ok {
 				return fmt.Errorf("netlist: %s instantiates unknown %s", modName, inst.Of)
 			}
-			childBind := make(map[string]string)
-			for _, p := range sub.Ports {
-				for _, b := range p.Bits() {
-					if a, ok := inst.Conns[b]; ok {
-						childBind[b] = resolve(a)
-					} else {
-						// Unconnected port: give it a private net.
-						childBind[b] = prefix + inst.Name + "/" + b + ".nc"
-					}
+			childBind := make([]string, len(sub.Nets))
+			for _, id := range sub.portBits {
+				b := sub.Nets[id]
+				if a := inst.Actual(b); a >= 0 {
+					childBind[id] = resolve(a)
+				} else {
+					// Unconnected port: give it a private net.
+					childBind[id] = prefix + inst.Name + "/" + b + ".nc"
 				}
 			}
 			if err := walk(inst.Of, prefix+inst.Name+"/", childBind); err != nil {
@@ -73,15 +74,13 @@ func flatten(d *Design, top string) ([]*flatGate, error) {
 		}
 		return nil
 	}
-	topBind := make(map[string]string)
 	m, ok := d.Modules[top]
 	if !ok {
 		return nil, fmt.Errorf("netlist: unknown top module %s", top)
 	}
-	for _, p := range m.Ports {
-		for _, b := range p.Bits() {
-			topBind[b] = b
-		}
+	topBind := make([]string, len(m.Nets))
+	for _, id := range m.portBits {
+		topBind[id] = m.Nets[id]
 	}
 	if err := walk(top, "", topBind); err != nil {
 		return nil, err

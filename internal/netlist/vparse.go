@@ -23,16 +23,14 @@ func ParseVerilog(src string, lib *Library) (*Design, error) {
 	if lib == nil {
 		lib = DefaultLibrary()
 	}
-	p := &vparser{lib: lib}
-	if err := p.tokenize(src); err != nil {
-		return nil, err
-	}
+	p := &vparser{lib: lib, src: src, line: 1}
+	p.advance()
 	d := NewDesign("parsed", lib)
 	d.Top = ""
 	for !p.eof() {
 		m, behavioralArea, isBehavioral, err := p.parseModule()
 		if err != nil {
-			return nil, err
+			return nil, p.lexFirst(err)
 		}
 		if isBehavioral {
 			m.Behavioral = true
@@ -43,6 +41,9 @@ func ParseVerilog(src string, lib *Library) (*Design, error) {
 		}
 		// The emitter writes the top module last.
 		d.Top = m.Name
+	}
+	if p.err != nil {
+		return nil, p.err
 	}
 	if len(d.Modules) == 0 {
 		return nil, fmt.Errorf("netlist: no modules in Verilog source")
@@ -57,34 +58,55 @@ type vtoken struct {
 	ident bool
 }
 
+// vparser reads tokens from src on demand: tok is the next token (the
+// zero token at the end), pending holds tokens already lexed behind it,
+// and a lexing error ends the token stream and is kept in err.
 type vparser struct {
-	lib  *Library
-	toks []vtoken
-	pos  int
+	lib     *Library
+	src     string
+	i, line int
+	tok     vtoken
+	pending []vtoken
+	atEOF   bool
+	err     error
+	// pins is reused for each instance's pin list.
+	pins Pins
 }
 
-func (p *vparser) tokenize(src string) error {
-	line := 1
-	i := 0
-	push := func(text string, ident bool) {
-		p.toks = append(p.toks, vtoken{text: text, line: line, ident: ident})
+// advance makes the next token of the source current.
+func (p *vparser) advance() {
+	if len(p.pending) > 0 {
+		p.tok = p.pending[0]
+		p.pending = p.pending[1:]
+		return
 	}
-	for i < len(src) {
+	if !p.lex() {
+		p.tok, p.atEOF = vtoken{}, true
+	}
+}
+
+// lex scans the next token of the source into tok (or into pending, for a
+// behavioral banner's two pseudo-tokens); it returns false at the end of
+// the source or on a lexing error, which it keeps in err.
+func (p *vparser) lex() bool {
+	src := p.src
+	for p.i < len(src) {
+		i := p.i
 		c := src[i]
 		switch {
 		case c == '\n':
-			line++
-			i++
+			p.line++
+			p.i++
 		case c == ' ' || c == '\t' || c == '\r':
-			i++
+			p.i++
 		case c == '/' && i+1 < len(src) && src[i+1] == '/':
 			j := strings.IndexByte(src[i:], '\n')
 			comment := src[i:]
 			if j >= 0 {
 				comment = src[i : i+j]
-				i += j
+				p.i += j
 			} else {
-				i = len(src)
+				p.i = len(src)
 			}
 			// Behavioral banner: "// behavioral IP block, N NAND2-...".
 			// Encoded as a positional pseudo-token so it binds to the
@@ -94,10 +116,15 @@ func (p *vparser) tokenize(src string) error {
 				for k, f := range fields {
 					if f == "block," && k+1 < len(fields) {
 						if _, err := strconv.ParseFloat(fields[k+1], 64); err == nil {
-							push("@behavioral", false)
-							push(fields[k+1], false)
+							p.pending = append(p.pending,
+								vtoken{text: "@behavioral", line: p.line},
+								vtoken{text: fields[k+1], line: p.line})
 						}
 					}
+				}
+				if len(p.pending) > 0 {
+					p.advance()
+					return true
 				}
 			}
 		case c == '\\':
@@ -107,32 +134,50 @@ func (p *vparser) tokenize(src string) error {
 				j++
 			}
 			if j == i+1 {
-				return fmt.Errorf("netlist: line %d: empty escaped identifier", line)
+				p.err = fmt.Errorf("netlist: line %d: empty escaped identifier", p.line)
+				return false
 			}
-			push(src[i+1:j], true)
-			i = j
+			return p.take(i+1, j, true)
 		case isVIdentStart(c):
 			j := i
 			for j < len(src) && isVIdentPart(src[j]) {
 				j++
 			}
-			push(src[i:j], true)
-			i = j
+			return p.take(i, j, true)
 		case c >= '0' && c <= '9':
 			j := i
 			for j < len(src) && src[j] >= '0' && src[j] <= '9' {
 				j++
 			}
-			push(src[i:j], false)
-			i = j
+			return p.take(i, j, false)
 		case strings.IndexByte("()[]{};,.:", c) >= 0:
-			push(string(c), false)
-			i++
+			return p.take(i, i+1, false)
 		default:
-			return fmt.Errorf("netlist: line %d: unexpected character %q", line, string(c))
+			p.err = fmt.Errorf("netlist: line %d: unexpected character %q", p.line, string(c))
+			return false
 		}
 	}
-	return nil
+	return false
+}
+
+// take makes src[i:j] the current token and moves past it.
+func (p *vparser) take(i, j int, ident bool) bool {
+	p.tok = vtoken{text: p.src[i:j], line: p.line, ident: ident}
+	p.i = j
+	return true
+}
+
+// lexFirst returns the lexing error of the rest of the source, if there
+// is one, in place of the parse error err: a source with a character the
+// lexer rejects fails on that character, wherever parsing stopped.
+func (p *vparser) lexFirst(err error) error {
+	for !p.atEOF {
+		p.advance()
+	}
+	if p.err != nil {
+		return p.err
+	}
+	return err
 }
 
 func isVIdentStart(c byte) bool {
@@ -143,18 +188,15 @@ func isVIdentPart(c byte) bool {
 	return isVIdentStart(c) || (c >= '0' && c <= '9')
 }
 
-func (p *vparser) eof() bool { return p.pos >= len(p.toks) }
+func (p *vparser) eof() bool { return p.atEOF }
 
-func (p *vparser) peek() vtoken {
-	if p.eof() {
-		return vtoken{}
-	}
-	return p.toks[p.pos]
-}
+func (p *vparser) peek() vtoken { return p.tok }
 
 func (p *vparser) next() vtoken {
-	t := p.peek()
-	p.pos++
+	t := p.tok
+	if !p.atEOF {
+		p.advance()
+	}
 	return t
 }
 
@@ -198,7 +240,7 @@ func (p *vparser) netRef() (string, error) {
 		if err := p.expect("]"); err != nil {
 			return "", err
 		}
-		name = fmt.Sprintf("%s[%d]", name, idx)
+		name = name + "[" + strconv.Itoa(idx) + "]"
 	}
 	return name, nil
 }
@@ -250,7 +292,13 @@ func (p *vparser) parseModule() (*Module, float64, bool, error) {
 		switch t.text {
 		case "input", "output", "inout":
 			p.next()
-			dir := map[string]PortDir{"input": In, "output": Out, "inout": InOut}[t.text]
+			dir := In
+			switch t.text {
+			case "output":
+				dir = Out
+			case "inout":
+				dir = InOut
+			}
 			width := 1
 			if p.peek().text == "[" {
 				p.next()
@@ -340,7 +388,7 @@ func (p *vparser) parseInstance(m *Module) error {
 	if err := p.expect("("); err != nil {
 		return err
 	}
-	conns := make(map[string]string)
+	p.pins = p.pins[:0]
 	for p.peek().text != ")" {
 		if err := p.expect("."); err != nil {
 			return err
@@ -359,7 +407,7 @@ func (p *vparser) parseInstance(m *Module) error {
 		if err := p.expect(")"); err != nil {
 			return err
 		}
-		conns[formal] = actual
+		p.pins = append(p.pins, [2]string{formal, actual})
 		if p.peek().text == "," {
 			p.next()
 		}
@@ -368,6 +416,6 @@ func (p *vparser) parseInstance(m *Module) error {
 	if err := p.expect(";"); err != nil {
 		return err
 	}
-	_, err2 := m.AddInstance(inst, of, conns)
+	_, err2 := m.AddInstance(inst, of, p.pins)
 	return err2
 }

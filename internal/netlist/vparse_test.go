@@ -33,19 +33,20 @@ func TestVerilogRoundTripStructural(t *testing.T) {
 	leaf := NewModule("leaf")
 	leaf.MustPort("a", In, 2)
 	leaf.MustPort("z", Out, 1)
-	leaf.MustInstance("g0", CellAnd2, map[string]string{"A": "a[0]", "B": "a[1]", "Z": "mid"})
-	leaf.MustInstance("g1", CellInv, map[string]string{"A": "mid", "Z": "z"})
+	leaf.MustInstance("g0", CellAnd2, Pins{{"A", "a[0]"}, {"B", "a[1]"}, {"Z", "mid"}})
+	leaf.MustInstance("g1", CellInv, Pins{{"A", "mid"}, {"Z", "z"}})
 	d.MustAddModule(leaf)
 	top := NewModule("top")
 	top.MustPort("x", In, 2)
 	top.MustPort("y", Out, 1)
 	// Bus-bit formals exercise escaped identifiers.
-	top.MustInstance("u0", "leaf", map[string]string{"a[0]": "x[0]", "a[1]": "x[1]", "z": "y"})
+	top.MustInstance("u0", "leaf", Pins{{"a[0]", "x[0]"}, {"a[1]", "x[1]"}, {"z", "y"}})
 	d.MustAddModule(top)
 	d.Top = "top"
 
 	back := roundTrip(t, d)
-	if back.Module("top").Instance("u0").Conns["a[0]"] != "x[0]" {
+	bt := back.Module("top")
+	if id := bt.Instance("u0").Actual("a[0]"); id < 0 || bt.Nets[id] != "x[0]" {
 		t.Fatal("escaped bus-bit formal lost")
 	}
 	a1, err := d.Area("top")
@@ -76,8 +77,8 @@ func TestVerilogRoundTripBehavioral(t *testing.T) {
 	d.MustAddModule(plain)
 	top := NewModule("top")
 	top.MustPort("clk", In, 1)
-	top.MustInstance("u_ip", "ip", map[string]string{"clk": "clk"})
-	top.MustInstance("u_plain", "plain", map[string]string{"clk": "clk"})
+	top.MustInstance("u_ip", "ip", Pins{{"clk", "clk"}})
+	top.MustInstance("u_plain", "plain", Pins{{"clk", "clk"}})
 	d.MustAddModule(top)
 	d.Top = "top"
 
@@ -123,12 +124,12 @@ func GenerateWBRCellForTest(d *Design) (*Module, error) {
 	}
 	m.MustPort("CFO", Out, 1)
 	m.MustPort("CTO", Out, 1)
-	m.MustInstance("capmux", CellMux2, map[string]string{"A": "CFI", "B": "CTI", "S": "SHIFT", "Z": "shd"})
-	m.MustInstance("shft", CellDFF, map[string]string{"D": "shd", "CK": "WRCK", "Q": "CTO"})
-	m.MustInstance("updl", CellLatchL, map[string]string{"D": "CTO", "EN": "UPDATE", "Q": "updq"})
-	m.MustInstance("safe0", CellTie0, map[string]string{"Z": "sv"})
-	m.MustInstance("safemux", CellMux2, map[string]string{"A": "updq", "B": "sv", "S": "SAFE", "Z": "sq"})
-	m.MustInstance("modemux", CellMux2, map[string]string{"A": "CFI", "B": "sq", "S": "MODE", "Z": "CFO"})
+	m.MustInstance("capmux", CellMux2, Pins{{"A", "CFI"}, {"B", "CTI"}, {"S", "SHIFT"}, {"Z", "shd"}})
+	m.MustInstance("shft", CellDFF, Pins{{"D", "shd"}, {"CK", "WRCK"}, {"Q", "CTO"}})
+	m.MustInstance("updl", CellLatchL, Pins{{"D", "CTO"}, {"EN", "UPDATE"}, {"Q", "updq"}})
+	m.MustInstance("safe0", CellTie0, Pins{{"Z", "sv"}})
+	m.MustInstance("safemux", CellMux2, Pins{{"A", "updq"}, {"B", "sv"}, {"S", "SAFE"}, {"Z", "sq"}})
+	m.MustInstance("modemux", CellMux2, Pins{{"A", "CFI"}, {"B", "sq"}, {"S", "MODE"}, {"Z", "CFO"}})
 	if err := d.AddModule(m); err != nil {
 		return nil, err
 	}

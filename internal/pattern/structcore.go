@@ -93,16 +93,16 @@ func BuildStructuralCore(d *netlist.Design, core *testinfo.Core) (*netlist.Modul
 					cell = netlist.CellXnor2
 				}
 				m.MustInstance(fmt.Sprintf("u_nx%d", i), cell,
-					map[string]string{"A": s, "B": piNet(sp.PITap), "Z": dNet})
+					netlist.Pins{{"A", s}, {"B", piNet(sp.PITap)}, {"Z", dNet}})
 			case sp.Invert:
 				dNet = fmt.Sprintf("nd%d", i)
 				m.MustInstance(fmt.Sprintf("u_nx%d", i), netlist.CellInv,
-					map[string]string{"A": s, "Z": dNet})
+					netlist.Pins{{"A", s}, {"Z", dNet}})
 			default:
 				dNet = s
 			}
-			m.MustInstance(fmt.Sprintf("u_sc%d", i), netlist.CellSDFF, map[string]string{
-				"D": dNet, "SI": prev, "SE": se, "CK": ck, "Q": qNet[i]})
+			m.MustInstance(fmt.Sprintf("u_sc%d", i), netlist.CellSDFF, netlist.Pins{
+				{"D", dNet}, {"SI", prev}, {"SE", se}, {"CK", ck}, {"Q", qNet[i]}})
 			prev = qNet[i]
 		}
 	}
@@ -117,13 +117,13 @@ func BuildStructuralCore(d *netlist.Design, core *testinfo.Core) (*netlist.Modul
 			if sp.Invert {
 				cell = netlist.CellInv
 			}
-			m.MustInstance(fmt.Sprintf("u_po%d", j), cell, map[string]string{"A": s, "Z": poN})
+			m.MustInstance(fmt.Sprintf("u_po%d", j), cell, netlist.Pins{{"A", s}, {"Z", poN}})
 			continue
 		}
 		p := piNet(sp.PITap)
 		aNet := fmt.Sprintf("pa%d", j)
 		m.MustInstance(fmt.Sprintf("u_pa%d", j), netlist.CellAnd2,
-			map[string]string{"A": s, "B": p, "Z": aNet})
+			netlist.Pins{{"A", s}, {"B", p}, {"Z", aNet}})
 		cell := netlist.CellXor2
 		if sp.Invert {
 			cell = netlist.CellXnor2
@@ -131,12 +131,12 @@ func BuildStructuralCore(d *netlist.Design, core *testinfo.Core) (*netlist.Modul
 		if sp.PIXor {
 			tNet := fmt.Sprintf("pt%d", j)
 			m.MustInstance(fmt.Sprintf("u_px%d", j), cell,
-				map[string]string{"A": s, "B": aNet, "Z": tNet})
+				netlist.Pins{{"A", s}, {"B", aNet}, {"Z", tNet}})
 			m.MustInstance(fmt.Sprintf("u_po%d", j), netlist.CellXor2,
-				map[string]string{"A": tNet, "B": p, "Z": poN})
+				netlist.Pins{{"A", tNet}, {"B", p}, {"Z", poN}})
 		} else {
 			m.MustInstance(fmt.Sprintf("u_po%d", j), cell,
-				map[string]string{"A": s, "B": aNet, "Z": poN})
+				netlist.Pins{{"A", s}, {"B", aNet}, {"Z", poN}})
 		}
 	}
 

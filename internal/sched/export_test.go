@@ -10,13 +10,6 @@ const ExhaustiveJobLimit = exhaustiveJobLimit
 // AlmostLE is the scheduler's tolerant power comparison.
 var AlmostLE = almostLE
 
-// The hand-written Table-1 fixture of the in-package tests.
-var (
-	DSCCores     = dscCores
-	DSCBist      = dscBist
-	DSCResources = dscResources
-)
-
 // JobCount is the number of core jobs the session search partitions.
 func JobCount(tests []Test) int {
 	jobs, _ := buildJobs(tests)

@@ -21,11 +21,11 @@ func TestSessionBasedParallelDeterminism(t *testing.T) {
 		{
 			name: "dsc",
 			tests: func(t *testing.T) ([]sched.Test, sched.Resources) {
-				tests, err := sched.BuildTests(sched.DSCCores(), sched.DSCBist())
+				tests, err := sched.BuildTests(dscCores(t), threeGroups())
 				if err != nil {
 					t.Fatal(err)
 				}
-				return tests, sched.DSCResources()
+				return tests, pins28()
 			},
 		},
 		{

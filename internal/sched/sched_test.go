@@ -9,96 +9,6 @@ import (
 	"steac/internal/wrapper"
 )
 
-func usbCore() *testinfo.Core {
-	return &testinfo.Core{
-		Name:        "USB",
-		Clocks:      []string{"ck0", "ck1", "ck2", "ck3"},
-		Resets:      []string{"rst0", "rst1", "rst2"},
-		ScanEnables: []string{"se"},
-		TestEnables: []string{"t0", "t1", "t2", "t3", "t4", "t5"},
-		PIs:         221, POs: 104,
-		ScanChains: []testinfo.ScanChain{
-			{Name: "c0", Length: 1629, In: "si0", Out: "so0", Clock: "ck0"},
-			{Name: "c1", Length: 78, In: "si1", Out: "so1", Clock: "ck1"},
-			{Name: "c2", Length: 293, In: "si2", Out: "so2", Clock: "ck2"},
-			{Name: "c3", Length: 45, In: "si3", Out: "so3", Clock: "ck3"},
-		},
-		Patterns: []testinfo.PatternSet{{Name: "scan", Type: testinfo.Scan, Count: 716, Seed: 1}},
-	}
-}
-
-func tvCore() *testinfo.Core {
-	return &testinfo.Core{
-		Name:        "TV",
-		Clocks:      []string{"ck"},
-		Resets:      []string{"rst"},
-		ScanEnables: []string{"se"},
-		TestEnables: []string{"te"},
-		PIs:         25, POs: 40,
-		ScanChains: []testinfo.ScanChain{
-			{Name: "c0", Length: 577, In: "si0", Out: "so0", Clock: "ck"},
-			{Name: "c1", Length: 576, In: "si1", Out: "shared", Clock: "ck", SharedOut: true},
-		},
-		Patterns: []testinfo.PatternSet{
-			{Name: "scan", Type: testinfo.Scan, Count: 229, Seed: 2},
-			{Name: "func", Type: testinfo.Functional, Count: 202673, Seed: 3},
-		},
-	}
-}
-
-func jpegCore() *testinfo.Core {
-	return &testinfo.Core{
-		Name:   "JPEG",
-		Clocks: []string{"ck"},
-		PIs:    165, POs: 104,
-		Patterns: []testinfo.PatternSet{{Name: "func", Type: testinfo.Functional, Count: 235696, Seed: 4}},
-	}
-}
-
-func dscCores() []*testinfo.Core {
-	return []*testinfo.Core{usbCore(), tvCore(), jpegCore()}
-}
-
-func dscBist() []BISTGroup {
-	return []BISTGroup{
-		{Name: "g0", Cycles: 250000, Power: 3},
-		{Name: "g1", Cycles: 150000, Power: 2},
-		{Name: "g2", Cycles: 200000, Power: 2},
-	}
-}
-
-func dscResources() Resources {
-	return Resources{TestPins: 28, FuncPins: 96, MaxPower: 0, Partitioner: wrapper.LPT}
-}
-
-func TestBuildTests(t *testing.T) {
-	tests, err := BuildTests(dscCores(), dscBist())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := make(map[string]Kind)
-	for _, x := range tests {
-		ids[x.ID] = x.Kind
-	}
-	for id, k := range map[string]Kind{
-		"USB.scan": ScanKind, "TV.scan": ScanKind, "TV.func": FuncKind,
-		"JPEG.func": FuncKind, "bist.g0": BISTKind,
-	} {
-		if got, ok := ids[id]; !ok || got != k {
-			t.Fatalf("test %s missing or wrong kind (%v)", id, got)
-		}
-	}
-	if len(tests) != 7 {
-		t.Fatalf("tests = %d, want 7", len(tests))
-	}
-	if _, err := BuildTests(nil, nil); err == nil {
-		t.Fatal("empty input accepted")
-	}
-	if _, err := BuildTests(nil, []BISTGroup{{Name: "z", Cycles: 0}}); err == nil {
-		t.Fatal("zero-cycle BIST group accepted")
-	}
-}
-
 func TestFuncCycles(t *testing.T) {
 	for _, tc := range []struct {
 		patterns, need, granted, want int
@@ -120,265 +30,6 @@ func TestFuncCycles(t *testing.T) {
 	}
 	if _, err := FuncCycles(5, 10, 0); err == nil {
 		t.Fatal("zero grant accepted")
-	}
-}
-
-func TestScanCyclesAndSaturation(t *testing.T) {
-	usb := usbCore()
-	c4, err := ScanCycles(usb, 4, wrapper.LPT)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c4 != 1168709 {
-		t.Fatalf("USB scan at w=4 = %d, want 1168709", c4)
-	}
-	sat, err := SaturationWidth(usb, 8, wrapper.LPT)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The 1629-bit chain dominates from width 2 on.
-	if sat != 2 {
-		t.Fatalf("saturation width = %d, want 2", sat)
-	}
-	c2, err := ScanCycles(usb, 2, wrapper.LPT)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c2 != c4 {
-		t.Fatalf("width 2 vs 4: %d vs %d", c2, c4)
-	}
-}
-
-func TestControlPins(t *testing.T) {
-	cores := dscCores()
-	if got := ControlPins(cores, false, false); got != 19 {
-		t.Fatalf("dedicated control = %d, want the paper's 19", got)
-	}
-	if got := ControlPins(cores, false, true); got != 14 {
-		t.Fatalf("shared control = %d, want 14", got)
-	}
-	if got := ControlPins(cores, true, true); got != 18 {
-		t.Fatalf("shared control + BIST = %d, want 18", got)
-	}
-}
-
-func TestSessionBasedDSC(t *testing.T) {
-	tests, err := BuildTests(dscCores(), dscBist())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := SessionBasedContext(context.Background(), tests, dscResources())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Kind != "session-based" {
-		t.Fatal("kind")
-	}
-	sum := 0
-	placed := make(map[string]bool)
-	for _, sess := range s.Sessions {
-		sum += sess.Cycles
-		if sess.ControlPins+2*widthSum(sess) > dscResources().TestPins {
-			t.Fatalf("session %d exceeds pin budget: ctrl %d, data %d",
-				sess.Index, sess.ControlPins, 2*widthSum(sess))
-		}
-		for _, p := range sess.Placements {
-			placed[p.Test.ID] = true
-			if p.Cycles <= 0 {
-				t.Fatalf("placement %s has %d cycles", p.Test.ID, p.Cycles)
-			}
-		}
-	}
-	if sum != s.TotalCycles {
-		t.Fatalf("total %d != session sum %d", s.TotalCycles, sum)
-	}
-	if len(placed) != len(tests) {
-		t.Fatalf("placed %d of %d tests", len(placed), len(tests))
-	}
-}
-
-func widthSum(s Session) int {
-	w := 0
-	for _, p := range s.Placements {
-		w += p.Width
-	}
-	return w
-}
-
-// The paper's central claim: under a tight test-IO budget, session-based
-// scheduling (shared control IOs) beats the non-session baseline (dedicated
-// control IOs -> starved TAM).
-func TestSessionBeatsNonSessionUnderTightPins(t *testing.T) {
-	tests, err := BuildTests(dscCores(), dscBist())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := Resources{TestPins: 25, FuncPins: 96, Partitioner: wrapper.LPT}
-	sb, err := SessionBasedContext(context.Background(), tests, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nsb, err := NonSessionBased(tests, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sb.TotalCycles >= nsb.TotalCycles {
-		t.Fatalf("session-based %d not better than non-session %d",
-			sb.TotalCycles, nsb.TotalCycles)
-	}
-	// Control-pin accounting: 19 core pins + 4 BIST dedicated vs shared.
-	if nsb.ControlPinsMax != 23 {
-		t.Fatalf("non-session control pins = %d, want 23", nsb.ControlPinsMax)
-	}
-	if sb.ControlPinsMax >= nsb.ControlPinsMax {
-		t.Fatalf("sharing did not reduce control pins: %d vs %d",
-			sb.ControlPinsMax, nsb.ControlPinsMax)
-	}
-}
-
-// With generous pins, the non-session packer may win (full overlap), which
-// is the paper's other observation: "there are also cases when parallel
-// testing leads to shorter test time than serial testing".
-func TestNonSessionWinsWithGenerousPins(t *testing.T) {
-	tests, err := BuildTests(dscCores(), dscBist())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := Resources{TestPins: 60, FuncPins: 512, Partitioner: wrapper.LPT}
-	sb, err := SessionBasedContext(context.Background(), tests, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nsb, err := NonSessionBased(tests, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nsb.TotalCycles > sb.TotalCycles {
-		t.Fatalf("with generous pins non-session (%d) should not lose to session-based (%d)",
-			nsb.TotalCycles, sb.TotalCycles)
-	}
-}
-
-func TestSessionNeverWorseThanSerial(t *testing.T) {
-	tests, err := BuildTests(dscCores(), dscBist())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pins := range []int{26, 28, 40, 60} {
-		res := Resources{TestPins: pins, FuncPins: 128, Partitioner: wrapper.LPT}
-		sb, err := SessionBasedContext(context.Background(), tests, res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ser, err := Serial(tests, res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sb.TotalCycles > ser.TotalCycles {
-			t.Fatalf("pins=%d: session-based %d worse than serial %d",
-				pins, sb.TotalCycles, ser.TotalCycles)
-		}
-	}
-}
-
-func TestPowerConstraintSerializes(t *testing.T) {
-	bist := []BISTGroup{
-		{Name: "hot1", Cycles: 500000, Power: 10},
-		{Name: "hot2", Cycles: 500000, Power: 10},
-	}
-	tests, err := BuildTests([]*testinfo.Core{usbCore()}, bist)
-	if err != nil {
-		t.Fatal(err)
-	}
-	free := Resources{TestPins: 40, FuncPins: 64, Partitioner: wrapper.LPT}
-	bound := free
-	bound.MaxPower = 12 // USB scan (~3) + one hot group, never both groups with a core
-	sFree, err := SessionBasedContext(context.Background(), tests, free)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sBound, err := SessionBasedContext(context.Background(), tests, bound)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sBound.TotalCycles < sFree.TotalCycles {
-		t.Fatalf("power bound produced a faster schedule: %d vs %d",
-			sBound.TotalCycles, sFree.TotalCycles)
-	}
-	for _, sess := range sBound.Sessions {
-		if !almostLE(sess.PeakPower, 12) {
-			t.Fatalf("session peak power %.1f exceeds bound", sess.PeakPower)
-		}
-	}
-}
-
-func TestInfeasiblePins(t *testing.T) {
-	tests, err := BuildTests(dscCores(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := Resources{TestPins: 5, FuncPins: 64, Partitioner: wrapper.LPT}
-	if _, err := SessionBasedContext(context.Background(), tests, res); err == nil {
-		t.Fatal("5-pin budget accepted by session scheduler")
-	}
-	if _, err := NonSessionBased(tests, res); err == nil {
-		t.Fatal("5-pin budget accepted by non-session scheduler")
-	}
-}
-
-func TestSerialStructure(t *testing.T) {
-	tests, err := BuildTests(dscCores(), dscBist())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := Serial(tests, dscResources())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 3 core sessions + 3 BIST sessions.
-	if len(s.Sessions) != 6 {
-		t.Fatalf("serial sessions = %d, want 6", len(s.Sessions))
-	}
-	if _, _, ok := s.PlacementFor("USB.scan"); !ok {
-		t.Fatal("USB.scan missing from serial schedule")
-	}
-}
-
-func TestNonSessionRespectsPrecedence(t *testing.T) {
-	tests, err := BuildTests([]*testinfo.Core{tvCore()}, dscBist())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NonSessionBased(tests, dscResources())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var scanEnd, funcStart int
-	bistSpans := map[string][2]int{}
-	for _, p := range s.Sessions[0].Placements {
-		switch p.Test.ID {
-		case "TV.scan":
-			scanEnd = p.End()
-		case "TV.func":
-			funcStart = p.Start
-		default:
-			bistSpans[p.Test.ID] = [2]int{p.Start, p.End()}
-		}
-	}
-	if funcStart < scanEnd {
-		t.Fatalf("TV.func started at %d before scan ended at %d", funcStart, scanEnd)
-	}
-	// BIST groups form a serial chain.
-	var spans [][2]int
-	for _, sp := range bistSpans {
-		spans = append(spans, sp)
-	}
-	for i := range spans {
-		for j := range spans {
-			if i != j && spans[i][0] < spans[j][1] && spans[j][0] < spans[i][1] {
-				t.Fatalf("BIST groups overlap: %v vs %v", spans[i], spans[j])
-			}
-		}
 	}
 }
 
@@ -442,31 +93,5 @@ func TestTimeMS(t *testing.T) {
 	}
 	if got := s.TimeMS(0); got != 100 { // default 50 MHz
 		t.Fatalf("TimeMS(0) = %v", got)
-	}
-}
-
-func TestUtilization(t *testing.T) {
-	tests, err := BuildTests(dscCores(), dscBist())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb, err := SessionBasedContext(context.Background(), tests, dscResources())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ser, err := Serial(tests, dscResources())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u := sb.Utilization(); u <= 0 {
-		t.Fatalf("utilization = %v", u)
-	}
-	// Parallel sessions pack more test activity per cycle than serial.
-	if sb.Utilization() < ser.Utilization() {
-		t.Fatalf("session-based utilization %.2f below serial %.2f",
-			sb.Utilization(), ser.Utilization())
-	}
-	if (&Schedule{}).Utilization() != 0 {
-		t.Fatal("empty schedule utilization")
 	}
 }

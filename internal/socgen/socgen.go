@@ -81,13 +81,13 @@ func Build(cores []*testinfo.Core, opts Options) (*netlist.Design, error) {
 	if nResets > 0 {
 		top.MustPort("rst", netlist.In, nResets)
 	}
-	pllConns := map[string]string{"xtal": "xtal"}
+	pllConns := netlist.Pins{{"xtal", "xtal"}}
 	for i := 0; i < nClocks; i++ {
-		pllConns[netlist.BitName("ck", i, nClocks)] = fmt.Sprintf("ck%d", i)
+		pllConns = append(pllConns, [2]string{netlist.BitName("ck", i, nClocks), fmt.Sprintf("ck%d", i)})
 	}
 	top.MustInstance("u_pll", "pll", pllConns)
 	for _, name := range blockNames {
-		top.MustInstance("u_"+name, name, map[string]string{"clk": "ck0", "rstn": "rstn"})
+		top.MustInstance("u_"+name, name, netlist.Pins{{"clk", "ck0"}, {"rstn", "rstn"}})
 	}
 
 	ckIdx, rstIdx := 0, 0
@@ -99,19 +99,19 @@ func Build(cores []*testinfo.Core, opts Options) (*netlist.Design, error) {
 		if c.POs > 0 {
 			top.MustPort(lower+"_po", netlist.Out, c.POs)
 		}
-		conns := make(map[string]string)
+		conns := make(netlist.Pins, 0, c.PIs+c.POs+len(c.Clocks)+len(c.Resets))
 		for i := 0; i < c.PIs; i++ {
-			conns[netlist.BitName("pi", i, c.PIs)] = fmt.Sprintf("%s_pi[%d]", lower, i)
+			conns = append(conns, [2]string{netlist.BitName("pi", i, c.PIs), fmt.Sprintf("%s_pi[%d]", lower, i)})
 		}
 		for i := 0; i < c.POs; i++ {
-			conns[netlist.BitName("po", i, c.POs)] = fmt.Sprintf("%s_po[%d]", lower, i)
+			conns = append(conns, [2]string{netlist.BitName("po", i, c.POs), fmt.Sprintf("%s_po[%d]", lower, i)})
 		}
 		for _, ck := range c.Clocks {
-			conns[ck] = fmt.Sprintf("ck%d", ckIdx)
+			conns = append(conns, [2]string{ck, fmt.Sprintf("ck%d", ckIdx)})
 			ckIdx++
 		}
 		for _, r := range c.Resets {
-			conns[r] = netlist.BitName("rst", rstIdx, nResets)
+			conns = append(conns, [2]string{r, netlist.BitName("rst", rstIdx, nResets)})
 			rstIdx++
 		}
 		top.MustInstance("u_"+c.Name, wrapper.CoreModuleName(c.Name), conns)

@@ -154,17 +154,17 @@ func Generate(d *netlist.Design, name string, spec Spec) (*netlist.Module, error
 				}
 				t := fmt.Sprintf("%s_i%d_s%d", c, w, r.Session)
 				m.AddNet(t)
-				m.MustInstance("g_"+t, netlist.CellAnd2, map[string]string{
-					"A": hot[r.Session],
-					"B": netlist.BitName("TIN", r.PinLo+w, spec.Width),
-					"Z": t,
+				m.MustInstance("g_"+t, netlist.CellAnd2, netlist.Pins{
+					{"A", hot[r.Session]},
+					{"B", netlist.BitName("TIN", r.PinLo+w, spec.Width)},
+					{"Z", t},
 				})
 				terms = append(terms, t)
 			}
 			out := netlist.BitName(c+"_WSI", w, coreWidth[c])
 			if len(terms) == 0 {
 				m.MustInstance("tie_"+c+fmt.Sprint(w), netlist.CellTie0,
-					map[string]string{"Z": out})
+					netlist.Pins{{"Z", out}})
 				continue
 			}
 			if _, err := netlist.AddOrTree(m, "o_"+c+fmt.Sprint(w), terms, out); err != nil {
@@ -183,17 +183,17 @@ func Generate(d *netlist.Design, name string, spec Spec) (*netlist.Module, error
 			}
 			t := fmt.Sprintf("t%d_s%d", w, r.Session)
 			m.AddNet(t)
-			m.MustInstance("g_"+t, netlist.CellAnd2, map[string]string{
-				"A": hot[r.Session],
-				"B": netlist.BitName(r.Core+"_WSO", w-r.PinLo, coreWidth[r.Core]),
-				"Z": t,
+			m.MustInstance("g_"+t, netlist.CellAnd2, netlist.Pins{
+				{"A", hot[r.Session]},
+				{"B", netlist.BitName(r.Core+"_WSO", w-r.PinLo, coreWidth[r.Core])},
+				{"Z", t},
 			})
 			terms = append(terms, t)
 		}
 		out := netlist.BitName("TOUT", w, spec.Width)
 		if len(terms) == 0 {
 			m.MustInstance(fmt.Sprintf("tieo%d", w), netlist.CellTie0,
-				map[string]string{"Z": out})
+				netlist.Pins{{"Z", out}})
 			continue
 		}
 		if _, err := netlist.AddOrTree(m, fmt.Sprintf("ot%d", w), terms, out); err != nil {

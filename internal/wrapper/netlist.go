@@ -35,16 +35,16 @@ func GenerateWBRCell(d *netlist.Design) (*netlist.Module, error) {
 	m.MustPort("CTO", netlist.Out, 1)
 
 	m.MustInstance("capmux", netlist.CellMux2,
-		map[string]string{"A": "CFI", "B": "CTI", "S": "SHIFT", "Z": "shd"})
+		netlist.Pins{{"A", "CFI"}, {"B", "CTI"}, {"S", "SHIFT"}, {"Z", "shd"}})
 	m.MustInstance("shft", netlist.CellDFF,
-		map[string]string{"D": "shd", "CK": "WRCK", "Q": "CTO"})
+		netlist.Pins{{"D", "shd"}, {"CK", "WRCK"}, {"Q", "CTO"}})
 	m.MustInstance("updl", netlist.CellLatchL,
-		map[string]string{"D": "CTO", "EN": "UPDATE", "Q": "updq"})
-	m.MustInstance("safe0", netlist.CellTie0, map[string]string{"Z": "sv"})
+		netlist.Pins{{"D", "CTO"}, {"EN", "UPDATE"}, {"Q", "updq"}})
+	m.MustInstance("safe0", netlist.CellTie0, netlist.Pins{{"Z", "sv"}})
 	m.MustInstance("safemux", netlist.CellMux2,
-		map[string]string{"A": "updq", "B": "sv", "S": "SAFE", "Z": "sq"})
+		netlist.Pins{{"A", "updq"}, {"B", "sv"}, {"S", "SAFE"}, {"Z", "sq"}})
 	m.MustInstance("modemux", netlist.CellMux2,
-		map[string]string{"A": "CFI", "B": "sq", "S": "MODE", "Z": "CFO"})
+		netlist.Pins{{"A", "CFI"}, {"B", "sq"}, {"S", "MODE"}, {"Z", "CFO"}})
 	if err := d.AddModule(m); err != nil {
 		return nil, err
 	}
@@ -84,17 +84,17 @@ func GenerateWIR(d *netlist.Design, name string) (*netlist.Module, error) {
 		en := fmt.Sprintf("sd%d", i)
 		m.AddNet(sq)
 		m.MustInstance(fmt.Sprintf("smux%d", i), netlist.CellMux2,
-			map[string]string{"A": sq, "B": prev, "S": "SHIFTWIR", "Z": en})
+			netlist.Pins{{"A", sq}, {"B", prev}, {"S", "SHIFTWIR"}, {"Z", en}})
 		m.MustInstance(fmt.Sprintf("sff%d", i), netlist.CellDFF,
-			map[string]string{"D": en, "CK": "WRCK", "Q": sq})
+			netlist.Pins{{"D", en}, {"CK", "WRCK"}, {"Q", sq}})
 		uq := fmt.Sprintf("uq%d", i)
 		m.AddNet(uq)
 		m.MustInstance(fmt.Sprintf("ul%d", i), netlist.CellLatchL,
-			map[string]string{"D": sq, "EN": "UPDATEWIR", "Q": uq})
+			netlist.Pins{{"D", sq}, {"EN", "UPDATEWIR"}, {"Q", uq}})
 		q = append(q, uq)
 		prev = sq
 	}
-	m.MustInstance("wsobuf", netlist.CellBuf, map[string]string{"A": prev, "Z": "WSO"})
+	m.MustInstance("wsobuf", netlist.CellBuf, netlist.Pins{{"A", prev}, {"Z", "WSO"}})
 	if _, err := netlist.AddDecoder(m, "idec", q[:2], "",
 		[]string{"INTESTSCAN", "EXTEST", "INTESTFUNC", "BYPASS"}); err != nil {
 		return nil, err
@@ -211,35 +211,31 @@ func Generate(d *netlist.Design, core *testinfo.Core, plan Plan) (*Generated, er
 	w.MustPort("wsi", netlist.In, plan.Width)
 	w.MustPort("wso", netlist.Out, plan.Width)
 	w.MustPort("wirso", netlist.Out, 1)
-	passthrough := make(map[string]string)
+	// Core instance connections accumulate as we wire boundary cells,
+	// after the control pins, which pass through.
+	var coreConns netlist.Pins
 	for _, pins := range [][]string{core.Clocks, core.Resets, core.ScanEnables, core.TestEnables} {
 		for _, p := range pins {
 			w.MustPort(p, netlist.In, 1)
-			passthrough[p] = p
+			coreConns = append(coreConns, [2]string{p, p})
 		}
 	}
 
 	// WIR on its own serial path.
-	w.MustInstance("u_wir", wirName, map[string]string{
-		"WSI": netlist.BitName("wsi", 0, plan.Width), "WRCK": "wrck",
-		"SHIFTWIR": "shiftwir", "UPDATEWIR": "updatewir", "WSO": "wirso",
-		"BYPASS": "i_byp", "EXTEST": "i_ext", "INTESTSCAN": "i_ints", "INTESTFUNC": "i_intf",
+	w.MustInstance("u_wir", wirName, netlist.Pins{
+		{"WSI", netlist.BitName("wsi", 0, plan.Width)}, {"WRCK", "wrck"},
+		{"SHIFTWIR", "shiftwir"}, {"UPDATEWIR", "updatewir"}, {"WSO", "wirso"},
+		{"BYPASS", "i_byp"}, {"EXTEST", "i_ext"}, {"INTESTSCAN", "i_ints"}, {"INTESTFUNC", "i_intf"},
 	})
-
-	// Core instance connections accumulate as we wire boundary cells.
-	coreConns := make(map[string]string)
-	for k, v := range passthrough {
-		coreConns[k] = v
-	}
 
 	cellCount := 0
 	newCell := func(kind string, idx int, cfi, cfo, cti string) string {
 		cto := fmt.Sprintf("%s%d_cto", kind, idx)
 		w.AddNet(cto)
-		w.MustInstance(fmt.Sprintf("u_%s%d", kind, idx), WBRCellName, map[string]string{
-			"CFI": cfi, "CFO": cfo, "CTI": cti, "CTO": cto,
-			"WRCK": "wrck", "SHIFT": "shift", "UPDATE": "update",
-			"MODE": "mode", "SAFE": "safe",
+		w.MustInstance(fmt.Sprintf("u_%s%d", kind, idx), WBRCellName, netlist.Pins{
+			{"CFI", cfi}, {"CFO", cfo}, {"CTI", cti}, {"CTO", cto},
+			{"WRCK", "wrck"}, {"SHIFT", "shift"}, {"UPDATE", "update"},
+			{"MODE", "mode"}, {"SAFE", "safe"},
 		})
 		cellCount++
 		return cto
@@ -254,7 +250,7 @@ func Generate(d *netlist.Design, core *testinfo.Core, plan Plan) (*Generated, er
 			cfi := netlist.BitName("pi", i, core.PIs)
 			cfo := fmt.Sprintf("cpi%d", i)
 			w.AddNet(cfo)
-			coreConns[netlist.BitName("pi", i, core.PIs)] = cfo
+			coreConns = append(coreConns, [2]string{netlist.BitName("pi", i, core.PIs), cfo})
 			cur = newCell("ib", i, cfi, cfo, cur)
 		}
 		for _, si := range chain.CoreChains {
@@ -264,9 +260,9 @@ func Generate(d *netlist.Design, core *testinfo.Core, plan Plan) (*Generated, er
 			w.AddNet(sout)
 			// The serial path enters the core chain directly.
 			w.MustInstance(fmt.Sprintf("u_sib%d", si), netlist.CellBuf,
-				map[string]string{"A": cur, "Z": sin})
-			coreConns[fmt.Sprintf("si%d", si)] = sin
-			coreConns[fmt.Sprintf("so%d", si)] = sout
+				netlist.Pins{{"A", cur}, {"Z", sin}})
+			coreConns = append(coreConns, [2]string{fmt.Sprintf("si%d", si), sin},
+				[2]string{fmt.Sprintf("so%d", si), sout})
 			cur = sout
 		}
 		for k := 0; k < chain.OutCells; k++ {
@@ -274,21 +270,21 @@ func Generate(d *netlist.Design, core *testinfo.Core, plan Plan) (*Generated, er
 			nextOut++
 			cfi := fmt.Sprintf("cpo%d", o)
 			w.AddNet(cfi)
-			coreConns[netlist.BitName("po", o, core.POs)] = cfi
+			coreConns = append(coreConns, [2]string{netlist.BitName("po", o, core.POs), cfi})
 			cur = newCell("ob", o, cfi, netlist.BitName("po", o, core.POs), cur)
 		}
 		if ci == 0 {
 			// WBY: the mandatory one-bit bypass register rides wrapper
 			// chain 0 and takes over when the WIR holds BYPASS.
-			w.MustInstance("u_wby", netlist.CellDFF, map[string]string{
-				"D": netlist.BitName("wsi", 0, plan.Width), "CK": "wrck", "Q": "wby_q"})
-			w.MustInstance("u_bymux", netlist.CellMux2, map[string]string{
-				"A": cur, "B": "wby_q", "S": "i_byp",
-				"Z": netlist.BitName("wso", 0, plan.Width)})
+			w.MustInstance("u_wby", netlist.CellDFF, netlist.Pins{
+				{"D", netlist.BitName("wsi", 0, plan.Width)}, {"CK", "wrck"}, {"Q", "wby_q"}})
+			w.MustInstance("u_bymux", netlist.CellMux2, netlist.Pins{
+				{"A", cur}, {"B", "wby_q"}, {"S", "i_byp"},
+				{"Z", netlist.BitName("wso", 0, plan.Width)}})
 			continue
 		}
 		w.MustInstance(fmt.Sprintf("u_wsob%d", ci), netlist.CellBuf,
-			map[string]string{"A": cur, "Z": netlist.BitName("wso", ci, plan.Width)})
+			netlist.Pins{{"A", cur}, {"Z", netlist.BitName("wso", ci, plan.Width)}})
 	}
 	if nextIn != core.PIs || nextOut != core.POs {
 		return nil, fmt.Errorf("wrapper: plan covers %d/%d inputs and %d/%d outputs",

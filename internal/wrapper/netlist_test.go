@@ -112,17 +112,17 @@ func tinyCore(t *testing.T, d *netlist.Design) *testinfo.Core {
 	// Chain: f0 -> f1 -> f2 (so0 = f2.Q).  Functional D: f0 <= pi0,
 	// f1 <= q0, f2 <= pi1 XOR q1.
 	m.MustInstance("f0", netlist.CellSDFF,
-		map[string]string{"D": "pi[0]", "SI": "si0", "SE": "se", "CK": "ck", "Q": "q0"})
+		netlist.Pins{{"D", "pi[0]"}, {"SI", "si0"}, {"SE", "se"}, {"CK", "ck"}, {"Q", "q0"}})
 	m.MustInstance("f1", netlist.CellSDFF,
-		map[string]string{"D": "q0", "SI": "q0x", "SE": "se", "CK": "ck", "Q": "q1"})
-	m.MustInstance("fb0", netlist.CellBuf, map[string]string{"A": "q0", "Z": "q0x"})
-	m.MustInstance("x2", netlist.CellXor2, map[string]string{"A": "pi[1]", "B": "q1", "Z": "d2"})
+		netlist.Pins{{"D", "q0"}, {"SI", "q0x"}, {"SE", "se"}, {"CK", "ck"}, {"Q", "q1"}})
+	m.MustInstance("fb0", netlist.CellBuf, netlist.Pins{{"A", "q0"}, {"Z", "q0x"}})
+	m.MustInstance("x2", netlist.CellXor2, netlist.Pins{{"A", "pi[1]"}, {"B", "q1"}, {"Z", "d2"}})
 	m.MustInstance("f2", netlist.CellSDFF,
-		map[string]string{"D": "d2", "SI": "q1x", "SE": "se", "CK": "ck", "Q": "so0"})
-	m.MustInstance("fb1", netlist.CellBuf, map[string]string{"A": "q1", "Z": "q1x"})
+		netlist.Pins{{"D", "d2"}, {"SI", "q1x"}, {"SE", "se"}, {"CK", "ck"}, {"Q", "so0"}})
+	m.MustInstance("fb1", netlist.CellBuf, netlist.Pins{{"A", "q1"}, {"Z", "q1x"}})
 	// po0 = q2 (so0), po1 = q0 AND pi1.
-	m.MustInstance("ob0", netlist.CellBuf, map[string]string{"A": "so0", "Z": "po[0]"})
-	m.MustInstance("oa1", netlist.CellAnd2, map[string]string{"A": "q0", "B": "pi[1]", "Z": "po[1]"})
+	m.MustInstance("ob0", netlist.CellBuf, netlist.Pins{{"A", "so0"}, {"Z", "po[0]"}})
+	m.MustInstance("oa1", netlist.CellAnd2, netlist.Pins{{"A", "q0"}, {"B", "pi[1]"}, {"Z", "po[1]"}})
 	d.MustAddModule(m)
 	return core
 }
@@ -158,12 +158,12 @@ func TestWrapperIntestGateLevel(t *testing.T) {
 	bench.MustPort("po", netlist.Out, 2)
 	bench.MustPort("wso", netlist.Out, 1)
 	bench.MustPort("wirso", netlist.Out, 1)
-	bench.MustInstance("u_wrap", "wrap_TINY", map[string]string{
-		"pi[0]": "pi[0]", "pi[1]": "pi[1]", "po[0]": "po[0]", "po[1]": "po[1]",
-		"wrck": "wrck", "ck": "wrck", "shift": "shift", "update": "update",
-		"mode": "mode", "safe": "safe", "shiftwir": "shiftwir",
-		"updatewir": "updatewir", "se": "se", "wsi": "wsi", "wso": "wso",
-		"wirso": "wirso",
+	bench.MustInstance("u_wrap", "wrap_TINY", netlist.Pins{
+		{"pi[0]", "pi[0]"}, {"pi[1]", "pi[1]"}, {"po[0]", "po[0]"}, {"po[1]", "po[1]"},
+		{"wrck", "wrck"}, {"ck", "wrck"}, {"shift", "shift"}, {"update", "update"},
+		{"mode", "mode"}, {"safe", "safe"}, {"shiftwir", "shiftwir"},
+		{"updatewir", "updatewir"}, {"se", "se"}, {"wsi", "wsi"}, {"wso", "wso"},
+		{"wirso", "wirso"},
 	})
 	d.MustAddModule(bench)
 	d.Top = "bench"
@@ -305,12 +305,12 @@ func TestWrapperBypassGateLevel(t *testing.T) {
 	bench.MustPort("po", netlist.Out, 2)
 	bench.MustPort("wso", netlist.Out, 1)
 	bench.MustPort("wirso", netlist.Out, 1)
-	bench.MustInstance("u_wrap", "wrap_TINY", map[string]string{
-		"pi[0]": "pi[0]", "pi[1]": "pi[1]", "po[0]": "po[0]", "po[1]": "po[1]",
-		"wrck": "wrck", "ck": "wrck", "shift": "shift", "update": "update",
-		"mode": "mode", "safe": "safe", "shiftwir": "shiftwir",
-		"updatewir": "updatewir", "se": "se", "wsi": "wsi", "wso": "wso",
-		"wirso": "wirso",
+	bench.MustInstance("u_wrap", "wrap_TINY", netlist.Pins{
+		{"pi[0]", "pi[0]"}, {"pi[1]", "pi[1]"}, {"po[0]", "po[0]"}, {"po[1]", "po[1]"},
+		{"wrck", "wrck"}, {"ck", "wrck"}, {"shift", "shift"}, {"update", "update"},
+		{"mode", "mode"}, {"safe", "safe"}, {"shiftwir", "shiftwir"},
+		{"updatewir", "updatewir"}, {"se", "se"}, {"wsi", "wsi"}, {"wso", "wso"},
+		{"wirso", "wirso"},
 	})
 	d.MustAddModule(bench)
 	d.Top = "bench"

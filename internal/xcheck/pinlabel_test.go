@@ -14,9 +14,11 @@ import (
 // driverOf finds the flattened primitive gate and output port that drive
 // net inside module mod, descending through submodule instances.
 func driverOf(d *netlist.Design, mod, net, prefix string) (gate, port string, ok bool) {
-	for _, inst := range d.Modules[mod].Instances {
-		for formal, actual := range inst.Conns {
-			if actual != net {
+	m := d.Modules[mod]
+	for _, inst := range m.Instances {
+		for _, c := range inst.Conns {
+			formal := c.Formal
+			if m.Nets[c.Net] != net {
 				continue
 			}
 			if cell, isCell := d.Lib.Cell(inst.Of); isCell {

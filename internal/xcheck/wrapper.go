@@ -33,15 +33,15 @@ func BuildWrapperDesign(core *testinfo.Core, width int, part wrapper.Partitioner
 
 	x := netlist.NewModule("xtop")
 	x.MustPort("tck", netlist.In, 1)
-	conns := map[string]string{"wrck": "tck"}
+	conns := netlist.Pins{{"wrck", "tck"}}
 	for _, ck := range core.Clocks {
-		conns[ck] = "tck"
+		conns = append(conns, [2]string{ck, "tck"})
 	}
 	addPort := func(name string, dir netlist.PortDir, w int) {
 		x.MustPort(name, dir, w)
 		for i := 0; i < w; i++ {
 			b := netlist.BitName(name, i, w)
-			conns[b] = b
+			conns = append(conns, [2]string{b, b})
 		}
 	}
 	if core.PIs > 0 {
