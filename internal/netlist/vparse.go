@@ -29,8 +29,12 @@ func ParseVerilog(src string, lib *Library) (*Design, error) {
 	d.Top = ""
 	for !p.eof() {
 		m, behavioralArea, isBehavioral, err := p.parseModule()
+		if p.err != nil {
+			// The parser ran into the end of what could be lexed.
+			return nil, p.err
+		}
 		if err != nil {
-			return nil, p.lexFirst(err)
+			return nil, err
 		}
 		if isBehavioral {
 			m.Behavioral = true
@@ -165,19 +169,6 @@ func (p *vparser) take(i, j int, ident bool) bool {
 	p.tok = vtoken{text: p.src[i:j], line: p.line, ident: ident}
 	p.i = j
 	return true
-}
-
-// lexFirst returns the lexing error of the rest of the source, if there
-// is one, in place of the parse error err: a source with a character the
-// lexer rejects fails on that character, wherever parsing stopped.
-func (p *vparser) lexFirst(err error) error {
-	for !p.atEOF {
-		p.advance()
-	}
-	if p.err != nil {
-		return p.err
-	}
-	return err
 }
 
 func isVIdentStart(c byte) bool {
