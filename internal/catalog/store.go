@@ -1,12 +1,15 @@
 package catalog
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"steac/internal/wal"
@@ -34,31 +37,38 @@ var ErrCatalogSchema = errors.New("catalog: unsupported schema version")
 const storeFile = "catalog.jsonl"
 
 // Store is the durable record set: an append-only fsync'd log plus an
-// in-memory index keyed by (tenant, fingerprint), last write wins.
+// in-memory index.  recs maps (tenant, fingerprint) to the live record,
+// last write wins; tenants holds the same records, one slice per tenant in
+// presentation order (ComparePresentation), so a listing walks one range
+// of one slice instead of copying and sorting the whole store.  Indexed
+// records are never mutated in place — a re-Put swaps the pointer — so a
+// reader may keep one after the lock is released.
 type Store struct {
-	mu      sync.Mutex
+	mu      sync.RWMutex
 	log     *wal.Log
-	recs    map[string]Record
+	recs    map[storeKey]*Record
+	tenants map[string][]*Record
 	dropped int
 }
 
-func storeKey(tenant, fingerprint string) string { return tenant + "\x00" + fingerprint }
+type storeKey struct{ tenant, fingerprint string }
 
 // Open loads (or creates) the catalog under dir, replaying and compacting
 // the store file.  Torn tails are dropped and counted; interior damage is
-// ErrCatalogCorrupt; foreign schemas are ErrCatalogSchema.
+// ErrCatalogCorrupt; foreign schemas are ErrCatalogSchema.  Each tenant's
+// index is sorted once, after the replay.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("catalog: open: %w", err)
 	}
 	path := filepath.Join(dir, storeFile)
-	s := &Store{recs: map[string]Record{}}
+	s := &Store{recs: map[storeKey]*Record{}, tenants: map[string][]*Record{}}
 	dropped, err := wal.Replay(path, wal.FailInterior, func(blob []byte) error {
 		rec, err := decodeRecord(blob)
 		if err != nil {
 			return err
 		}
-		s.recs[storeKey(rec.Tenant, rec.Fingerprint)] = rec
+		s.recs[storeKey{rec.Tenant, rec.Fingerprint}] = &rec
 		return nil
 	})
 	if errors.Is(err, wal.ErrCorrupt) {
@@ -66,6 +76,12 @@ func Open(dir string) (*Store, error) {
 	}
 	if err != nil {
 		return nil, fmt.Errorf("catalog: open: %w", err)
+	}
+	for _, rec := range s.recs {
+		s.tenants[rec.Tenant] = append(s.tenants[rec.Tenant], rec)
+	}
+	for _, idx := range s.tenants {
+		slices.SortFunc(idx, ComparePresentation)
 	}
 	s.dropped = dropped
 	if s.log, err = wal.Open(path); err != nil {
@@ -97,7 +113,7 @@ func decodeRecord(blob []byte) (Record, error) {
 }
 
 // Put ingests one record: stamp the schema, append one CRC-framed line,
-// fsync, remember.  The write is acknowledged only after the fsync — the
+// fsync, index.  The write is acknowledged only after the fsync — the
 // same contract as the job database.
 func (s *Store) Put(rec Record) error {
 	if s == nil {
@@ -112,7 +128,17 @@ func (s *Store) Put(rec Record) error {
 	if err := s.log.Append(rec); err != nil {
 		return fmt.Errorf("catalog: put: %w", err)
 	}
-	s.recs[storeKey(rec.Tenant, rec.Fingerprint)] = rec
+	key := storeKey{rec.Tenant, rec.Fingerprint}
+	idx := s.tenants[rec.Tenant]
+	if old := s.recs[key]; old != nil {
+		// The overwritten record's sort fields may differ from the new
+		// one's: take it out at its own position first.
+		i, _ := slices.BinarySearchFunc(idx, old, ComparePresentation)
+		idx = slices.Delete(idx, i, i+1)
+	}
+	i, _ := slices.BinarySearchFunc(idx, &rec, ComparePresentation)
+	s.tenants[rec.Tenant] = slices.Insert(idx, i, &rec)
+	s.recs[key] = &rec
 	return nil
 }
 
@@ -121,10 +147,12 @@ func (s *Store) Get(tenant, fingerprint string) (Record, bool) {
 	if s == nil {
 		return Record{}, false
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rec, ok := s.recs[storeKey(tenant, fingerprint)]
-	return rec, ok
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if rec := s.recs[storeKey{tenant, fingerprint}]; rec != nil {
+		return *rec, true
+	}
+	return Record{}, false
 }
 
 // Query filters List.  Zero values mean "no filter" (MaxCoverage 0 sets
@@ -139,11 +167,12 @@ type Query struct {
 	// MinCoverage/MaxCoverage bound Metrics.Coverage in percent.
 	MinCoverage float64
 	MaxCoverage float64
-	// Limit caps the result count after sorting (0 = all).
+	// Limit caps how many of the matches, in presentation order, are
+	// returned (0 = all).
 	Limit int
 }
 
-func (q Query) match(rec Record) bool {
+func (q Query) match(rec *Record) bool {
 	if q.Tenant != "" && rec.Tenant != q.Tenant {
 		return false
 	}
@@ -166,43 +195,125 @@ func (q Query) match(rec Record) bool {
 // kind, TAM width, fingerprint — a total order independent of insertion
 // and wall clock, so listings are byte-stable across restarts.
 func (s *Store) List(q Query) []Record {
+	recs, _ := s.Page(q)
+	return recs
+}
+
+// Page is List plus the number of records that match q before its Limit
+// is applied.  The walk copies only the records it returns.
+func (s *Store) Page(q Query) ([]Record, int) {
 	if s == nil {
-		return nil
+		return nil, 0
 	}
-	s.mu.Lock()
-	out := make([]Record, 0, len(s.recs))
-	for _, rec := range s.recs {
-		if q.match(rec) {
-			out = append(out, rec)
+	total := 0
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	out := make([]Record, 0, min(max(q.Limit, 0), len(s.recs)))
+	s.walk(q, func(rec *Record) bool {
+		if q.Limit <= 0 || total < q.Limit {
+			out = append(out, *rec)
+		}
+		total++
+		return true
+	})
+	return out, total
+}
+
+// Visit calls fn with each record matching q, in presentation order, up
+// to q.Limit of them, without copying any.  fn runs under the store's read
+// lock, so it must be quick, must not modify the record and must not call
+// back into the store; it may keep the pointer, since the store never
+// mutates an indexed record.  (Gathering the pointers first and calling
+// fn after the unlock allocates a slice per call: on catalog-serve that
+// measured about 11% slower at p50 and 12% at the tail.)
+func (s *Store) Visit(q Query, fn func(*Record)) {
+	if s == nil {
+		return
+	}
+	n := 0
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	s.walk(q, func(rec *Record) bool {
+		fn(rec)
+		n++
+		return q.Limit <= 0 || n < q.Limit
+	})
+}
+
+// walk calls fn with each record matching q in presentation order until
+// fn returns false.  A named tenant walks its own index, a named scenario
+// only its range of it; tenant "" merges every tenant's index, equal
+// records ordered by tenant.  The caller holds s.mu.
+func (s *Store) walk(q Query, fn func(*Record) bool) {
+	var runs [][]*Record
+	if q.Tenant != "" {
+		runs = [][]*Record{s.tenants[q.Tenant]}
+	} else {
+		names := make([]string, 0, len(s.tenants))
+		for name := range s.tenants {
+			names = append(names, name)
+		}
+		slices.Sort(names)
+		runs = make([][]*Record, len(names))
+		for i, name := range names {
+			runs[i] = s.tenants[name]
 		}
 	}
-	s.mu.Unlock()
-	SortRecords(out)
-	if q.Limit > 0 && len(out) > q.Limit {
-		out = out[:q.Limit]
+	if q.Scenario != "" {
+		for i, idx := range runs {
+			runs[i] = scenarioRange(idx, q.Scenario)
+		}
 	}
-	return out
+	for {
+		// Pick the least head; a tie goes to the earlier run.
+		best := -1
+		for i, idx := range runs {
+			if len(idx) > 0 && (best < 0 || ComparePresentation(idx[0], runs[best][0]) < 0) {
+				best = i
+			}
+		}
+		if best < 0 {
+			return
+		}
+		rec := runs[best][0]
+		runs[best] = runs[best][1:]
+		if q.match(rec) && !fn(rec) {
+			return
+		}
+	}
+}
+
+// scenarioRange is the run of idx (in presentation order) whose records
+// belong to scenario.
+func scenarioRange(idx []*Record, scenario string) []*Record {
+	lo := sort.Search(len(idx), func(i int) bool { return idx[i].Scenario >= scenario })
+	hi := lo + sort.Search(len(idx)-lo, func(i int) bool { return idx[lo+i].Scenario > scenario })
+	return idx[lo:hi]
+}
+
+// ComparePresentation orders records in the catalog's presentation order
+// (scenario, seed, kind, TAM width, fingerprint), returning -1, 0 or +1.
+// Within one tenant it is total, since fingerprints are unique there.
+func ComparePresentation(a, b *Record) int {
+	if c := strings.Compare(a.Scenario, b.Scenario); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Seed, b.Seed); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.Kind, b.Kind); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Config.TamWidth, b.Config.TamWidth); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Fingerprint, b.Fingerprint)
 }
 
 // SortRecords orders records in the catalog's canonical presentation
 // order (scenario, seed, kind, TAM width, fingerprint).
 func SortRecords(recs []Record) {
-	sort.Slice(recs, func(i, j int) bool {
-		a, b := recs[i], recs[j]
-		if a.Scenario != b.Scenario {
-			return a.Scenario < b.Scenario
-		}
-		if a.Seed != b.Seed {
-			return a.Seed < b.Seed
-		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		if a.Config.TamWidth != b.Config.TamWidth {
-			return a.Config.TamWidth < b.Config.TamWidth
-		}
-		return a.Fingerprint < b.Fingerprint
-	})
+	slices.SortFunc(recs, func(a, b Record) int { return ComparePresentation(&a, &b) })
 }
 
 // Len returns the record count.
@@ -210,8 +321,8 @@ func (s *Store) Len() int {
 	if s == nil {
 		return 0
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return len(s.recs)
 }
 
@@ -221,8 +332,8 @@ func (s *Store) Dropped() int {
 	if s == nil {
 		return 0
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.dropped
 }
 
@@ -238,15 +349,11 @@ func (s *Store) Compact() error {
 }
 
 func (s *Store) compactLocked() error {
-	recs := make([]Record, 0, len(s.recs))
-	for _, rec := range s.recs {
-		recs = append(recs, rec)
-	}
-	SortRecords(recs)
-	vals := make([]any, len(recs))
-	for i := range recs {
-		vals[i] = recs[i]
-	}
+	vals := make([]any, 0, len(s.recs))
+	s.walk(Query{}, func(rec *Record) bool {
+		vals = append(vals, rec)
+		return true
+	})
 	if err := s.log.Rewrite(vals); err != nil {
 		return fmt.Errorf("catalog: compact: %w", err)
 	}

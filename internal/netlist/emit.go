@@ -51,6 +51,12 @@ func writeName(w *bufio.Writer, name string) {
 	w.WriteByte(' ')
 }
 
+// Port-bit kinds of a net in emitModule (0: not a port bit).
+const (
+	scalarBit uint8 = 1 + iota
+	busBit
+)
+
 // emitModule writes one module declaration; a write error is kept in w
 // and returned by its Flush.
 func (d *Design) emitModule(w *bufio.Writer, m *Module) {
@@ -79,15 +85,24 @@ func (d *Design) emitModule(w *bufio.Writer, m *Module) {
 		writeName(w, p.Name)
 		w.WriteString(";\n")
 	}
-	// Port bits are written as bit-selects, not as escaped names, and
-	// are not declared as wires.
-	portBit := make([]bool, len(m.Nets))
-	for _, id := range m.portBits {
-		portBit[id] = true
+	// Port bits are not declared as wires, and a bus bit is written as a
+	// bit-select of its port (escaped like any name) rather than as one
+	// escaped name.
+	portBit := make([]uint8, len(m.Nets))
+	k := 0
+	for _, p := range m.Ports {
+		kind := scalarBit
+		if p.Width > 1 {
+			kind = busBit
+		}
+		for range p.Width {
+			portBit[m.portBits[k]] = kind
+			k++
+		}
 	}
 	wires := make([]string, 0, len(m.Nets))
 	for id, n := range m.Nets {
-		if !portBit[id] {
+		if portBit[id] == 0 {
 			wires = append(wires, n)
 		}
 	}
@@ -110,10 +125,12 @@ func (d *Design) emitModule(w *bufio.Writer, m *Module) {
 			w.WriteByte('.')
 			writeName(w, c.Formal)
 			w.WriteByte('(')
-			if portBit[c.Net] {
-				w.WriteString(m.Nets[c.Net])
+			if n := m.Nets[c.Net]; portBit[c.Net] == busBit {
+				i := strings.LastIndexByte(n, '[')
+				writeName(w, n[:i])
+				w.WriteString(n[i:])
 			} else {
-				writeName(w, m.Nets[c.Net])
+				writeName(w, n)
 			}
 			w.WriteByte(')')
 		}

@@ -65,6 +65,49 @@ func TestVerilogRoundTripStructural(t *testing.T) {
 	}
 }
 
+// TestVerilogRoundTripEscapedPorts binds cells to the bits of ports whose
+// names need escaping: a scalar port's bit is written as its escaped
+// name, a bus port's bit as the escaped base plus a bit-select, and plain
+// port bits exactly as before.
+func TestVerilogRoundTripEscapedPorts(t *testing.T) {
+	d := NewDesign("rt", nil)
+	m := NewModule("top")
+	m.MustPort("a.b", In, 1)
+	m.MustPort("d.q", In, 2)
+	m.MustPort("x", In, 2)
+	m.MustPort("z", Out, 1)
+	m.MustPort("y.o", Out, 1)
+	m.MustInstance("u0", CellBuf, Pins{{"A", "a.b"}, {"Z", "z"}})
+	m.MustInstance("u1", CellAnd2, Pins{{"A", "d.q[1]"}, {"B", "x[0]"}, {"Z", "y.o"}})
+	d.MustAddModule(m)
+	d.Top = "top"
+
+	v, err := d.EmitVerilogString()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`.A(\a.b )`, `.A(\d.q [1])`, `.B(x[0])`, `.Z(z)`, `.Z(\y.o )`} {
+		if !strings.Contains(v, want) {
+			t.Fatalf("emitted Verilog lacks %s:\n%s", want, v)
+		}
+	}
+	back := roundTrip(t, d)
+	bt := back.Module("top")
+	for inst, pins := range map[string]Pins{
+		"u0": {{"A", "a.b"}, {"Z", "z"}},
+		"u1": {{"A", "d.q[1]"}, {"B", "x[0]"}, {"Z", "y.o"}},
+	} {
+		for _, p := range pins {
+			if id := bt.Instance(inst).Actual(p[0]); id < 0 || bt.Nets[id] != p[1] {
+				t.Fatalf("%s.%s bound to net %d, want %s", inst, p[0], id, p[1])
+			}
+		}
+	}
+	if issues := back.Lint(); len(issues) != 0 {
+		t.Fatalf("parsed design lint: %v", issues)
+	}
+}
+
 func TestVerilogRoundTripBehavioral(t *testing.T) {
 	d := NewDesign("rt", nil)
 	ip := NewModule("ip")

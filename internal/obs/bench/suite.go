@@ -264,6 +264,7 @@ func specs() []spec {
 					check: fmt.Sprintf("detected=%d/%d sites=%d", camp.Detected, camp.Total, camp.Sites)}, nil
 			}, nil
 		}},
+		{name: "catalog.list", workers: 1, setup: catalogListSetup},
 		{name: "flow.insert", workers: 1, setup: func() (func() (opResult, error), error) {
 			chip, err := scenario.GenerateByName("dsc", 0)
 			if err != nil {

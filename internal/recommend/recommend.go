@@ -10,8 +10,9 @@
 //  1. Candidate records are the catalog's feasible schedule results
 //     (flow/sched kinds with a cycle count and a TAM width).
 //  2. Records are grouped into chips by their (scenario, seed)
-//     provenance; each chip's feature vector is the record's Features —
-//     core/chain/pattern/IO/memory counts.
+//     provenance; each chip's feature vector is the Features —
+//     core/chain/pattern/IO/memory counts — of its first record in the
+//     catalog's presentation order.
 //  3. Chip distance is normalized Euclidean: every feature dimension is
 //     scaled by the maximum over the candidate population plus the query,
 //     so kilobit memory counts do not drown out core counts.  This is the
@@ -30,6 +31,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 
 	"steac/internal/catalog"
 	"steac/internal/memory"
@@ -90,10 +92,39 @@ const DistanceMetric = "normalized-euclidean/v1"
 
 // chip is one prior chip: its feature vector and its best record.
 type chip struct {
-	key  string
-	best catalog.Record
-	feat [8]float64
-	dist float64
+	id chipID
+	// key is id's sort key for distance ties: "scenario\x00seed", or
+	// "\x00fingerprint" for an explicit submission.
+	key string
+	// first is the chip's first usable record in presentation order; the
+	// chip's features are its features, whatever order records come in.
+	first *catalog.Record
+	best  *catalog.Record
+	feat  [8]float64
+	dist  float64
+}
+
+// chipID groups records into chips: by (scenario, seed) provenance, or by
+// fingerprint for explicit submissions, which have no generator
+// provenance, so each record is its own chip.
+type chipID struct {
+	scenario    string
+	seed        int64
+	fingerprint string
+}
+
+func idOf(rec *catalog.Record) chipID {
+	if rec.Scenario == "" {
+		return chipID{fingerprint: rec.Fingerprint}
+	}
+	return chipID{scenario: rec.Scenario, seed: rec.Seed}
+}
+
+func (id chipID) key() string {
+	if id.scenario == "" {
+		return "\x00" + id.fingerprint
+	}
+	return id.scenario + "\x00" + strconv.FormatInt(id.seed, 10)
 }
 
 func featureVector(f catalog.Features) [8]float64 {
@@ -107,7 +138,7 @@ func featureVector(f catalog.Features) [8]float64 {
 // betterRecord reports whether a is a strictly better config result than
 // b: fewer test cycles, ties to the narrower TAM, then lexical
 // fingerprint so the choice never depends on iteration order.
-func betterRecord(a, b catalog.Record) bool {
+func betterRecord(a, b *catalog.Record) bool {
 	if a.Metrics.TestCycles != b.Metrics.TestCycles {
 		return a.Metrics.TestCycles < b.Metrics.TestCycles
 	}
@@ -118,7 +149,7 @@ func betterRecord(a, b catalog.Record) bool {
 }
 
 // usable reports whether a record can anchor a recommendation.
-func usable(rec catalog.Record, maxTam int) bool {
+func usable(rec *catalog.Record, maxTam int) bool {
 	if rec.Kind != catalog.KindFlow && rec.Kind != catalog.KindSched {
 		return false
 	}
@@ -131,53 +162,94 @@ func usable(rec catalog.Record, maxTam int) bool {
 	return true
 }
 
+// Ranker is one recommendation computed in a single pass: Add each
+// candidate record once, in any order, then Suggest.  It keeps pointers to
+// the records it is given, which must stay unchanged until Suggest returns
+// — the catalog store's Visit guarantees that for its records.
+type Ranker struct {
+	req   Request
+	query [8]float64
+	seen  int
+	chips map[chipID]*chip
+	order []*chip // chips in first-seen order
+	last  *chip   // the chip of the previous usable record
+}
+
+// NewRanker validates the request and profiles the queried chip.
+func NewRanker(req Request) (*Ranker, error) {
+	if len(req.Cores) == 0 {
+		return nil, errors.New("recommend: request needs at least one core description")
+	}
+	return &Ranker{
+		req:   req,
+		query: featureVector(catalog.CoreFeatures(req.Cores, req.Memories)),
+		chips: map[chipID]*chip{},
+	}, nil
+}
+
+// Add offers one record.  Unusable records are only counted.
+func (r *Ranker) Add(rec *catalog.Record) {
+	r.seen++
+	if !usable(rec, r.req.MaxTamWidth) {
+		return
+	}
+	id := idOf(rec)
+	c := r.last
+	if c == nil || c.id != id {
+		// Records in presentation order arrive chip by chip, so the map
+		// is consulted once per chip on the store's path.
+		if c = r.chips[id]; c == nil {
+			c = &chip{id: id, first: rec, best: rec, feat: featureVector(rec.Features)}
+			r.chips[id] = c
+			r.order = append(r.order, c)
+			r.last = c
+			return
+		}
+		r.last = c
+	}
+	if betterRecord(rec, c.best) {
+		c.best = rec
+	}
+	if catalog.ComparePresentation(rec, c.first) < 0 {
+		c.first = rec
+		c.feat = featureVector(rec.Features)
+	}
+}
+
 // Recommend ranks records against the request and synthesizes the
 // suggestion.  records is typically Store.List(Query{Tenant: ...}) — the
 // caller owns tenant scoping.
 func Recommend(records []catalog.Record, req Request) (*Suggestion, error) {
-	if len(req.Cores) == 0 {
-		return nil, errors.New("recommend: request needs at least one core description")
+	r, err := NewRanker(req)
+	if err != nil {
+		return nil, err
 	}
-	queryFeat := featureVector(catalog.CoreFeatures(req.Cores, req.Memories))
+	for i := range records {
+		r.Add(&records[i])
+	}
+	return r.Suggest()
+}
 
-	// Group usable records into chips, keeping each chip's best config.
-	chips := map[string]*chip{}
-	for _, rec := range records {
-		if !usable(rec, req.MaxTamWidth) {
-			continue
-		}
-		key := fmt.Sprintf("%s\x00%d", rec.Scenario, rec.Seed)
-		if rec.Scenario == "" {
-			// Explicit submissions have no generator provenance: each
-			// record is its own chip.
-			key = "\x00" + rec.Fingerprint
-		}
-		c, ok := chips[key]
-		if !ok {
-			chips[key] = &chip{key: key, best: rec, feat: featureVector(rec.Features)}
-			continue
-		}
-		if betterRecord(rec, c.best) {
-			c.best = rec
-		}
+// Suggest synthesizes the suggestion from the records added so far.
+func (r *Ranker) Suggest() (*Suggestion, error) {
+	if len(r.order) == 0 {
+		return nil, fmt.Errorf("%w: %d records, none a feasible schedule result", ErrNoData, r.seen)
 	}
-	if len(chips) == 0 {
-		return nil, fmt.Errorf("%w: %d records, none a feasible schedule result", ErrNoData, len(records))
-	}
+	queryFeat := r.query
 
 	// Per-dimension normalization over the population plus the query.
 	var scale [8]float64
 	for d := 0; d < 8; d++ {
 		scale[d] = queryFeat[d]
 	}
-	for _, c := range chips {
+	for _, c := range r.order {
 		for d := 0; d < 8; d++ {
 			scale[d] = math.Max(scale[d], c.feat[d])
 		}
 	}
 
-	pop := make([]*chip, 0, len(chips))
-	for _, c := range chips {
+	pop := make([]*chip, 0, len(r.order))
+	for _, c := range r.order {
 		sum := 0.0
 		for d := 0; d < 8; d++ {
 			if scale[d] == 0 {
@@ -187,6 +259,7 @@ func Recommend(records []catalog.Record, req Request) (*Suggestion, error) {
 			sum += diff * diff
 		}
 		c.dist = math.Sqrt(sum)
+		c.key = c.id.key()
 		pop = append(pop, c)
 	}
 	sort.Slice(pop, func(i, j int) bool {
@@ -196,7 +269,7 @@ func Recommend(records []catalog.Record, req Request) (*Suggestion, error) {
 		return pop[i].key < pop[j].key
 	})
 
-	k := req.K
+	k := r.req.K
 	if k <= 0 {
 		k = DefaultK
 	}

@@ -239,13 +239,7 @@ func (s *Server) handleCatalogList(w http.ResponseWriter, r *http.Request, tn *t
 	if err != nil {
 		return err
 	}
-	limit := q.Limit
-	q.Limit = 0
-	recs := st.List(q)
-	total := len(recs)
-	if limit > 0 && len(recs) > limit {
-		recs = recs[:limit]
-	}
+	recs, total := st.Page(q)
 	envelope.WriteJSON(w, http.StatusOK, CatalogResponse{Records: recs, Total: total})
 	return nil
 }
@@ -336,9 +330,15 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request, tn *ten
 		}
 		cores, mems = chip.Cores, chip.Memories
 	}
-	sug, err := recommend.Recommend(st.List(catalog.Query{Tenant: tn.ID}), recommend.Request{
+	rk, err := recommend.NewRanker(recommend.Request{
 		Cores: cores, Memories: mems, K: req.K, MaxTamWidth: req.MaxTamWidth,
 	})
+	if err != nil {
+		return errBadRequest{err}
+	}
+	// One pass over the tenant's index: no copy, no sort.
+	st.Visit(catalog.Query{Tenant: tn.ID}, rk.Add)
+	sug, err := rk.Suggest()
 	switch {
 	case errors.Is(err, recommend.ErrNoData):
 		return fmt.Errorf("%w: %v", ErrNotFound, err)
