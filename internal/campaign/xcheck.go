@@ -195,7 +195,7 @@ type xcheckWorker struct {
 
 func (w *xcheckWorker) Run(ctx context.Context, lo, hi int, out []int64) error {
 	// DetectBatch packs up to 63 faults per word-parallel netlist pass and
-	// polls ctx between batches (the packed runners additionally poll
+	// polls ctx between batches (the bench drivers additionally poll
 	// mid-session); on cancellation its results are garbage and the ctx
 	// check below discards the shard.
 	for i, at := range w.sim.DetectBatch(ctx, lo, hi-lo) {

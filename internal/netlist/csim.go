@@ -522,6 +522,19 @@ func (s *CompiledSim) SetID(id int, v bool) {
 // GetID reads a net by id.
 func (s *CompiledSim) GetID(id int) bool { return s.vals[id] }
 
+// SetWordID is PackedSim's lane-word write on the one-lane machine: the net
+// takes lane Lanes-1 of w, so a driver written against lane-words runs on
+// either engine.
+func (s *CompiledSim) SetWordID(id int, w uint64) { s.SetID(id, int64(w) < 0) }
+
+// GetWordID reads a net as a lane-word, its one bit broadcast to every lane.
+func (s *CompiledSim) GetWordID(id int) uint64 {
+	if s.vals[id] {
+		return ^uint64(0)
+	}
+	return 0
+}
+
 // Set drives a top-level net by name; unknown names are ignored (the
 // compiled net set is fixed at build time).
 func (s *CompiledSim) Set(net string, v bool) {

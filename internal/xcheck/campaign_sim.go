@@ -14,10 +14,25 @@ import (
 	"steac/internal/wrapper"
 )
 
+// benchDriver runs a bench's drive protocol on e, calling observe once per
+// observed cycle; observe returning false ends the run.
+type benchDriver func(ctx context.Context, e engine, observe func(cycle int) bool)
+
+// campaignRun drives a bench once on e — a scalar clone carrying one
+// fault, or a PackedSim carrying one fault per lane with lane 63
+// fault-free — and returns every lane's first tester-visible divergent
+// cycle, or -1 if it stayed silent.  Only lanes in pending are tracked;
+// the run may end once all of them have diverged.
+type campaignRun func(ctx context.Context, e engine, pending uint64) []int
+
 // CampaignSim is the prepared, immutable state of one stuck-at fault
-// campaign: the compiled fault-free base netlist, its recorded golden
-// trace, and the (possibly sampled) fault list.  DetectAt clones the base
-// per fault, so a single CampaignSim is safe to share across any number of
+// campaign: the compiled fault-free base netlist, the fault-free run its
+// faults are compared against, the (possibly sampled) fault list, and the
+// bench's one drive protocol as a campaign run.  The same run serves both
+// engines: DetectBatch gives it a PackedSim per batch of PackedBatch
+// faults, DetectAt a scalar clone per fault, so VerifyPackedScalar
+// compares the two kernels under one protocol.  Both build their machines
+// per call, so a single CampaignSim is safe to share across any number of
 // concurrent workers — it is the unit the sharded campaign runner
 // (internal/campaign) executes, and runCampaign fans the same code path
 // across its own workers, with Assemble as the single aggregation path;
@@ -29,11 +44,7 @@ type CampaignSim struct {
 	sites  int
 	faults []netlist.SAFault
 	golden int
-	run    func(ctx context.Context, sim *netlist.CompiledSim) int
-	// packedRun simulates up to 63 injected lanes at once on a PackedSim
-	// (lane 63 golden) and returns the per-lane first divergent cycle;
-	// only lanes in pending are meaningful.  nil means scalar-only.
-	packedRun func(ctx context.Context, ps *netlist.PackedSim, pending uint64) []int
+	run    campaignRun
 }
 
 // Name returns the campaign label.
@@ -50,10 +61,10 @@ func (s *CampaignSim) Sites() int { return s.sites }
 // against.
 func (s *CampaignSim) GoldenCycles() int { return s.golden }
 
-// DetectAt simulates fault i on its own clone of the base netlist and
-// returns the first tester-visible divergent cycle, or -1 if the fault
+// DetectAt simulates fault i on its own scalar clone of the base netlist
+// and returns the first tester-visible divergent cycle, or -1 if the fault
 // stayed silent.  The outcome depends only on the fault index and the
-// prepared golden trace.  A ctx cancellation can abort the underlying
+// prepared golden run.  A ctx cancellation can abort the underlying
 // simulation early; callers must discard the result when ctx has fired.
 func (s *CampaignSim) DetectAt(ctx context.Context, i int) int {
 	fs := s.base.Clone()
@@ -61,63 +72,42 @@ func (s *CampaignSim) DetectAt(ctx context.Context, i int) int {
 	if err := fs.Inject(f.Gate, f.Port, f.Value); err != nil {
 		return -1
 	}
-	return s.run(ctx, fs)
+	return s.run(ctx, fs, 1)[0]
 }
 
 // DetectBatch simulates faults [base, base+n) and returns their detection
-// cycles (-1 = silent), bit-identical to n DetectAt calls.  When the
-// campaign has a packed runner it packs up to PackedBatch faults per
-// word-parallel pass — one trip through the gate array simulates 63 fault
-// copies plus the golden machine — falling back to per-fault scalar clones
-// for single-fault remainders or scalar-only campaigns.  Results must be
-// discarded when ctx has fired, like DetectAt.
+// cycles (-1 = silent), bit-identical to n DetectAt calls.  It packs up to
+// PackedBatch faults per word-parallel pass — one trip through the gate
+// array simulates 63 fault copies plus the golden machine — falling back
+// to per-fault scalar clones for single-fault remainders and when
+// netlist.NewPackedSim fails.  Results must be discarded when ctx has
+// fired, like DetectAt.
 func (s *CampaignSim) DetectBatch(ctx context.Context, base, n int) []int {
 	out := make([]int, n)
-	for lo := 0; lo < n; lo += PackedBatch {
-		hi := lo + PackedBatch
-		if hi > n {
-			hi = n
+	for lo := 0; lo < n && ctx.Err() == nil; lo += PackedBatch {
+		batch := out[lo:min(lo+PackedBatch, n)]
+		var ps *netlist.PackedSim
+		if len(batch) > 1 {
+			ps, _ = netlist.NewPackedSim(s.base)
 		}
-		s.detectBatch(ctx, base+lo, out[lo:hi])
-		if ctx.Err() != nil {
-			break
-		}
-	}
-	return out
-}
-
-func (s *CampaignSim) detectBatch(ctx context.Context, base int, out []int) {
-	if s.packedRun == nil || len(out) == 1 {
-		for i := range out {
-			if ctx.Err() != nil {
-				return
+		if ps == nil {
+			for i := range batch {
+				batch[i] = s.DetectAt(ctx, base+lo+i)
 			}
-			out[i] = s.DetectAt(ctx, base+i)
-		}
-		return
-	}
-	ps, err := netlist.NewPackedSim(s.base)
-	if err != nil {
-		for i := range out {
-			out[i] = s.DetectAt(ctx, base+i)
-		}
-		return
-	}
-	var pending uint64
-	for i := range out {
-		f := s.faults[base+i]
-		if e := ps.InjectLane(i, f.Gate, f.Port, f.Value); e != nil {
-			out[i] = -1 // same verdict DetectAt gives an uninjectable fault
 			continue
 		}
-		pending |= 1 << uint(i)
-	}
-	det := s.packedRun(ctx, ps, pending)
-	for i := range out {
-		if pending>>uint(i)&1 == 1 {
-			out[i] = det[i]
+		var pending uint64
+		for i := range batch {
+			f := s.faults[base+lo+i]
+			if ps.InjectLane(i, f.Gate, f.Port, f.Value) == nil {
+				pending |= 1 << uint(i)
+			}
 		}
+		// An uninjectable fault's lane is not pending, so it reads -1: the
+		// verdict DetectAt gives it.
+		copy(batch, s.run(ctx, ps, pending))
 	}
+	return out
 }
 
 // VerifyPackedScalar replays every sampled fault through both kernels —
@@ -127,9 +117,6 @@ func (s *CampaignSim) detectBatch(ctx context.Context, base int, out []int) {
 // the differential that keeps the scalar engine authoritative (`dscflow
 // -xcheck` runs it across all 25 DSC designs).
 func (s *CampaignSim) VerifyPackedScalar(ctx context.Context) (int, error) {
-	if s.packedRun == nil {
-		return 0, fmt.Errorf("xcheck: %s: campaign has no packed kernel", s.name)
-	}
 	packed := s.DetectBatch(ctx, 0, len(s.faults))
 	if err := ctx.Err(); err != nil {
 		return 0, err
@@ -166,10 +153,26 @@ func (s *CampaignSim) Assemble(detectedAt []int, opts Options) CampaignResult {
 	return res
 }
 
+// newCampaignSim samples the fault universe under opts.MaxFaults/Seed.
+func newCampaignSim(name string, base *netlist.CompiledSim, universe []netlist.SAFault,
+	golden int, run campaignRun, opts Options) *CampaignSim {
+	return &CampaignSim{
+		name:   name,
+		base:   base,
+		sites:  len(universe),
+		faults: sampleFaults(universe, opts.MaxFaults, opts.Seed),
+		golden: golden,
+		run:    run,
+	}
+}
+
 // NewTPGCampaignSim prepares the sequencer + TPG bench stuck-at campaign:
 // it builds and compiles the verify bench for alg over mems, records the
-// fault-free DONE/FAIL session trace, and samples the fault universe under
-// opts.MaxFaults/Seed.
+// fault-free DONE/FAIL trace of one solid-background session (driveBIST,
+// both ports reading the same word), and samples the fault universe under
+// opts.MaxFaults/Seed.  The trace runs a few cycles past DONE, so late
+// sticky-fail effects surface exactly like a controller polling MBO/MRD
+// would see them.
 func NewTPGCampaignSim(name string, alg march.Algorithm, mems []memory.Config, opts Options) (*CampaignSim, error) {
 	padded := PadConfigs(mems)
 	d, err := bist.BuildVerifyBench(alg, padded)
@@ -181,27 +184,29 @@ func NewTPGCampaignSim(name string, alg march.Algorithm, mems []memory.Config, o
 		return nil, err
 	}
 	pins := newBenchPins(base, padded)
-	golden, _ := runBISTTraced(base, pins, padded, nil)
-	all := base.Faults()
-	return &CampaignSim{
-		name:   name,
-		base:   base,
-		sites:  len(all),
-		faults: sampleFaults(all, opts.MaxFaults, opts.Seed),
-		golden: len(golden),
-		run: func(_ context.Context, sim *netlist.CompiledSim) int {
-			_, at := runBISTTraced(sim, pins, padded, golden)
-			return at
-		},
-		packedRun: func(ctx context.Context, ps *netlist.PackedSim, pending uint64) []int {
-			return runBISTPacked(ctx, ps, pins, padded, golden, pending)
-		},
-	}, nil
+	drive := func(ctx context.Context, e engine, observe func(int) bool) {
+		driveBIST(ctx, e, pins, padded, false, false, false, observe)
+	}
+	golden := &goldenTrace{ids: []int{pins.done, pins.fail}}
+	doneRun := 0
+	drive(context.Background(), base, func(cycle int) bool {
+		golden.record(base)
+		if base.GetID(pins.done) {
+			doneRun++
+		} else {
+			doneRun = 0
+		}
+		// Five DONE cycles end the trace; the cycle cap is a safety net
+		// (fault-free benches always finish).
+		return doneRun < 5 && cycle < 1<<22
+	})
+	return newCampaignSim(name, base, base.Faults(), golden.cycles(), golden.compare(drive), opts), nil
 }
 
 // NewControllerCampaignSim prepares the shared-controller stuck-at
 // campaign: compile the generated controller, record the fault-free
-// scripted two-scenario session, sample the fault universe.
+// MBO/MRD/MSO trace of the scripted two-scenario session
+// (driveControllerCampaign), sample the fault universe.
 func NewControllerCampaignSim(name string, nGroups int, opts Options) (*CampaignSim, error) {
 	d := netlist.NewDesign("xctl", nil)
 	if _, err := bist.GenerateController(d, "ctl", nGroups); err != nil {
@@ -212,28 +217,22 @@ func NewControllerCampaignSim(name string, nGroups int, opts Options) (*Campaign
 		return nil, err
 	}
 	pins := newCtlPins(base, nGroups)
-	golden, _ := runControllerTraced(base, nGroups, pins, nil)
-	all := base.Faults()
-	return &CampaignSim{
-		name:   name,
-		base:   base,
-		sites:  len(all),
-		faults: sampleFaults(all, opts.MaxFaults, opts.Seed),
-		golden: len(golden),
-		run: func(_ context.Context, sim *netlist.CompiledSim) int {
-			_, at := runControllerTraced(sim, nGroups, pins, golden)
-			return at
-		},
-		packedRun: func(ctx context.Context, ps *netlist.PackedSim, pending uint64) []int {
-			return runControllerPacked(ctx, ps, nGroups, pins, golden, pending)
-		},
-	}, nil
+	drive := func(ctx context.Context, e engine, observe func(int) bool) {
+		driveControllerCampaign(ctx, e, nGroups, pins, observe)
+	}
+	golden := &goldenTrace{ids: []int{pins.mbo, pins.mrd, pins.mso}}
+	drive(context.Background(), base, func(int) bool {
+		golden.record(base)
+		return true
+	})
+	return newCampaignSim(name, base, base.Faults(), golden.cycles(), golden.compare(drive), opts), nil
 }
 
 // NewWrapperCampaignSim prepares the wrapper-stack stuck-at campaign:
 // build the wrapped structural core, set up the translated scan program,
 // and restrict the fault universe to the wrapper logic (core-internal
-// faults are the scan patterns' own job).
+// faults are the scan patterns' own job).  Faults are compared against
+// the program's own wso expectations, so there is no trace to record.
 func NewWrapperCampaignSim(name string, core *testinfo.Core, width int, opts Options) (*CampaignSim, error) {
 	d, plan, err := BuildWrapperDesign(core, width, wrapper.LPT)
 	if err != nil {
@@ -251,50 +250,24 @@ func NewWrapperCampaignSim(name string, core *testinfo.Core, width int, opts Opt
 	if opts.MaxPatterns > 0 && opts.MaxPatterns < atpg.ScanCount() {
 		src = &cappedSource{Source: atpg, n: opts.MaxPatterns}
 	}
-	pins := newWrapPins(base, plan.Width, core)
-	lane := pattern.NewScanLane(core, src, plan, 0, 0)
-	layout := pattern.SessionLayout{Cycles: lane.Cycles, Chains: []pattern.ChainLane{lane}}
-	prog := &pattern.Program{TamWidth: plan.Width}
-
-	run := func(ctx context.Context, sim *netlist.CompiledSim) int {
-		sim.Reset()
-		wrapDefaults(sim, core)
-		detected := -1
-		wirCycles := wirBypassScript(sim, pins, func(cycle int, pin string, got, want bool) bool {
-			if got != want && detected < 0 {
-				detected = cycle
-			}
-			return detected < 0
+	wb := newWrapBench(base, core, plan, src)
+	// The stream's length does not depend on where it stops, so a pass
+	// that stops at the first comparison runs just the WIR excursion.
+	golden, _ := wb.drive(context.Background(), base, func(int, int, string, uint64, bool) bool { return false })
+	run := func(ctx context.Context, e engine, pending uint64) []int {
+		det := undetected()
+		_, _ = wb.drive(ctx, e, func(at, _ int, _ string, got uint64, want bool) bool {
+			pending = markDiff(det, got^bcast(want), pending, at)
+			return pending != 0
 		})
-		if detected >= 0 {
-			return detected
-		}
-		_ = streamScan(ctx, sim, prog, layout, core, pins, func(cycle int, pin string, got, want bool) bool {
-			if got != want && detected < 0 {
-				detected = wirCycles + cycle
-			}
-			return detected < 0
-		})
-		return detected
+		return det
 	}
 
 	var faults []netlist.SAFault
 	for _, f := range base.Faults() {
-		if strings.Contains(f.Gate, "/u_core/") {
-			continue
+		if !strings.Contains(f.Gate, "/u_core/") {
+			faults = append(faults, f)
 		}
-		faults = append(faults, f)
 	}
-	sites := len(faults)
-	return &CampaignSim{
-		name:   name,
-		base:   base,
-		sites:  sites,
-		faults: sampleFaults(faults, opts.MaxFaults, opts.Seed),
-		golden: wirCyclesFor() + layout.Cycles,
-		run:    run,
-		packedRun: func(ctx context.Context, ps *netlist.PackedSim, pending uint64) []int {
-			return runWrapperPacked(ctx, ps, core, pins, prog, layout, pending)
-		},
-	}, nil
+	return newCampaignSim(name, base, faults, golden, run, opts), nil
 }

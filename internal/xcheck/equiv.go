@@ -11,10 +11,23 @@ import (
 	"steac/internal/netlist"
 )
 
-// equivPollCycles is the ctx poll interval inside gate-level equivalence
+// equivPollCycles is the ctx poll interval inside gate-level simulation
 // loops (a simulated cycle is microseconds on the big frame buffers, so
 // this bounds cancel latency to low milliseconds).
 const equivPollCycles = 4096
+
+// pollEvery returns a per-cycle check that reports whether ctx has fired,
+// reading ctx only on every equivPollCycles-th call.
+func pollEvery(ctx context.Context) func() bool {
+	n := 0
+	return func() bool {
+		if n++; n < equivPollCycles {
+			return false
+		}
+		n = 0
+		return ctx.Err() != nil
+	}
+}
 
 // PadConfig rounds a memory geometry up to the generated TPG's natural
 // power-of-two address space (what the memory compiler fabricates); the
@@ -33,21 +46,11 @@ func PadConfigs(mems []memory.Config) []memory.Config {
 	return out
 }
 
-func busToInt(v []bool) int {
-	n := 0
-	for i, b := range v {
-		if b {
-			n |= 1 << uint(i)
-		}
-	}
-	return n
-}
-
 // benchPins caches the compiled net ids of one verify bench, and the
 // per-memory pin labels mismatch reports use, so the per-cycle compare
 // loop formats nothing.
 type benchPins struct {
-	ck                                         int
+	ck, rst, en, bgsel, pbsel                  int
 	cmdr, cmdd, dir, adv, elemdone, done, fail int
 	addr, d, q, qb                             [][]int
 	we, failI                                  []int
@@ -66,7 +69,8 @@ func bitLabels(name string, n int) []string {
 
 func newBenchPins(sim *netlist.CompiledSim, mems []memory.Config) benchPins {
 	p := benchPins{
-		ck:   sim.NetID("ck"),
+		ck: sim.NetID("ck"), rst: sim.NetID("rst"), en: sim.NetID("en"),
+		bgsel: sim.NetID("bgsel"), pbsel: sim.NetID("pbsel"),
 		cmdr: sim.NetID("cmdr"), cmdd: sim.NetID("cmdd"), dir: sim.NetID("dir"),
 		adv: sim.NetID("adv"), elemdone: sim.NetID("elemdone"),
 		done: sim.NetID("done"), fail: sim.NetID("fail"),
@@ -111,14 +115,76 @@ func newCtlPins(sim *netlist.CompiledSim, nGroups int) ctlPins {
 	}
 }
 
-func getBusID(sim *netlist.CompiledSim, ids []int) int {
-	v := 0
-	for i, id := range ids {
-		if sim.GetID(id) {
-			v |= 1 << uint(i)
-		}
+// driveBIST is the verify bench's one drive protocol: a reset pulse, then
+// a March session with emulated RAMs answering from each lane's own
+// address, data and write pins.  bgsel and pbsel select the data
+// background and the comparator port.  With complement, a two-port
+// memory's port that pbsel does not select reads the complemented word, so
+// a port-select defect cannot hide (equivalence); without it both ports
+// read the same word (fault campaigns).  Each cycle, once the RAM reads
+// have settled, observe sees the cycle; returning false ends the session
+// before that cycle's RAM writes and clock edge.  ctx is polled every
+// equivPollCycles cycles and a cancel ends the session (callers check
+// ctx.Err() themselves).  The RAMs are returned for end-of-session checks.
+func driveBIST(ctx context.Context, e engine, pins benchPins, mems []memory.Config,
+	bgsel, pbsel, complement bool, observe func(cycle int) bool) []pbench {
+	ram := make([]pbench, len(mems))
+	for i, cfg := range mems {
+		ram[i] = newPbench(cfg.Words, cfg.Bits, cfg.AddrBits())
 	}
-	return v
+	e.Reset()
+	e.SetID(pins.bgsel, bgsel)
+	e.SetID(pins.pbsel, pbsel)
+	e.SetID(pins.rst, true)
+	e.SetID(pins.en, false)
+	e.TickID(pins.ck)
+	e.SetID(pins.rst, false)
+	e.SetID(pins.en, true)
+	// One settle propagates the enable; after that the state is settled at
+	// the top of every cycle (a tick ends with a settle), so each cycle
+	// needs only the post-RAM-read settle.
+	e.Settle()
+
+	canceled := pollEvery(ctx)
+	for cycle := 0; !canceled(); cycle++ {
+		for i := range mems {
+			m := &ram[i]
+			m.latch(e, pins.addr[i])
+			qb := pins.qb[i]
+			var invA, invB uint64 // per-port complement masks
+			if complement && qb != nil {
+				if pbsel {
+					invA = ^uint64(0)
+				} else {
+					invB = ^uint64(0)
+				}
+			}
+			for b, id := range pins.q[i] {
+				w := m.read(b)
+				e.SetWordID(id, w^invA)
+				if qb != nil {
+					e.SetWordID(qb[b], w^invB)
+				}
+			}
+		}
+		e.Settle()
+		if !observe(cycle) {
+			return ram
+		}
+		for i := range mems {
+			we := e.GetWordID(pins.we[i])
+			if we == 0 {
+				continue
+			}
+			m := &ram[i]
+			m.latch(e, pins.addr[i])
+			for b, id := range pins.d[i] {
+				m.write(b, we, e.GetWordID(id))
+			}
+		}
+		e.TickID(pins.ck)
+	}
+	return ram
 }
 
 // VerifyBISTContext proves one sequencer group's generated netlist (sequencer +
@@ -164,6 +230,13 @@ func VerifyBISTContext(ctx context.Context, name string, alg march.Algorithm, me
 	res.Gates = sim.GateCount()
 	pins := newBenchPins(sim, padded)
 	mmCap := opts.maxMismatches()
+	// The sessions run on the packed engine, compared on lane 63: under
+	// the shared lane-word driver it is faster than the scalar engine,
+	// which stays the reference VerifyPackedScalar checks campaigns against.
+	ps, err := netlist.NewPackedSim(sim)
+	if err != nil {
+		return res, err
+	}
 
 	// Behavioural-engine cross-check: the padded group must pass fault-free
 	// in exactly the analytic cycle count.
@@ -204,7 +277,7 @@ func VerifyBISTContext(ctx context.Context, name string, alg march.Algorithm, me
 			}
 			res.Sessions++
 			label := fmt.Sprintf("bg=%v pb=%v", bgsel, pbsel)
-			cycles, ok := runBISTSession(ctx, sim, pins, alg, padded, bgsel, pbsel, analytic, &res, mmCap)
+			cycles, ok := verifyBISTSession(ctx, ps, pins, alg, padded, bgsel, pbsel, analytic, &res, mmCap)
 			if err := ctx.Err(); err != nil {
 				return res, fmt.Errorf("xcheck: verify %s: %w", name, err)
 			}
@@ -224,104 +297,69 @@ func VerifyBISTContext(ctx context.Context, name string, alg march.Algorithm, me
 	return res, nil
 }
 
-// runBISTSession drives one full March session on both machines.  It
-// returns the gate-level cycle count and false if the session had to be
-// abandoned (mismatch budget exhausted, DONE never seen, or ctx canceled —
-// the caller distinguishes cancellation by checking ctx.Err() itself).
-func runBISTSession(ctx context.Context, sim *netlist.CompiledSim, pins benchPins, alg march.Algorithm,
+// verifyBISTSession drives one full March session (driveBIST, unselected
+// port complemented) on sim in lockstep with the reference, comparing
+// every pin of lane 63 each cycle.  It returns the gate-level cycle count
+// and false if the session had to be abandoned (mismatch budget
+// exhausted, DONE never seen, or ctx canceled — the caller distinguishes
+// cancellation by checking ctx.Err() itself).
+func verifyBISTSession(ctx context.Context, sim *netlist.PackedSim, pins benchPins, alg march.Algorithm,
 	mems []memory.Config, bgsel, pbsel bool, analytic int, res *EquivResult, mmCap int) (int, bool) {
-	sim.Reset()
 	ref := newRefBench(alg, mems)
-	gmem := make([][]uint64, len(mems))
-	for i, cfg := range mems {
-		gmem[i] = make([]uint64, cfg.Words)
-	}
-	sim.Set("bgsel", bgsel)
-	sim.Set("pbsel", pbsel)
-	// Reset pulse on both machines.
-	sim.Set("rst", true)
-	sim.Set("en", false)
-	sim.TickID(pins.ck)
-	ref.tick(false, true, bgsel)
-	sim.Set("rst", false)
-	sim.Set("en", true)
-
+	ref.tick(false, true, bgsel) // the reset pulse driveBIST applies
 	maxCycles := analytic + 8
-	pollIn := equivPollCycles
-	for cycle := 0; cycle < maxCycles; cycle++ {
-		if pollIn--; pollIn <= 0 {
-			pollIn = equivPollCycles
-			if ctx.Err() != nil {
-				return cycle, false
-			}
-		}
-		sim.Settle()
+	cycles, done := maxCycles, false
+	ram := driveBIST(ctx, sim, pins, mems, bgsel, pbsel, true, func(cycle int) bool {
 		p := ref.comb(true, bgsel)
-		// Feed the emulated RAMs from the netlist's own address pins; the
-		// port not selected by pbsel carries complemented data so the
-		// comparator's port mux is genuinely exercised.
-		for i, cfg := range mems {
-			gateAddr := getBusID(sim, pins.addr[i])
-			word := gmem[i][gateAddr]
-			inv := ^word & cfg.Mask()
-			qa, qb := word, inv
-			if pbsel && cfg.Kind == memory.TwoPort {
-				qa, qb = inv, word
-			}
-			for b, id := range pins.q[i] {
-				sim.SetID(id, qa>>uint(b)&1 == 1)
-			}
-			for b, id := range pins.qb[i] {
-				sim.SetID(id, qb>>uint(b)&1 == 1)
-			}
-		}
-		sim.Settle()
-		res.check(cycle, "done", sim.GetID(pins.done), p.done, mmCap)
-		res.check(cycle, "cmdr", sim.GetID(pins.cmdr), p.cmdr, mmCap)
-		res.check(cycle, "cmdd", sim.GetID(pins.cmdd), p.cmdd, mmCap)
-		res.check(cycle, "dir", sim.GetID(pins.dir), p.dir, mmCap)
-		res.check(cycle, "adv", sim.GetID(pins.adv), p.adv, mmCap)
-		res.check(cycle, "elemdone", sim.GetID(pins.elemdone), p.elemdone, mmCap)
-		res.check(cycle, "fail", sim.GetID(pins.fail), p.fail, mmCap)
+		gdone := sim.GetLaneID(pins.done, goldenLane)
+		res.check(cycle, "done", gdone, p.done, mmCap)
+		res.check(cycle, "cmdr", sim.GetLaneID(pins.cmdr, goldenLane), p.cmdr, mmCap)
+		res.check(cycle, "cmdd", sim.GetLaneID(pins.cmdd, goldenLane), p.cmdd, mmCap)
+		res.check(cycle, "dir", sim.GetLaneID(pins.dir, goldenLane), p.dir, mmCap)
+		res.check(cycle, "adv", sim.GetLaneID(pins.adv, goldenLane), p.adv, mmCap)
+		res.check(cycle, "elemdone", sim.GetLaneID(pins.elemdone, goldenLane), p.elemdone, mmCap)
+		res.check(cycle, "fail", sim.GetLaneID(pins.fail, goldenLane), p.fail, mmCap)
 		for i := range mems {
 			for b, id := range pins.addr[i] {
-				res.check(cycle, pins.addrLbl[i][b],
-					sim.GetID(id), p.addr[i]>>uint(b)&1 == 1, mmCap)
+				res.check(cycle, pins.addrLbl[i][b], sim.GetLaneID(id, goldenLane), p.addr[i]>>uint(b)&1 == 1, mmCap)
 			}
 			for b, id := range pins.d[i] {
-				res.check(cycle, pins.dLbl[i][b],
-					sim.GetID(id), p.d[i]>>uint(b)&1 == 1, mmCap)
+				res.check(cycle, pins.dLbl[i][b], sim.GetLaneID(id, goldenLane), p.d[i]>>uint(b)&1 == 1, mmCap)
 			}
-			res.check(cycle, pins.weLbl[i], sim.GetID(pins.we[i]), p.we[i], mmCap)
-			res.check(cycle, pins.failLbl[i], sim.GetID(pins.failI[i]), p.failI[i], mmCap)
+			res.check(cycle, pins.weLbl[i], sim.GetLaneID(pins.we[i], goldenLane), p.we[i], mmCap)
+			res.check(cycle, pins.failLbl[i], sim.GetLaneID(pins.failI[i], goldenLane), p.failI[i], mmCap)
 		}
 		if len(res.Mismatches) >= mmCap {
-			return cycle, false
+			cycles = cycle
+			return false
 		}
-		if p.done && sim.GetID(pins.done) {
-			// Session complete: the emulated RAM images must agree too.
-			for i := range mems {
-				for a := range gmem[i] {
-					if gmem[i][a] != ref.tpgs[i].mem[a] {
-						res.Notes = append(res.Notes, fmt.Sprintf(
-							"mem %d addr %d: gate image %x vs ref %x", i, a, gmem[i][a], ref.tpgs[i].mem[a]))
-						return cycle, false
-					}
-				}
-			}
-			return cycle, true
+		if p.done && gdone {
+			cycles, done = cycle, true
+			return false
 		}
-		// Commit RAM writes from the gate-level pins, then clock both.
-		for i := range mems {
-			if sim.GetID(pins.we[i]) {
-				gmem[i][getBusID(sim, pins.addr[i])] = uint64(getBusID(sim, pins.d[i]))
-			}
+		if cycle == maxCycles-1 {
+			return false
 		}
-		sim.TickID(pins.ck)
 		ref.tick(true, false, bgsel)
+		return true
+	})
+	if !done {
+		if ctx.Err() == nil && len(res.Mismatches) < mmCap {
+			res.Notes = append(res.Notes, fmt.Sprintf("DONE never asserted within %d cycles", maxCycles))
+		}
+		return cycles, false
 	}
-	res.Notes = append(res.Notes, fmt.Sprintf("DONE never asserted within %d cycles", maxCycles))
-	return maxCycles, false
+	// Session complete: the emulated RAM images must agree too.
+	for i := range mems {
+		for a, want := range ref.tpgs[i].mem {
+			if got := ram[i].word(a, goldenLane); got != want {
+				res.Notes = append(res.Notes, fmt.Sprintf(
+					"mem %d addr %d: gate image %x vs ref %x", i, a, got, want))
+				return cycles, false
+			}
+		}
+	}
+	return cycles, true
 }
 
 // VerifyControllerContext proves the generated shared controller bit-identical to
@@ -371,14 +409,8 @@ func verifyController(ctx context.Context, name string, sim *netlist.CompiledSim
 	gdone := make([]bool, nGroups)
 	gfail := make([]bool, nGroups)
 	res.Sessions++
-	pollIn := equivPollCycles
-	for cycle := 0; cycle < cycles && len(res.Mismatches) < mmCap; cycle++ {
-		if pollIn--; pollIn <= 0 {
-			pollIn = equivPollCycles
-			if ctx.Err() != nil {
-				break
-			}
-		}
+	canceled := pollEvery(ctx)
+	for cycle := 0; cycle < cycles && len(res.Mismatches) < mmCap && !canceled(); cycle++ {
 		mbs := rng.Intn(20) == 0
 		mbr := rng.Intn(50) == 0
 		msi := rng.Intn(2) == 0

@@ -99,14 +99,18 @@ func TestBISTSessionDetectsInjectedFault(t *testing.T) {
 		t.Fatal("no fault sites")
 	}
 	detected := 0
+	pins := newBenchPins(sim, mems)
 	for _, f := range []netlist.SAFault{faults[0], faults[len(faults)/2], faults[len(faults)-1]} {
-		fs := sim.Clone()
-		if err := fs.Inject(f.Gate, f.Port, f.Value); err != nil {
+		// The session compares lane 63, so the fault rides that lane.
+		ps, err := netlist.NewPackedSim(sim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ps.InjectLane(goldenLane, f.Gate, f.Port, f.Value); err != nil {
 			t.Fatalf("inject %v: %v", f, err)
 		}
 		res := EquivResult{Name: "faulty"}
-		pins := newBenchPins(fs, mems)
-		runBISTSession(context.Background(), fs, pins, alg, mems, false, false, alg.Complexity()*mems[0].Words, &res, 10)
+		verifyBISTSession(context.Background(), ps, pins, alg, mems, false, false, alg.Complexity()*mems[0].Words, &res, 10)
 		if len(res.Mismatches) > 0 || len(res.Notes) > 0 {
 			detected++
 		}

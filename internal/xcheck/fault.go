@@ -3,6 +3,7 @@ package xcheck
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"steac/internal/march"
 	"steac/internal/memory"
@@ -37,8 +38,8 @@ func sampleFaults(faults []netlist.SAFault, max int, seed int64) []netlist.SAFau
 // PackedBatch-wide chunk of the fault list and results are merged in
 // fault-list order, so the outcome is identical for any worker count —
 // batch boundaries are fixed multiples of PackedBatch regardless of which
-// worker claims them.  Workers poll ctx between batches (and the packed
-// BIST runner polls mid-session); a canceled campaign returns ctx.Err()
+// worker claims them.  Workers poll ctx between batches (and the bench
+// drivers poll mid-session); a canceled campaign returns ctx.Err()
 // wrapped with the stage name and no partial result.
 func runCampaign(ctx context.Context, sim *CampaignSim, opts Options) (CampaignResult, error) {
 	tm := obsSpanCampaign.Start()
@@ -58,82 +59,6 @@ func runCampaign(ctx context.Context, sim *CampaignSim, opts Options) (CampaignR
 	return sim.Assemble(detectedAt, opts), nil
 }
 
-// bistTrace is one cycle of the BIST bench's tester-visible pins.
-type bistTrace struct{ done, fail bool }
-
-// runBISTTraced runs one solid-background March session on a bench sim with
-// emulated RAMs responding to the netlist's own pins, recording (or
-// comparing against) the DONE/FAIL trace.  With golden == nil it records
-// and returns the trace; otherwise it returns the first divergent cycle or
-// -1.  A few extra observation cycles past DONE let late sticky-fail
-// effects surface, exactly like a controller polling MBO/MRD would see them.
-func runBISTTraced(sim *netlist.CompiledSim, pins benchPins, mems []memory.Config,
-	golden []bistTrace) ([]bistTrace, int) {
-	sim.Reset()
-	gmem := make([][]uint64, len(mems))
-	for i, cfg := range mems {
-		gmem[i] = make([]uint64, cfg.Words)
-	}
-	sim.Set("bgsel", false)
-	sim.Set("pbsel", false)
-	sim.Set("rst", true)
-	sim.Set("en", false)
-	sim.TickID(pins.ck)
-	sim.Set("rst", false)
-	sim.Set("en", true)
-	// One settle propagates the enable; after that the state is settled at
-	// the top of every iteration (Tick ends with a Settle), so each cycle
-	// needs only the post-RAM-read settle.
-	sim.Settle()
-
-	var trace []bistTrace
-	cycle := 0
-	for {
-		for i := range mems {
-			word := gmem[i][getBusID(sim, pins.addr[i])]
-			for b, id := range pins.q[i] {
-				sim.SetID(id, word>>uint(b)&1 == 1)
-			}
-			for b, id := range pins.qb[i] {
-				sim.SetID(id, word>>uint(b)&1 == 1)
-			}
-		}
-		sim.Settle()
-		cur := bistTrace{done: sim.GetID(pins.done), fail: sim.GetID(pins.fail)}
-		if golden != nil {
-			if cur != golden[cycle] {
-				return nil, cycle
-			}
-			if cycle == len(golden)-1 {
-				return nil, -1
-			}
-		} else {
-			trace = append(trace, cur)
-			if cur.done && cycle >= len(trace)-1 && countTrailingDone(trace) > 4 {
-				return trace, -1
-			}
-		}
-		for i := range mems {
-			if sim.GetID(pins.we[i]) {
-				gmem[i][getBusID(sim, pins.addr[i])] = uint64(getBusID(sim, pins.d[i]))
-			}
-		}
-		sim.TickID(pins.ck)
-		cycle++
-		if golden == nil && cycle > 1<<22 {
-			return trace, -1 // safety net; fault-free benches always finish
-		}
-	}
-}
-
-func countTrailingDone(trace []bistTrace) int {
-	n := 0
-	for i := len(trace) - 1; i >= 0 && trace[i].done; i-- {
-		n++
-	}
-	return n
-}
-
 // TPGCampaignContext injects every stuck-at fault into the flattened sequencer +
 // TPG bench and asks whether the BIST's own tester-visible outcome pins
 // (DONE and the sticky FAIL) ever diverge from the fault-free session.
@@ -147,18 +72,18 @@ func TPGCampaignContext(ctx context.Context, name string, alg march.Algorithm, m
 	return runCampaign(ctx, sim, opts)
 }
 
-// ctlTrace is one cycle of the controller's tester pins.
-type ctlTrace struct{ mbo, mrd, mso bool }
-
-// runControllerTraced drives the scripted two-scenario session (all groups
-// pass, then the middle group fails) with behavioural groups answering the
-// controller's own GO outputs.  Trace/compare semantics mirror
-// runBISTTraced.
-func runControllerTraced(sim *netlist.CompiledSim, nGroups int, pins ctlPins,
-	golden []ctlTrace) ([]ctlTrace, int) {
-	var trace []ctlTrace
+// driveControllerCampaign is the controller campaign's one drive
+// protocol: two scenarios (every group passes, then the middle group
+// fails), each a reset pulse and a start followed by 12n+12 cycles in
+// which behavioural groups, one set per lane, answer that lane's own GO
+// outputs.  observe sees every settled cycle, numbered across both
+// scenarios; returning false ends the session.  ctx is polled every
+// equivPollCycles cycles and a cancel ends the session.
+func driveControllerCampaign(ctx context.Context, e engine, nGroups int, pins ctlPins, observe func(cycle int) bool) {
+	age := make([][netlist.Lanes]int, nGroups)
 	cycle := 0
-	sim.Reset()
+	canceled := pollEvery(ctx)
+	e.Reset()
 	for scenario := 0; scenario < 2; scenario++ {
 		failing := -1
 		if scenario == 1 {
@@ -166,45 +91,44 @@ func runControllerTraced(sim *netlist.CompiledSim, nGroups int, pins ctlPins,
 		}
 		// Reset pulse, then start.
 		for _, step := range []struct{ mbs, mbr bool }{{false, true}, {true, false}} {
-			sim.SetID(pins.mbs, step.mbs)
-			sim.SetID(pins.mbr, step.mbr)
-			sim.SetID(pins.msi, true)
+			e.SetID(pins.mbs, step.mbs)
+			e.SetID(pins.mbr, step.mbr)
+			e.SetID(pins.msi, true)
 			for i := 0; i < nGroups; i++ {
-				sim.SetID(pins.gdone[i], false)
-				sim.SetID(pins.gfail[i], false)
+				e.SetID(pins.gdone[i], false)
+				e.SetID(pins.gfail[i], false)
 			}
-			sim.TickID(pins.mbc)
+			e.TickID(pins.mbc)
 		}
-		sim.SetID(pins.mbs, false)
-		age := make([]int, nGroups)
+		e.SetID(pins.mbs, false)
+		clear(age)
 		for local := 0; local < 12*nGroups+12; local++ {
-			sim.Settle()
-			cur := ctlTrace{sim.GetID(pins.mbo), sim.GetID(pins.mrd), sim.GetID(pins.mso)}
-			if golden != nil {
-				if cur != golden[cycle] {
-					return nil, cycle
-				}
-				if cycle == len(golden)-1 {
-					return nil, -1
-				}
-			} else {
-				trace = append(trace, cur)
+			if canceled() {
+				return
+			}
+			e.Settle()
+			if !observe(cycle) {
+				return
 			}
 			for i := 0; i < nGroups; i++ {
-				gdone, gfail := false, false
-				if sim.GetID(pins.gos[i]) {
-					age[i]++
-					gdone = age[i] >= 3+i%4
-					gfail = i == failing && age[i] == 2
+				var gdone, gfail uint64
+				for w := e.GetWordID(pins.gos[i]); w != 0; w &= w - 1 {
+					l := bits.TrailingZeros64(w)
+					age[i][l]++
+					if age[i][l] >= 3+i%4 {
+						gdone |= 1 << uint(l)
+					}
+					if i == failing && age[i][l] == 2 {
+						gfail |= 1 << uint(l)
+					}
 				}
-				sim.SetID(pins.gdone[i], gdone)
-				sim.SetID(pins.gfail[i], gfail)
+				e.SetWordID(pins.gdone[i], gdone)
+				e.SetWordID(pins.gfail[i], gfail)
 			}
-			sim.TickID(pins.mbc)
+			e.TickID(pins.mbc)
 			cycle++
 		}
 	}
-	return trace, -1
 }
 
 // ControllerCampaignContext injects every stuck-at fault into the flattened shared
@@ -234,9 +158,6 @@ func WrapperCampaignContext(ctx context.Context, name string, core *testinfo.Cor
 	}
 	return runCampaign(ctx, sim, opts)
 }
-
-// wirCyclesFor is the fixed length of the WIR excursion script.
-func wirCyclesFor() int { return 3 + 5 + 3 }
 
 // cappedSource serves only the first n scan patterns of its base source.
 type cappedSource struct {

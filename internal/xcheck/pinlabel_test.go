@@ -71,9 +71,24 @@ func TestMismatchPinLabels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sim := injectDriver(t, d, "bench", "addr0[1]", true)
+		sim, err := netlist.NewCompiledSim(d, "bench")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps, err := netlist.NewPackedSim(sim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The session compares lane 63, so the stuck pin rides that lane.
+		gate, port, ok := driverOf(d, "bench", "addr0[1]", "")
+		if !ok {
+			t.Fatal("no driver for addr0[1]")
+		}
+		if err := ps.InjectLane(goldenLane, gate, port, true); err != nil {
+			t.Fatal(err)
+		}
 		res := EquivResult{Name: "addr"}
-		runBISTSession(context.Background(), sim, newBenchPins(sim, mems), alg, mems,
+		verifyBISTSession(context.Background(), ps, newBenchPins(sim, mems), alg, mems,
 			false, false, alg.Complexity()*mems[0].Words, &res, 10)
 		if got, want := firstMismatch(t, res), "cycle 0 pin addr0[1]: gate=true ref=false"; got != want {
 			t.Errorf("first mismatch %q, want %q", got, want)

@@ -3,7 +3,6 @@ package xcheck
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"steac/internal/netlist"
 	"steac/internal/pattern"
@@ -69,9 +68,10 @@ func BuildWrapperDesign(core *testinfo.Core, width int, part wrapper.Partitioner
 }
 
 // wrapPins caches compiled net ids for the xtop harness — data pins, the
-// clock and strobe nets and the core's scan enables, resolved once per
-// session — and the wso labels mismatch reports use.  The ids are the
-// compiled program's, so packed sims built from the same base share them.
+// clock and strobe nets, the core's scan enables and the nets the INTEST
+// posture holds low, resolved once per bench — and the wso labels
+// mismatch reports use.  The ids are the compiled program's, so packed
+// sims built from the same base share them.
 type wrapPins struct {
 	wsi, wso []int
 	wsoLbl   []string
@@ -80,6 +80,8 @@ type wrapPins struct {
 	tck, update, updatewir int
 	shift, shiftwir        int
 	se                     []int // core scan enables
+	mode                   int
+	quiet                  []int // SAFE, the strobes, core PIs, resets, scan and test enables
 }
 
 func newWrapPins(sim *netlist.CompiledSim, width int, core *testinfo.Core) wrapPins {
@@ -93,127 +95,148 @@ func newWrapPins(sim *netlist.CompiledSim, width int, core *testinfo.Core) wrapP
 		updatewir: sim.NetID("updatewir"),
 		shift:     sim.NetID("shift"),
 		shiftwir:  sim.NetID("shiftwir"),
+		mode:      sim.NetID("mode"),
 	}
 	for _, se := range core.ScanEnables {
 		p.se = append(p.se, sim.NetID(se))
 	}
+	quiet := []string{"safe", "shift", "update", "shiftwir", "updatewir"}
+	for i := 0; i < core.PIs; i++ {
+		quiet = append(quiet, netlist.BitName("pi", i, core.PIs))
+	}
+	for _, pins := range [][]string{core.Resets, core.ScanEnables, core.TestEnables} {
+		quiet = append(quiet, pins...)
+	}
+	for _, name := range quiet {
+		if id := sim.NetID(name); id >= 0 {
+			p.quiet = append(p.quiet, id)
+		}
+	}
 	return p
 }
 
-// wrapDefaults puts the harness in INTEST posture: functional pins and
-// core control pins quiet, MODE on, SAFE off, WIR strobes idle.
-func wrapDefaults(sim *netlist.CompiledSim, core *testinfo.Core) {
-	sim.Set("mode", true)
-	sim.Set("safe", false)
-	sim.Set("shift", false)
-	sim.Set("update", false)
-	sim.Set("shiftwir", false)
-	sim.Set("updatewir", false)
-	for i := 0; i < core.PIs; i++ {
-		sim.SetID(sim.NetID(netlist.BitName("pi", i, core.PIs)), false)
-	}
-	for _, pins := range [][]string{core.Resets, core.ScanEnables, core.TestEnables} {
-		for _, p := range pins {
-			sim.Set(p, false)
-		}
+// wrapBench is one wrapper stack's scan session: the harness pins and the
+// translated program streamed through them.
+type wrapBench struct {
+	pins   wrapPins
+	prog   *pattern.Program
+	layout pattern.SessionLayout
+}
+
+func newWrapBench(sim *netlist.CompiledSim, core *testinfo.Core, plan wrapper.Plan, src pattern.Source) wrapBench {
+	lane := pattern.NewScanLane(core, src, plan, 0, 0)
+	return wrapBench{
+		pins:   newWrapPins(sim, plan.Width, core),
+		prog:   &pattern.Program{TamWidth: plan.Width},
+		layout: pattern.SessionLayout{Cycles: lane.Cycles, Chains: []pattern.ChainLane{lane}},
 	}
 }
 
-// scanObserver sees every non-X expectation comparison; returning false
-// aborts the stream.
-type scanObserver func(cycle int, pin string, got, want bool) bool
+// scanObserver sees every comparison of a wrapper stream: at counts cycles
+// from the start of the stream, cycle from the start of its session (the
+// WIR excursion, then the scan program), got is the compared pin's
+// lane-word and want the expected bit.  Returning false ends the stream.
+type scanObserver func(at, cycle int, pin string, got uint64, want bool) bool
 
-// streamScan applies one translated scan session to the gate-level stack,
-// comparing every non-X wso expectation through obs.  The drive protocol is
-// the tester's: shift cycles raise SHIFT/SE and present wsi before the tck
-// edge (wso is read pre-shift), capture cycles drop them, pulse UPDATE to
-// transfer loaded stimulus onto the core inputs, and clock once.  ctx is
+// drive is the wrapper bench's one drive protocol.  It resets the harness
+// into INTEST posture (functional and core control pins quiet, MODE on,
+// SAFE off, WIR strobes idle), then runs two sessions:
+//
+//   - the WIR excursion: program BYPASS, prove the serial path through the
+//     one-bit WBY register (one cycle in, one cycle out), then reload
+//     INTESTSCAN while checking the old instruction echoes out on wirso;
+//   - the translated scan program, with the tester's protocol: shift
+//     cycles raise SHIFT/SE and present wsi before the tck edge (wso is
+//     read pre-shift), capture cycles drop them, pulse UPDATE to transfer
+//     loaded stimulus onto the core inputs, and clock once.  The WIR is
+//     back in INTESTSCAN, and the first pattern load initializes every
+//     chain flop, so the excursion leaves no residue.
+//
+// Every non-X expectation goes through obs.  The WIR excursion always runs
+// to its end; if any of its comparisons returned false the scan program is
+// skipped, and a false from a scan comparison ends the stream.  ctx is
 // polled every equivPollCycles streamed cycles; a cancel aborts the stream
-// (the caller surfaces ctx.Err()).
-func streamScan(ctx context.Context, sim *netlist.CompiledSim, prog *pattern.Program, layout pattern.SessionLayout,
-	core *testinfo.Core, pins wrapPins, obs scanObserver) error {
-	setSE := func(v bool) {
-		sim.SetID(pins.shift, v)
-		for _, id := range pins.se {
-			sim.SetID(id, v)
-		}
+// (the caller surfaces ctx.Err()).  It returns the stream's length in
+// cycles, the excursion's plus the scan program's, however far it ran.
+func (w *wrapBench) drive(ctx context.Context, e engine, obs scanObserver) (int, error) {
+	pins := &w.pins
+	e.Reset()
+	e.SetID(pins.mode, true)
+	for _, id := range pins.quiet {
+		e.SetID(id, false)
 	}
-	lane := slices.Index(layout.ActionNames(), core.Name) // -1: the core never scans
-	pollIn := equivPollCycles
-	return prog.Stream(layout, func(c int, cyc *pattern.Cycle) bool {
-		if pollIn--; pollIn <= 0 {
-			pollIn = equivPollCycles
-			if ctx.Err() != nil {
-				return false
-			}
-		}
-		act := pattern.ActIdle
-		if lane >= 0 {
-			act = cyc.Actions[lane]
-		}
-		switch act {
-		case pattern.ActShift:
-			setSE(true)
-			for i, id := range pins.wsi {
-				sim.SetID(id, cyc.TamIn.Level(i))
-			}
-			sim.Settle()
-			for i, id := range pins.wso {
-				want := cyc.TamExpect.Get(i)
-				if want == pattern.BX {
-					continue
-				}
-				if !obs(c, pins.wsoLbl[i], sim.GetID(id), want == pattern.B1) {
-					return false
-				}
-			}
-			sim.TickID(pins.tck)
-		case pattern.ActCapture:
-			setSE(false)
-			sim.TickID(pins.update)
-			sim.TickID(pins.tck)
-		default:
-			sim.TickID(pins.tck)
-		}
-		return true
-	})
-}
 
-// wirBypassScript exercises the wrapper instruction register: it programs
-// BYPASS, proves the serial path through the one-bit WBY register (one
-// cycle in, one cycle out), then reloads INTESTSCAN while checking the old
-// instruction echoes out on wirso.  Every comparison goes through obs; the
-// returned count is the tck cycles spent.
-func wirBypassScript(sim *netlist.CompiledSim, pins wrapPins, obs scanObserver) int {
-	cycle := 0
+	wir, ok := 0, true
 	shiftWIR := func(bits []bool, echo []int) {
-		sim.SetID(pins.shiftwir, true)
+		e.SetID(pins.shiftwir, true)
 		for k, b := range bits {
-			sim.SetID(pins.wsi[0], b)
-			sim.Settle()
+			e.SetID(pins.wsi[0], b)
+			e.Settle()
 			if echo != nil && echo[k] >= 0 {
-				obs(cycle, "wirso", sim.GetID(pins.wirso), echo[k] == 1)
+				ok = obs(wir, wir, "wirso", e.GetWordID(pins.wirso), echo[k] == 1) && ok
 			}
-			sim.TickID(pins.tck)
-			cycle++
+			e.TickID(pins.tck)
+			wir++
 		}
-		sim.SetID(pins.shiftwir, false)
-		sim.TickID(pins.updatewir)
+		e.SetID(pins.shiftwir, false)
+		e.TickID(pins.updatewir)
 	}
 	// Program BYPASS (code 3): the first bit shifted lands in the unused
 	// third stage, the last two become q1=1, q0=1.
 	shiftWIR([]bool{false, true, true}, nil)
 	// The WBY register must now delay wsi[0] to wso[0] by exactly one cycle.
 	for _, b := range []bool{true, false, true, true, false} {
-		sim.SetID(pins.wsi[0], b)
-		sim.TickID(pins.tck)
-		cycle++
-		obs(cycle, "wso[0]@bypass", sim.GetID(pins.wso[0]), b)
+		e.SetID(pins.wsi[0], b)
+		e.TickID(pins.tck)
+		wir++
+		ok = obs(wir, wir, "wso[0]@bypass", e.GetWordID(pins.wso[0]), b) && ok
 	}
 	// Reload INTESTSCAN (code 0); the old BYPASS bits echo on wirso in
 	// shift order: stage-2 first (0), then the two programmed ones.
 	shiftWIR([]bool{false, false, false}, []int{0, 1, 1})
-	return cycle
+	if !ok {
+		return wir + w.layout.Cycles, nil
+	}
+
+	setSE := func(v bool) {
+		e.SetID(pins.shift, v)
+		for _, id := range pins.se {
+			e.SetID(id, v)
+		}
+	}
+	canceled := pollEvery(ctx)
+	err := w.prog.Stream(w.layout, func(c int, cyc *pattern.Cycle) bool {
+		if canceled() {
+			return false
+		}
+		// The layout's one chain lane is the core's.
+		switch cyc.Actions[0] {
+		case pattern.ActShift:
+			setSE(true)
+			for i, id := range pins.wsi {
+				e.SetID(id, cyc.TamIn.Level(i))
+			}
+			e.Settle()
+			for i, id := range pins.wso {
+				want := cyc.TamExpect.Get(i)
+				if want == pattern.BX {
+					continue
+				}
+				if !obs(wir+c, c, pins.wsoLbl[i], e.GetWordID(id), want == pattern.B1) {
+					return false
+				}
+			}
+			e.TickID(pins.tck)
+		case pattern.ActCapture:
+			setSE(false)
+			e.TickID(pins.update)
+			e.TickID(pins.tck)
+		default:
+			e.TickID(pins.tck)
+		}
+		return true
+	})
+	return wir + w.layout.Cycles, err
 }
 
 // VerifyWrapperContext proves a generated wrapper + structural core stack executes
@@ -238,42 +261,28 @@ func VerifyWrapperContext(ctx context.Context, name string, core *testinfo.Core,
 	return verifyWrapper(ctx, name, sim, core, plan, opts)
 }
 
-// verifyWrapper runs both wrapper sessions on a compiled xtop stack.
+// verifyWrapper drives the wrapper bench's two sessions on a compiled xtop
+// stack, comparing the golden lane against every expectation.
 func verifyWrapper(ctx context.Context, name string, sim *netlist.CompiledSim, core *testinfo.Core,
 	plan wrapper.Plan, opts Options) (EquivResult, *pattern.ATPG, error) {
-	res := EquivResult{Name: name, Gates: sim.GateCount()}
+	res := EquivResult{Name: name, Gates: sim.GateCount(), Sessions: 2}
 	atpg, err := pattern.NewATPG(core)
 	if err != nil {
 		return res, nil, err
 	}
-	pins := newWrapPins(sim, plan.Width, core)
+	wb := newWrapBench(sim, core, plan, atpg)
 	mmCap := opts.maxMismatches()
-	obs := func(cycle int, pin string, got, want bool) bool {
-		res.check(cycle, pin, got, want, mmCap)
+	cycles, err := wb.drive(ctx, sim, func(_, cycle int, pin string, got uint64, want bool) bool {
+		res.check(cycle, pin, goldenBit(got), want, mmCap)
 		return len(res.Mismatches) < mmCap
-	}
-
-	sim.Reset()
-	wrapDefaults(sim, core)
-
-	// Session 1: WIR programming and bypass.
-	res.Sessions++
-	res.Cycles += wirBypassScript(sim, pins, obs)
-
-	// Session 2: the full translated scan program (the WIR is back in
-	// INTESTSCAN; the first pattern load initializes every chain flop, so
-	// the bypass excursion leaves no residue).
-	res.Sessions++
-	lane := pattern.NewScanLane(core, atpg, plan, 0, 0)
-	layout := pattern.SessionLayout{Cycles: lane.Cycles, Chains: []pattern.ChainLane{lane}}
-	prog := &pattern.Program{TamWidth: plan.Width}
-	if err := streamScan(ctx, sim, prog, layout, core, pins, obs); err != nil {
+	})
+	if err != nil {
 		return res, nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return res, nil, fmt.Errorf("xcheck: verify %s: %w", name, err)
 	}
-	res.Cycles += layout.Cycles
+	res.Cycles = cycles
 	if res.Checks == 0 {
 		res.Notes = append(res.Notes, "scan program produced no expectations")
 	}
