@@ -30,6 +30,7 @@ import (
 	"steac/internal/stil"
 	"steac/internal/testinfo"
 	"steac/internal/wrapper"
+	"steac/internal/xcheck"
 )
 
 // --- shared fixtures -----------------------------------------------------
@@ -710,4 +711,37 @@ func BenchmarkSoftCoreRebalancing(b *testing.B) {
 	}
 	b.ReportMetric(float64(hardCycles), "hard-cycles")
 	b.ReportMetric(float64(softCycles), "soft-cycles")
+}
+
+// Gate-level kernel speed: one clock tick of the TV wrapper stack (the
+// structural core inside its generated wrapper at TAM width 2, xcheck's
+// sign-off bench) on both engines.  A tick is a capture plus a full settle
+// sweep, so the time per tick divided by the gate count is the kernel's
+// cost per gate; the packed engine carries 64 lanes in that time.
+func BenchmarkGateSweep(b *testing.B) {
+	d, _, err := xcheck.BuildWrapperDesign(dscCore(b, "TV"), 2, wrapper.LPT)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cs, err := netlist.NewCompiledSim(d, "xtop")
+	if err != nil {
+		b.Fatal(err)
+	}
+	ps, err := netlist.NewPackedSim(cs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ck := cs.NetID("tck")
+	for _, e := range []struct {
+		name string
+		sim  interface{ TickID(int) }
+	}{{"compiled", cs}, {"packed", ps}} {
+		b.Run(e.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				e.sim.TickID(ck)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cs.GateCount()), "ns/gate")
+			b.ReportMetric(float64(cs.GateCount()), "gates")
+		})
+	}
 }

@@ -27,14 +27,19 @@ var (
 // magnitude faster than Simulator, which is what makes full-March-session
 // differential runs and gate-level fault campaigns tractable.
 //
-// The combinational logic settles through one flat kernel (see kOp), and
-// Settle is skipped entirely while nothing has changed since the last one:
+// The combinational logic settles through one flat kernel (see kOp) laid
+// out level by level, the stored bits first, each level's entries grouped
+// by opcode: a sweep runs it as runs (see kRun), one switch per run and a
+// tight loop over its entries, with short groups merged into one run that
+// dispatches per entry.  Settle is skipped entirely while nothing has
+// changed since the last one:
 // SetID/Set unsettle the machine only when they change a value, while a
 // Tick's state commit, Reset, LoadState, Inject and ClearFaults always do.
 // When value-changing SetIDs are all that happened since the last Settle,
 // the next one evaluates only their fanout (a selective trace); anything
 // else sweeps the whole kernel.  A clock-pure Tick captures through the
-// clock's capture list instead of scanning every sequential gate.
+// clock's capture list, grouped into runs the same way, instead of
+// scanning every sequential gate.
 //
 // The design must be free of combinational loops (NewCompiledSim reports
 // one as an error).  Semantics — including the treatment of latches as
@@ -85,16 +90,24 @@ type csProg struct {
 	clockPure []bool  // net id -> feeds only sequential clock pins
 	kern      []kOp   // fault-free settle kernel; never written after build
 	kpos      []int32 // gate index -> kernel entry
+	// The kernel is laid out level by level: level l is
+	// kern[lvlOff[l]:lvlOff[l+1]], level 0 the stored-bit entries, and a
+	// combinational entry reads only nets that earlier levels write.  A
+	// sweep runs it as runs (see kRun).
+	lvlOff []int32
+	runs   []kRun
 
 	// Trace fanout (CSR): rd[rdOff[n]:rdOff[n+1]] are the kernel positions
 	// reading net n, drv[n] the position writing it (-1: none).
 	rdOff, rd []int32
 	drv       []int32
-	// Capture lists (CSR): capts[capOff[n]:capOff[n+1]] are the sequential
-	// gates clocked by net n; cpos maps a gate to its entry (-1: none).
-	capOff []int32
-	capts  []capEntry
-	cpos   []int32
+	// Capture lists: the sequential gates clocked by net n are the entries
+	// of the runs capRuns[capRunOff[n]:capRunOff[n+1]] of capts; cpos maps a
+	// gate to its entry (-1: none).
+	capRunOff []int32
+	capRuns   []kRun
+	capts     []capEntry
+	cpos      []int32
 
 	sitesOnce sync.Once
 	sites     []SAFault // built by the first Faults call
@@ -111,6 +124,52 @@ type kOp struct {
 	op      csOp
 	a, b, c int32
 	z       int32
+}
+
+// kRun is one run of the settle kernel or of a capture list: entries
+// [lo, hi) that all compiled to opcode op, swept by one switch and a tight
+// loop, or (op opMixed) short opcode groups merged into one run that
+// dispatches per entry.  An entry in a homogeneous run may still carry
+// another opcode once a fault has swapped it for a slow entry; the run
+// loops check for that.
+type kRun struct {
+	op     csOp
+	lo, hi int32
+}
+
+// minRun is the shortest opcode group that gets a run of its own.  Shorter
+// groups merge into an opMixed run, so the small BIST benches, whose levels
+// hold a handful of gates each, keep the per-entry dispatch.
+const minRun = 8
+
+// groupRuns sorts items by opcode group, appends them to out and records
+// their runs: each opcode group of at least minRun items forms a run, in
+// opcode order, and the shorter groups follow as one opMixed run.  Items
+// keep their relative order within a group, and a run continuing the last
+// run of runs with the same opcode extends it.
+func groupRuns[T any](out []T, runs []kRun, items []T, opOf func(T) csOp) ([]T, []kRun) {
+	var n [opMixed]int
+	for _, it := range items {
+		n[opOf(it)]++
+	}
+	runOp := func(it T) csOp {
+		if op := opOf(it); n[op] >= minRun {
+			return op
+		}
+		return opMixed
+	}
+	rank := func(it T) int { return int(runOp(it))<<8 | int(opOf(it)) }
+	slices.SortStableFunc(items, func(x, y T) int { return rank(x) - rank(y) })
+	for _, it := range items {
+		pos := int32(len(out))
+		out = append(out, it)
+		if op, k := runOp(it), len(runs)-1; k >= 0 && runs[k].op == op && runs[k].hi == pos {
+			runs[k].hi++
+		} else {
+			runs = append(runs, kRun{op: op, lo: pos, hi: pos + 1})
+		}
+	}
+	return out, runs
 }
 
 type cGate struct {
@@ -155,6 +214,7 @@ const (
 	opLatch
 	opState // kernel only: expose a sequential gate's stored bit
 	opHold  // capture list only: a gate whose clock pin is forced never captures
+	opMixed // runs only: entries of several opcodes, dispatched per entry
 )
 
 // opFor maps a cell to its opcode.  Only cells of the shared default
@@ -331,15 +391,46 @@ func NewCompiledSim(d *Design, top string) (*CompiledSim, error) {
 			p.seqs = append(p.seqs, int32(i))
 		}
 	}
-	// The kernel exposes every stored bit first, then evaluates the
-	// combinational gates in topological order.
+	// The kernel exposes every stored bit first (level 0), then evaluates
+	// the combinational gates level by level: a gate's level is one past
+	// its deepest combinational driver's, so a level's gates read only
+	// nets of earlier levels and may run in any order — grouped by opcode.
+	depth := make([]int32, len(gates))
+	nLevels := int32(1)
+	for _, gi := range p.comb {
+		l := int32(1)
+		for _, n := range gates[gi].in {
+			if n >= 0 && driver[n] >= 0 {
+				l = max(l, depth[driver[n]]+1)
+			}
+		}
+		depth[gi] = l
+		nLevels = max(nLevels, l+1)
+	}
+	var byLevel []int32
+	p.lvlOff, byLevel = buildCSR(int(nLevels), func(add func(key, val int32)) {
+		for gi := range gates {
+			add(depth[gi], int32(gi))
+		}
+	})
+	entryOp := func(gi int32) csOp {
+		if gates[gi].seq {
+			return opState
+		}
+		return gates[gi].op
+	}
+	order := make([]int32, 0, len(gates))
+	for l := range nLevels {
+		order, p.runs = groupRuns(order, p.runs, byLevel[p.lvlOff[l]:p.lvlOff[l+1]], entryOp)
+	}
 	p.kpos = make([]int32, len(gates))
-	for _, gi := range append(append([]int32(nil), p.seqs...), p.comb...) {
-		p.kpos[gi] = int32(len(p.kern))
-		p.kern = append(p.kern, p.kernelEntry(gi, &gates[gi]))
+	p.kern = make([]kOp, len(order))
+	for i, gi := range order {
+		p.kpos[gi] = int32(i)
+		p.kern[i] = p.kernelEntry(gi, &gates[gi])
 	}
 	p.gates = gates
-	p.buildFanout(nNets)
+	p.buildFanout(nNets, order)
 
 	// A net is "clock pure" when its only loads are sequential clock pins
 	// and no gate drives it; pulsing it cannot move any other net, which
@@ -577,8 +668,8 @@ func (s *CompiledSim) in1(g *cGate, slot int) bool {
 }
 
 // Settle exposes sequential state and evaluates every combinational gate
-// once in topological order.  Acyclicity is checked at build time, so a
-// single pass always reaches the fixpoint — and a second pass with nothing
+// once in level order.  Acyclicity is checked at build time, so a single
+// pass always reaches the fixpoint — and a second pass with nothing
 // changed would be a no-op, so a settled machine returns at once.  When
 // only SetID changed nets since the last Settle, the pass visits just the
 // entries those changes reach (retrace); the result is the same.
@@ -592,45 +683,125 @@ func (s *CompiledSim) Settle() {
 		return
 	}
 	s.marks.reset()
+	for _, r := range s.p.runs {
+		s.sweep(r.op, s.kern[r.lo:r.hi])
+	}
+	s.settled = true
+}
+
+// sweep evaluates one kernel run.  A fault rewires a CompiledSim entry's
+// nets but never changes its opcode, so a homogeneous run's loop needs no
+// per-entry check.
+func (s *CompiledSim) sweep(op csOp, ks []kOp) {
 	v := s.vals
-	for i := range s.kern {
-		k := &s.kern[i]
-		switch k.op {
-		case opState:
+	switch op {
+	case opState:
+		for i := range ks {
+			k := &ks[i]
 			st := s.state[k.a]
 			v[k.z] = st
 			v[k.b] = !st
-		case opInv:
+		}
+	case opInv:
+		for i := range ks {
+			k := &ks[i]
 			v[k.z] = !v[k.a]
-		case opBuf:
+		}
+	case opBuf:
+		for i := range ks {
+			k := &ks[i]
 			v[k.z] = v[k.a]
-		case opNand2:
+		}
+	case opNand2:
+		for i := range ks {
+			k := &ks[i]
 			v[k.z] = !(v[k.a] && v[k.b])
-		case opNor2:
+		}
+	case opNor2:
+		for i := range ks {
+			k := &ks[i]
 			v[k.z] = !(v[k.a] || v[k.b])
-		case opAnd2:
+		}
+	case opAnd2:
+		for i := range ks {
+			k := &ks[i]
 			v[k.z] = v[k.a] && v[k.b]
-		case opOr2:
+		}
+	case opOr2:
+		for i := range ks {
+			k := &ks[i]
 			v[k.z] = v[k.a] || v[k.b]
-		case opXor2:
+		}
+	case opXor2:
+		for i := range ks {
+			k := &ks[i]
 			v[k.z] = v[k.a] != v[k.b]
-		case opXnor2:
+		}
+	case opXnor2:
+		for i := range ks {
+			k := &ks[i]
 			v[k.z] = v[k.a] == v[k.b]
-		case opMux2:
+		}
+	case opMux2:
+		for i := range ks {
+			k := &ks[i]
 			if v[k.c] {
 				v[k.z] = v[k.b]
 			} else {
 				v[k.z] = v[k.a]
 			}
-		case opTie0:
-			v[k.z] = false
-		case opTie1:
-			v[k.z] = true
-		default:
-			s.evalCustom(k.a, false)
+		}
+	case opTie0:
+		for i := range ks {
+			v[ks[i].z] = false
+		}
+	case opTie1:
+		for i := range ks {
+			v[ks[i].z] = true
+		}
+	case opCustom:
+		for i := range ks {
+			s.evalCustom(ks[i].a, false)
+		}
+	default: // opMixed
+		for i := range ks {
+			k := &ks[i]
+			switch k.op {
+			case opState:
+				st := s.state[k.a]
+				v[k.z] = st
+				v[k.b] = !st
+			case opInv:
+				v[k.z] = !v[k.a]
+			case opBuf:
+				v[k.z] = v[k.a]
+			case opNand2:
+				v[k.z] = !(v[k.a] && v[k.b])
+			case opNor2:
+				v[k.z] = !(v[k.a] || v[k.b])
+			case opAnd2:
+				v[k.z] = v[k.a] && v[k.b]
+			case opOr2:
+				v[k.z] = v[k.a] || v[k.b]
+			case opXor2:
+				v[k.z] = v[k.a] != v[k.b]
+			case opXnor2:
+				v[k.z] = v[k.a] == v[k.b]
+			case opMux2:
+				if v[k.c] {
+					v[k.z] = v[k.b]
+				} else {
+					v[k.z] = v[k.a]
+				}
+			case opTie0:
+				v[k.z] = false
+			case opTie1:
+				v[k.z] = true
+			default:
+				s.evalCustom(k.a, false)
+			}
 		}
 	}
-	s.settled = true
 }
 
 // retrace is the selective-trace Settle: it evaluates the marked kernel
@@ -761,6 +932,70 @@ func (s *CompiledSim) evalSeqNext(gi int32, clockHigh bool) bool {
 	return s.evalCustom(gi, clockHigh)
 }
 
+// capture runs one capture run of a clock-pure Tick.  A recompiled entry
+// (opHold, after a fault on the gate's clock pin) fails the run's opcode
+// check and captures through capture1.
+func (s *CompiledSim) capture(op csOp, es []capEntry) {
+	v := s.vals
+	switch op {
+	case opDFF, opLatch: // a pulsed latch enable passes D
+		for i := range es {
+			e := &es[i]
+			if e.op != op {
+				s.capture1(e)
+				continue
+			}
+			s.state[e.g] = v[e.a]
+		}
+	case opSDFF:
+		for i := range es {
+			e := &es[i]
+			if e.op != op {
+				s.capture1(e)
+				continue
+			}
+			if v[e.c] {
+				s.state[e.g] = v[e.b]
+			} else {
+				s.state[e.g] = v[e.a]
+			}
+		}
+	case opDFFR:
+		for i := range es {
+			e := &es[i]
+			if e.op != op {
+				s.capture1(e)
+				continue
+			}
+			s.state[e.g] = v[e.a] && !v[e.b]
+		}
+	default: // opMixed, opCustom
+		for i := range es {
+			s.capture1(&es[i])
+		}
+	}
+}
+
+// capture1 captures one entry by its own opcode; an opHold gate keeps its
+// bit.
+func (s *CompiledSim) capture1(e *capEntry) {
+	v := s.vals
+	switch e.op {
+	case opDFF, opLatch:
+		s.state[e.g] = v[e.a]
+	case opSDFF:
+		if v[e.c] {
+			s.state[e.g] = v[e.b]
+		} else {
+			s.state[e.g] = v[e.a]
+		}
+	case opDFFR:
+		s.state[e.g] = v[e.a] && !v[e.b]
+	case opCustom:
+		s.state[e.g] = s.evalSeqNext(e.g, true)
+	}
+}
+
 func (s *CompiledSim) clockVal(gi int32) bool {
 	g := &s.gates[gi]
 	return s.in1(g, g.clkSlot)
@@ -792,22 +1027,8 @@ func (s *CompiledSim) TickID(ck int) {
 		// settled value: dropping it leaves the machine settled.
 		s.vals[ck] = false
 		s.Settle()
-		v := s.vals
-		for _, e := range s.p.captures(s.capts, ck) {
-			switch e.op {
-			case opDFF, opLatch: // a pulsed latch enable passes D
-				s.state[e.g] = v[e.a]
-			case opSDFF:
-				if v[e.c] {
-					s.state[e.g] = v[e.b]
-				} else {
-					s.state[e.g] = v[e.a]
-				}
-			case opDFFR:
-				s.state[e.g] = v[e.a] && !v[e.b]
-			case opCustom:
-				s.state[e.g] = s.evalSeqNext(e.g, true)
-			}
+		for _, r := range s.p.capRuns[s.p.capRunOff[ck]:s.p.capRunOff[ck+1]] {
+			s.capture(r.op, s.capts[r.lo:r.hi])
 		}
 		s.unsettle()
 		s.Settle()

@@ -502,12 +502,7 @@ func TestSimulatorInjectErrors(t *testing.T) {
 // packed-vs-scalar properties this catches a trace bug both engines share.
 func compiledVsSimulatorProperty(t *testing.T, seed int64) {
 	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	d, ins, _, obsNets := randomPackedDesign(rng, 6+rng.Intn(30))
-	m := d.Modules["dut"]
-	m.MustPort("lck", In, 1)
-	m.MustInstance("u_xl", CellLatchL, Pins{{"D", obsNets[rng.Intn(len(obsNets))]}, {"EN", "lck"}, {"Q", "xl"}})
-	m.MustInstance("u_xf", CellDFFR, Pins{{"D", "xl"}, {"CK", "lck"}, {"R", ins[rng.Intn(len(ins))]}, {"Q", "xf"}})
+	rng, d, ins := compiledPropertyDesign(seed)
 	ref, err := NewSimulator(d, "dut")
 	if err != nil {
 		t.Fatal(err)
@@ -623,6 +618,20 @@ func compiledVsSimulatorProperty(t *testing.T, seed int64) {
 		}
 		compareNets(t, fmt.Sprintf("seed %d step %d: %s", seed, i, step), ref, cs)
 	}
+}
+
+// compiledPropertyDesign builds compiledVsSimulatorProperty's netlist for
+// seed: a randomPackedDesign plus a latch and a reset flop on a latch
+// clock.  It returns the random source, positioned for the stimulus, the
+// design and its data inputs.
+func compiledPropertyDesign(seed int64) (*rand.Rand, *Design, []string) {
+	rng := rand.New(rand.NewSource(seed))
+	d, ins, _, obsNets := randomPackedDesign(rng, 6+rng.Intn(30))
+	m := d.Modules["dut"]
+	m.MustPort("lck", In, 1)
+	m.MustInstance("u_xl", CellLatchL, Pins{{"D", obsNets[rng.Intn(len(obsNets))]}, {"EN", "lck"}, {"Q", "xl"}})
+	m.MustInstance("u_xf", CellDFFR, Pins{{"D", "xl"}, {"CK", "lck"}, {"R", ins[rng.Intn(len(ins))]}, {"Q", "xf"}})
+	return rng, d, ins
 }
 
 // TestCompiledSimRandomNetlistsProperty sweeps many random netlists.

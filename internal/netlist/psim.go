@@ -2,6 +2,7 @@ package netlist
 
 import (
 	"fmt"
+	"slices"
 
 	"steac/internal/obs"
 )
@@ -28,11 +29,13 @@ const Lanes = 64
 // where the pin reads (input faults) or where the driver writes (output
 // faults) — the packed equivalent of CompiledSim's rewiring to the
 // reserved constant nets.  A gate carrying a lane force has its kernel
-// entry swapped for a slow entry that evaluates through the gate header
-// and the masks; every other gate stays on the flat kernel.  Settle
-// follows CompiledSim's unsettle rules, including the selective trace after
+// entry, and a sequential gate its capture entry, swapped for a slow entry
+// that evaluates through the gate header and the masks; the slow entry
+// keeps its place in its run, whose loop catches it by its opcode, and
+// every other gate stays on the run's tight loop.  Settle follows
+// CompiledSim's unsettle rules, including the selective trace after
 // SetID/SetWordID-only changes, and a clock-pure Tick captures through the
-// shared capture lists.
+// capture runs.
 //
 // Lane semantics are exactly CompiledSim's per lane: an unfaulted lane
 // computes the same trajectory as a fault-free CompiledSim, and a lane with
@@ -47,14 +50,19 @@ type PackedSim struct {
 	// gate, then a private copy holding that gate's slow entry (ownKern).
 	kern    []kOp
 	ownKern bool
-	vals    []uint64 // net lane-words, indexed by net id
-	state   []uint64 // per-gate stored lanes (sequential gates only)
-	next    []uint64
-	pre     []uint64 // scratch: pre-edge clock lanes in the generic Tick path
-	prev    []uint64 // scratch: a slow entry's output words before a traced evaluation
-	settled bool     // vals is settled for the current inputs, state and forces
-	tracing bool     // only value-changing SetWordIDs unsettled it (see CompiledSim)
-	marks   traceMarks
+	// capts is p.capts until the first lane force on a sequential gate,
+	// then a private copy holding that gate's slow capture entry
+	// (ownCapts).
+	capts    []capEntry
+	ownCapts bool
+	vals     []uint64 // net lane-words, indexed by net id
+	state    []uint64 // per-gate stored lanes (sequential gates only)
+	next     []uint64
+	pre      []uint64 // scratch: pre-edge clock lanes in the generic Tick path
+	prev     []uint64 // scratch: a slow entry's output words before a traced evaluation
+	settled  bool     // vals is settled for the current inputs, state and forces
+	tracing  bool     // only value-changing SetWordIDs unsettled it (see CompiledSim)
+	marks    traceMarks
 
 	// Force lookup is per gate: a 63-lane batch injects dozens of sites, and
 	// every masked pin access during eval must find its (at most few) forces
@@ -94,6 +102,7 @@ func NewPackedSim(base *CompiledSim) (*PackedSim, error) {
 		p:       base.p,
 		gates:   base.p.gates,
 		kern:    base.p.kern,
+		capts:   base.p.capts,
 		vals:    make([]uint64, len(base.vals)),
 		state:   make([]uint64, len(base.state)),
 		next:    make([]uint64, len(base.next)),
@@ -209,9 +218,9 @@ func (s *PackedSim) writeOut(gi int32, oi int, z uint64) {
 }
 
 // Settle runs the kernel once: every sequential gate exposes its stored
-// lanes, then every combinational gate evaluates in topological order, all
-// 64 lanes per pass.  Like CompiledSim.Settle, a settled machine returns
-// at once, and a machine unsettled only by SetWordID is retraced.
+// lanes, then every combinational gate evaluates in level order, all 64
+// lanes per pass.  Like CompiledSim.Settle, a settled machine returns at
+// once, and a machine unsettled only by SetWordID is retraced.
 func (s *PackedSim) Settle() {
 	if s.settled {
 		return
@@ -222,42 +231,168 @@ func (s *PackedSim) Settle() {
 		return
 	}
 	s.marks.reset()
+	for _, r := range s.p.runs {
+		s.sweep(r.op, s.kern[r.lo:r.hi])
+	}
+	s.settled = true
+}
+
+// sweep evaluates one kernel run.  A lane-forced gate's slow entry keeps
+// its place in a homogeneous run and is caught by the opcode check.
+func (s *PackedSim) sweep(op csOp, ks []kOp) {
 	v := s.vals
-	for i := range s.kern {
-		k := &s.kern[i]
-		switch k.op {
-		case opState:
+	switch op {
+	case opState:
+		for i := range ks {
+			k := &ks[i]
+			if k.op != op {
+				s.evalSlow(k.a)
+				continue
+			}
 			st := s.state[k.a]
 			v[k.z] = st
 			v[k.b] = ^st
-		case opInv:
+		}
+	case opInv:
+		for i := range ks {
+			k := &ks[i]
+			if k.op != op {
+				s.evalSlow(k.a)
+				continue
+			}
 			v[k.z] = ^v[k.a]
-		case opBuf:
+		}
+	case opBuf:
+		for i := range ks {
+			k := &ks[i]
+			if k.op != op {
+				s.evalSlow(k.a)
+				continue
+			}
 			v[k.z] = v[k.a]
-		case opNand2:
+		}
+	case opNand2:
+		for i := range ks {
+			k := &ks[i]
+			if k.op != op {
+				s.evalSlow(k.a)
+				continue
+			}
 			v[k.z] = ^(v[k.a] & v[k.b])
-		case opNor2:
+		}
+	case opNor2:
+		for i := range ks {
+			k := &ks[i]
+			if k.op != op {
+				s.evalSlow(k.a)
+				continue
+			}
 			v[k.z] = ^(v[k.a] | v[k.b])
-		case opAnd2:
+		}
+	case opAnd2:
+		for i := range ks {
+			k := &ks[i]
+			if k.op != op {
+				s.evalSlow(k.a)
+				continue
+			}
 			v[k.z] = v[k.a] & v[k.b]
-		case opOr2:
+		}
+	case opOr2:
+		for i := range ks {
+			k := &ks[i]
+			if k.op != op {
+				s.evalSlow(k.a)
+				continue
+			}
 			v[k.z] = v[k.a] | v[k.b]
-		case opXor2:
+		}
+	case opXor2:
+		for i := range ks {
+			k := &ks[i]
+			if k.op != op {
+				s.evalSlow(k.a)
+				continue
+			}
 			v[k.z] = v[k.a] ^ v[k.b]
-		case opXnor2:
+		}
+	case opXnor2:
+		for i := range ks {
+			k := &ks[i]
+			if k.op != op {
+				s.evalSlow(k.a)
+				continue
+			}
 			v[k.z] = ^(v[k.a] ^ v[k.b])
-		case opMux2:
+		}
+	case opMux2:
+		for i := range ks {
+			k := &ks[i]
+			if k.op != op {
+				s.evalSlow(k.a)
+				continue
+			}
 			sel := v[k.c]
 			v[k.z] = (v[k.b] & sel) | (v[k.a] &^ sel)
-		case opTie0:
+		}
+	case opTie0:
+		for i := range ks {
+			k := &ks[i]
+			if k.op != op {
+				s.evalSlow(k.a)
+				continue
+			}
 			v[k.z] = 0
-		case opTie1:
+		}
+	case opTie1:
+		for i := range ks {
+			k := &ks[i]
+			if k.op != op {
+				s.evalSlow(k.a)
+				continue
+			}
 			v[k.z] = ^uint64(0)
-		default:
-			s.evalSlow(k.a)
+		}
+	case opCustom:
+		for i := range ks {
+			s.evalSlow(ks[i].a)
+		}
+	default: // opMixed
+		for i := range ks {
+			k := &ks[i]
+			switch k.op {
+			case opState:
+				st := s.state[k.a]
+				v[k.z] = st
+				v[k.b] = ^st
+			case opInv:
+				v[k.z] = ^v[k.a]
+			case opBuf:
+				v[k.z] = v[k.a]
+			case opNand2:
+				v[k.z] = ^(v[k.a] & v[k.b])
+			case opNor2:
+				v[k.z] = ^(v[k.a] | v[k.b])
+			case opAnd2:
+				v[k.z] = v[k.a] & v[k.b]
+			case opOr2:
+				v[k.z] = v[k.a] | v[k.b]
+			case opXor2:
+				v[k.z] = v[k.a] ^ v[k.b]
+			case opXnor2:
+				v[k.z] = ^(v[k.a] ^ v[k.b])
+			case opMux2:
+				sel := v[k.c]
+				v[k.z] = (v[k.b] & sel) | (v[k.a] &^ sel)
+			case opTie0:
+				v[k.z] = 0
+			case opTie1:
+				v[k.z] = ^uint64(0)
+			default:
+				s.evalSlow(k.a)
+			}
 		}
 	}
-	s.settled = true
 }
 
 // retrace is CompiledSim.retrace over lane-words: the marked entries run in
@@ -509,24 +644,8 @@ func (s *PackedSim) TickID(ck int) {
 		// No gate reads a clock-pure net, so dropping it never unsettles.
 		s.vals[ck] = 0
 		s.Settle()
-		v := s.vals
-		for _, e := range s.p.captures(s.p.capts, ck) {
-			if len(s.gforces[e.g]) > 0 { // pins read through the lane masks
-				capt := s.clkKeep(e.g)
-				s.state[e.g] = (s.evalSeqNext(e.g, true) & capt) | (s.state[e.g] &^ capt)
-				continue
-			}
-			switch e.op {
-			case opDFF, opLatch: // a pulsed latch enable passes D
-				s.state[e.g] = v[e.a]
-			case opSDFF:
-				se := v[e.c]
-				s.state[e.g] = (v[e.b] & se) | (v[e.a] &^ se)
-			case opDFFR:
-				s.state[e.g] = v[e.a] &^ v[e.b]
-			default:
-				s.state[e.g] = s.evalSeqNext(e.g, true)
-			}
+		for _, r := range s.p.capRuns[s.p.capRunOff[ck]:s.p.capRunOff[ck+1]] {
+			s.capture(r.op, s.capts[r.lo:r.hi])
 		}
 		s.unsettle()
 		s.Settle()
@@ -554,6 +673,65 @@ func (s *PackedSim) TickID(ck int) {
 	s.Settle()
 	s.SetWordID(ck, 0)
 	s.Settle()
+}
+
+// capture runs one capture run of a clock-pure Tick; a lane-forced gate's
+// slow capture entry fails the run's opcode check.
+func (s *PackedSim) capture(op csOp, es []capEntry) {
+	v := s.vals
+	switch op {
+	case opDFF, opLatch: // a pulsed latch enable passes D
+		for i := range es {
+			e := &es[i]
+			if e.op != op {
+				s.capture1(e)
+				continue
+			}
+			s.state[e.g] = v[e.a]
+		}
+	case opSDFF:
+		for i := range es {
+			e := &es[i]
+			if e.op != op {
+				s.capture1(e)
+				continue
+			}
+			se := v[e.c]
+			s.state[e.g] = (v[e.b] & se) | (v[e.a] &^ se)
+		}
+	case opDFFR:
+		for i := range es {
+			e := &es[i]
+			if e.op != op {
+				s.capture1(e)
+				continue
+			}
+			s.state[e.g] = v[e.a] &^ v[e.b]
+		}
+	default: // opMixed, opCustom
+		for i := range es {
+			s.capture1(&es[i])
+		}
+	}
+}
+
+// capture1 captures one entry by its own opcode.  opCustom is a custom
+// cell's or a lane-forced gate's slow entry: its pins read through the
+// lane masks, and lanes whose clock pin is forced keep their bit.
+func (s *PackedSim) capture1(e *capEntry) {
+	v := s.vals
+	switch e.op {
+	case opDFF, opLatch:
+		s.state[e.g] = v[e.a]
+	case opSDFF:
+		se := v[e.c]
+		s.state[e.g] = (v[e.b] & se) | (v[e.a] &^ se)
+	case opDFFR:
+		s.state[e.g] = v[e.a] &^ v[e.b]
+	default:
+		capt := s.clkKeep(e.g)
+		s.state[e.g] = (s.evalSeqNext(e.g, true) & capt) | (s.state[e.g] &^ capt)
+	}
 }
 
 // Faults enumerates every injectable stuck-at site, shared with the base.
@@ -605,9 +783,10 @@ func (s *PackedSim) InjectLane(lane int, gate, port string, value bool) error {
 }
 
 // addForce merges one lane force into gate gi's list.  A gate's first
-// force swaps its kernel entry for a slow entry (custom cells already have
-// one); the shared kernel is copied on the first swap, so other sims and
-// the compiled program never see this sim's forces.
+// force swaps its kernel entry, and a sequential gate's capture entry, for
+// slow entries (custom cells already have them); the shared kernel and
+// capture lists are copied on the first swap, so other sims and the
+// compiled program never see this sim's forces.
 func (s *PackedSim) addForce(gi int32, slot int, out bool, bit uint64, value bool) {
 	s.unsettle()
 	var set uint64
@@ -630,19 +809,29 @@ func (s *PackedSim) addForce(gi int32, slot int, out bool, bit uint64, value boo
 			}
 			s.kern[ki] = kOp{op: opCustom, a: gi}
 		}
+		if ci := s.p.cpos[gi]; ci >= 0 {
+			if !s.ownCapts {
+				s.capts = slices.Clone(s.capts)
+				s.ownCapts = true
+			}
+			s.capts[ci] = capEntry{op: opCustom, g: gi}
+		}
 	}
 	s.gforces[gi] = append(s.gforces[gi], laneForce{slot: int32(slot), out: out, mask: bit, set: set})
 }
 
 // ClearFaults removes every lane force and restores the forced gates'
-// kernel entries.  Net values are stale until the next Settle (campaigns
-// call Reset).
+// kernel and capture entries.  Net values are stale until the next Settle
+// (campaigns call Reset).
 func (s *PackedSim) ClearFaults() {
 	for _, gi := range s.fgates {
 		s.gforces[gi] = s.gforces[gi][:0]
 		if s.ownKern {
 			ki := s.p.kpos[gi]
 			s.kern[ki] = s.p.kern[ki]
+		}
+		if ci := s.p.cpos[gi]; ci >= 0 && s.ownCapts {
+			s.capts[ci] = s.p.capts[ci]
 		}
 	}
 	s.fgates = s.fgates[:0]

@@ -155,7 +155,11 @@ func TestPackedSimMatchesScalar(t *testing.T) {
 
 // randomPackedDesign generates a random acyclic netlist: a gated clock, a
 // mix of every library cell, inputs drawn only from earlier nets (no comb
-// loops).  Returns the design plus its input, clock and observable nets.
+// loops), and one wide level: 16 to 24 combinational gates of one type
+// and as many flops of one type on ck, all reading the newest net, so the
+// gates share a level and the flops a capture list, and each group is
+// swept as one homogeneous run beside the random gates' merged short
+// runs.  Returns the design plus its input, clock and observable nets.
 func randomPackedDesign(rng *rand.Rand, nGates int) (*Design, []string, []string, []string) {
 	d := NewDesign("rnd", DefaultLibrary())
 	m := NewModule("dut")
@@ -169,38 +173,60 @@ func randomPackedDesign(rng *rand.Rand, nGates int) (*Design, []string, []string
 	m.MustInstance("u_gck", CellAnd2, Pins{{"A", "ck2"}, {"B", "i0"}, {"Z", "gck"}})
 	clocks := []string{"ck", "gck"}
 	var obsNets []string
-	for gi := 0; gi < nGates; gi++ {
-		z := fmt.Sprintf("z%d", gi)
-		name := fmt.Sprintf("u_g%d", gi)
-		switch rng.Intn(12) {
+	// gate adds one cell of the given kind whose first input reads first,
+	// the other data inputs in(), clocked by ck.
+	gate := func(kind int, name, z, first string, in func() string, ck string) {
+		switch kind {
 		case 0:
-			m.MustInstance(name, CellInv, Pins{{"A", pick()}, {"Z", z}})
+			m.MustInstance(name, CellInv, Pins{{"A", first}, {"Z", z}})
 		case 1:
-			m.MustInstance(name, CellBuf, Pins{{"A", pick()}, {"Z", z}})
+			m.MustInstance(name, CellBuf, Pins{{"A", first}, {"Z", z}})
 		case 2:
-			m.MustInstance(name, CellNand2, Pins{{"A", pick()}, {"B", pick()}, {"Z", z}})
+			m.MustInstance(name, CellNand2, Pins{{"A", first}, {"B", in()}, {"Z", z}})
 		case 3:
-			m.MustInstance(name, CellNor2, Pins{{"A", pick()}, {"B", pick()}, {"Z", z}})
+			m.MustInstance(name, CellNor2, Pins{{"A", first}, {"B", in()}, {"Z", z}})
 		case 4:
-			m.MustInstance(name, CellAnd2, Pins{{"A", pick()}, {"B", pick()}, {"Z", z}})
+			m.MustInstance(name, CellAnd2, Pins{{"A", first}, {"B", in()}, {"Z", z}})
 		case 5:
-			m.MustInstance(name, CellOr2, Pins{{"A", pick()}, {"B", pick()}, {"Z", z}})
+			m.MustInstance(name, CellOr2, Pins{{"A", first}, {"B", in()}, {"Z", z}})
 		case 6:
-			m.MustInstance(name, CellXor2, Pins{{"A", pick()}, {"B", pick()}, {"Z", z}})
+			m.MustInstance(name, CellXor2, Pins{{"A", first}, {"B", in()}, {"Z", z}})
 		case 7:
-			m.MustInstance(name, CellMux2, Pins{{"A", pick()}, {"B", pick()}, {"S", pick()}, {"Z", z}})
+			m.MustInstance(name, CellXnor2, Pins{{"A", first}, {"B", in()}, {"Z", z}})
 		case 8:
-			m.MustInstance(name, CellDFF, Pins{{"D", pick()}, {"CK", clocks[rng.Intn(2)]}, {"Q", z}})
+			m.MustInstance(name, CellMux2, Pins{{"A", first}, {"B", in()}, {"S", in()}, {"Z", z}})
 		case 9:
-			m.MustInstance(name, CellSDFF,
-				Pins{{"D", pick()}, {"SI", pick()}, {"SE", pick()}, {"CK", clocks[rng.Intn(2)]}, {"Q", z}})
+			m.MustInstance(name, CellDFF, Pins{{"D", first}, {"CK", ck}, {"Q", z}})
 		case 10:
-			m.MustInstance(name, CellDFFR, Pins{{"D", pick()}, {"CK", clocks[rng.Intn(2)]}, {"R", pick()}, {"Q", z}})
+			m.MustInstance(name, CellSDFF, Pins{{"D", first}, {"SI", in()}, {"SE", in()}, {"CK", ck}, {"Q", z}})
 		case 11:
-			m.MustInstance(name, CellLatchL, Pins{{"D", pick()}, {"EN", pick()}, {"Q", z}})
+			m.MustInstance(name, CellDFFR, Pins{{"D", first}, {"CK", ck}, {"R", in()}, {"Q", z}})
+		case 12:
+			m.MustInstance(name, CellLatchL, Pins{{"D", first}, {"EN", in()}, {"Q", z}})
 		}
 		nets = append(nets, z)
 		obsNets = append(obsNets, z)
+	}
+	wideAt := rng.Intn(nGates)
+	for gi := 0; gi < nGates; gi++ {
+		if gi == wideAt {
+			// Every wide gate reads w first and w or primary inputs
+			// elsewhere, so all sit one level past w.  Latches are left
+			// out: their enable would be a data net, not a clock.
+			w, n := nets[len(nets)-1], 16+rng.Intn(9)
+			in := func() string {
+				if rng.Intn(2) == 0 {
+					return w
+				}
+				return ins[rng.Intn(len(ins))]
+			}
+			for j, kind := range []int{rng.Intn(9), 9 + rng.Intn(3)} {
+				for k := 0; k < n; k++ {
+					gate(kind, fmt.Sprintf("u_w%d_%d", j, k), fmt.Sprintf("w%d_%d", j, k), w, in, "ck")
+				}
+			}
+		}
+		gate(rng.Intn(13), fmt.Sprintf("u_g%d", gi), fmt.Sprintf("z%d", gi), pick(), pick, clocks[rng.Intn(2)])
 	}
 	d.MustAddModule(m)
 	d.Top = "dut"
@@ -500,9 +526,9 @@ func packedMutatorProperty(t *testing.T, d *Design, driven string, seed int64) {
 	}
 }
 
-// TestPackedSimKernelIsolation pins kernel copy-on-write: two PackedSims
-// built from one base, and the base CompiledSim itself, see none of each
-// other's kernel patches through InjectLane, ClearFaults or Inject.
+// TestPackedSimKernelIsolation pins kernel and capture-list copy-on-write:
+// two PackedSims built from one base, and the base CompiledSim itself, see
+// none of each other's patches through InjectLane, ClearFaults or Inject.
 func TestPackedSimKernelIsolation(t *testing.T) {
 	d := buildSimTestbed(t)
 	base, err := NewCompiledSim(d, "dut")
@@ -510,6 +536,7 @@ func TestPackedSimKernelIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	pristine := append([]kOp(nil), base.p.kern...)
+	pristineCapts := slices.Clone(base.p.capts)
 	a, err := NewPackedSim(base)
 	if err != nil {
 		t.Fatal(err)
@@ -521,17 +548,18 @@ func TestPackedSimKernelIsolation(t *testing.T) {
 	nandZ := SAFault{Gate: "u_nand", Port: "Z", Value: true}
 	xorA := SAFault{Gate: "u_xor", Port: "A", Value: false}
 	invA := SAFault{Gate: "u_inv", Port: "A", Value: true}
+	sdffSI := SAFault{Gate: "u_sdff", Port: "SI", Value: true}
 	// check replays a fixed stimulus on ps and on one scalar machine per
 	// faulted lane (plus a fault-free one for the rest), lane for lane.  The
 	// compiled program's kernel must be untouched, and a fault-free ps must
 	// run the pristine entries again.
 	check := func(step string, ps *PackedSim, lanes map[int]SAFault) {
 		t.Helper()
-		if !slices.Equal(base.p.kern, pristine) {
-			t.Fatalf("%s: compiled kernel was patched", step)
+		if !slices.Equal(base.p.kern, pristine) || !slices.Equal(base.p.capts, pristineCapts) {
+			t.Fatalf("%s: compiled kernel or capture lists were patched", step)
 		}
-		if len(lanes) == 0 && !slices.Equal(ps.kern, pristine) {
-			t.Fatalf("%s: fault-free packed sim still runs patched kernel entries", step)
+		if len(lanes) == 0 && (!slices.Equal(ps.kern, pristine) || !slices.Equal(ps.capts, pristineCapts)) {
+			t.Fatalf("%s: fault-free packed sim still runs patched kernel or capture entries", step)
 		}
 		golden, err := NewCompiledSim(d, "dut")
 		if err != nil {
@@ -582,14 +610,17 @@ func TestPackedSimKernelIsolation(t *testing.T) {
 	if err := b.InjectLane(5, xorA.Gate, xorA.Port, xorA.Value); err != nil {
 		t.Fatal(err)
 	}
+	if err := b.InjectLane(6, sdffSI.Gate, sdffSI.Port, sdffSI.Value); err != nil {
+		t.Fatal(err)
+	}
 	a.ClearFaults()
 	check("a after its clear", a, nil)
-	check("b after a's clear", b, map[int]SAFault{5: xorA})
+	check("b after a's clear", b, map[int]SAFault{5: xorA, 6: sdffSI})
 	if err := base.Inject(invA.Gate, invA.Port, invA.Value); err != nil {
 		t.Fatal(err)
 	}
 	check("a after the base's inject", a, nil)
-	check("b after the base's inject", b, map[int]SAFault{5: xorA})
+	check("b after the base's inject", b, map[int]SAFault{5: xorA, 6: sdffSI})
 	if err := a.InjectLane(7, invA.Gate, invA.Port, !invA.Value); err != nil {
 		t.Fatal(err)
 	}

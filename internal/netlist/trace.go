@@ -40,11 +40,6 @@ func (p *csProg) captureEntry(gi int32, g *cGate) capEntry {
 	return e
 }
 
-// captures returns the capture list of clock net ck.
-func (p *csProg) captures(capts []capEntry, ck int) []capEntry {
-	return capts[p.capOff[ck]:p.capOff[ck+1]]
-}
-
 // buildCSR groups int32 values by key in emission order: the values of key
 // k are vals[off[k]:off[k+1]].  emit is called twice (count, then fill)
 // and must emit the same pairs both times.
@@ -64,8 +59,9 @@ func buildCSR(nKeys int, emit func(add func(key, val int32))) (off, vals []int32
 }
 
 // buildFanout fills the trace fanout and the capture lists from the
-// pristine headers, once the kernel exists.
-func (p *csProg) buildFanout(nNets int) {
+// pristine headers, once the kernel exists; order lists the gates in
+// kernel order.
+func (p *csProg) buildFanout(nNets int, order []int32) {
 	gates := p.gates
 	// Readers: the combinational kernel entries reading each net.
 	// Sequential gates read their inputs only at capture, never in the
@@ -86,40 +82,43 @@ func (p *csProg) buildFanout(nNets int) {
 	for i := range p.drv {
 		p.drv[i] = -1
 	}
-	for _, gi := range p.seqs {
+	for pos, gi := range order {
 		g := &gates[gi]
-		for _, slot := range []int{g.qSlot, g.qnSlot} {
-			if slot >= 0 && g.out[slot] >= 0 {
-				p.drv[g.out[slot]] = p.kpos[gi]
-			}
-		}
-	}
-	for _, gi := range p.comb {
-		for _, n := range gates[gi].out {
-			if n >= 0 {
-				p.drv[n] = p.kpos[gi]
+		for oi, n := range g.out {
+			if n >= 0 && (!g.seq || oi == g.qSlot || oi == g.qnSlot) {
+				p.drv[n] = int32(pos)
 			}
 		}
 	}
 
-	// Capture lists: the sequential gates clocked by each net, in gate
-	// order.
-	var seqOf []int32
-	p.capOff, seqOf = buildCSR(nNets, func(add func(key, val int32)) {
+	// Capture lists: the sequential gates clocked by each net, grouped by
+	// opcode into runs like the kernel.
+	seqOff, seqOf := buildCSR(nNets, func(add func(key, val int32)) {
 		for _, gi := range p.seqs {
 			if g := &gates[gi]; len(g.in) > 0 && g.in[g.clkSlot] >= 0 {
 				add(g.in[g.clkSlot], gi)
 			}
 		}
 	})
+	p.capRunOff = make([]int32, nNets+1)
+	p.capts = make([]capEntry, 0, len(seqOf))
+	var list []capEntry
+	var runs []kRun // one clock's runs: never joined to the previous clock's
+	for n := 0; n < nNets; n++ {
+		list = list[:0]
+		for _, gi := range seqOf[seqOff[n]:seqOff[n+1]] {
+			list = append(list, p.captureEntry(gi, &gates[gi]))
+		}
+		p.capts, runs = groupRuns(p.capts, runs[:0], list, func(e capEntry) csOp { return e.op })
+		p.capRuns = append(p.capRuns, runs...)
+		p.capRunOff[n+1] = int32(len(p.capRuns))
+	}
 	p.cpos = make([]int32, len(gates))
 	for i := range p.cpos {
 		p.cpos[i] = -1
 	}
-	p.capts = make([]capEntry, len(seqOf))
-	for i, gi := range seqOf {
-		p.cpos[gi] = int32(i)
-		p.capts[i] = p.captureEntry(gi, &gates[gi])
+	for i, e := range p.capts {
+		p.cpos[e.g] = int32(i)
 	}
 }
 

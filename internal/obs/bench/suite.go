@@ -264,6 +264,28 @@ func specs() []spec {
 					check: fmt.Sprintf("detected=%d/%d sites=%d", camp.Detected, camp.Total, camp.Sites)}, nil
 			}, nil
 		}},
+		{name: "xcheck.wrapper", workers: 1, setup: func() (func() (opResult, error), error) {
+			// The sign-off wrapper equivalence on one generated chip: its
+			// wrapper core (memory-heavy seed 0's MCU, 1,050 gates) inside
+			// the generated wrapper at TAM width 2, driven through the
+			// whole translated scan program.
+			chip, err := scenario.GenerateByName("memory-heavy", 0)
+			if err != nil {
+				return nil, err
+			}
+			wc := chip.WrapperCore()
+			if wc == nil {
+				return nil, fmt.Errorf("bench: memory-heavy chip has no wrapper core")
+			}
+			return func() (opResult, error) {
+				r, _, err := xcheck.VerifyWrapperContext(context.Background(), "wrap_"+wc.Name, wc, 2, xcheck.Options{Workers: 1})
+				if err != nil {
+					return opResult{}, err
+				}
+				return opResult{work: int64(r.Cycles), unit: "cycles",
+					check: fmt.Sprintf("pass=%v cycles=%d checks=%d gates=%d", r.Pass, r.Cycles, r.Checks, r.Gates)}, nil
+			}, nil
+		}},
 		{name: "catalog.list", workers: 1, setup: catalogListSetup},
 		{name: "flow.insert", workers: 1, setup: func() (func() (opResult, error), error) {
 			chip, err := scenario.GenerateByName("dsc", 0)

@@ -185,7 +185,7 @@ func NewTPGCampaignSim(name string, alg march.Algorithm, mems []memory.Config, o
 	}
 	pins := newBenchPins(base, padded)
 	drive := func(ctx context.Context, e engine, observe func(int) bool) {
-		driveBIST(ctx, e, pins, padded, false, false, false, observe)
+		driveBIST(ctx, e, pins, newBenchRAM(padded), 0, 0, 0, observe)
 	}
 	golden := &goldenTrace{ids: []int{pins.done, pins.fail}}
 	doneRun := 0

@@ -3,6 +3,7 @@ package xcheck
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"steac/internal/bist"
@@ -47,15 +48,18 @@ func PadConfigs(mems []memory.Config) []memory.Config {
 }
 
 // benchPins caches the compiled net ids of one verify bench, and the
-// per-memory pin labels mismatch reports use, so the per-cycle compare
-// loop formats nothing.
+// list of pins an equivalence session compares with their mismatch
+// labels, so the per-cycle compare loop formats nothing.
 type benchPins struct {
-	ck, rst, en, bgsel, pbsel                  int
-	cmdr, cmdd, dir, adv, elemdone, done, fail int
-	addr, d, q, qb                             [][]int
-	we, failI                                  []int
-	addrLbl, dLbl                              [][]string
-	weLbl, failLbl                             []string
+	ck, rst, en, bgsel, pbsel int
+	done, fail                int
+	addr, d, q, qb            [][]int
+	we                        []int
+	// chk lists the compared pins in check order — done, cmdr, cmdd, dir,
+	// adv, elemdone, fail, then per memory its address bits, data bits,
+	// write enable and fail flag — and chkLbl their labels.
+	chk    []int
+	chkLbl []string
 }
 
 // bitLabels returns name[0] .. name[n-1].
@@ -71,9 +75,14 @@ func newBenchPins(sim *netlist.CompiledSim, mems []memory.Config) benchPins {
 	p := benchPins{
 		ck: sim.NetID("ck"), rst: sim.NetID("rst"), en: sim.NetID("en"),
 		bgsel: sim.NetID("bgsel"), pbsel: sim.NetID("pbsel"),
-		cmdr: sim.NetID("cmdr"), cmdd: sim.NetID("cmdd"), dir: sim.NetID("dir"),
-		adv: sim.NetID("adv"), elemdone: sim.NetID("elemdone"),
 		done: sim.NetID("done"), fail: sim.NetID("fail"),
+	}
+	check := func(lbl string, id int) {
+		p.chk = append(p.chk, id)
+		p.chkLbl = append(p.chkLbl, lbl)
+	}
+	for _, pin := range []string{"done", "cmdr", "cmdd", "dir", "adv", "elemdone", "fail"} {
+		check(pin, sim.NetID(pin))
 	}
 	for i, cfg := range mems {
 		addr, d := fmt.Sprintf("addr%d", i), fmt.Sprintf("d%d", i)
@@ -87,11 +96,14 @@ func newBenchPins(sim *netlist.CompiledSim, mems []memory.Config) benchPins {
 			p.qb = append(p.qb, nil)
 		}
 		p.we = append(p.we, sim.NetID(we))
-		p.failI = append(p.failI, sim.NetID(fail))
-		p.addrLbl = append(p.addrLbl, bitLabels(addr, cfg.AddrBits()))
-		p.dLbl = append(p.dLbl, bitLabels(d, cfg.Bits))
-		p.weLbl = append(p.weLbl, we)
-		p.failLbl = append(p.failLbl, fail)
+		for b, lbl := range bitLabels(addr, cfg.AddrBits()) {
+			check(lbl, p.addr[i][b])
+		}
+		for b, lbl := range bitLabels(d, cfg.Bits) {
+			check(lbl, p.d[i][b])
+		}
+		check(we, p.we[i])
+		check(fail, sim.NetID(fail))
 	}
 	return p
 }
@@ -115,26 +127,31 @@ func newCtlPins(sim *netlist.CompiledSim, nGroups int) ctlPins {
 	}
 }
 
-// driveBIST is the verify bench's one drive protocol: a reset pulse, then
-// a March session with emulated RAMs answering from each lane's own
-// address, data and write pins.  bgsel and pbsel select the data
-// background and the comparator port.  With complement, a two-port
-// memory's port that pbsel does not select reads the complemented word, so
-// a port-select defect cannot hide (equivalence); without it both ports
-// read the same word (fault campaigns).  Each cycle, once the RAM reads
-// have settled, observe sees the cycle; returning false ends the session
-// before that cycle's RAM writes and clock edge.  ctx is polled every
-// equivPollCycles cycles and a cancel ends the session (callers check
-// ctx.Err() themselves).  The RAMs are returned for end-of-session checks.
-func driveBIST(ctx context.Context, e engine, pins benchPins, mems []memory.Config,
-	bgsel, pbsel, complement bool, observe func(cycle int) bool) []pbench {
+// newBenchRAM returns empty emulated RAMs for a verify bench's memories.
+func newBenchRAM(mems []memory.Config) []pbench {
 	ram := make([]pbench, len(mems))
 	for i, cfg := range mems {
 		ram[i] = newPbench(cfg.Words, cfg.Bits, cfg.AddrBits())
 	}
+	return ram
+}
+
+// driveBIST is the verify bench's one drive protocol: a reset pulse, then
+// a March session with the emulated RAMs in ram answering from each lane's
+// own address, data and write pins.  The lane-words bgsel and pbsel select
+// each lane's data background and comparator port.  On the lanes set in
+// complement, a two-port memory's port that pbsel does not select reads
+// the complemented word, so a port-select defect cannot hide
+// (equivalence); elsewhere both ports read the same word (fault
+// campaigns).  Each cycle, once the RAM reads have settled, observe sees
+// the cycle; returning false ends the session before that cycle's RAM
+// writes and clock edge.  ctx is polled every equivPollCycles cycles and a
+// cancel ends the session (callers check ctx.Err() themselves).
+func driveBIST(ctx context.Context, e engine, pins benchPins, ram []pbench,
+	bgsel, pbsel, complement uint64, observe func(cycle int) bool) {
 	e.Reset()
-	e.SetID(pins.bgsel, bgsel)
-	e.SetID(pins.pbsel, pbsel)
+	e.SetWordID(pins.bgsel, bgsel)
+	e.SetWordID(pins.pbsel, pbsel)
 	e.SetID(pins.rst, true)
 	e.SetID(pins.en, false)
 	e.TickID(pins.ck)
@@ -147,17 +164,13 @@ func driveBIST(ctx context.Context, e engine, pins benchPins, mems []memory.Conf
 
 	canceled := pollEvery(ctx)
 	for cycle := 0; !canceled(); cycle++ {
-		for i := range mems {
+		for i := range ram {
 			m := &ram[i]
 			m.latch(e, pins.addr[i])
 			qb := pins.qb[i]
 			var invA, invB uint64 // per-port complement masks
-			if complement && qb != nil {
-				if pbsel {
-					invA = ^uint64(0)
-				} else {
-					invB = ^uint64(0)
-				}
+			if qb != nil {
+				invA, invB = complement&pbsel, complement&^pbsel
 			}
 			for b, id := range pins.q[i] {
 				w := m.read(b)
@@ -169,9 +182,9 @@ func driveBIST(ctx context.Context, e engine, pins benchPins, mems []memory.Conf
 		}
 		e.Settle()
 		if !observe(cycle) {
-			return ram
+			return
 		}
-		for i := range mems {
+		for i := range ram {
 			we := e.GetWordID(pins.we[i])
 			if we == 0 {
 				continue
@@ -184,7 +197,6 @@ func driveBIST(ctx context.Context, e engine, pins benchPins, mems []memory.Conf
 		}
 		e.TickID(pins.ck)
 	}
-	return ram
 }
 
 // VerifyBISTContext proves one sequencer group's generated netlist (sequencer +
@@ -266,100 +278,151 @@ func VerifyBISTContext(ctx context.Context, name string, alg march.Algorithm, me
 			fmt.Sprintf("engine run pass=%v cycles=%d vs analytic %d", er.Pass, er.Cycles, analytic))
 	}
 
-	pbsels := []bool{false}
-	if anyTwoPort {
-		pbsels = append(pbsels, true)
-	}
+	var sessions []bistSession
 	for _, bgsel := range []bool{false, true} {
-		for _, pbsel := range pbsels {
-			if err := ctx.Err(); err != nil {
-				return res, fmt.Errorf("xcheck: verify %s: %w", name, err)
-			}
-			res.Sessions++
-			label := fmt.Sprintf("bg=%v pb=%v", bgsel, pbsel)
-			cycles, ok := verifyBISTSession(ctx, ps, pins, alg, padded, bgsel, pbsel, analytic, &res, mmCap)
-			if err := ctx.Err(); err != nil {
-				return res, fmt.Errorf("xcheck: verify %s: %w", name, err)
-			}
-			if !ok {
-				res.Notes = append(res.Notes, fmt.Sprintf("session %s aborted", label))
-				res.finish()
-				return res, nil
-			}
-			res.Cycles += cycles
-			if cycles != analytic {
-				res.Notes = append(res.Notes,
-					fmt.Sprintf("session %s ran %d cycles, analytic %d", label, cycles, analytic))
-			}
+		sessions = append(sessions, bistSession{bgsel: bgsel})
+		if anyTwoPort {
+			sessions = append(sessions, bistSession{bgsel: bgsel, pbsel: true})
 		}
+	}
+	if err := ctx.Err(); err != nil {
+		return res, fmt.Errorf("xcheck: verify %s: %w", name, err)
+	}
+	verifyBISTSessions(ctx, ps, pins, alg, padded, sessions, analytic, &res, mmCap)
+	if err := ctx.Err(); err != nil {
+		return res, fmt.Errorf("xcheck: verify %s: %w", name, err)
 	}
 	res.finish()
 	return res, nil
 }
 
-// verifyBISTSession drives one full March session (driveBIST, unselected
-// port complemented) on sim in lockstep with the reference, comparing
-// every pin of lane 63 each cycle.  It returns the gate-level cycle count
-// and false if the session had to be abandoned (mismatch budget
-// exhausted, DONE never seen, or ctx canceled — the caller distinguishes
-// cancellation by checking ctx.Err() itself).
-func verifyBISTSession(ctx context.Context, sim *netlist.PackedSim, pins benchPins, alg march.Algorithm,
-	mems []memory.Config, bgsel, pbsel bool, analytic int, res *EquivResult, mmCap int) (int, bool) {
-	ref := newRefBench(alg, mems)
-	ref.tick(false, true, bgsel) // the reset pulse driveBIST applies
+// bistSession is one session of a verify bench: a data background and a
+// comparator port selection.
+type bistSession struct{ bgsel, pbsel bool }
+
+// bistLane is one session's progress in a packed verify pass.
+type bistLane struct {
+	bistSession
+	ref  *refBench
+	last int  // the last cycle compared; -1 while the session runs
+	done bool // DONE seen on both sides at cycle last
+	// mm holds the session's own first mismatches, up to the cap; note
+	// the DONE or RAM-image failure that ended it.
+	mm   []PinMismatch
+	note string
+}
+
+// verifyBISTSessions drives every session in one driveBIST pass on sim,
+// session k on lane goldenLane-k (unselected port complemented), each lane
+// compared pin by pin against its own reference every cycle until the
+// session ends: DONE seen on both sides, its own mismatches reach mmCap,
+// or maxCycles pass.  The emulated RAM images are checked at the cycle a
+// lane sees DONE.  The outcomes are then merged into res in session order
+// exactly as if the sessions had run one after another sharing the
+// mismatch budget: the session that uses it up, or fails otherwise, is
+// noted as aborted and the sessions after it are dropped.  A canceled ctx
+// ends the pass and leaves res unmerged (the caller checks ctx.Err()).
+func verifyBISTSessions(ctx context.Context, sim *netlist.PackedSim, pins benchPins, alg march.Algorithm,
+	mems []memory.Config, sessions []bistSession, analytic int, res *EquivResult, mmCap int) {
 	maxCycles := analytic + 8
-	cycles, done := maxCycles, false
-	ram := driveBIST(ctx, sim, pins, mems, bgsel, pbsel, true, func(cycle int) bool {
-		p := ref.comb(true, bgsel)
-		gdone := sim.GetLaneID(pins.done, goldenLane)
-		res.check(cycle, "done", gdone, p.done, mmCap)
-		res.check(cycle, "cmdr", sim.GetLaneID(pins.cmdr, goldenLane), p.cmdr, mmCap)
-		res.check(cycle, "cmdd", sim.GetLaneID(pins.cmdd, goldenLane), p.cmdd, mmCap)
-		res.check(cycle, "dir", sim.GetLaneID(pins.dir, goldenLane), p.dir, mmCap)
-		res.check(cycle, "adv", sim.GetLaneID(pins.adv, goldenLane), p.adv, mmCap)
-		res.check(cycle, "elemdone", sim.GetLaneID(pins.elemdone, goldenLane), p.elemdone, mmCap)
-		res.check(cycle, "fail", sim.GetLaneID(pins.fail, goldenLane), p.fail, mmCap)
-		for i := range mems {
-			for b, id := range pins.addr[i] {
-				res.check(cycle, pins.addrLbl[i][b], sim.GetLaneID(id, goldenLane), p.addr[i]>>uint(b)&1 == 1, mmCap)
+	lanes := make([]bistLane, len(sessions))
+	var bgsel, pbsel, live uint64
+	for k, ss := range sessions {
+		ref := newRefBench(alg, mems)
+		ref.tick(false, true, ss.bgsel) // the reset pulse driveBIST applies
+		lanes[k] = bistLane{bistSession: ss, ref: ref, last: -1, mm: make([]PinMismatch, 0, mmCap)}
+		bit := uint64(1) << uint(goldenLane-k)
+		live |= bit
+		if ss.bgsel {
+			bgsel |= bit
+		}
+		if ss.pbsel {
+			pbsel |= bit
+		}
+	}
+	want := make([]uint64, len(pins.chk))
+	ram := newBenchRAM(mems)
+	driveBIST(ctx, sim, pins, ram, bgsel, pbsel, ^uint64(0), func(cycle int) bool {
+		clear(want)
+		for k := range lanes {
+			if l := &lanes[k]; l.last < 0 {
+				l.ref.want(l.ref.comb(true, l.bgsel), want, goldenLane-k)
 			}
-			for b, id := range pins.d[i] {
-				res.check(cycle, pins.dLbl[i][b], sim.GetLaneID(id, goldenLane), p.d[i]>>uint(b)&1 == 1, mmCap)
+		}
+		for j, id := range pins.chk {
+			got := sim.GetWordID(id)
+			for d := (got ^ want[j]) & live; d != 0; d &= d - 1 {
+				lane := bits.TrailingZeros64(d)
+				if l := &lanes[goldenLane-lane]; len(l.mm) < mmCap {
+					l.mm = append(l.mm, PinMismatch{Cycle: cycle, Pin: pins.chkLbl[j],
+						Got: got>>uint(lane)&1 == 1, Want: want[j]>>uint(lane)&1 == 1})
+				}
 			}
-			res.check(cycle, pins.weLbl[i], sim.GetLaneID(pins.we[i], goldenLane), p.we[i], mmCap)
-			res.check(cycle, pins.failLbl[i], sim.GetLaneID(pins.failI[i], goldenLane), p.failI[i], mmCap)
 		}
-		if len(res.Mismatches) >= mmCap {
-			cycles = cycle
-			return false
+		done := sim.GetWordID(pins.done) & want[0] // want[0] is the reference DONE
+		for k := range lanes {
+			l := &lanes[k]
+			lane := goldenLane - k
+			switch {
+			case l.last >= 0:
+				continue
+			case len(l.mm) >= mmCap:
+				l.last = cycle
+			case done>>uint(lane)&1 == 1:
+				l.last, l.done = cycle, true
+				l.note = ramImageNote(ram, l.ref, lane)
+			case cycle == maxCycles-1:
+				l.last = cycle
+				l.note = fmt.Sprintf("DONE never asserted within %d cycles", maxCycles)
+			default:
+				l.ref.tick(true, false, l.bgsel)
+				continue
+			}
+			live &^= 1 << uint(lane)
 		}
-		if p.done && gdone {
-			cycles, done = cycle, true
-			return false
-		}
-		if cycle == maxCycles-1 {
-			return false
-		}
-		ref.tick(true, false, bgsel)
-		return true
+		return live != 0
 	})
-	if !done {
-		if ctx.Err() == nil && len(res.Mismatches) < mmCap {
-			res.Notes = append(res.Notes, fmt.Sprintf("DONE never asserted within %d cycles", maxCycles))
-		}
-		return cycles, false
+	if ctx.Err() != nil {
+		return
 	}
-	// Session complete: the emulated RAM images must agree too.
-	for i := range mems {
+	for k := range lanes {
+		l := &lanes[k]
+		res.Sessions++
+		last, mm := l.last, l.mm
+		if budget := mmCap - len(res.Mismatches); len(mm) >= budget {
+			mm = mm[:budget]
+			last = mm[budget-1].Cycle
+		}
+		res.Checks += int64(last+1) * int64(len(pins.chk))
+		res.Mismatches = append(res.Mismatches, mm...)
+		switch {
+		case len(res.Mismatches) >= mmCap:
+		case l.note != "":
+			res.Notes = append(res.Notes, l.note)
+		default:
+			res.Cycles += last
+			if last != analytic {
+				res.Notes = append(res.Notes, fmt.Sprintf("session bg=%v pb=%v ran %d cycles, analytic %d",
+					l.bgsel, l.pbsel, last, analytic))
+			}
+			continue
+		}
+		res.Notes = append(res.Notes, fmt.Sprintf("session bg=%v pb=%v aborted", l.bgsel, l.pbsel))
+		return
+	}
+}
+
+// ramImageNote compares one lane's emulated RAM images with its
+// reference's and describes the first differing word ("" when none does).
+func ramImageNote(ram []pbench, ref *refBench, lane int) string {
+	for i := range ram {
 		for a, want := range ref.tpgs[i].mem {
-			if got := ram[i].word(a, goldenLane); got != want {
-				res.Notes = append(res.Notes, fmt.Sprintf(
-					"mem %d addr %d: gate image %x vs ref %x", i, a, got, want))
-				return cycles, false
+			if got := ram[i].word(a, lane); got != want {
+				return fmt.Sprintf("mem %d addr %d: gate image %x vs ref %x", i, a, got, want)
 			}
 		}
 	}
-	return cycles, true
+	return ""
 }
 
 // VerifyControllerContext proves the generated shared controller bit-identical to

@@ -110,7 +110,7 @@ func TestBISTSessionDetectsInjectedFault(t *testing.T) {
 			t.Fatalf("inject %v: %v", f, err)
 		}
 		res := EquivResult{Name: "faulty"}
-		verifyBISTSession(context.Background(), ps, pins, alg, mems, false, false, alg.Complexity()*mems[0].Words, &res, 10)
+		verifyBISTSessions(context.Background(), ps, pins, alg, mems, []bistSession{{}}, alg.Complexity()*mems[0].Words, &res, 10)
 		if len(res.Mismatches) > 0 || len(res.Notes) > 0 {
 			detected++
 		}

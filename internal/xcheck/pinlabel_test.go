@@ -88,8 +88,8 @@ func TestMismatchPinLabels(t *testing.T) {
 			t.Fatal(err)
 		}
 		res := EquivResult{Name: "addr"}
-		verifyBISTSession(context.Background(), ps, newBenchPins(sim, mems), alg, mems,
-			false, false, alg.Complexity()*mems[0].Words, &res, 10)
+		verifyBISTSessions(context.Background(), ps, newBenchPins(sim, mems), alg, mems,
+			[]bistSession{{}}, alg.Complexity()*mems[0].Words, &res, 10)
 		if got, want := firstMismatch(t, res), "cycle 0 pin addr0[1]: gate=true ref=false"; got != want {
 			t.Errorf("first mismatch %q, want %q", got, want)
 		}

@@ -130,6 +130,32 @@ func (r *refBench) comb(en, bgsel bool) refPins {
 	return p
 }
 
+// want ORs one cycle's reference pins p into want on lane: one lane-word
+// per compared pin, in benchPins' check order.
+func (r *refBench) want(p refPins, want []uint64, lane int) {
+	bit := uint64(1) << uint(lane)
+	j := 0
+	set := func(v bool) {
+		if v {
+			want[j] |= bit
+		}
+		j++
+	}
+	for _, v := range [...]bool{p.done, p.cmdr, p.cmdd, p.dir, p.adv, p.elemdone, p.fail} {
+		set(v)
+	}
+	for i, t := range r.tpgs {
+		for b := 0; b < t.cfg.AddrBits(); b++ {
+			set(p.addr[i]>>uint(b)&1 == 1)
+		}
+		for b := 0; b < t.cfg.Bits; b++ {
+			set(p.d[i]>>uint(b)&1 == 1)
+		}
+		set(p.we[i])
+		set(p.failI[i])
+	}
+}
+
 // tick advances the reference one clock edge (RAM write-back included).
 func (r *refBench) tick(en, rst, bgsel bool) {
 	p := r.comb(en, bgsel)
